@@ -76,6 +76,17 @@ const Instantiation* ConflictSet::select() {
   return best;
 }
 
+void ConflictSet::rearm(const Production& production, std::span<const Wme* const> wmes,
+                        std::uint64_t seq) {
+  const Key key{production.id(), std::vector<const Wme*>(wmes.begin(), wmes.end())};
+  const auto it = entries_.find(key);
+  if (it == entries_.end()) return;
+  Instantiation* inst = it->second.get();
+  if (inst->seq != seq || !inst->fired) return;
+  inst->fired = false;
+  unfired_.insert(inst);
+}
+
 std::vector<const Instantiation*> ConflictSet::snapshot() const {
   std::vector<const Instantiation*> out;
   out.reserve(entries_.size());

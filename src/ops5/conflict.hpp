@@ -57,6 +57,17 @@ class ConflictSet {
   /// winner as fired.
   [[nodiscard]] const Instantiation* select();
 
+  /// Undo select() for the instantiation of this exact (production, wmes)
+  /// match, provided it is still the object created with sequence number
+  /// `seq` and has fired: it becomes selectable again. Otherwise a no-op.
+  /// Rollback uses this to restore refraction.
+  void rearm(const Production& production, std::span<const Wme* const> wmes,
+             std::uint64_t seq);
+
+  /// Sequence number the next added instantiation will get. Every
+  /// instantiation alive now has a smaller one.
+  [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }
+
   [[nodiscard]] Strategy strategy() const noexcept { return strategy_; }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] std::size_t unfired() const noexcept { return unfired_.size(); }

@@ -15,19 +15,24 @@ Engine::Engine(std::shared_ptr<const Program> program, const ExternalRegistry* e
                EngineOptions options)
     : program_(std::move(program)), externals_(externals), options_(options) {
   if (program_ == nullptr) throw std::invalid_argument("engine needs a program");
+  class_members_.resize(program_->class_count());
   build_matcher();
 }
 
 void Engine::build_matcher() {
   rete::MatchListener& listener = *this;  // private base: convert in member scope
+  // step() drops the cycle's chunks unless it records cycles, so the matcher
+  // records them only then.
+  rete::NetworkOptions net = options_.rete;
+  net.record_chunks = net.record_chunks && options_.record_cycles;
   if (options_.match_threads == 0) {
     matcher_ = std::make_unique<rete::Network>(*program_, listener, counters_, options_.costs,
-                                               options_.rete);
+                                               net);
     parallel_ = nullptr;
   } else {
     rete::ParallelMatcherOptions po;
     po.threads = options_.match_threads;
-    po.network = options_.rete;
+    po.network = net;
     if (options_.match_cost_source == MatchCostSource::Analyzer) {
       // Static join-cost estimates from the whole-rule-base analyzer; any
       // production it scores <= 0 falls back to the heuristic inside the
@@ -41,6 +46,7 @@ void Engine::build_matcher() {
     parallel_ = pm.get();
     matcher_ = std::move(pm);
   }
+  match_mark_ = counters_.match_cost;
 }
 
 void Engine::reconfigure(const EngineConfig& config) {
@@ -49,9 +55,11 @@ void Engine::reconfigure(const EngineConfig& config) {
   }
   // The matcher-affecting knobs: only these force a rebuild (compilation
   // charges alpha/beta construction costs, so rebuilds restart the counters
-  // from a clean slate to avoid double-charging them).
+  // from a clean slate to avoid double-charging them). record_cycles is one:
+  // the matcher records match chunks only for an engine that keeps them.
   const bool rebuild =
       config.match_threads != options_.match_threads ||
+      config.record_cycles != options_.record_cycles ||
       (config.match_threads != 0 &&
        config.match_cost_source != options_.match_cost_source);
   if (rebuild && (!wm_.empty() || undo_active_ || conflict_set_.size() != 0)) {
@@ -70,6 +78,25 @@ Engine::~Engine() = default;
 // Working memory
 // ---------------------------------------------------------------------------
 
+const Wme& Engine::insert_wme(ClassIndex cls, std::vector<Value> slots, TimeTag tag) {
+  const auto [it, inserted] =
+      wm_.try_emplace(tag, cls, program_->wme_class(cls).name(), std::move(slots), tag);
+  if (!inserted) throw std::logic_error("duplicate timetag in working memory");
+  std::vector<WmSlot*>& members = class_members_[cls];
+  it->second.class_pos = static_cast<std::uint32_t>(members.size());
+  members.push_back(&it->second);
+  return it->second.wme;
+}
+
+void Engine::erase_wme(WmMap::iterator it) {
+  std::vector<WmSlot*>& members = class_members_[it->second.wme.class_index()];
+  WmSlot* moved = members.back();
+  members[it->second.class_pos] = moved;
+  moved->class_pos = it->second.class_pos;
+  members.pop_back();
+  wm_.erase(it);
+}
+
 const Wme& Engine::make_wme(ClassIndex cls, std::vector<std::pair<SlotIndex, Value>> sets) {
   const WmeClass& decl = program_->wme_class(cls);
   std::vector<Value> slots(decl.arity());
@@ -77,9 +104,7 @@ const Wme& Engine::make_wme(ClassIndex cls, std::vector<std::pair<SlotIndex, Val
     if (slot >= slots.size()) throw std::out_of_range("make_wme: slot out of range");
     slots[slot] = value;
   }
-  auto wme = std::make_unique<Wme>(cls, decl.name(), std::move(slots), next_timetag_++);
-  Wme& ref = *wme;
-  wm_.emplace(ref.timetag(), std::move(wme));
+  const Wme& ref = insert_wme(cls, std::move(slots), next_timetag_++);
   ++counters_.wmes_added;
   if (undo_active_) undo_log_.push_back({true, ref.timetag(), 0, {}});
   if (watch_level_ >= 2) {
@@ -113,7 +138,7 @@ const Wme& Engine::make_wme(std::string_view class_name,
 
 void Engine::remove_wme(const Wme& wme) {
   const auto it = wm_.find(wme.timetag());
-  if (it == wm_.end() || it->second.get() != &wme) {
+  if (it == wm_.end() || &it->second.wme != &wme) {
     throw std::logic_error("removing WME not in working memory");
   }
   ++counters_.wmes_removed;
@@ -126,7 +151,7 @@ void Engine::remove_wme(const Wme& wme) {
                          std::vector<Value>(wme.slots().begin(), wme.slots().end())});
   }
   matcher_->remove_wme(wme);
-  wm_.erase(it);
+  erase_wme(it);
 }
 
 std::size_t Engine::wm_size() const noexcept { return wm_.size(); }
@@ -141,10 +166,11 @@ void Engine::set_watch(int level, std::function<void(const std::string&)> sink) 
 }
 
 std::vector<const Wme*> Engine::wmes_of_class(ClassIndex cls) const {
+  if (cls >= class_members_.size()) return {};
+  const std::vector<WmSlot*>& members = class_members_[cls];
   std::vector<const Wme*> out;
-  for (const auto& [tag, wme] : wm_) {
-    if (wme->class_index() == cls) out.push_back(wme.get());
-  }
+  out.reserve(members.size());
+  for (const WmSlot* slot : members) out.push_back(&slot->wme);
   return out;
 }
 
@@ -331,8 +357,12 @@ bool Engine::step() {
 #endif
 
   // Match: the network processed WM deltas eagerly; collect this cycle's
-  // chunks (the work a parallel matcher would distribute).
+  // chunks (the work a parallel matcher would distribute). They sum to the
+  // match cost charged since they were last taken, which the trace reads
+  // off the counters: those hold it whether or not chunks are recorded.
   std::vector<util::WorkUnits> chunks = matcher_->take_chunks();
+  [[maybe_unused]] const util::WorkUnits match_wu = counters_.match_cost - match_mark_;
+  match_mark_ = counters_.match_cost;
 
   // Resolve: the ordered conflict set selects in O(log n); charge that.
   const util::WorkUnits resolve_cost =
@@ -354,6 +384,12 @@ bool Engine::step() {
   // instantiation itself (removing a matched WME destroys the entry).
   const Production& production = *winner->production;
   std::vector<const Wme*> matched = winner->wmes;
+  if (undo_active_ && winner->seq < journal_seq_) {
+    FiredEntry& entry = fired_log_.emplace_back();
+    entry.production = &production;
+    for (const Wme* w : matched) entry.timetags.push_back(w->timetag());
+    entry.seq = winner->seq;
+  }
   if (watch_level_ >= 1) {
     std::string line = std::to_string(counters_.cycles + 1) + ". " +
                        program_->symbols().name(production.name());
@@ -366,8 +402,6 @@ bool Engine::step() {
 
 #if PSMSYS_OBS
   if (traced) {
-    util::WorkUnits match_wu = 0;
-    for (auto c : chunks) match_wu += c;
     obs::json::Object args;
     args.emplace_back("cycle", obs::json::Value(counters_.cycles));
     args.emplace_back("production",
@@ -422,14 +456,18 @@ void Engine::begin_undo_log() {
   if (undo_active_) throw std::logic_error("undo log already active");
   undo_active_ = true;
   undo_log_.clear();
+  fired_log_.clear();
   undo_mark_timetag_ = next_timetag_;
   undo_mark_halted_ = halted_;
   undo_mark_cycles_ = counters_.cycles;
+  undo_mark_seq_ = conflict_set_.next_seq();
+  journal_seq_ = undo_mark_seq_;
 }
 
 void Engine::commit_undo_log() noexcept {
   undo_active_ = false;
   undo_log_.clear();
+  fired_log_.clear();
 }
 
 void Engine::replay_undo_tail(std::size_t down_to) {
@@ -441,20 +479,39 @@ void Engine::replay_undo_tail(std::size_t down_to) {
       const auto live = wm_.find(entry.timetag);
       if (live == wm_.end()) throw std::logic_error("undo log corrupt: added WME not live");
       ++counters_.wmes_removed;
-      matcher_->remove_wme(*live->second);
-      wm_.erase(live);
+      matcher_->remove_wme(live->second.wme);
+      erase_wme(live);
     } else {
       // Restore with the *original* timetag so recency ordering — and every
       // later conflict resolution — is unchanged by the aborted attempt.
-      const WmeClass& decl = program_->wme_class(entry.cls);
-      auto wme = std::make_unique<Wme>(entry.cls, decl.name(), entry.slots, entry.timetag);
-      Wme& ref = *wme;
-      wm_.emplace(ref.timetag(), std::move(wme));
+      const Wme& ref = insert_wme(entry.cls, entry.slots, entry.timetag);
       ++counters_.wmes_added;
       matcher_->add_wme(ref);
     }
   }
   undo_log_.resize(down_to);
+}
+
+void Engine::rearm_fired_tail(std::size_t down_to, std::uint64_t seq_mark) {
+  // After the replay, working memory is what it was at the mark. An
+  // instantiation older than the mark whose WMEs were never removed is the
+  // same object as then, still marked fired; one whose WMEs were removed
+  // and restored was re-created unfired (new seq), and rearm() skips it.
+  std::vector<const Wme*> wmes;
+  for (std::size_t i = fired_log_.size(); i > down_to; --i) {
+    const FiredEntry& entry = fired_log_[i - 1];
+    if (entry.seq >= seq_mark) continue;
+    wmes.clear();
+    for (const TimeTag tag : entry.timetags) {
+      const auto live = wm_.find(tag);
+      if (live == wm_.end()) break;
+      wmes.push_back(&live->second.wme);
+    }
+    if (wmes.size() == entry.timetags.size()) {
+      conflict_set_.rearm(*entry.production, wmes, entry.seq);
+    }
+  }
+  fired_log_.resize(down_to);
 }
 
 void Engine::rollback_undo_log() {
@@ -466,6 +523,7 @@ void Engine::rollback_undo_log() {
   watch_level_ = 0;
 
   replay_undo_tail(0);
+  rearm_fired_tail(0, undo_mark_seq_);
   next_timetag_ = undo_mark_timetag_;
   halted_ = undo_mark_halted_;
   // The cycle counter is the engine's observable logical clock: it numbers
@@ -478,12 +536,16 @@ void Engine::rollback_undo_log() {
   watch_level_ = saved_watch;
   // Match work done while rolling back is recovery, not a cycle's chunks.
   (void)matcher_->take_chunks();
+  match_mark_ = counters_.match_cost;
 }
 
-Engine::UndoCheckpoint Engine::undo_checkpoint() const {
+Engine::UndoCheckpoint Engine::undo_checkpoint() {
   if (!undo_active_) throw std::logic_error("undo checkpoint requires an active undo log");
   UndoCheckpoint cp;
   cp.log_size = undo_log_.size();
+  cp.fired_size = fired_log_.size();
+  cp.conflict_seq = conflict_set_.next_seq();
+  journal_seq_ = cp.conflict_seq;
   cp.timetag = next_timetag_;
   cp.halted = halted_;
   cp.cycles = counters_.cycles;
@@ -503,24 +565,29 @@ void Engine::rollback_to_checkpoint(const UndoCheckpoint& cp) {
   watch_level_ = 0;
 
   replay_undo_tail(cp.log_size);
+  rearm_fired_tail(cp.fired_size, cp.conflict_seq);
   next_timetag_ = cp.timetag;
   halted_ = cp.halted;
   counters_.cycles = cp.cycles;
   watch_level_ = saved_watch;
   undo_active_ = true;
   (void)matcher_->take_chunks();
+  match_mark_ = counters_.match_cost;
 }
 
 void Engine::reset() {
   matcher_->clear();
   conflict_set_.clear();
   wm_.clear();
+  for (auto& members : class_members_) members.clear();
   cycles_.clear();
   counters_ = util::WorkCounters{};
+  match_mark_ = 0;
   next_timetag_ = 1;
   halted_ = false;
   undo_active_ = false;
   undo_log_.clear();
+  fired_log_.clear();
   peak_conflict_set_ = 0;
   // tracer_/tracer_tid_ deliberately survive, like the watch sink.
 }

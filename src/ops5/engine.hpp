@@ -119,7 +119,9 @@ class Engine final : private rete::MatchListener {
 
   [[nodiscard]] std::size_t wm_size() const noexcept;
 
-  /// All live WMEs of a class (unspecified order).
+  /// All live WMEs of a class, in unspecified order. O(|class|): working
+  /// memory keeps a per-class member list beside the timetag map, so the
+  /// cost does not grow with the rest of working memory.
   [[nodiscard]] std::vector<const Wme*> wmes_of_class(ClassIndex cls) const;
   [[nodiscard]] std::vector<const Wme*> wmes_of_class(std::string_view class_name) const;
 
@@ -149,7 +151,9 @@ class Engine final : private rete::MatchListener {
   // the Rete network and restores removed WMEs *with their original
   // timetags* (and rewinds the timetag counter), so conflict-resolution
   // recency — and therefore every later firing — is bit-identical to a run
-  // in which the aborted attempt never happened.
+  // in which the aborted attempt never happened. Refraction is restored
+  // too: an instantiation that existed at the mark and fired after it is
+  // re-armed, because the journal also records such firings.
 
   /// Start journaling. Rejects nesting.
   void begin_undo_log();
@@ -158,7 +162,8 @@ class Engine final : private rete::MatchListener {
   void commit_undo_log() noexcept;
 
   /// Undo every journaled mutation (reverse order), rewind timetags, clear
-  /// any halt raised during the attempt, and drop pending match chunks.
+  /// any halt raised during the attempt, re-arm instantiations that existed
+  /// at begin_undo_log() and fired since, and drop pending match chunks.
   void rollback_undo_log();
 
   [[nodiscard]] bool undo_log_active() const noexcept { return undo_active_; }
@@ -173,20 +178,24 @@ class Engine final : private rete::MatchListener {
   /// "released".
   struct UndoCheckpoint {
     std::size_t log_size = 0;     ///< journal entries at checkpoint time
+    std::size_t fired_size = 0;   ///< fired-journal entries at checkpoint time
+    std::uint64_t conflict_seq = 0;  ///< instantiations older than this existed
     TimeTag timetag = 1;          ///< next_timetag_ to rewind to
     bool halted = false;
     std::uint64_t cycles = 0;     ///< logical clock to rewind to
   };
 
-  /// Snapshot the current undo-log position. Requires an active log.
-  [[nodiscard]] UndoCheckpoint undo_checkpoint() const;
+  /// Snapshot the current undo-log position. Requires an active log. From
+  /// here on the journal also records firings of the instantiations alive
+  /// now, so a rollback to this checkpoint can re-arm them.
+  [[nodiscard]] UndoCheckpoint undo_checkpoint();
 
   /// Undo every mutation journaled after `cp` (reverse order), truncate the
   /// journal back to it, and rewind timetags/halt/cycle clock to the
   /// checkpoint — with the same bit-identity guarantee as rollback_undo_log:
-  /// recency ordering and the logical clock are exactly as if the rolled-back
-  /// tail never ran. The undo log STAYS ACTIVE. A checkpoint taken after
-  /// `cp` is invalidated by this call and must not be replayed to.
+  /// recency ordering, refraction and the logical clock are exactly as if
+  /// the rolled-back tail never ran. The undo log STAYS ACTIVE. A checkpoint
+  /// taken after `cp` is invalidated by this call and must not be replayed to.
   void rollback_to_checkpoint(const UndoCheckpoint& cp);
 
   // ------------------------------ inspection ------------------------------
@@ -287,14 +296,34 @@ class Engine final : private rete::MatchListener {
   /// Reverse-replay journal entries [down_to, end) and truncate to down_to.
   /// Callers own undo_active_/watch suppression and the mark restoration.
   void replay_undo_tail(std::size_t down_to);
+  /// Re-arm the journaled firings [down_to, end) of instantiations older
+  /// than `seq_mark` that survived the replay; truncate to down_to.
+  void rearm_fired_tail(std::size_t down_to, std::uint64_t seq_mark);
 
   util::WorkCounters counters_;
   ConflictSet conflict_set_{options_.strategy};
   std::unique_ptr<rete::Matcher> matcher_;
   rete::ParallelMatcher* parallel_ = nullptr;  // matcher_, when parallel
   std::vector<CycleRecord> cycles_;
+  /// counters_.match_cost when the matcher's chunks were last taken: the
+  /// cycle's match cost for tracing, whether or not chunks are recorded.
+  util::WorkUnits match_mark_ = 0;
 
-  std::unordered_map<TimeTag, std::unique_ptr<Wme>> wm_;
+  // Working memory: the owning timetag map plus a per-class member list.
+  // WMEs live in the map's nodes, which never move, so the lists can point
+  // at them; each slot knows its position in its class list, so removal is
+  // a swap-with-back there.
+  struct WmSlot {
+    WmSlot(ClassIndex cls, Symbol class_name, std::vector<Value> slots, TimeTag tag)
+        : wme(cls, class_name, std::move(slots), tag) {}
+    Wme wme;
+    std::uint32_t class_pos = 0;
+  };
+  using WmMap = std::unordered_map<TimeTag, WmSlot>;
+  const Wme& insert_wme(ClassIndex cls, std::vector<Value> slots, TimeTag tag);
+  void erase_wme(WmMap::iterator it);
+  WmMap wm_;
+  std::vector<std::vector<WmSlot*>> class_members_;
   TimeTag next_timetag_ = 1;
   bool halted_ = false;
 
@@ -309,6 +338,20 @@ class Engine final : private rete::MatchListener {
   TimeTag undo_mark_timetag_ = 0;
   bool undo_mark_halted_ = false;
   std::uint64_t undo_mark_cycles_ = 0;
+  std::uint64_t undo_mark_seq_ = 0;  ///< conflict-set sequence at begin_undo_log
+
+  /// A firing, under an active undo log, of an instantiation older than the
+  /// latest mark (begin_undo_log or undo_checkpoint). Instantiations created
+  /// after a mark never outlive a rollback to it, so only these can need
+  /// re-arming; `seq` tells the surviving object from a re-created one. The
+  /// WMEs are kept as timetags: the firing may remove them.
+  struct FiredEntry {
+    const Production* production = nullptr;
+    std::vector<TimeTag> timetags;
+    std::uint64_t seq = 0;
+  };
+  std::vector<FiredEntry> fired_log_;
+  std::uint64_t journal_seq_ = 0;  ///< journal firings of instantiations below this
 
   std::function<void(const std::string&)> write_handler_;
   void* user_data_ = nullptr;

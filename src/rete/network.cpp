@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -180,7 +181,7 @@ struct AlphaPattern {
   /// folding never merges patterns (which could reorder activations).
   std::vector<std::uint8_t> const_skip;
   /// Specialization: a constant test is proven never-true, so the pattern is
-  /// left out of patterns_by_class dispatch. The memory still exists (and
+  /// left out of its class's dispatch. The memory still exists (and
   /// stays empty forever), which is exactly what negated CEs need.
   bool dead = false;
   AlphaMemory* memory = nullptr;
@@ -330,8 +331,25 @@ struct Network::Impl {
   };
   std::vector<ClassStore> class_stores;
 
-  /// Alpha patterns indexed by WME class for O(per-class) dispatch.
-  std::vector<std::vector<AlphaPattern*>> patterns_by_class;
+  /// Hashed alpha dispatch for one WME class (Doorenbos' hashed alpha
+  /// network). `patterns` is the class's dispatch list in compile order.
+  /// A pattern whose first *evaluated* constant test is an equality can only
+  /// pass for WMEs carrying that (slot, value), so it sits in that bucket;
+  /// every other pattern is unbucketed and visited by every WME of the
+  /// class. A pattern whose first test equals NaN can never pass and sits
+  /// nowhere. Positions are ascending within every list.
+  struct ClassDispatch {
+    std::vector<AlphaPattern*> patterns;
+    std::vector<std::uint32_t> unbucketed;
+    struct SlotBuckets {
+      SlotIndex slot = 0;
+      std::unordered_map<Value, std::vector<std::uint32_t>, ops5::ValueHash> buckets;
+    };
+    std::vector<SlotBuckets> slots;
+  };
+  std::vector<ClassDispatch> dispatch;
+  /// The pattern positions an add visits; kept to reuse its capacity.
+  std::vector<std::uint32_t> visit;
 
   /// The single pointer->record lookup per add/remove; all interior paths
   /// thread WmeRecord* instead of re-hashing the Wme pointer.
@@ -851,14 +869,37 @@ struct Network::Impl {
     free_token(t);
   }
 
+  /// Charge `n` patterns their failed bucket test: exactly what the linear
+  /// scan charged each of them (one alpha test — the first evaluated
+  /// constant test, an equality the WME's value does not meet), and one
+  /// chunk of that cost per pattern in its dispatch position.
+  void charge_skipped(std::uint32_t n) {
+    counters.alpha_tests += n;
+    counters.match_cost += costs.alpha_test * n;
+    if (options.record_chunks) chunks.insert(chunks.end(), n, costs.alpha_test);
+  }
+
   void add_wme(const Wme& w) {
     const auto [map_it, inserted] = wme_map.try_emplace(&w, nullptr);
     if (!inserted) throw std::logic_error("WME added twice to Rete network");
     DeltaGuard guard(in_delta);
     WmeRecord* rec = make_record(w);
     map_it->second = rec;
-    if (w.class_index() >= patterns_by_class.size()) return;
-    for (AlphaPattern* p : patterns_by_class[w.class_index()]) {
+    if (w.class_index() >= dispatch.size()) return;
+    const ClassDispatch& d = dispatch[w.class_index()];
+    visit.assign(d.unbucketed.begin(), d.unbucketed.end());
+    for (const ClassDispatch::SlotBuckets& sb : d.slots) {
+      const auto it = sb.buckets.find(rec_slot(*rec, sb.slot));
+      if (it != sb.buckets.end()) visit.insert(visit.end(), it->second.begin(), it->second.end());
+    }
+    if (!d.slots.empty()) std::sort(visit.begin(), visit.end());
+    // Visit in dispatch order, so activations — and every listener callback
+    // and chunk — come out in the order the linear scan produced them.
+    std::uint32_t next = 0;
+    for (const std::uint32_t pos : visit) {
+      charge_skipped(pos - next);
+      next = pos + 1;
+      AlphaPattern* p = d.patterns[pos];
       const util::WorkUnits before = counters.match_cost;
       if (alpha_passes(*p, *rec)) {
         ++counters.alpha_activations;
@@ -903,6 +944,7 @@ struct Network::Impl {
       }
       if (options.record_chunks) chunks.push_back(counters.match_cost - before);
     }
+    charge_skipped(static_cast<std::uint32_t>(d.patterns.size()) - next);
   }
 
   void remove_wme(const Wme& w) {
@@ -1015,8 +1057,8 @@ struct Network::Impl {
     std::sort(disj_tests.begin(), disj_tests.end(),
               [](const DisjTest& a, const DisjTest& b) { return a.slot < b.slot; });
     if (options.node_sharing) {
-      // Over the full pattern arena, not patterns_by_class: dead-specialized
-      // patterns are absent from the dispatch lists but still shareable.
+      // Over the full pattern arena, not the dispatch lists: dead-specialized
+      // patterns are absent from dispatch but still shareable.
       for (AlphaPattern& p : patterns) {
         if (p.cls == cls && p.const_tests == const_tests && p.intra_tests == intra_tests &&
             p.disj_tests == disj_tests) {
@@ -1050,8 +1092,33 @@ struct Network::Impl {
       }
       if (any_fold) p.const_skip = std::move(skip);
     }
-    if (!p.dead) patterns_by_class[cls].push_back(&p);
+    if (!p.dead) dispatch[cls].patterns.push_back(&p);
     return &p;
+  }
+
+  /// Post-compile pass: bucket each class's patterns by their first
+  /// evaluated constant test (folded tests are skipped — they are never
+  /// evaluated, so never charged).
+  void finalize_dispatch() {
+    for (ClassDispatch& d : dispatch) {
+      for (std::uint32_t pos = 0; pos < d.patterns.size(); ++pos) {
+        const AlphaPattern& p = *d.patterns[pos];
+        const ConstTest* first = nullptr;
+        for (std::size_t i = 0; i < p.const_tests.size() && first == nullptr; ++i) {
+          if (p.const_skip.empty() || p.const_skip[i] == 0) first = &p.const_tests[i];
+        }
+        if (first == nullptr || first->pred != Predicate::Eq) {
+          d.unbucketed.push_back(pos);
+          continue;
+        }
+        // NaN equals nothing, not even itself: the pattern never passes.
+        if (first->value.is_number() && std::isnan(first->value.number())) continue;
+        auto sb = std::find_if(d.slots.begin(), d.slots.end(),
+                               [&](const auto& b) { return b.slot == first->slot; });
+        if (sb == d.slots.end()) sb = d.slots.insert(d.slots.end(), {first->slot, {}});
+        sb->buckets[first->value].push_back(pos);
+      }
+    }
   }
 
   BetaNode* build_or_share_memory(JoinNode& parent) {
@@ -1476,7 +1543,7 @@ Network::Network(const ops5::Program& program, MatchListener& listener,
                  const NetworkOptions& options)
     : impl_(std::make_unique<Impl>(program, listener, counters, costs, options)) {
   if (!program.frozen()) throw std::invalid_argument("Rete requires a frozen Program");
-  impl_->patterns_by_class.resize(program.class_count());
+  impl_->dispatch.resize(program.class_count());
 
   // Dummy top store with its dummy token.
   impl_->dummy_store = &impl_->beta_nodes.emplace_back();
@@ -1511,6 +1578,7 @@ Network::Network(const ops5::Program& program, MatchListener& listener,
   impl_->alpha_acts.assign(impl_->patterns.size(), 0);
   impl_->join_acts.assign(impl_->next_join_id, 0);
   impl_->finalize_links();
+  impl_->finalize_dispatch();
 }
 
 Network::~Network() = default;

@@ -6,7 +6,9 @@
 //
 // Structure:
 //   alpha network — per-class list of AlphaPatterns (constant tests plus
-//     intra-CE variable-equality tests) feeding AlphaMemories;
+//     intra-CE variable-equality tests) feeding AlphaMemories, hashed on
+//     each pattern's first equality constant so a WME visits only the
+//     patterns its own slot values can pass;
 //   beta network — BetaMemory / JoinNode / NegativeNode / ProductionNode
 //     chains with token-tree removal and optional node sharing.
 //

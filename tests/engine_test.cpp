@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -8,6 +9,7 @@
 
 #include "ops5/engine.hpp"
 #include "ops5/parser.hpp"
+#include "util/rng.hpp"
 
 namespace psmsys::ops5 {
 namespace {
@@ -653,6 +655,176 @@ TEST(EngineUndoCheckpoint, MisuseRejected) {
   EXPECT_THROW(engine.rollback_to_checkpoint(stale), std::logic_error);
   engine.commit_undo_log();
   EXPECT_THROW(engine.rollback_to_checkpoint(stale), std::logic_error);
+}
+
+// ---------------------------------------------------------------------------
+// Refraction across rollback: an instantiation that existed at the mark and
+// fired after it can fire again once the rollback has undone that firing.
+// ---------------------------------------------------------------------------
+
+constexpr const char* kRefractionSrc = R"(
+(literalize base x)
+(literalize seen n)
+(p on-base (base ^x 1) --> (make seen ^n 1))
+(p eat-base (base ^x 2) --> (remove 1))
+)";
+
+TEST(EngineUndo, RollbackReArmsInstantiationsThatFiredAfterTheMark) {
+  const auto program = parse_shared(kRefractionSrc);
+  Engine engine(program, nullptr);
+  engine.make_wme("base", {{"x", Value(1.0)}});
+
+  engine.begin_undo_log();
+  EXPECT_EQ(engine.run().firings, 1u);
+  engine.rollback_undo_log();
+  EXPECT_EQ(engine.conflict_set_size(), 1u);
+  EXPECT_EQ(engine.run().firings, 2u);  // fires again, as on a fresh engine
+  EXPECT_EQ(engine.run().firings, 2u);  // and then stays refracted
+}
+
+TEST(EngineUndo, RollbackKeepsFiringsFromBeforeTheMark) {
+  const auto program = parse_shared(kRefractionSrc);
+  Engine engine(program, nullptr);
+  engine.make_wme("base", {{"x", Value(1.0)}});
+  EXPECT_EQ(engine.run().firings, 1u);  // fired outside any undo log
+
+  engine.begin_undo_log();
+  engine.make_wme("seen", {{"n", Value(5.0)}});
+  (void)engine.run();
+  engine.rollback_undo_log();
+  EXPECT_EQ(engine.run().firings, 1u);  // still refracted after the rollback
+}
+
+TEST(EngineUndo, RollbackOfAConsumedWmeRestoresItsInstantiation) {
+  // The firing removes its own WME: the rollback restores the WME, which
+  // re-creates the instantiation unfired through the matcher.
+  const auto program = parse_shared(kRefractionSrc);
+  Engine engine(program, nullptr);
+  engine.make_wme("base", {{"x", Value(2.0)}});
+  engine.begin_undo_log();
+  EXPECT_EQ(engine.run().firings, 1u);
+  EXPECT_EQ(engine.wm_size(), 0u);
+  engine.rollback_undo_log();
+  EXPECT_EQ(engine.wm_size(), 1u);
+  EXPECT_EQ(engine.run().firings, 2u);
+}
+
+TEST(EngineUndoCheckpoint, RollbackReArmsInstantiationsAliveAtTheCheckpoint) {
+  const auto program = parse_shared(kRefractionSrc);
+  Engine engine(program, nullptr);
+  engine.begin_undo_log();
+  // Created after begin_undo_log() but before the checkpoint: the whole-log
+  // rollback drops it, the checkpoint rollback must re-arm it.
+  engine.make_wme("base", {{"x", Value(1.0)}});
+  const Engine::UndoCheckpoint cp = engine.undo_checkpoint();
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    EXPECT_EQ(engine.run().firings, static_cast<std::uint64_t>(attempt + 1));
+    EXPECT_EQ(engine.wm_size(), 2u);
+    engine.rollback_to_checkpoint(cp);
+    EXPECT_EQ(engine.wm_size(), 1u);
+  }
+  engine.rollback_undo_log();
+  EXPECT_EQ(engine.wm_size(), 0u);
+  EXPECT_EQ(engine.conflict_set_size(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Per-class working-memory index: randomized make/remove/modify traffic under
+// undo logs, checkpoints and reset, checked after every step against a
+// shadow model fed by the watch-level-2 trace (which reports every WM change
+// except rollback replay, which the shadow mirrors with its own snapshots).
+// ---------------------------------------------------------------------------
+
+constexpr const char* kIndexSrc = R"(
+(literalize a k v)
+(literalize b k v)
+(literalize c k v)
+(p promote (a ^k <k> ^v 0) --> (modify 1 ^v 1) (make c ^k <k> ^v 2))
+(p consume (b ^k <k>) (c ^k <k>) --> (remove 2))
+(p bump (c ^k <k> ^v 2) (a ^k <k> ^v 1) --> (modify 1 ^v 3))
+)";
+
+/// timetag -> "(class ^attr value ...)", as watch level 2 prints it.
+using Shadow = std::map<TimeTag, std::string>;
+
+/// The engine's working memory through wmes_of_class, in the shadow's form;
+/// also checks each class list holds only its own class, without repeats.
+Shadow indexed_wm(const Engine& engine, const Program& program) {
+  Shadow out;
+  for (ClassIndex c = 0; c < program.class_count(); ++c) {
+    for (const Wme* w : engine.wmes_of_class(c)) {
+      EXPECT_EQ(w->class_index(), c);
+      const bool fresh =
+          out.emplace(w->timetag(), w->to_string(program.symbols(), program.wme_class(c))).second;
+      EXPECT_TRUE(fresh) << "timetag " << w->timetag() << " listed twice";
+    }
+  }
+  return out;
+}
+
+void run_index_trace(std::uint64_t seed) {
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  const auto program = parse_shared(kIndexSrc);
+  Engine engine(program, nullptr);
+  Shadow shadow;
+  engine.set_watch(2, [&shadow](const std::string& line) {
+    const bool add = line.rfind("=>WM: ", 0) == 0;
+    if (!add && line.rfind("<=WM: ", 0) != 0) return;  // a firing line
+    const std::size_t colon = line.find(": ", 6);
+    const TimeTag tag = std::stoull(line.substr(6, colon - 6));
+    if (add) {
+      shadow[tag] = line.substr(colon + 2);
+    } else {
+      shadow.erase(tag);
+    }
+  });
+
+  util::Rng rng(seed);
+  const char* classes[] = {"a", "b", "c"};
+  Shadow log_mark;                                        // shadow at begin_undo_log()
+  std::vector<std::pair<Engine::UndoCheckpoint, Shadow>> marks;  // live checkpoints
+  for (int step = 0; step < 1500; ++step) {
+    const std::int64_t op = rng.next_int(0, 99);
+    const bool active = engine.undo_log_active();
+    if (op < 35) {
+      engine.make_wme(classes[rng.next_below(3)],
+                      {{"k", Value(static_cast<double>(rng.next_int(0, 5)))},
+                       {"v", Value(static_cast<double>(rng.next_int(0, 2)))}});
+    } else if (op < 55) {
+      const auto members = engine.wmes_of_class(classes[rng.next_below(3)]);
+      if (!members.empty()) engine.remove_wme(*members[rng.next_below(members.size())]);
+    } else if (op < 70) {
+      (void)engine.run(static_cast<std::uint64_t>(rng.next_int(1, 4)));
+    } else if (op < 77 && !active) {
+      engine.begin_undo_log();
+      log_mark = shadow;
+      marks.clear();
+    } else if (op < 80 && active) {
+      engine.commit_undo_log();
+      marks.clear();
+    } else if (op < 85 && active) {
+      engine.rollback_undo_log();
+      shadow = log_mark;
+      marks.clear();
+    } else if (op < 91 && active) {
+      marks.emplace_back(engine.undo_checkpoint(), shadow);
+    } else if (op < 98 && active && !marks.empty()) {
+      // Rolling back to a checkpoint invalidates the ones taken after it.
+      marks.resize(rng.next_below(marks.size()) + 1);
+      engine.rollback_to_checkpoint(marks.back().first);
+      shadow = marks.back().second;
+    } else if (op >= 98) {
+      engine.reset();
+      shadow.clear();
+      marks.clear();
+    }
+    ASSERT_EQ(indexed_wm(engine, *program), shadow) << "step " << step;
+    ASSERT_EQ(engine.wm_size(), shadow.size()) << "step " << step;
+  }
+}
+
+TEST(EngineWmIndex, RandomTrafficMatchesShadowModel) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) run_index_trace(seed);
 }
 
 }  // namespace

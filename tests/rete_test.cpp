@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <set>
 #include <string>
@@ -473,6 +474,104 @@ TEST(ReteInstrumentation, ChunkCostsSumBelowTotalMatchCost) {
   for (auto c : net.take_chunks()) total += c;
   EXPECT_LE(total, counters.match_cost);
   EXPECT_GT(total, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Hashed alpha dispatch: one class whose patterns cover every dispatch case.
+// Built in memory because the parser has no spelling for a NaN constant.
+// ---------------------------------------------------------------------------
+
+/// Class `obj ^kind ^size ^tag`, one single-CE production per pattern, so a
+/// production's matches are exactly its alpha memory's contents. Dispatch
+/// order (compile order) is the production order below.
+Program dispatch_program() {
+  using ops5::AttrTest;
+  using ops5::Predicate;
+  Program p;
+  const std::string_view attrs[] = {"kind", "size", "tag"};
+  const ops5::ClassIndex cls = p.declare_class("obj", attrs);
+  const ops5::Symbol obj = p.symbols().intern("obj");
+  const Value a(p.symbols().intern("a"));
+  const Value b(p.symbols().intern("b"));
+  const auto constant = [](ops5::SlotIndex slot, Predicate pred, Value v) {
+    AttrTest t;
+    t.slot = slot;
+    t.pred = pred;
+    t.constant = v;
+    return t;
+  };
+  const auto add = [&](std::string_view name, std::vector<AttrTest> tests) {
+    ops5::ConditionElement ce;
+    ce.cls = cls;
+    ce.class_name = obj;
+    ce.tests = std::move(tests);
+    p.add_production(ops5::Production(p.symbols().intern(name), {std::move(ce)}, {}));
+  };
+  AttrTest bind_kind;  // ^kind <x>
+  bind_kind.slot = 0;
+  bind_kind.is_variable = true;
+  bind_kind.var = p.intern_variable("x");
+  AttrTest same_tag = bind_kind;  // ^tag <x>: an intra-CE test
+  same_tag.slot = 2;
+  AttrTest either_tag;  // ^tag << a b >>
+  either_tag.slot = 2;
+  either_tag.disjunction = {a, b};
+
+  add("kind-a", {constant(0, Predicate::Eq, a)});      // bucket: kind
+  add("kind-b", {constant(0, Predicate::Eq, b)});      // bucket: kind
+  add("size-3", {constant(1, Predicate::Eq, Value(3.0))});  // bucket: size
+  add("big", {constant(1, Predicate::Gt, Value(2.0))});    // unbucketed: not Eq
+  add("same", {bind_kind, same_tag});                       // unbucketed: intra only
+  add("either", {either_tag});                              // unbucketed: disjunction
+  add("nan", {constant(1, Predicate::Eq, Value(std::nan("")))});  // never passes
+  add("negzero", {constant(1, Predicate::Eq, Value(-0.0))});     // bucket: size 0
+  add("kind-a-size-3", {constant(1, Predicate::Eq, Value(3.0)),  // sorted: kind first
+                        constant(0, Predicate::Eq, a)});
+  add("ne-then-eq", {constant(0, Predicate::Ne, b),             // unbucketed: Ne first
+                     constant(1, Predicate::Eq, Value(3.0))});
+  p.freeze();
+  return p;
+}
+
+TEST(ReteAlphaDispatch, BucketsChargeLikeTheLinearScan) {
+  const Program p = dispatch_program();
+  RecordingListener listener(p);
+  util::WorkCounters counters;
+  const util::CostModel costs;
+  Network net(p, listener, counters, costs);
+  ASSERT_EQ(net.stats().alpha_patterns, 10u);
+  WmeFactory wmes(p);
+  const Value a = wmes.sym("a");
+  const Value b = wmes.sym("b");
+  const Value nil;  // neither a nor b
+
+  struct Add {
+    std::vector<Value> slots;
+    /// Dispatch positions whose pattern fails its first test: their chunk is
+    /// one alpha test, visited or skipped.
+    std::vector<std::size_t> fail_first;
+  };
+  const Add adds[] = {
+      {{a, Value(3.0), a}, {1, 6, 7}},
+      {{b, Value(0.0), nil}, {0, 2, 3, 4, 6, 8, 9}},
+      {{nil, Value(std::nan("")), b}, {0, 1, 2, 3, 4, 6, 7, 8}},
+      {{a, Value(-0.0), nil}, {1, 2, 3, 4, 6}},
+  };
+  for (const Add& add : adds) {
+    net.add_wme(wmes.make("obj", add.slots));
+    const auto chunks = net.take_chunks();
+    ASSERT_EQ(chunks.size(), 10u);  // one chunk per pattern per add
+    for (const std::size_t pos : add.fail_first) EXPECT_EQ(chunks[pos], costs.alpha_test) << pos;
+  }
+  // Per add, the tests the linear scan evaluates: (1,1,1,1,1,1,1,1,2,2),
+  // (1 x 10), (1 x 9, then 2 for ne-then-eq), (1 x 8, 2, 2).
+  EXPECT_EQ(counters.alpha_tests, 12u + 10u + 11u + 12u);
+  EXPECT_EQ(counters.alpha_activations, 12u);
+  const std::set<std::string> expected = {
+      "kind-a:1", "size-3:1", "big:1",    "same:1",    "either:1", "kind-a-size-3:1",
+      "ne-then-eq:1", "kind-b:2", "negzero:2", "either:3", "kind-a:4", "negzero:4"};
+  EXPECT_EQ(listener.matches(), expected);
+  EXPECT_TRUE(net.check_invariants().empty());
 }
 
 TEST(ReteInstrumentation, ClearRetainsStructureDropsState) {

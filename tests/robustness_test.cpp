@@ -125,6 +125,50 @@ void expect_exact_accounting(const RunReport& report, std::size_t n_tasks) {
 }
 
 // ---------------------------------------------------------------------------
+// Refraction across a retried attempt: an instantiation of the base working
+// memory that fired in a crashed first attempt must fire again on the retry,
+// exactly as it would have in an attempt that never crashed.
+// ---------------------------------------------------------------------------
+
+TEST(RunRobust, RetryAfterFaultFiresBaseInstantiationAgain) {
+  const auto program = std::make_shared<const ops5::Program>(ops5::parse_program(R"(
+(literalize base x)
+(literalize trigger n)
+(literalize seen n)
+(p on-trigger (trigger ^n <n>) --> (make seen ^n <n>))
+(p on-base (base ^x 1) --> (make seen ^n 1))
+)"));
+  TaskProcessFactory factory;
+  factory.make_engine = [program] { return std::make_unique<ops5::Engine>(program, nullptr); };
+  factory.base_init = [](ops5::Engine& engine) {
+    engine.make_wme("base", {{"x", ops5::Value(1.0)}});
+  };
+  Task task;
+  task.id = 0;
+  task.label = "trigger";
+  task.inject = [](ops5::Engine& engine) {
+    engine.make_wme("trigger", {{"n", ops5::Value(7.0)}});
+  };
+
+  FaultConfig faults;
+  faults.transient_rate = 0.5;
+  for (faults.seed = 1;; ++faults.seed) {
+    const FaultInjector probe(faults);
+    if (probe.fails(0, 1) && !probe.fails(0, 2)) break;
+  }
+  const FaultInjector injector(faults);
+  std::size_t seen = 0;
+  const RunResult result = run(factory, {task},
+                               robust_opts(1, {}, &injector, [&](std::size_t, ops5::Engine& e) {
+                                 seen = e.wmes_of_class("seen").size();
+                               }));
+  ASSERT_TRUE(result.report.complete());
+  ASSERT_EQ(result.report.attempts[0].size(), 2u);
+  EXPECT_EQ(result.report.attempts[0][0].result, AttemptResult::Fault);
+  EXPECT_EQ(seen, 2u);  // on-trigger and on-base, as in an uncrashed run
+}
+
+// ---------------------------------------------------------------------------
 // Quarantine: poison tasks are reported, not lost — and never sink the run
 // ---------------------------------------------------------------------------
 

@@ -303,6 +303,95 @@ TEST(ServeFaultStorm, HealthySessionFiringLogsAreByteIdentical) {
 }
 
 // ---------------------------------------------------------------------------
+// Refraction across rollback: an instantiation of the base working memory
+// that fires inside a scene must be re-armed when the scene (or a failed
+// attempt of it) rolls back. Otherwise a recycled context stops firing it
+// while a fresh context still does, and the scene's log depends on what the
+// context ran before.
+// ---------------------------------------------------------------------------
+
+constexpr const char* kRefractionSrc = R"(
+(literalize base x)
+(literalize trigger n)
+(literalize seen n)
+(p on-trigger (trigger ^n <n>) --> (make seen ^n <n>))
+(p on-base (base ^x 1) --> (make seen ^n 1))
+)";
+
+std::shared_ptr<const SharedRuleBase> refraction_rulebase() {
+  auto program = std::make_shared<const ops5::Program>(ops5::parse_program(kRefractionSrc));
+  return SharedRuleBase::compile(std::move(program), nullptr);
+}
+
+void refraction_base(ops5::Engine& engine) {
+  engine.make_wme("base", {{"x", ops5::Value(1.0)}});
+}
+
+SceneJob trigger_scene(SceneId id) {
+  SceneJob job;
+  job.label = "trigger";
+  job.inject = [id](ops5::Engine& engine) {
+    engine.make_wme("trigger", {{"n", ops5::Value(static_cast<double>(id + 10))}});
+  };
+  return job;
+}
+
+SessionOptions logging_session() {
+  SessionOptions options;
+  options.capture_firing_log = true;
+  return options;
+}
+
+/// The scene's log on a context that never ran anything before.
+std::string fresh_log(const std::shared_ptr<const SharedRuleBase>& rb, SceneId id) {
+  EngineContext fresh(rb, refraction_base, logging_session());
+  const SceneReport report = Session(id, fresh).run(trigger_scene(id), {});
+  EXPECT_EQ(report.status, SceneStatus::Completed);
+  return report.firing_log;
+}
+
+TEST(ServeRefraction, RecycledContextLogsMatchFreshContexts) {
+  const auto rb = refraction_rulebase();
+  EngineContext recycled(rb, refraction_base, logging_session());
+  for (SceneId id = 1; id <= 3; ++id) {
+    const SceneReport warm = Session(id, recycled).run(trigger_scene(id), {});
+    ASSERT_EQ(warm.status, SceneStatus::Completed);
+    const std::string cold = fresh_log(rb, id);
+    EXPECT_NE(cold.find("on-base"), std::string::npos);
+    EXPECT_EQ(warm.firing_log, cold) << "scene " << id;
+  }
+}
+
+TEST(ServeRefraction, FailedTickCheckpointRollbackReArmsBaseInstantiation) {
+  // A seed whose first attempt of scene 1 crashes mid-tick (after firing
+  // on-base) and whose retry runs clean.
+  psm::FaultConfig config;
+  config.transient_rate = 0.5;
+  for (config.seed = 1;; ++config.seed) {
+    const psm::FaultInjector probe(config);
+    if (probe.fails(1, 1) && !probe.fails(1, 2)) break;
+  }
+  const psm::FaultInjector injector(config);
+  const auto rb = refraction_rulebase();
+  SessionOptions options = logging_session();
+  options.injector = &injector;
+  options.max_attempts = 2;
+  EngineContext context(rb, refraction_base, options);
+
+  // Twice on the same context: the stream's own checkpoint rollback and the
+  // close of the stream before it must both leave on-base armed.
+  for (int round = 0; round < 2; ++round) {
+    Session session(1, context);
+    session.begin();
+    const Session::TickOutcome tick = session.run_tick(trigger_scene(1), {});
+    session.finish();
+    ASSERT_EQ(tick.status, SceneStatus::Completed);
+    EXPECT_EQ(tick.attempts, 2u);
+    EXPECT_EQ(tick.firing_log, fresh_log(rb, 1)) << "round " << round;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Runaway containment: cycle deadline (deterministic) and watchdog (wall)
 // ---------------------------------------------------------------------------
 
