@@ -1,8 +1,10 @@
 #include "ops5/conflict.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <stdexcept>
+#include <utility>
 
 namespace psmsys::ops5 {
 
@@ -17,6 +19,22 @@ namespace {
   }
   if (a.size() != b.size()) return a.size() > b.size() ? 1 : -1;
   return 0;
+}
+
+constexpr std::size_t kInitialSlots = 16;
+
+/// Hash of an instantiation's identity: the production id and the matched
+/// WME pointers in CE order. The final xor-shift folds high bits into the
+/// low ones the table masks with.
+[[nodiscard]] std::uint64_t identity_hash(std::uint32_t production_id,
+                                          std::span<const Wme* const> wmes) noexcept {
+  std::uint64_t h = (production_id + 1ULL) * 0x9e3779b97f4a7c15ULL;
+  for (const Wme* w : wmes) {
+    h ^= reinterpret_cast<std::uintptr_t>(w);
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+  }
+  return h;
 }
 
 }  // namespace
@@ -38,66 +56,136 @@ bool dominates(const Instantiation& a, const Instantiation& b, Strategy strategy
   return a.seq < b.seq;
 }
 
-ConflictSet::ConflictSet(Strategy strategy)
-    : strategy_(strategy), unfired_(Dominance{strategy}) {}
+bool ConflictSet::Dominance::operator()(const Record* a, const Record* b) const {
+  return dominates(a->inst, b->inst, strategy);
+}
 
-void ConflictSet::add(const Production& production, std::vector<const Wme*> wmes) {
-  auto inst = std::make_unique<Instantiation>();
-  inst->production = &production;
-  inst->recency.reserve(wmes.size());
-  for (const auto* w : wmes) inst->recency.push_back(w->timetag());
-  std::sort(inst->recency.begin(), inst->recency.end(), std::greater<>());
-  inst->seq = next_seq_++;
-  Key key{production.id(), wmes};
-  inst->wmes = std::move(wmes);
-  Instantiation* raw = inst.get();
-  const auto [it, inserted] = entries_.emplace(std::move(key), std::move(inst));
-  if (!inserted) {
+ConflictSet::ConflictSet(Strategy strategy)
+    : strategy_(strategy), table_(kInitialSlots, nullptr), unfired_(Dominance{strategy}) {}
+
+void ConflictSet::add(const Production& production, std::span<const Wme* const> wmes) {
+  if ((size_ + 1) * 4 > table_.size() * 3) grow();
+  const std::uint64_t hash = identity_hash(production.id(), wmes);
+  const std::size_t slot = find_slot(hash, production.id(), wmes);
+  if (table_[slot] != nullptr) {
     throw std::logic_error("duplicate instantiation added to conflict set");
   }
-  unfired_.insert(raw);
+  Record* rec = nullptr;
+  if (free_.empty()) {
+    rec = &pool_.emplace_back();
+  } else {
+    rec = free_.back();
+    free_.pop_back();
+  }
+  Instantiation& inst = rec->inst;
+  inst.production = &production;
+  inst.wmes.assign(wmes.begin(), wmes.end());
+  inst.recency.clear();
+  for (const auto* w : wmes) inst.recency.push_back(w->timetag());
+  std::sort(inst.recency.begin(), inst.recency.end(), std::greater<>());
+  inst.seq = next_seq_++;
+  inst.fired = false;
+  rec->hash = hash;
+  table_[slot] = rec;
+  ++size_;
+  insert_unfired(rec);
 }
 
 void ConflictSet::remove(const Production& production, std::span<const Wme* const> wmes) {
-  Key key{production.id(), std::vector<const Wme*>(wmes.begin(), wmes.end())};
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  const std::size_t slot = find_slot(identity_hash(production.id(), wmes), production.id(), wmes);
+  Record* rec = table_[slot];
+  if (rec == nullptr) {
     throw std::logic_error("removing instantiation not present in conflict set");
   }
-  if (!it->second->fired) unfired_.erase(it->second.get());
-  entries_.erase(it);
+  if (!rec->inst.fired) rec->node = unfired_.extract(rec);
+  erase_slot(slot);
+  --size_;
+  free_.push_back(rec);
 }
 
 const Instantiation* ConflictSet::select() {
   if (unfired_.empty()) return nullptr;
-  Instantiation* best = *unfired_.begin();
-  unfired_.erase(unfired_.begin());
-  best->fired = true;
-  return best;
+  auto node = unfired_.extract(unfired_.begin());
+  Record* best = node.value();
+  best->node = std::move(node);
+  best->inst.fired = true;
+  return &best->inst;
 }
 
 void ConflictSet::rearm(const Production& production, std::span<const Wme* const> wmes,
                         std::uint64_t seq) {
-  const Key key{production.id(), std::vector<const Wme*>(wmes.begin(), wmes.end())};
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return;
-  Instantiation* inst = it->second.get();
-  if (inst->seq != seq || !inst->fired) return;
-  inst->fired = false;
-  unfired_.insert(inst);
+  Record* rec = table_[find_slot(identity_hash(production.id(), wmes), production.id(), wmes)];
+  if (rec == nullptr || rec->inst.seq != seq || !rec->inst.fired) return;
+  rec->inst.fired = false;
+  insert_unfired(rec);
 }
 
 std::vector<const Instantiation*> ConflictSet::snapshot() const {
   std::vector<const Instantiation*> out;
-  out.reserve(entries_.size());
-  for (const auto& [key, inst] : entries_) out.push_back(inst.get());
+  out.reserve(size_);
+  for (const Record* rec : table_) {
+    if (rec != nullptr) out.push_back(&rec->inst);
+  }
   return out;
 }
 
 void ConflictSet::clear() {
-  unfired_.clear();
-  entries_.clear();
+  while (!unfired_.empty()) {
+    auto node = unfired_.extract(unfired_.begin());
+    Record* rec = node.value();
+    rec->node = std::move(node);
+  }
+  for (Record*& slot : table_) {
+    if (slot != nullptr) free_.push_back(slot);
+    slot = nullptr;
+  }
+  size_ = 0;
   next_seq_ = 0;
+}
+
+std::size_t ConflictSet::find_slot(std::uint64_t hash, std::uint32_t production_id,
+                                   std::span<const Wme* const> wmes) const noexcept {
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Record* rec = table_[i];
+    if (rec == nullptr) return i;
+    if (rec->hash == hash && rec->inst.production->id() == production_id &&
+        std::equal(rec->inst.wmes.begin(), rec->inst.wmes.end(), wmes.begin(), wmes.end())) {
+      return i;
+    }
+  }
+}
+
+void ConflictSet::erase_slot(std::size_t slot) noexcept {
+  // Backward-shift deletion: pull each later member of the probe run into
+  // the hole unless that would move it before its home slot, so every
+  // record stays reachable from its home without tombstones.
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t j = (slot + 1) & mask; table_[j] != nullptr; j = (j + 1) & mask) {
+    const std::size_t home = table_[j]->hash & mask;
+    if (((j - home) & mask) >= ((j - slot) & mask)) {
+      table_[slot] = table_[j];
+      slot = j;
+    }
+  }
+  table_[slot] = nullptr;
+}
+
+void ConflictSet::grow() {
+  const std::vector<Record*> old =
+      std::exchange(table_, std::vector<Record*>(table_.size() * 2, nullptr));
+  for (Record* rec : old) {
+    if (rec == nullptr) continue;
+    table_[find_slot(rec->hash, rec->inst.production->id(), rec->inst.wmes)] = rec;
+  }
+}
+
+void ConflictSet::insert_unfired(Record* rec) {
+  if (rec->node.empty()) {
+    unfired_.insert(rec);
+  } else {
+    unfired_.insert(std::move(rec->node));
+  }
 }
 
 }  // namespace psmsys::ops5

@@ -9,10 +9,9 @@
 // cost accordingly.
 
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <set>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "ops5/production.hpp"
@@ -42,19 +41,31 @@ enum class Strategy : std::uint8_t { Lex, Mea };
 /// The conflict set: all current instantiations, with O(1) add/remove by
 /// (production, matched WMEs) identity and an ordered index of unfired
 /// instantiations for O(log n) selection.
+///
+/// Instantiations live in pooled records that are recycled with their
+/// vectors' capacity and their index node, and identity lookups go through
+/// an open-addressed table of record pointers, so in steady state an add, a
+/// remove, a select or a rearm allocates nothing and copies no key.
 class ConflictSet {
  public:
   explicit ConflictSet(Strategy strategy = Strategy::Lex);
 
   /// Add an instantiation (called by the matcher on production activation).
-  void add(const Production& production, std::vector<const Wme*> wmes);
+  /// The WMEs are copied; the span need only be valid during the call.
+  /// Throws std::logic_error, leaving the set unchanged, if this exact
+  /// (production, wmes) match is already present.
+  void add(const Production& production, std::span<const Wme* const> wmes);
 
   /// Remove the instantiation for this exact (production, wmes) match.
-  /// Called by the matcher on retraction; must exist.
+  /// Called by the matcher on retraction; must exist (std::logic_error
+  /// otherwise, with the set unchanged).
   void remove(const Production& production, std::span<const Wme* const> wmes);
 
   /// Pick the dominant unfired instantiation, or nullptr if none. Marks the
-  /// winner as fired.
+  /// winner as fired. The pointer is valid until that instantiation is
+  /// removed (or clear()). Records are recycled, so a stale pointer reads
+  /// whatever instantiation reuses the record, never freed memory:
+  /// AddressSanitizer cannot catch it.
   [[nodiscard]] const Instantiation* select();
 
   /// Undo select() for the instantiation of this exact (production, wmes)
@@ -69,42 +80,53 @@ class ConflictSet {
   [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }
 
   [[nodiscard]] Strategy strategy() const noexcept { return strategy_; }
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t unfired() const noexcept { return unfired_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
   /// All current instantiations (unspecified order); used by tests/oracle.
   [[nodiscard]] std::vector<const Instantiation*> snapshot() const;
 
+  /// Remove every instantiation (their records return to the pool) and
+  /// restart sequence numbers.
   void clear();
 
  private:
-  struct Key {
-    std::uint32_t production_id;
-    std::vector<const Wme*> wmes;
-    [[nodiscard]] bool operator==(const Key& o) const noexcept {
-      return production_id == o.production_id && wmes == o.wmes;
-    }
-  };
-  struct KeyHash {
-    [[nodiscard]] std::size_t operator()(const Key& k) const noexcept {
-      std::size_t h = k.production_id * 0x9e3779b97f4a7c15ULL;
-      for (const auto* w : k.wmes) {
-        h ^= reinterpret_cast<std::size_t>(w) + 0x9e3779b9 + (h << 6) + (h >> 2);
-      }
-      return h;
-    }
-  };
+  struct Record;
   struct Dominance {
     Strategy strategy;
-    [[nodiscard]] bool operator()(const Instantiation* a, const Instantiation* b) const {
-      return dominates(*a, *b, strategy);
-    }
+    [[nodiscard]] bool operator()(const Record* a, const Record* b) const;
+  };
+  using UnfiredIndex = std::set<Record*, Dominance>;
+
+  /// A pooled instantiation. While the record is not in unfired_ (fired, or
+  /// free) it holds its extracted index node, so re-inserting it allocates
+  /// nothing.
+  struct Record {
+    Instantiation inst;
+    std::uint64_t hash = 0;  ///< identity hash of (production id, wmes)
+    UnfiredIndex::node_type node;
   };
 
+  /// Table slot holding this identity, or the empty slot its probe run ends
+  /// at. The table must have an empty slot.
+  [[nodiscard]] std::size_t find_slot(std::uint64_t hash, std::uint32_t production_id,
+                                      std::span<const Wme* const> wmes) const noexcept;
+  /// Empty `slot`, shifting later members of its probe run back.
+  void erase_slot(std::size_t slot) noexcept;
+  /// Double the table and re-place every record.
+  void grow();
+  /// Put `rec` into unfired_, through its own node once it has one.
+  void insert_unfired(Record* rec);
+
   Strategy strategy_;
-  std::unordered_map<Key, std::unique_ptr<Instantiation>, KeyHash> entries_;
-  std::set<Instantiation*, Dominance> unfired_;
+  std::deque<Record> pool_;  ///< arena: stable addresses, records never freed
+  std::vector<Record*> free_;
+  /// Linear-probing identity table: power-of-two size, at most 3/4 full,
+  /// null = empty slot.
+  std::vector<Record*> table_;
+  std::size_t size_ = 0;
+  UnfiredIndex unfired_;
   std::uint64_t next_seq_ = 0;
 };
 

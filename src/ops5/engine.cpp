@@ -187,7 +187,7 @@ std::vector<const Wme*> Engine::wmes_of_class(std::string_view class_name) const
 // ---------------------------------------------------------------------------
 
 void Engine::on_activate(const Production& production, std::span<const Wme* const> wmes) {
-  conflict_set_.add(production, std::vector<const Wme*>(wmes.begin(), wmes.end()));
+  conflict_set_.add(production, wmes);
 #if PSMSYS_OBS
   peak_conflict_set_ = std::max(peak_conflict_set_, conflict_set_.size());
 #endif

@@ -23,7 +23,9 @@
 
 namespace psmsys::rete {
 
-/// Receives conflict-set deltas from a matcher.
+/// Receives conflict-set deltas from a matcher. The `wmes` span of either
+/// callback is valid only during the call (the Rete network reuses one
+/// buffer for every callback); a listener that keeps the WMEs copies them.
 class MatchListener {
  public:
   virtual ~MatchListener() = default;

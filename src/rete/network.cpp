@@ -374,6 +374,10 @@ struct Network::Impl {
 
   std::vector<util::WorkUnits> chunks;
 
+  /// wmes_of()'s output, reused by every production-node callback: the
+  /// listener's span is valid only during the call.
+  std::vector<const Wme*> matched;
+
   // Live/peak token gauge (PSMSYS_OBS only): tokens_created/deleted count
   // churn, this tracks the instantaneous working set.
   std::uint64_t live_tokens = 0;
@@ -814,13 +818,15 @@ struct Network::Impl {
     }
   }
 
-  [[nodiscard]] std::vector<const Wme*> wmes_of(const Token* t) const {
-    std::vector<const Wme*> out;
+  /// The WMEs of production token `t` in CE order, gathered into `matched`;
+  /// the span is valid until the next call.
+  [[nodiscard]] std::span<const Wme* const> wmes_of(const Token* t) {
+    matched.clear();
     for (const Token* cur = t; cur != nullptr; cur = cur->parent) {
-      if (cur->wme != nullptr) out.push_back(cur->wme);
+      if (cur->wme != nullptr) matched.push_back(cur->wme);
     }
-    std::reverse(out.begin(), out.end());
-    return out;
+    std::reverse(matched.begin(), matched.end());
+    return matched;
   }
 
   void delete_descendents(Token* t) {

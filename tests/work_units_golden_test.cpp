@@ -11,12 +11,23 @@
 // and the serve tier take); its counters must equal the recorded run's, since
 // whether chunks are recorded must not change what is charged.
 //
-// On a mismatch the actual text is written to work_units_golden.actual in the
-// working directory. Copying it over the golden re-records it, which is only
-// legitimate when the cost model itself changes.
+// The last line pins the streaming path: an SF Level-2 LCC stream on one
+// psm::TaskRunner, ticked over the SF stream schedule with its retractions,
+// one tick aborted mid-run and retried, then closed. It covers what the
+// pipeline lines do not: incremental add and remove match against a resident
+// working memory, checkpoint rollback, and the close-time rollback of the
+// whole journal. It was recorded before the conflict set moved to pooled
+// records behind an open-addressed table, so a storage change that alters a
+// charge on the stream path fails here.
+//
+// The whole file is compared exactly. On a mismatch the actual text is
+// written to work_units_golden.actual in the working directory. Copying it
+// over the golden re-records it, which is only legitimate when the cost model
+// itself changes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -29,6 +40,7 @@
 #include "spam/phases.hpp"
 #include "spam/programs.hpp"
 #include "spam/scene_generator.hpp"
+#include "spam/stream_schedule.hpp"
 
 namespace psmsys {
 namespace {
@@ -210,9 +222,66 @@ std::string dataset_lines(const spam::DatasetConfig& config) {
   return out;
 }
 
+/// The stream golden line; also checks that closing the stream restored the
+/// engine's working memory and conflict set.
+std::string stream_line(const spam::DatasetConfig& config) {
+  const spam::Scene scene = spam::generate_scene(config);
+  const auto best = spam::best_fragments(spam::run_rtf(scene, kRtfGroupSize).fragments);
+  const spam::Decomposition d = spam::lcc_decomposition(kLccLevel, scene, best, true);
+  const auto schedule =
+      spam::make_stream_schedule(spam::stream_config_for(config, d.tasks.size()));
+
+  psm::TaskRunner runner(d.factory);
+  ops5::Engine& engine = runner.engine();
+  const std::size_t base_wm = engine.wm_size();
+  const std::size_t base_cs = engine.conflict_set_size();
+
+  // A Level-2 task injects one lcc-task WME, the newest of its class; a
+  // retraction removes it again, found by the timetag it arrived with.
+  std::vector<ops5::TimeTag> arrived(d.tasks.size(), 0);
+  const auto inject_tick = [&](const spam::StreamTickSpec& spec, ops5::Engine& e) {
+    for (const std::size_t item : spec.arrivals) {
+      d.tasks[item].inject(e);
+      arrived[item] = 0;
+      for (const ops5::Wme* w : e.wmes_of_class("lcc-task")) {
+        arrived[item] = std::max(arrived[item], w->timetag());
+      }
+    }
+    for (const std::size_t item : spec.retractions) {
+      const auto tasks = e.wmes_of_class("lcc-task");
+      const auto it = std::find_if(tasks.begin(), tasks.end(), [&](const ops5::Wme* w) {
+        return w->timetag() == arrived[item];
+      });
+      ASSERT_NE(it, tasks.end()) << "retraction of item " << item;
+      e.remove_wme(**it);
+    }
+  };
+  const auto tick = [&](std::size_t t) {
+    return psm::Task{t, "tick", [&, t](ops5::Engine& e) { inject_tick(schedule[t], e); }};
+  };
+
+  std::size_t retractions = 0;
+  runner.begin_stream();
+  for (std::size_t t = 0; t < schedule.size(); ++t) {
+    retractions += schedule[t].retractions.size();
+    if (t == schedule.size() / 2) runner.abort_tick_after(tick(t), 25);
+    (void)runner.run_tick(tick(t));
+  }
+  runner.end_stream();
+  EXPECT_GT(retractions, 0U);
+  EXPECT_EQ(engine.wm_size(), base_wm);
+  EXPECT_EQ(engine.conflict_set_size(), base_cs);
+
+  Charges c;
+  c.counters = engine.counters();
+  c.add_records(engine.cycle_records());
+  return line(config.name + " stream", c);
+}
+
 TEST(WorkUnitsGolden, PipelineChargesMatchRecordedGolden) {
   std::string actual;
   for (const spam::DatasetConfig& config : spam::all_datasets()) actual += dataset_lines(config);
+  actual += stream_line(spam::sf_config());
 
   const std::string path = std::string(PSMSYS_TEST_GOLDEN_DIR) + "/work_units.txt";
   std::ifstream in(path);
