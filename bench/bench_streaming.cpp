@@ -9,11 +9,10 @@
 //      WM grows monotonically. Host-time tick latency (p50/p99) and
 //      deltas/sec are reported alongside; the gate is on the deterministic
 //      counters so the case never flakes on a loaded host.
-//   2. determinism — the same delta schedule delivered at match_threads
-//      1/2/4 must produce byte-identical concatenated firing logs, and a
-//      mid-stream hot pack swap (identical rules, new version) must leave
-//      the log byte-identical too: the stream finishes on the pack it was
-//      dequeued with.
+//   2. determinism — a mid-stream hot pack swap (identical rules, new
+//      version) must leave the stream's concatenated firing log
+//      byte-identical to a run without the swap: the stream finishes on the
+//      pack it was dequeued with.
 //
 // Every rollup is validated against the serve schema
 // (obs::validate_serve_rollup) before it is reported; a violation fails the
@@ -141,13 +140,11 @@ struct StreamRun {
   std::uint64_t stream_pack = 0;
   serve::ServerStats stats;
 };
-[[nodiscard]] StreamRun run_parity_stream(CaseContext& ctx, std::size_t match_threads,
+[[nodiscard]] StreamRun run_parity_stream(CaseContext& ctx,
                                           const std::vector<spam::StreamTickSpec>& schedule,
                                           std::size_t swap_after_tick = 0) {
-  ops5::EngineOptions engine_options;
-  engine_options.match_threads = match_threads;
   auto program = std::make_shared<const ops5::Program>(ops5::parse_program(kParitySrc));
-  auto rb = serve::SharedRuleBase::compile(std::move(program), nullptr, engine_options);
+  auto rb = serve::SharedRuleBase::compile(std::move(program));
 
   serve::ServerOptions options;
   options.workers = 1;
@@ -297,7 +294,7 @@ PSMSYS_BENCH_CASE(streaming_flatness, "streaming",
 }
 
 PSMSYS_BENCH_CASE(streaming_determinism, "streaming",
-                  "Streaming sessions: byte-identical logs across match threads and a pack swap") {
+                  "Streaming sessions: byte-identical logs across a mid-stream pack swap") {
   auto& os = ctx.out();
 
   spam::StreamScheduleConfig config;
@@ -309,32 +306,22 @@ PSMSYS_BENCH_CASE(streaming_determinism, "streaming",
   const auto schedule = spam::make_stream_schedule(config);
 
   util::Table table({"run", "ticks", "log bytes", "identical"});
-  const StreamRun baseline = run_parity_stream(ctx, 1, schedule);
-  table.add_row({"1 match thread", util::Table::fmt(schedule.size()),
+  const StreamRun baseline = run_parity_stream(ctx, schedule);
+  table.add_row({"no swap", util::Table::fmt(schedule.size()),
                  util::Table::fmt(baseline.firing_log.size()), "baseline"});
   if (baseline.firing_log.empty()) ctx.fail("baseline stream produced no firings");
-
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-    const StreamRun run = run_parity_stream(ctx, threads, schedule);
-    const bool same = run.firing_log == baseline.firing_log;
-    if (!same) {
-      ctx.fail("firing log diverged at match_threads=" + std::to_string(threads));
-    }
-    table.add_row({std::to_string(threads) + " match threads", util::Table::fmt(schedule.size()),
-                   util::Table::fmt(run.firing_log.size()), same ? "yes" : "NO"});
-  }
 
   // Mid-stream hot swap: the server activates a new (identical-rules) pack
   // while the stream is live; the stream must finish on its dequeue-time pack
   // with a byte-identical log.
-  const StreamRun swapped = run_parity_stream(ctx, 2, schedule, schedule.size() / 2);
+  const StreamRun swapped = run_parity_stream(ctx, schedule, schedule.size() / 2);
   const bool swap_same = swapped.firing_log == baseline.firing_log;
   if (!swap_same) ctx.fail("firing log diverged across a mid-stream pack swap");
   if (swapped.stats.pack_swaps != 1) ctx.fail("expected exactly one pack swap");
   if (swapped.stream_pack != swapped.boot_pack) {
     ctx.fail("stream migrated off its dequeue-time pack mid-flight");
   }
-  table.add_row({"2 threads + swap", util::Table::fmt(schedule.size()),
+  table.add_row({"mid-stream swap", util::Table::fmt(schedule.size()),
                  util::Table::fmt(swapped.firing_log.size()), swap_same ? "yes" : "NO"});
 
   table.print(os, "same delta schedule; logs compared byte-for-byte after prefix strip");

@@ -50,16 +50,13 @@ MeasuredLcc measure_rtf(const spam::DatasetConfig& config, bool record_cycles) {
 }
 
 TimedRun timed_run(const spam::Decomposition& decomposition, std::size_t task_processes,
-                   std::size_t match_threads, int repetitions,
-                   ops5::MatchCostSource cost_source) {
+                   int repetitions) {
   TimedRun best;
   best.wall = std::chrono::nanoseconds::max();
   for (int rep = 0; rep < std::max(1, repetitions); ++rep) {
     psm::RunOptions options;
     options.task_processes = task_processes;
     options.strict = true;
-    options.match_threads = match_threads;
-    options.match_cost_source = cost_source;
     auto result = psm::run(decomposition.factory, decomposition.tasks, options);
     if (result.elapsed < best.wall) {
       best.wall = result.elapsed;
@@ -67,29 +64,6 @@ TimedRun timed_run(const spam::Decomposition& decomposition, std::size_t task_pr
     }
   }
   return best;
-}
-
-MeasuredMatrix measure_matrix(const spam::Decomposition& decomposition,
-                              std::vector<std::size_t> task_procs,
-                              std::vector<std::size_t> match_threads, int repetitions) {
-  MeasuredMatrix m;
-  m.task_procs = std::move(task_procs);
-  m.match_threads = std::move(match_threads);
-  m.cells.resize(m.task_procs.size());
-  for (std::size_t ti = 0; ti < m.task_procs.size(); ++ti) {
-    for (std::size_t mi = 0; mi < m.match_threads.size(); ++mi) {
-      m.cells[ti].push_back(
-          timed_run(decomposition, m.task_procs[ti], m.match_threads[mi], repetitions));
-      if (m.task_procs[ti] == 1 && m.match_threads[mi] == 0) {
-        m.baseline_wall = m.cells[ti].back().wall;
-      }
-    }
-  }
-  // If the sweep skipped the (1 task, serial match) corner, measure it.
-  if (m.baseline_wall.count() == 0) {
-    m.baseline_wall = timed_run(decomposition, 1, 0, repetitions).wall;
-  }
-  return m;
 }
 
 double tlp_speedup(const std::vector<util::WorkUnits>& costs, std::size_t procs,

@@ -73,37 +73,14 @@ struct MeasuredLcc {
 
 /// One *measured* (host wall-clock) execution of a decomposition on the real
 /// executor — the counterpart of the virtual-time model above. Runs strict
-/// mode with `task_processes` TLP workers, each engine matching on
-/// `match_threads` rete workers (0 = serial matcher), `repetitions` times,
-/// and keeps the fastest run (min wall absorbs scheduler noise).
+/// mode with `task_processes` TLP workers, `repetitions` times, and keeps the
+/// fastest run (min wall absorbs scheduler noise).
 struct TimedRun {
   std::chrono::nanoseconds wall{};
   obs::RunMetrics metrics;
 };
-[[nodiscard]] TimedRun timed_run(
-    const spam::Decomposition& decomposition, std::size_t task_processes,
-    std::size_t match_threads, int repetitions,
-    ops5::MatchCostSource cost_source = ops5::MatchCostSource::Analyzer);
-
-/// Measured speedup matrix over task_procs x match_threads: wall(1 task
-/// process, serial match) / wall(T, M). matrix[ti][mi] pairs each cell with
-/// its TimedRun so cases can also report utilization counters.
-struct MeasuredMatrix {
-  std::vector<std::size_t> task_procs;
-  std::vector<std::size_t> match_threads;  ///< 0 = serial matcher
-  std::vector<std::vector<TimedRun>> cells;
-  std::chrono::nanoseconds baseline_wall{};
-
-  [[nodiscard]] double speedup(std::size_t ti, std::size_t mi) const {
-    const auto wall = cells[ti][mi].wall.count();
-    return wall == 0 ? 0.0
-                     : static_cast<double>(baseline_wall.count()) / static_cast<double>(wall);
-  }
-};
-[[nodiscard]] MeasuredMatrix measure_matrix(const spam::Decomposition& decomposition,
-                                            std::vector<std::size_t> task_procs,
-                                            std::vector<std::size_t> match_threads,
-                                            int repetitions);
+[[nodiscard]] TimedRun timed_run(const spam::Decomposition& decomposition,
+                                 std::size_t task_processes, int repetitions);
 
 /// ASCII rendering of a speedup curve (x = processes, y = speedup).
 void plot_curve(std::ostream& os, const std::string& title,

@@ -1,6 +1,6 @@
 // spam_cli: command-line driver over the whole stack.
 //
-//   spam_cli --dataset SF --level 3 --procs 14 --match 2 [--match-threads 2]
+//   spam_cli --dataset SF --level 3 --procs 14 --match 2
 //            [--policy lpt] [--watch 1] [--svm] [--json out.json]
 //            [--trace trace.json]
 //
@@ -31,7 +31,6 @@ struct Options {
   int level = 3;
   std::size_t procs = 14;
   std::size_t match = 0;
-  std::size_t match_threads = 0;  ///< real rete workers per engine (0 = serial)
   psm::SchedulePolicy policy = psm::SchedulePolicy::Fifo;
   int watch = 0;
   bool svm = false;
@@ -54,9 +53,6 @@ void print_help() {
       "projection (virtual-time model):\n"
       "  --procs <N>                 task processes (default 14)\n"
       "  --match <M>                 dedicated match processes (default 0)\n"
-      "  --match-threads <M>         REAL match workers per engine for the\n"
-      "                              measured runs (rete::ParallelMatcher;\n"
-      "                              0 = serial matcher, the default)\n"
       "  --policy <fifo|lpt>         task queue order (default fifo)\n"
       "  --svm                       project onto the two-Encore SVM cluster\n"
       "\n"
@@ -96,8 +92,6 @@ void print_help() {
       o.procs = std::stoul(next());
     } else if (arg == "--match") {
       o.match = std::stoul(next());
-    } else if (arg == "--match-threads") {
-      o.match_threads = std::stoul(next());
     } else if (arg == "--policy") {
       const std::string p = next();
       if (p == "fifo") {
@@ -208,7 +202,6 @@ int main(int argc, char** argv) {
     run_options.task_processes = options.procs;
     run_options.robustness = options.robustness;
     run_options.injector = &injector;
-    run_options.match_threads = options.match_threads;
     if (tracing) run_options.tracer = &tracer;
     const auto result = psm::run(factory, decomposition.tasks, run_options);
     const auto& report = result.report;
@@ -246,7 +239,6 @@ int main(int argc, char** argv) {
   psm::RunOptions baseline_options;
   baseline_options.task_processes = 1;
   baseline_options.strict = true;
-  baseline_options.match_threads = options.match_threads;
   if (tracing) baseline_options.tracer = &tracer;
   const auto result = psm::run(factory, decomposition.tasks, baseline_options);
   const auto& measurements = result.measurements();
@@ -255,11 +247,6 @@ int main(int argc, char** argv) {
             << util::Table::fmt(util::to_seconds(result.metrics.total_cost_wu()), 1) << " s, "
             << result.metrics.firings << " firings, match fraction "
             << util::Table::fmt(result.metrics.match_fraction(), 2) << "\n";
-  if (options.match_threads > 0) {
-    std::cout << "parallel match: " << result.metrics.match_threads << " threads, "
-              << result.metrics.match_parallel_ops << " pool ops, utilization "
-              << util::Table::fmt(result.metrics.match_thread_utilization(), 2) << "\n";
-  }
 
   const psm::MatchModel match_model{
       .match_processes = options.match};  // defaults for the other knobs

@@ -54,8 +54,8 @@ constexpr double kLeftFloor = 1.0 / 16.0;
   return a.const_tests + a.intra_tests + a.disj_tests;
 }
 
-/// Mirror of the condition-count heuristic in rete/parallel.cpp
-/// (production_weight): the PR 4 default the analyzer is judged against.
+/// The condition-count heuristic (1 + sum of 2 + tests per CE), reported
+/// beside the analyzer's estimate as the baseline it is judged against.
 [[nodiscard]] std::uint64_t heuristic_weight(const Production& p) {
   std::uint64_t w = 1;
   for (const auto& ce : p.lhs()) w += 2 + ce.tests.size();
@@ -348,9 +348,6 @@ std::vector<DependencyEdge> dependency_edges(const Program& program) {
 
 ReteStaticReport analyze_rete(const Program& program, const ReteStaticOptions& options) {
   if (!program.frozen()) throw std::invalid_argument("analyze_rete requires a frozen Program");
-  if (!options.network.production_filter.empty()) {
-    throw std::invalid_argument("analyze_rete analyzes the whole rule base: no filter");
-  }
 
   NullListener listener;
   util::WorkCounters scratch;
@@ -462,28 +459,6 @@ ReteStaticReport analyze_rete(const Program& program, const ReteStaticOptions& o
 
   report.edges = dependency_edges(program);
   return report;
-}
-
-std::vector<double> static_match_costs(const Program& program,
-                                       const rete::NetworkOptions& network) {
-  NullListener listener;
-  util::WorkCounters scratch;
-  rete::NetworkOptions net = network;
-  net.record_chunks = false;
-  net.production_filter.clear();
-  const rete::Network compiled(program, listener, scratch, {}, net);
-  const NetworkTopology topo = compiled.topology();
-
-  const auto fps = program_footprints(program);
-  const ReteStaticOptions defaults;
-  const auto activity = activity_of(class_traffic(program, fps), defaults.fanin_exponent);
-
-  std::vector<double> costs(program.productions().size(), 0.0);
-  for (const auto& path : topo.productions) {
-    costs[path.production] =
-        production_cost(topo, path, activity, defaults.nominal_wm).cost;
-  }
-  return costs;
 }
 
 }  // namespace psmsys::analysis

@@ -12,9 +12,7 @@
 //     worst-case beta-memory growth bounds per production;
 //   - class fan-in ("traffic"): how many RHS actions across the rule base
 //     write each class, a static proxy for WME traffic per class;
-//   - per-production static match-cost estimates combining the three, used
-//     as the default LPT partitioning weight of rete::ParallelMatcher
-//     (ops5::EngineOptions::match_cost_source);
+//   - per-production static match-cost estimates combining the three;
 //   - the production dependency graph (RHS-writes -> LHS-reads edges over
 //     footprint.hpp), which also powers the AN008/AN009 whole-program lint
 //     rules in lint.hpp.
@@ -39,8 +37,7 @@
 namespace psmsys::analysis {
 
 struct ReteStaticOptions {
-  /// Network build options the deployment actually uses (sharing/indexing);
-  /// production_filter must stay empty — the whole rule base is the subject.
+  /// Network build options the deployment actually uses (sharing/indexing).
   rete::NetworkOptions network;
   /// Assumed live WMEs per class for the beta-memory growth bounds. The
   /// bounds scale polynomially in this, so it is a unit, not a prediction.
@@ -51,7 +48,6 @@ struct ReteStaticOptions {
   /// dampens skew: write sites are a proxy for traffic, not a measurement.
   double fanin_exponent = 0.5;
   /// Also compile the node_sharing=false network to report sharing factors.
-  /// Engine cost extraction turns this off — it needs only the cost vector.
   bool compute_unshared = true;
   /// Run the value-domain abstract interpreter first and compile the analyzed
   /// network with its proof-carrying SpecializationPlan. The plan is applied
@@ -90,8 +86,8 @@ struct JoinNodeReport {
 struct ProductionReport {
   std::uint32_t id = 0;
   std::string name;
-  double match_cost = 0.0;         ///< analyzer LPT weight (work units, est.)
-  std::uint64_t heuristic_cost = 0;///< condition-count weight (PR 4 default)
+  double match_cost = 0.0;         ///< analyzer cost estimate (work units)
+  std::uint64_t heuristic_cost = 0;///< condition-count heuristic weight
   std::uint32_t beta_degree = 0;   ///< worst-case beta growth is O(N^degree)
   double beta_bound = 0.0;         ///< est. peak tokens at N = nominal_wm
 };
@@ -148,8 +144,7 @@ struct ReteStaticReport {
   [[nodiscard]] double alpha_sharing() const noexcept;
   [[nodiscard]] double join_sharing() const noexcept;
 
-  /// LPT weight vector for rete::ParallelMatcherOptions::production_costs,
-  /// indexed by production id.
+  /// Per-production match-cost estimates, indexed by production id.
   [[nodiscard]] std::vector<double> cost_vector() const;
 
   /// Join measured per-node activation counts (rete::Matcher::
@@ -175,11 +170,6 @@ struct ReteStaticReport {
 /// Run the full pass. The program must be frozen.
 [[nodiscard]] ReteStaticReport analyze_rete(const ops5::Program& program,
                                             const ReteStaticOptions& options = {});
-
-/// Cost vector only (one shared-network compilation, no unshared pass, no
-/// JSON) — what Engine::build_matcher calls per matcher rebuild.
-[[nodiscard]] std::vector<double> static_match_costs(
-    const ops5::Program& program, const rete::NetworkOptions& network = {});
 
 /// The dependency graph alone (footprints only, no network build); also the
 /// substrate of lint rules AN008/AN009.

@@ -71,17 +71,6 @@ json::Value RunMetrics::to_json() const {
   };
   put_vec("alpha_node_activations", alpha_node_activations);
   put_vec("join_node_activations", join_node_activations);
-  put("match_threads", match_threads);
-  put("match_parallel_ops", match_parallel_ops);
-  put("match_busy_ns", match_busy_ns);
-  put("match_wall_ns", match_wall_ns);
-  o.emplace_back("match_thread_utilization",
-                 json::Value(match_thread_utilization()));
-  put("match_partitions", match_partitions);
-  put("match_partition_cost_max", match_partition_cost_max);
-  put("match_partition_cost_sum", match_partition_cost_sum);
-  o.emplace_back("match_partition_imbalance",
-                 json::Value(match_partition_imbalance()));
   put("retries", retries);
   put("requeues", requeues);
   put("quarantined", quarantined);
@@ -132,15 +121,6 @@ RunMetrics metrics_delta(const RunMetrics& after,
     d.join_node_activations[i] =
         sub_sat(d.join_node_activations[i], before.join_node_activations[i]);
   }
-  // Configuration, not a counter; the ns/op tallies are monotonic.
-  d.match_threads = after.match_threads;
-  d.match_parallel_ops = sub_sat(after.match_parallel_ops, before.match_parallel_ops);
-  d.match_busy_ns = sub_sat(after.match_busy_ns, before.match_busy_ns);
-  d.match_wall_ns = sub_sat(after.match_wall_ns, before.match_wall_ns);
-  // Partition balance is a per-run snapshot, not a monotonic counter.
-  d.match_partitions = after.match_partitions;
-  d.match_partition_cost_max = after.match_partition_cost_max;
-  d.match_partition_cost_sum = after.match_partition_cost_sum;
   d.retries = sub_sat(after.retries, before.retries);
   d.requeues = sub_sat(after.requeues, before.requeues);
   d.quarantined = sub_sat(after.quarantined, before.quarantined);

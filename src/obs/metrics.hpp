@@ -50,19 +50,6 @@ struct RunMetrics {
   std::vector<std::uint64_t> alpha_node_activations;
   std::vector<std::uint64_t> join_node_activations;
 
-  // --- intra-task match parallelism (all 0 with the serial matcher) ---
-  std::uint64_t match_threads = 0;       ///< match workers per task process
-  std::uint64_t match_parallel_ops = 0;  ///< WME ops dispatched to match pools
-  std::uint64_t match_busy_ns = 0;       ///< summed worker busy time (OBS gauge)
-  std::uint64_t match_wall_ns = 0;       ///< summed dispatch wall time (OBS gauge)
-
-  // --- match-pool partition balance (deterministic work-unit counters, not
-  //     gauges: available in every build). Summed/maxed over all engines, so
-  //     with one task process imbalance reads the pool's LPT quality. ---
-  std::uint64_t match_partitions = 0;          ///< partition count, summed
-  std::uint64_t match_partition_cost_max = 0;  ///< heaviest partition (wu)
-  std::uint64_t match_partition_cost_sum = 0;  ///< all partition work (wu)
-
   // --- executor accounting ---
   std::uint64_t retries = 0;
   std::uint64_t requeues = 0;
@@ -79,26 +66,6 @@ struct RunMetrics {
     const std::uint64_t t = total_cost_wu();
     return t ? static_cast<double>(match_cost_wu) / static_cast<double>(t)
              : 0.0;
-  }
-
-  /// Mean busy fraction of match workers while dispatches were in flight
-  /// (0 for serial match or PSMSYS_OBS=0 builds).
-  [[nodiscard]] double match_thread_utilization() const noexcept {
-    return (match_wall_ns == 0 || match_threads == 0)
-               ? 0.0
-               : static_cast<double>(match_busy_ns) /
-                     (static_cast<double>(match_wall_ns) *
-                      static_cast<double>(match_threads));
-  }
-
-  /// Measured partition imbalance: heaviest partition / mean partition work
-  /// (>= 1 when partitions exist; 0 for serial match). The quantity the
-  /// static partitioning cost model is judged on (ISSUE 5 acceptance).
-  [[nodiscard]] double match_partition_imbalance() const noexcept {
-    if (match_partitions == 0 || match_partition_cost_sum == 0) return 0.0;
-    const double mean = static_cast<double>(match_partition_cost_sum) /
-                        static_cast<double>(match_partitions);
-    return static_cast<double>(match_partition_cost_max) / mean;
   }
 
   /// Fold one task's counters into the aggregate.

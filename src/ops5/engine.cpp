@@ -6,70 +6,36 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "analysis/rete_static.hpp"
 #include "obs/trace.hpp"
 
 namespace psmsys::ops5 {
 
+namespace {
+
+[[nodiscard]] std::shared_ptr<const Program> require_program(
+    std::shared_ptr<const Program> program) {
+  if (program == nullptr) throw std::invalid_argument("engine needs a program");
+  return program;
+}
+
+[[nodiscard]] rete::NetworkOptions network_options(const EngineConfig& config) {
+  // step() drops the cycle's chunks unless it records cycles, so the network
+  // records them only then.
+  rete::NetworkOptions net = config.rete;
+  net.record_chunks = net.record_chunks && config.record_cycles;
+  return net;
+}
+
+}  // namespace
+
 Engine::Engine(std::shared_ptr<const Program> program, const ExternalRegistry* externals,
                EngineOptions options)
-    : program_(std::move(program)), externals_(externals), options_(options) {
-  if (program_ == nullptr) throw std::invalid_argument("engine needs a program");
+    : program_(require_program(std::move(program))),
+      externals_(externals),
+      options_(std::move(options)),
+      network_(*program_, *this, counters_, options_.costs, network_options(options_)) {
   class_members_.resize(program_->class_count());
-  build_matcher();
-}
-
-void Engine::build_matcher() {
-  rete::MatchListener& listener = *this;  // private base: convert in member scope
-  // step() drops the cycle's chunks unless it records cycles, so the matcher
-  // records them only then.
-  rete::NetworkOptions net = options_.rete;
-  net.record_chunks = net.record_chunks && options_.record_cycles;
-  if (options_.match_threads == 0) {
-    matcher_ = std::make_unique<rete::Network>(*program_, listener, counters_, options_.costs,
-                                               net);
-    parallel_ = nullptr;
-  } else {
-    rete::ParallelMatcherOptions po;
-    po.threads = options_.match_threads;
-    po.network = net;
-    if (options_.match_cost_source == MatchCostSource::Analyzer) {
-      // Static join-cost estimates from the whole-rule-base analyzer; any
-      // production it scores <= 0 falls back to the heuristic inside the
-      // matcher, so a partial vector degrades gracefully.
-      po.production_costs = options_.shared_match_costs
-                                ? *options_.shared_match_costs
-                                : analysis::static_match_costs(*program_, options_.rete);
-    }
-    auto pm = std::make_unique<rete::ParallelMatcher>(*program_, listener, counters_,
-                                                      options_.costs, po);
-    parallel_ = pm.get();
-    matcher_ = std::move(pm);
-  }
   match_mark_ = counters_.match_cost;
-}
-
-void Engine::reconfigure(const EngineConfig& config) {
-  if (config.strategy != options_.strategy) {
-    throw std::logic_error("reconfigure cannot change the conflict-resolution strategy");
-  }
-  // The matcher-affecting knobs: only these force a rebuild (compilation
-  // charges alpha/beta construction costs, so rebuilds restart the counters
-  // from a clean slate to avoid double-charging them). record_cycles is one:
-  // the matcher records match chunks only for an engine that keeps them.
-  const bool rebuild =
-      config.match_threads != options_.match_threads ||
-      config.record_cycles != options_.record_cycles ||
-      (config.match_threads != 0 &&
-       config.match_cost_source != options_.match_cost_source);
-  if (rebuild && (!wm_.empty() || undo_active_ || conflict_set_.size() != 0)) {
-    throw std::logic_error("reconfigure requires an empty working memory");
-  }
-  options_ = config;
-  if (rebuild) {
-    counters_ = util::WorkCounters{};
-    build_matcher();
-  }
 }
 
 Engine::~Engine() = default;
@@ -111,7 +77,7 @@ const Wme& Engine::make_wme(ClassIndex cls, std::vector<std::pair<SlotIndex, Val
     watch_sink_("=>WM: " + std::to_string(ref.timetag()) + ": " +
                 ref.to_string(program_->symbols(), decl));
   }
-  matcher_->add_wme(ref);
+  network_.add_wme(ref);
   return ref;
 }
 
@@ -150,7 +116,7 @@ void Engine::remove_wme(const Wme& wme) {
     undo_log_.push_back({false, wme.timetag(), wme.class_index(),
                          std::vector<Value>(wme.slots().begin(), wme.slots().end())});
   }
-  matcher_->remove_wme(wme);
+  network_.remove_wme(wme);
   erase_wme(it);
 }
 
@@ -265,7 +231,7 @@ std::vector<Value> Engine::build_slots(ClassIndex cls,
 }
 
 void Engine::fire(const Production& production, std::vector<const Wme*> matched) {
-  FiringEnv env{{}, matcher_->bindings(production), {}};
+  FiringEnv env{{}, network_.bindings(production), {}};
   env.wme_slots.reserve(matched.size());
   for (const Wme* w : matched) {
     env.wme_slots.emplace_back(w->slots().begin(), w->slots().end());
@@ -357,10 +323,10 @@ bool Engine::step() {
 #endif
 
   // Match: the network processed WM deltas eagerly; collect this cycle's
-  // chunks (the work a parallel matcher would distribute). They sum to the
-  // match cost charged since they were last taken, which the trace reads
+  // chunks (the work the match-parallelism model distributes). They sum to
+  // the match cost charged since they were last taken, which the trace reads
   // off the counters: those hold it whether or not chunks are recorded.
-  std::vector<util::WorkUnits> chunks = matcher_->take_chunks();
+  std::vector<util::WorkUnits> chunks = network_.take_chunks();
   [[maybe_unused]] const util::WorkUnits match_wu = counters_.match_cost - match_mark_;
   match_mark_ = counters_.match_cost;
 
@@ -457,11 +423,7 @@ void Engine::begin_undo_log() {
   undo_active_ = true;
   undo_log_.clear();
   fired_log_.clear();
-  undo_mark_timetag_ = next_timetag_;
-  undo_mark_halted_ = halted_;
-  undo_mark_cycles_ = counters_.cycles;
-  undo_mark_seq_ = conflict_set_.next_seq();
-  journal_seq_ = undo_mark_seq_;
+  begin_mark_ = undo_checkpoint();
 }
 
 void Engine::commit_undo_log() noexcept {
@@ -479,14 +441,14 @@ void Engine::replay_undo_tail(std::size_t down_to) {
       const auto live = wm_.find(entry.timetag);
       if (live == wm_.end()) throw std::logic_error("undo log corrupt: added WME not live");
       ++counters_.wmes_removed;
-      matcher_->remove_wme(live->second.wme);
+      network_.remove_wme(live->second.wme);
       erase_wme(live);
     } else {
       // Restore with the *original* timetag so recency ordering — and every
       // later conflict resolution — is unchanged by the aborted attempt.
       const Wme& ref = insert_wme(entry.cls, entry.slots, entry.timetag);
       ++counters_.wmes_added;
-      matcher_->add_wme(ref);
+      network_.add_wme(ref);
     }
   }
   undo_log_.resize(down_to);
@@ -515,28 +477,8 @@ void Engine::rearm_fired_tail(std::size_t down_to, std::uint64_t seq_mark) {
 }
 
 void Engine::rollback_undo_log() {
-  if (!undo_active_) throw std::logic_error("no undo log to roll back");
-  undo_active_ = false;  // mutations below must not journal themselves
-
-  // Watch output during recovery would read as spurious WM churn.
-  const int saved_watch = watch_level_;
-  watch_level_ = 0;
-
-  replay_undo_tail(0);
-  rearm_fired_tail(0, undo_mark_seq_);
-  next_timetag_ = undo_mark_timetag_;
-  halted_ = undo_mark_halted_;
-  // The cycle counter is the engine's observable logical clock: it numbers
-  // watch-trace lines and anchors budget deadlines. Rewind it so a retry (or
-  // the next resident task after a rolled-back one) sees the same clock the
-  // aborted attempt saw — its trace comes out bit-identical. The remaining
-  // WorkCounters stay monotonic: they meter real work done, and an aborted
-  // attempt's match/RHS effort genuinely happened.
-  counters_.cycles = undo_mark_cycles_;
-  watch_level_ = saved_watch;
-  // Match work done while rolling back is recovery, not a cycle's chunks.
-  (void)matcher_->take_chunks();
-  match_mark_ = counters_.match_cost;
+  rollback_to_checkpoint(begin_mark_);
+  undo_active_ = false;
 }
 
 Engine::UndoCheckpoint Engine::undo_checkpoint() {
@@ -557,9 +499,9 @@ void Engine::rollback_to_checkpoint(const UndoCheckpoint& cp) {
   if (cp.log_size > undo_log_.size()) {
     throw std::logic_error("undo checkpoint is ahead of the journal (stale checkpoint?)");
   }
-  // Same discipline as the whole-log rollback — journaling off, watch
-  // silenced, original timetags restored — but only for the tail after the
-  // checkpoint, and the log stays active for the rest of the stream.
+  // The one replay path; rollback_undo_log() is this call at the begin mark.
+  // Mutations below must not journal themselves, and watch output during
+  // recovery would read as spurious WM churn.
   undo_active_ = false;
   const int saved_watch = watch_level_;
   watch_level_ = 0;
@@ -568,15 +510,22 @@ void Engine::rollback_to_checkpoint(const UndoCheckpoint& cp) {
   rearm_fired_tail(cp.fired_size, cp.conflict_seq);
   next_timetag_ = cp.timetag;
   halted_ = cp.halted;
+  // The cycle counter is the engine's observable logical clock: it numbers
+  // watch-trace lines and anchors budget deadlines. Rewind it so a retry (or
+  // the next resident task after a rolled-back one) sees the same clock the
+  // aborted attempt saw — its trace comes out bit-identical. The remaining
+  // WorkCounters stay monotonic: they meter real work done, and an aborted
+  // attempt's match/RHS effort genuinely happened.
   counters_.cycles = cp.cycles;
   watch_level_ = saved_watch;
   undo_active_ = true;
-  (void)matcher_->take_chunks();
+  // Match work done while rolling back is recovery, not a cycle's chunks.
+  (void)network_.take_chunks();
   match_mark_ = counters_.match_cost;
 }
 
 void Engine::reset() {
-  matcher_->clear();
+  network_.clear();
   conflict_set_.clear();
   wm_.clear();
   for (auto& members : class_members_) members.clear();

@@ -16,7 +16,6 @@
 #include "ops5/production.hpp"
 #include "ops5/wme.hpp"
 #include "rete/network.hpp"
-#include "rete/parallel.hpp"
 #include "util/counters.hpp"
 
 namespace psmsys::obs {
@@ -25,20 +24,9 @@ class Tracer;
 
 namespace psmsys::ops5 {
 
-/// Where the ParallelMatcher's LPT partitioning weights come from.
-enum class MatchCostSource : std::uint8_t {
-  /// Static join-cost estimates from the whole-rule-base Rete analyzer
-  /// (analysis/rete_static) — the default. Falls back to ConditionCount for
-  /// any production the analyzer assigns a non-positive cost.
-  Analyzer,
-  /// The PR 4 condition-count heuristic (1 + sum of 2 + tests per CE).
-  ConditionCount,
-};
-
 /// Construction-time engine configuration. This is the ONE place an engine
-/// is configured: every knob is read at construction (or via reconfigure()
-/// on a still-pristine engine). `EngineOptions` remains as an alias for
-/// older call sites.
+/// is configured: every knob is read at construction. `EngineOptions`
+/// remains as an alias for older call sites.
 struct EngineConfig {
   Strategy strategy = Strategy::Lex;
   /// Safety valve against runaway rule bases.
@@ -48,21 +36,6 @@ struct EngineConfig {
   bool record_cycles = false;
   util::CostModel costs;
   rete::NetworkOptions rete;
-  /// Intra-task match parallelism: 0 = single serial Rete network; N >= 1 =
-  /// rete::ParallelMatcher with N match workers (1 is the degenerate pool,
-  /// useful because it exercises the canonical delta merge). Firing order is
-  /// identical for all N >= 1; N = 0 may differ only where conflict
-  /// resolution ties down to insertion order.
-  std::size_t match_threads = 0;
-  /// LPT partition weights for match_threads >= 1. Cost source only steers
-  /// load balance; results are identical either way (canonical merge).
-  MatchCostSource match_cost_source = MatchCostSource::Analyzer;
-  /// Precomputed analyzer cost vector (indexed by production id) for the
-  /// Analyzer cost source. When set, build_matcher() uses it instead of
-  /// re-running the whole-rule-base static analyzer per engine — a
-  /// compile-once artifact shared by every session of a serve pool
-  /// (serve::SharedRuleBase populates it together with rete shared_bindings).
-  std::shared_ptr<const std::vector<double>> shared_match_costs;
 };
 
 /// Backwards-compatible alias; EngineConfig is the canonical name.
@@ -163,7 +136,9 @@ class Engine final : private rete::MatchListener {
 
   /// Undo every journaled mutation (reverse order), rewind timetags, clear
   /// any halt raised during the attempt, re-arm instantiations that existed
-  /// at begin_undo_log() and fired since, and drop pending match chunks.
+  /// at begin_undo_log() and fired since, and drop pending match chunks:
+  /// rollback_to_checkpoint() to the mark begin_undo_log() took, after which
+  /// the log is inactive.
   void rollback_undo_log();
 
   [[nodiscard]] bool undo_log_active() const noexcept { return undo_active_; }
@@ -203,45 +178,10 @@ class Engine final : private rete::MatchListener {
   [[nodiscard]] const Program& program() const noexcept { return *program_; }
   [[nodiscard]] const util::WorkCounters& counters() const noexcept { return counters_; }
   [[nodiscard]] std::span<const CycleRecord> cycle_records() const noexcept { return cycles_; }
-  /// The active matcher (serial Rete network or ParallelMatcher), exposed
-  /// through the common instrumentation interface. The historical name stays:
-  /// every matcher is still a compiled Rete network underneath.
-  [[nodiscard]] const rete::Matcher& network() const noexcept { return *matcher_; }
+  /// The engine's Rete network: shape, gauges, topology and activation
+  /// counters for the instrumentation that reads them.
+  [[nodiscard]] const rete::Network& network() const noexcept { return network_; }
   [[nodiscard]] std::size_t conflict_set_size() const noexcept { return conflict_set_.size(); }
-
-  // --------------------------- match parallelism ---------------------------
-
-  /// Configured match workers (0 = serial matcher).
-  [[nodiscard]] std::size_t match_threads() const noexcept { return options_.match_threads; }
-
-  /// The construction-time configuration currently in force.
-  [[nodiscard]] const EngineConfig& config() const noexcept { return options_; }
-
-  /// Replace the configuration of a still-pristine engine (empty working
-  /// memory, no undo log, empty conflict set — freshly constructed or
-  /// reset()): the matcher is rebuilt and compilation counters restart from
-  /// zero, exactly as if the engine had been constructed with `config`. This
-  /// is the one legal reconfiguration window, used by executors that apply
-  /// per-run overrides (match threads / cost source) between construction
-  /// and base-WM load. The conflict-resolution strategy is fixed for the
-  /// engine's lifetime and must match the current one.
-  void reconfigure(const EngineConfig& config);
-
-  [[nodiscard]] MatchCostSource match_cost_source() const noexcept {
-    return options_.match_cost_source;
-  }
-
-  /// Measured per-partition match work (work units) of the parallel matcher;
-  /// empty for the serial matcher. Ground truth for the static cost model.
-  [[nodiscard]] std::vector<std::uint64_t> match_partition_costs() const {
-    return parallel_ != nullptr ? parallel_->partition_match_costs()
-                                : std::vector<std::uint64_t>{};
-  }
-
-  /// Match-thread utilization gauges; all-zero for the serial matcher.
-  [[nodiscard]] rete::MatchThreadStats match_thread_stats() const noexcept {
-    return parallel_ != nullptr ? parallel_->thread_stats() : rete::MatchThreadStats{};
-  }
 
   /// Sink for (write ...) output; defaults to discarding. The string is one
   /// whole write action's output.
@@ -292,7 +232,6 @@ class Engine final : private rete::MatchListener {
   std::shared_ptr<const Program> program_;
   const ExternalRegistry* externals_;
   EngineConfig options_;
-  void build_matcher();
   /// Reverse-replay journal entries [down_to, end) and truncate to down_to.
   /// Callers own undo_active_/watch suppression and the mark restoration.
   void replay_undo_tail(std::size_t down_to);
@@ -302,8 +241,7 @@ class Engine final : private rete::MatchListener {
 
   util::WorkCounters counters_;
   ConflictSet conflict_set_{options_.strategy};
-  std::unique_ptr<rete::Matcher> matcher_;
-  rete::ParallelMatcher* parallel_ = nullptr;  // matcher_, when parallel
+  rete::Network network_;
   std::vector<CycleRecord> cycles_;
   /// counters_.match_cost when the matcher's chunks were last taken: the
   /// cycle's match cost for tracing, whether or not chunks are recorded.
@@ -335,10 +273,7 @@ class Engine final : private rete::MatchListener {
   };
   bool undo_active_ = false;
   std::vector<UndoEntry> undo_log_;
-  TimeTag undo_mark_timetag_ = 0;
-  bool undo_mark_halted_ = false;
-  std::uint64_t undo_mark_cycles_ = 0;
-  std::uint64_t undo_mark_seq_ = 0;  ///< conflict-set sequence at begin_undo_log
+  UndoCheckpoint begin_mark_;  ///< begin_undo_log()'s mark: both journals empty
 
   /// A firing, under an active undo log, of an instantiation older than the
   /// latest mark (begin_undo_log or undo_checkpoint). Instantiations created

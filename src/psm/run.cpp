@@ -174,14 +174,6 @@ RunResult run(const TaskProcessFactory& factory, std::vector<Task> tasks,
   obs::Tracer* tracer = options.tracer;
   const std::size_t max_attempts =
       strict ? 1 : std::max<std::size_t>(policy.max_attempts, 1);
-  // K TLP workers × M match threads, with M clamped by the thread budget so
-  // the composition never oversubscribes beyond what the caller allowed.
-  const std::size_t match_threads = options.effective_match_threads();
-  const std::optional<std::size_t> match_override =
-      match_threads > 0 ? std::optional<std::size_t>(match_threads) : std::nullopt;
-  const std::optional<ops5::MatchCostSource> cost_source_override =
-      match_threads > 0 ? std::optional<ops5::MatchCostSource>(options.match_cost_source)
-                        : std::nullopt;
 
   RunResult result;
   RunReport& report = result.report;
@@ -199,15 +191,6 @@ RunResult run(const TaskProcessFactory& factory, std::vector<Task> tasks,
   // Run-wide maxima of the per-engine OBS gauges (0 when compiled out).
   std::atomic<std::uint64_t> peak_conflict_set{0};
   std::atomic<std::uint64_t> peak_live_tokens{0};
-  // Match-thread utilization, summed over workers at drain time.
-  std::atomic<std::uint64_t> match_pool_threads{0};
-  std::atomic<std::uint64_t> match_parallel_ops{0};
-  std::atomic<std::uint64_t> match_busy_ns{0};
-  std::atomic<std::uint64_t> match_wall_ns{0};
-  // Partition-balance work units, folded over every engine at drain time.
-  std::atomic<std::uint64_t> match_partitions{0};
-  std::atomic<std::uint64_t> match_partition_cost_sum{0};
-  std::atomic<std::uint64_t> match_partition_cost_max{0};
 
   [[maybe_unused]] const auto fold_peak = [](std::atomic<std::uint64_t>& peak,
                                              std::uint64_t v) {
@@ -232,8 +215,7 @@ RunResult run(const TaskProcessFactory& factory, std::vector<Task> tasks,
 
         std::unique_ptr<TaskRunner> runner;
         try {
-          runner = std::make_unique<TaskRunner>(factory, match_override,
-                                                cost_source_override);
+          runner = std::make_unique<TaskRunner>(factory);
         } catch (...) {
           // A task process that cannot even initialize is a dead worker.
           const std::lock_guard<std::mutex> lock(report_mutex);
@@ -388,18 +370,6 @@ RunResult run(const TaskProcessFactory& factory, std::vector<Task> tasks,
         }
 
         coordinator.worker_exited();
-        {
-          const rete::MatchThreadStats ms = runner->engine().match_thread_stats();
-          fold_peak(match_pool_threads, ms.threads);
-          match_parallel_ops.fetch_add(ms.ops, std::memory_order_relaxed);
-          match_busy_ns.fetch_add(ms.busy_ns, std::memory_order_relaxed);
-          match_wall_ns.fetch_add(ms.wall_ns, std::memory_order_relaxed);
-          for (const std::uint64_t cost : runner->engine().match_partition_costs()) {
-            match_partitions.fetch_add(1, std::memory_order_relaxed);
-            match_partition_cost_sum.fetch_add(cost, std::memory_order_relaxed);
-            fold_peak(match_partition_cost_max, cost);
-          }
-        }
         if (!died && !strict_failed && options.collect) {
           try {
             options.collect(p, runner->engine());
@@ -443,13 +413,6 @@ RunResult run(const TaskProcessFactory& factory, std::vector<Task> tasks,
   result.metrics = metrics_from(report, task_processes);
   result.metrics.peak_conflict_set = peak_conflict_set.load();
   result.metrics.peak_live_tokens = peak_live_tokens.load();
-  result.metrics.match_threads = match_pool_threads.load();
-  result.metrics.match_parallel_ops = match_parallel_ops.load();
-  result.metrics.match_busy_ns = match_busy_ns.load();
-  result.metrics.match_wall_ns = match_wall_ns.load();
-  result.metrics.match_partitions = match_partitions.load();
-  result.metrics.match_partition_cost_sum = match_partition_cost_sum.load();
-  result.metrics.match_partition_cost_max = match_partition_cost_max.load();
   return result;
 }
 

@@ -16,7 +16,6 @@
 // simulate_tlp(costs, options) adopts the same options struct, so a measured
 // run and its virtual-time replay are configured by one object.
 
-#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <exception>
@@ -143,37 +142,6 @@ struct RunOptions {
   /// spans (see obs::Tracer::set_sample_every). Null = no tracing. Not
   /// owned; must outlive the run.
   obs::Tracer* tracer = nullptr;
-
-  // --- intra-task match parallelism ---
-
-  /// Match workers inside each task-process engine (rete::ParallelMatcher).
-  /// 0 = leave the factory's engine configuration untouched; N >= 1 rebuilds
-  /// every task-process engine with N match threads before base init, so the
-  /// run composes K TLP workers × M match threads.
-  std::size_t match_threads = 0;
-
-  /// Cap on total match threads across all task processes (0 = uncapped).
-  /// The per-process count is clamped to max(1, budget / task_processes) so
-  /// K × M never oversubscribes a host that cannot carry it — the explicit
-  /// analog of the paper's "more processes than processors" caveat. The cap
-  /// is a policy knob, not hardware detection: determinism tests on small
-  /// hosts deliberately run more threads than cores.
-  std::size_t match_thread_budget = 0;
-
-  /// How per-production partition weights are estimated when match_threads
-  /// rebuilds engines with a parallel matcher: the Rete static analyzer's
-  /// join-cost model (default) or the legacy condition-count heuristic.
-  /// Ignored when match_threads == 0 (the factory's engine config rules).
-  ops5::MatchCostSource match_cost_source = ops5::MatchCostSource::Analyzer;
-
-  /// match_threads after applying match_thread_budget.
-  [[nodiscard]] std::size_t effective_match_threads() const noexcept {
-    if (match_threads == 0) return 0;
-    if (match_thread_budget == 0) return match_threads;
-    const std::size_t per_process =
-        match_thread_budget / (task_processes == 0 ? 1 : task_processes);
-    return std::max<std::size_t>(1, std::min(match_threads, per_process));
-  }
 
   // --- virtual-time replay (simulate_tlp overload) ---
   SchedulePolicy policy = SchedulePolicy::Fifo;

@@ -24,17 +24,9 @@ util::WorkCounters counters_delta(const util::WorkCounters& before,
   return d;
 }
 
-TaskRunner::TaskRunner(const TaskProcessFactory& factory,
-                       std::optional<std::size_t> match_threads,
-                       std::optional<ops5::MatchCostSource> match_cost_source) {
+TaskRunner::TaskRunner(const TaskProcessFactory& factory) {
   if (!factory.make_engine) throw std::invalid_argument("factory needs make_engine");
   engine_ = factory.make_engine();
-  if (match_threads || match_cost_source) {
-    ops5::EngineConfig config = engine_->config();
-    if (match_cost_source) config.match_cost_source = *match_cost_source;
-    if (match_threads) config.match_threads = *match_threads;
-    engine_->reconfigure(config);
-  }
   if (factory.base_init) factory.base_init(*engine_);
   // Base-WM loading is initialization, not task work; its cycle records (none
   // should exist, the engine has not run) and counters are excluded by the

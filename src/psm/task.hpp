@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -39,7 +38,7 @@ struct TaskMeasurement {
 [[nodiscard]] util::WorkCounters counters_delta(const util::WorkCounters& before,
                                                 const util::WorkCounters& after) noexcept;
 
-/// Builds engines for task processes. The engine must come preconfigured
+/// Builds engines for task processes. The engine must come fully configured
 /// (program, externals, user data); `base_init` loads the control process's
 /// initial working memory. Both run at task-process startup — the paper's
 /// measurement interval starts only after "all the task processes have
@@ -79,15 +78,8 @@ class TaskAborted : public std::runtime_error {
 /// One task process: engine + base WM, executing tasks sequentially.
 class TaskRunner {
  public:
-  /// `match_threads`: when set, the engine is rebuilt with that many match
-  /// workers (0 = serial) *before* base_init loads the base working memory —
-  /// the only point where the matcher can still be swapped. nullopt leaves
-  /// the factory's engine configuration untouched. `match_cost_source`, when
-  /// set, selects how partition weights are estimated (static analyzer vs.
-  /// condition-count heuristic) and is applied before the matcher rebuild.
-  explicit TaskRunner(const TaskProcessFactory& factory,
-                      std::optional<std::size_t> match_threads = std::nullopt,
-                      std::optional<ops5::MatchCostSource> match_cost_source = std::nullopt);
+  /// Builds the engine with the factory and loads the base working memory.
+  explicit TaskRunner(const TaskProcessFactory& factory);
 
   /// Inject the task, run to quiescence, and return the measured deltas.
   TaskMeasurement run(const Task& task);

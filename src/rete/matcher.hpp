@@ -1,8 +1,8 @@
 #pragma once
 
-// Matcher abstraction: the engine drives any matcher (Rete, the parallel
-// Rete, or the naive oracle) through this interface, and the matcher reports
-// conflict-set changes through MatchListener.
+// Matcher abstraction: the Rete network and the naive oracle both implement
+// this interface, so the differential tests drive them in lockstep, and a
+// matcher reports conflict-set changes through MatchListener.
 //
 // Beyond the three WM-delta entry points, the interface carries the
 // instrumentation surface the engine and executors consume: compiled network
@@ -53,8 +53,7 @@ struct NodeActivations {
   }
 };
 
-/// Summary of the compiled network shape (for tests and DESIGN docs). A
-/// partitioned matcher reports the sum over its partition networks.
+/// Summary of the compiled network shape (for tests and DESIGN docs).
 struct NetworkStats {
   std::size_t alpha_patterns = 0;
   std::size_t alpha_memories = 0;
@@ -95,10 +94,9 @@ class Matcher {
   /// Always 0 when built with PSMSYS_OBS=0.
   [[nodiscard]] virtual std::uint64_t live_tokens() const noexcept { return 0; }
 
-  /// Per-node activation counters for matchers compiling a single network
-  /// with a stable topology id space. Empty for matchers without one (the
-  /// naive oracle; the partitioned matcher, whose per-partition id spaces do
-  /// not compose) and when built with PSMSYS_OBS=0.
+  /// Per-node activation counters for matchers compiling a network with a
+  /// stable topology id space. Empty for matchers without one (the naive
+  /// oracle) and when built with PSMSYS_OBS=0.
   [[nodiscard]] virtual NodeActivations node_activations() const { return {}; }
 
   /// Binding analysis computed during compilation, exposed for RHS

@@ -1558,10 +1558,8 @@ Network::Network(const ops5::Program& program, MatchListener& listener,
   impl_->dummy_token->node = impl_->dummy_store;
   impl_->dummy_store->tokens.push_back(impl_->dummy_token);
 
-  const auto& filter = options.production_filter;
   const SpecializationPlan* plan = impl_->spec_plan();
   for (const auto& p : program.productions()) {
-    if (!filter.empty() && !std::binary_search(filter.begin(), filter.end(), p.id())) continue;
     // A pruned production can never fire (some positive CE or join is
     // provably unsatisfiable), so skipping its whole chain is invisible to
     // the listener; only the work disappears.

@@ -152,10 +152,6 @@ struct NetworkOptions {
   /// Per-node activation counts and match-cost charges drop for unlinked
   /// nodes, which is the measurable point. Disable for the ablation bench.
   bool unlinking = true;
-  /// Compile only the productions with these ids (sorted ascending); empty =
-  /// all of them. The partition networks of rete::ParallelMatcher use this to
-  /// split one frozen program into disjoint sub-networks.
-  std::vector<std::uint32_t> production_filter;
   /// Precomputed binding analyses for (a superset of) the program's
   /// productions. Not owned: the table must outlive the network. When set,
   /// compilation reuses these entries instead of re-running analyze_bindings
@@ -168,8 +164,8 @@ struct NetworkOptions {
   /// with specialization on or off (the rete_fuzz_test / match_oracle_test
   /// spec axis enforces byte-equality) — only the work shrinks.
   bool specialize = false;
-  /// The proof-carrying plan; shared so reconfigure()/ParallelMatcher option
-  /// copies never dangle. Ignored unless `specialize` is set.
+  /// The proof-carrying plan; shared so copies of the options never dangle.
+  /// Ignored unless `specialize` is set.
   std::shared_ptr<const SpecializationPlan> plan;
 };
 

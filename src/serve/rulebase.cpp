@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "analysis/rete_static.hpp"
-
 namespace psmsys::serve {
 
 namespace {
@@ -27,13 +25,10 @@ std::shared_ptr<const SharedRuleBase> SharedRuleBase::compile(
   rb->externals_ = externals;
   rb->engine_options_ = std::move(engine_options);
 
-  // The three compile-once artifacts: binding analyses, analyzer costs,
-  // topology. Sessions reuse the first two; the third is the read-only
-  // network shape the server publishes.
+  // The two compile-once artifacts: binding analyses, which sessions reuse,
+  // and the topology, the read-only network shape the server publishes.
   rb->bindings_ = rete::analyze_all_bindings(*rb->program_);
   rb->engine_options_.rete.shared_bindings = &rb->bindings_;
-  rb->engine_options_.shared_match_costs = std::make_shared<const std::vector<double>>(
-      analysis::static_match_costs(*rb->program_, rb->engine_options_.rete));
 
   NullListener listener;
   util::WorkCounters scratch;

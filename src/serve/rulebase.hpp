@@ -6,14 +6,12 @@
 // The ROADMAP north-star is a resident service interpreting many concurrent
 // scenes over ONE compiled rule base. Everything about a frozen program that
 // is immutable at serve time is computed here exactly once — the program
-// itself, the whole-rule-base analyzer's production cost vector, the
-// per-production binding analyses, and the network topology — and every
-// session engine is then instantiated over these shared read-only artifacts
-// with only its private state (working memory, alpha/beta memories, conflict
-// set, undo log) allocated per session.
+// itself, the per-production binding analyses, and the network topology —
+// and every session engine is then instantiated over these shared read-only
+// artifacts with only its private state (working memory, alpha/beta
+// memories, conflict set, undo log) allocated per session.
 
 #include <memory>
-#include <vector>
 
 #include "ops5/engine.hpp"
 #include "ops5/external.hpp"
@@ -29,8 +27,8 @@ class SharedRuleBase {
  public:
   /// Compile the shared artifacts for a frozen program. `engine_options`
   /// seeds every session engine's configuration; its `rete.shared_bindings`
-  /// and `shared_match_costs` fields are overwritten with the artifacts
-  /// computed here. `externals` (optional) must outlive the rule base.
+  /// field is overwritten with the binding table computed here. `externals`
+  /// (optional) must outlive the rule base.
   [[nodiscard]] static std::shared_ptr<const SharedRuleBase> compile(
       std::shared_ptr<const ops5::Program> program,
       const ops5::ExternalRegistry* externals = nullptr,
@@ -44,12 +42,9 @@ class SharedRuleBase {
   [[nodiscard]] const ops5::EngineOptions& engine_options() const noexcept {
     return engine_options_;
   }
-  [[nodiscard]] const std::vector<double>& match_costs() const noexcept {
-    return *engine_options_.shared_match_costs;
-  }
 
   /// A fresh session engine over the shared artifacts: same program, shared
-  /// binding analyses and analyzer costs, private everything else.
+  /// binding analyses, private everything else.
   [[nodiscard]] std::unique_ptr<ops5::Engine> make_engine() const;
 
  private:

@@ -202,7 +202,6 @@ Server::Server(std::shared_ptr<const SharedRuleBase> rulebase, ServerOptions opt
   {
     const util::MutexLock lock(mu_);
     engine_.task_processes = options_.workers;
-    engine_.match_threads = rulebase_->engine_options().match_threads;
   }
   start_ = std::chrono::steady_clock::now();
 

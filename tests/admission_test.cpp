@@ -132,7 +132,8 @@ TEST(Admission, DiffClassifiesProductionsByFingerprint) {
 
   const auto names = [&](const char* key) {
     std::vector<std::string> out;
-    const obs::json::Value* v = obs::json::Value(diff.details).find(key);
+    const obs::json::Value details(diff.details);
+    const obs::json::Value* v = details.find(key);
     if (v != nullptr) {
       for (const auto& e : v->as_array()) out.push_back(e.as_string());
     }

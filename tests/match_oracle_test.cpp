@@ -1,15 +1,10 @@
-// Differential match oracle for the parallel matcher (ISSUE 4 satellite).
+// Differential match oracle for the Rete network.
 //
-// Seeded random rule bases and WME add/remove traces are run through four
-// matchers at once — the naive from-scratch oracle, the serial Rete network,
-// and ParallelMatcher with 1, 2, and 4 threads — and the match sets must be
-// identical after *every* operation. A racy or mis-merged parallel Rete
-// cannot survive this: any lost, duplicated, or misordered delta diverges the
-// set at the step where it happens.
-//
-// On top of set equality, the parallel matchers must agree on the exact
-// listener *sequence* for every thread count (the canonical-merge determinism
-// contract that makes firing logs reproducible).
+// Seeded random rule bases and WME add/remove traces are run through three
+// matchers at once — the naive from-scratch oracle, the Rete network, and
+// the Rete network compiled with the value-domain specialization plan — and
+// the match sets must be identical after *every* operation: any lost or
+// duplicated delta diverges the set at the step where it happens.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +20,6 @@
 #include "ops5/parser.hpp"
 #include "rete/naive.hpp"
 #include "rete/network.hpp"
-#include "rete/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace psmsys::rete {
@@ -82,8 +76,7 @@ class OracleListener final : public MatchListener {
   std::vector<std::string> log_;
 };
 
-/// Random rule base over two joinable classes: wide enough (4..9 productions)
-/// that every partition count under test gets non-trivial partitions.
+/// Random rule base over two joinable classes (4..9 productions).
 std::string random_program_source(util::Rng& rng) {
   std::string src = "(literalize a k v w)\n(literalize b k v w)\n";
   const int n_prods = static_cast<int>(rng.next_int(4, 9));
@@ -144,20 +137,6 @@ TEST_P(MatchOracleTest, AllMatchersAgreeAtEveryStep) {
   spec_opt.plan = vd.plan;
   Network spec(p, spec_l, spec_c, util::CostModel{}, spec_opt);
 
-  constexpr std::size_t kThreadCounts[] = {1, 2, 4};
-  std::vector<std::unique_ptr<OracleListener>> par_l;
-  std::vector<std::unique_ptr<util::WorkCounters>> par_c;
-  std::vector<std::unique_ptr<ParallelMatcher>> par;
-  for (const std::size_t t : kThreadCounts) {
-    par_l.push_back(std::make_unique<OracleListener>(p));
-    par_c.push_back(std::make_unique<util::WorkCounters>());
-    ParallelMatcherOptions options;
-    options.threads = t;
-    par.push_back(
-        std::make_unique<ParallelMatcher>(p, *par_l.back(), *par_c.back(), util::CostModel{},
-                                          options));
-  }
-
   std::vector<std::unique_ptr<Wme>> owned;
   std::vector<const Wme*> live;
   ops5::TimeTag tag = 1;
@@ -173,7 +152,6 @@ TEST_P(MatchOracleTest, AllMatchersAgreeAtEveryStep) {
       naive.remove_wme(*w);
       rete.remove_wme(*w);
       spec.remove_wme(*w);
-      for (auto& m : par) m->remove_wme(*w);
     } else {
       const auto cls = static_cast<ops5::ClassIndex>(rng.next_below(2));
       std::vector<Value> slots{Value(static_cast<double>(rng.next_int(0, 2))),
@@ -185,7 +163,6 @@ TEST_P(MatchOracleTest, AllMatchersAgreeAtEveryStep) {
       naive.add_wme(*owned.back());
       rete.add_wme(*owned.back());
       spec.add_wme(*owned.back());
-      for (auto& m : par) m->add_wme(*owned.back());
     }
     const std::set<std::string> oracle = naive_l.support();
     ASSERT_EQ(rete_l.support(), oracle) << "serial Rete diverged at step " << step;
@@ -207,98 +184,17 @@ TEST_P(MatchOracleTest, AllMatchersAgreeAtEveryStep) {
       spec_seen = sl.size();
       rete_seen = rl.size();
     }
-    for (std::size_t i = 0; i < par.size(); ++i) {
-      ASSERT_EQ(par_l[i]->support(), oracle)
-          << "ParallelMatcher(" << kThreadCounts[i] << ") diverged at step " << step;
-    }
-    // Thread-count invariance is stronger than set equality: the canonical
-    // merge must produce the identical delta *sequence* for every pool size.
-    for (std::size_t i = 1; i < par.size(); ++i) {
-      ASSERT_EQ(par_l[i]->log(), par_l[0]->log())
-          << "delta order differs between 1 and " << kThreadCounts[i]
-          << " threads at step " << step;
-    }
   }
 
   // clear() must not throw mid-trace state away inconsistently (it resets
   // everything without listener callbacks; agreement after clear is covered
-  // by the engine-level determinism test, which resets between runs).
+  // by ReteFuzzClear.ClearDrainsAndStaysUsable).
   naive.clear();
   rete.clear();
   spec.clear();
-  for (auto& m : par) m->clear();
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTraces, MatchOracleTest, ::testing::Range(0, 20));
-
-// ---------------------------------------------------------------------------
-// Partitioning properties
-// ---------------------------------------------------------------------------
-
-TEST(ParallelMatcherPartitioning, DeterministicDisjointAndComplete) {
-  util::Rng rng(42);
-  const Program p = ops5::parse_program(random_program_source(rng));
-  OracleListener l1(p), l2(p);
-  util::WorkCounters c1, c2;
-  ParallelMatcherOptions options;
-  options.threads = 3;
-  ParallelMatcher m1(p, l1, c1, {}, options);
-  ParallelMatcher m2(p, l2, c2, {}, options);
-
-  for (const auto& prod : p.productions()) {
-    // Every production has exactly one owner, identical across instances.
-    EXPECT_LT(m1.partition_of(prod.id()), m1.threads());
-    EXPECT_EQ(m1.partition_of(prod.id()), m2.partition_of(prod.id()));
-  }
-  EXPECT_THROW((void)m1.partition_of(9999), std::out_of_range);
-  // Production nodes are partitioned, never duplicated.
-  EXPECT_EQ(m1.stats().production_nodes, p.productions().size());
-}
-
-TEST(ParallelMatcherPartitioning, ThreadCountClampedToProductions) {
-  const Program p = ops5::parse_program(
-      "(literalize a k v w)\n(p only (a ^v <x>) --> (halt))\n");
-  OracleListener l(p);
-  util::WorkCounters c;
-  ParallelMatcherOptions options;
-  options.threads = 8;
-  ParallelMatcher m(p, l, c, {}, options);
-  EXPECT_EQ(m.threads(), 1u);  // one production -> one partition
-  EXPECT_EQ(m.stats().production_nodes, 1u);
-}
-
-TEST(ParallelMatcherPartitioning, RejectsZeroThreads) {
-  const Program p = ops5::parse_program(
-      "(literalize a k v w)\n(p only (a ^v <x>) --> (halt))\n");
-  OracleListener l(p);
-  util::WorkCounters c;
-  ParallelMatcherOptions options;
-  options.threads = 0;
-  EXPECT_THROW((ParallelMatcher{p, l, c, {}, options}), std::invalid_argument);
-}
-
-TEST(ParallelMatcherStats, OpsCountedAndThreadsReported) {
-  util::Rng rng(7);
-  const Program p = ops5::parse_program(random_program_source(rng));
-  OracleListener l(p);
-  util::WorkCounters c;
-  ParallelMatcherOptions options;
-  options.threads = 2;
-  ParallelMatcher m(p, l, c, {}, options);
-
-  const auto cls = *p.class_index(*p.symbols().find("a"));
-  const Wme w(cls, *p.symbols().find("a"),
-              {Value(1.0), Value(2.0), Value(0.0)}, 1);
-  m.add_wme(w);
-  m.remove_wme(w);
-  const MatchThreadStats stats = m.thread_stats();
-  EXPECT_EQ(stats.threads, 2u);
-  EXPECT_EQ(stats.ops, 2u);
-#if PSMSYS_OBS
-  EXPECT_GT(stats.wall_ns, 0u);
-  EXPECT_GT(stats.busy_ns, 0u);
-#endif
-}
 
 }  // namespace
 }  // namespace psmsys::rete

@@ -7,11 +7,10 @@
 // (the streaming workload: most operations retract or modify), and
 // quiescent-production (rule bases dominated by productions whose tail CEs
 // can never match, the unlinking fast path) — and replays a random
-// add/retract/modify WME trace through seven matchers at once:
+// add/retract/modify WME trace through four matchers at once:
 //
-//   naive oracle · serial Rete (unlinking on) · serial Rete (unlinking off)
-//   · serial Rete compiled with the value-domain SpecializationPlan
-//   · ParallelMatcher at 1/2/4 threads
+//   naive oracle · Rete (unlinking on) · Rete (unlinking off)
+//   · Rete compiled with the value-domain SpecializationPlan
 //
 // After every operation the support sets must agree with the oracle, the
 // unlinking-on and unlinking-off serial networks must produce *byte-identical*
@@ -23,8 +22,7 @@
 // productions actually get pruned; byte order is not required because
 // pruning removes the pruned productions' prefix tokens from the per-WME
 // swap-erase vectors, legally reshuffling intra-step retraction order that
-// the engine's conflict set never observes), the parallel logs
-// must be identical across thread counts, and every Rete matcher must pass
+// the engine's conflict set never observes), and every Rete matcher must pass
 // its structural self-check (position back-pointers, index mirrors, link
 // flags, slot-map rows). Full retraction at the end must leave an empty
 // network — zero live tokens, clean invariants — that still matches
@@ -45,7 +43,6 @@
 #include "ops5/parser.hpp"
 #include "rete/naive.hpp"
 #include "rete/network.hpp"
-#include "rete/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace psmsys::rete {
@@ -153,15 +150,14 @@ std::string random_program_source(util::Rng& rng, Family family) {
   return *p.class_index(*p.symbols().find(name));
 }
 
-/// All seven matchers plus their listeners, driven in lockstep.
+/// All four matchers plus their listeners, driven in lockstep.
 struct Harness {
   explicit Harness(const Program& p) : program(p) {
-    matchers.reserve(7);
-    names = {"naive",      "rete",       "rete-nounlink", "rete-spec",
-             "parallel-1", "parallel-2", "parallel-4"};
-    listeners.reserve(7);
-    for (int i = 0; i < 7; ++i) listeners.push_back(std::make_unique<Listener>(p));
-    counters.resize(7);
+    matchers.reserve(4);
+    names = {"naive", "rete", "rete-nounlink", "rete-spec"};
+    listeners.reserve(4);
+    for (int i = 0; i < 4; ++i) listeners.push_back(std::make_unique<Listener>(p));
+    counters.resize(4);
     matchers.push_back(std::make_unique<NaiveMatcher>(p, *listeners[0], counters[0]));
     matchers.push_back(std::make_unique<Network>(p, *listeners[1], counters[1]));
     NetworkOptions no_unlink;
@@ -181,13 +177,6 @@ struct Harness {
     spec.plan = vd.plan;
     matchers.push_back(std::make_unique<Network>(p, *listeners[3], counters[3],
                                                  util::CostModel{}, spec));
-    for (const std::size_t t : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      ParallelMatcherOptions options;
-      options.threads = t;
-      matchers.push_back(std::make_unique<ParallelMatcher>(
-          p, *listeners[matchers.size()], counters[matchers.size()], util::CostModel{},
-          options));
-    }
   }
 
   void add(const Wme& w) {
@@ -228,11 +217,6 @@ struct Harness {
           << "specialization changed the step delta multiset at step " << step;
       spec_checked = spec.size();
       rete_checked = rete.size();
-    }
-    // Canonical-merge determinism: identical logs for every thread count.
-    for (std::size_t i = 5; i < matchers.size(); ++i) {
-      ASSERT_EQ(listeners[i]->log(), listeners[4]->log())
-          << names[i] << " delta order diverged from parallel-1 at step " << step;
     }
   }
 

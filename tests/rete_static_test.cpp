@@ -1,7 +1,6 @@
 // Whole-rule-base Rete dataflow analyzer (ISSUE 5): topology export, static
-// join-cost model, dependency graph, golden-file JSON determinism, the
-// engine's analyzer-driven match partitioning, and the AN008/AN009
-// whole-program lint rules with their negative controls.
+// join-cost model, dependency graph, golden-file JSON determinism, and the
+// AN008/AN009 whole-program lint rules with their negative controls.
 
 #include <gtest/gtest.h>
 
@@ -125,12 +124,6 @@ TEST(ReteStatic, CostVectorIsIndexedByProductionId) {
   for (const auto& p : report.productions) {
     EXPECT_DOUBLE_EQ(costs[p.id], p.match_cost);
   }
-  // static_match_costs (the engine's entry point) agrees with the full pass.
-  const auto engine_costs = static_match_costs(*program);
-  ASSERT_EQ(engine_costs.size(), costs.size());
-  for (std::size_t i = 0; i < costs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(engine_costs[i], costs[i]) << "production " << i;
-  }
 }
 
 TEST(ReteStatic, TrafficWeightsWrittenClassesHigher) {
@@ -192,11 +185,6 @@ TEST(ReteStatic, DependencyEdgesFollowWritesToReads) {
 TEST(ReteStatic, RequiresFrozenProgramAndNoFilter) {
   Program unfrozen;
   EXPECT_THROW((void)analyze_rete(unfrozen), std::invalid_argument);
-
-  const auto program = join_program();
-  ReteStaticOptions options;
-  options.network.production_filter.push_back(0);
-  EXPECT_THROW((void)analyze_rete(*program, options), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -247,7 +235,7 @@ TEST(ReteStaticCalibration, MapsMeasuredActivationsOntoProductions) {
   const auto result = engine.run();
   ASSERT_GT(result.firings, 0u);
 
-  const auto& net = dynamic_cast<const rete::Network&>(engine.network());
+  const auto& net = engine.network();
   const rete::NodeActivations acts = net.node_activations();
   ASSERT_EQ(acts.alpha.size(), report.alpha_nodes);
   ASSERT_EQ(acts.join.size(), report.join_nodes);
@@ -285,7 +273,7 @@ TEST(ReteStaticCalibration, JsonAppendsTableOnlyAfterCalibrate) {
   engine.make_wme("item", {{"k", ops5::Value(0.0)}, {"v", ops5::Value(1.0)}});
   engine.make_wme("item", {{"k", ops5::Value(1.0)}, {"v", ops5::Value(1.0)}});
   (void)engine.run();
-  const auto& net = dynamic_cast<const rete::Network&>(engine.network());
+  const auto& net = engine.network();
   const rete::NodeActivations acts = net.node_activations();
   report.calibrate(net.topology(), acts.alpha, acts.join);
 
@@ -342,7 +330,7 @@ TEST(ReteStaticCalibration, SingleProductionNetworkHasZeroCorrelation) {
   ops5::Engine engine(program, nullptr);
   engine.make_wme("item", {{"k", ops5::Value(0.0)}});
   (void)engine.run();
-  const auto& net = dynamic_cast<const rete::Network&>(engine.network());
+  const auto& net = engine.network();
   const rete::NodeActivations acts = net.node_activations();
   report.calibrate(net.topology(), acts.alpha, acts.join);
 
@@ -356,93 +344,6 @@ TEST(ReteStaticCalibration, SingleProductionNetworkHasZeroCorrelation) {
   const std::string text = report.to_json().dump(2);
   EXPECT_EQ(text.find("nan"), std::string::npos);
   EXPECT_EQ(text.find("inf"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Engine integration: analyzer-driven LPT partitioning
-// ---------------------------------------------------------------------------
-
-[[nodiscard]] std::string firing_log(std::size_t match_threads,
-                                     ops5::MatchCostSource source) {
-  const auto program = join_program();
-  ops5::EngineOptions options;
-  options.match_threads = match_threads;
-  options.match_cost_source = source;
-  ops5::Engine engine(program, nullptr, options);
-  std::string log;
-  engine.set_watch(1, [&log](const std::string& line) { log += line + "\n"; });
-  util::Rng rng(83);
-  for (int i = 0; i < 40; ++i) {
-    engine.make_wme("item",
-                    {{"k", ops5::Value(static_cast<double>(rng.next_int(0, 2)))},
-                     {"v", ops5::Value(static_cast<double>(rng.next_int(0, 6)))}});
-  }
-  const auto result = engine.run();
-  EXPECT_GT(result.firings, 0u);
-  return log;
-}
-
-TEST(ReteStaticEngine, FiringLogIdenticalAcrossCostSources) {
-  // The cost source only re-weights the partitioning; the canonical merge
-  // keeps the firing log byte-identical to one-thread execution either way.
-  const std::string serial = firing_log(1, ops5::MatchCostSource::Analyzer);
-  for (const std::size_t m : {std::size_t{2}, std::size_t{4}}) {
-    EXPECT_EQ(serial, firing_log(m, ops5::MatchCostSource::Analyzer)) << m;
-    EXPECT_EQ(serial, firing_log(m, ops5::MatchCostSource::ConditionCount)) << m;
-  }
-}
-
-TEST(ReteStaticEngine, ReconfigureFollowsMatcherLifecycle) {
-  const auto program = join_program();
-  ops5::Engine engine(program, nullptr);
-  EXPECT_EQ(engine.match_cost_source(), ops5::MatchCostSource::Analyzer);
-  ops5::EngineConfig config = engine.config();
-  config.match_cost_source = ops5::MatchCostSource::ConditionCount;
-  engine.reconfigure(config);
-  EXPECT_EQ(engine.match_cost_source(), ops5::MatchCostSource::ConditionCount);
-  // Serial engine: no partitions to report.
-  EXPECT_TRUE(engine.match_partition_costs().empty());
-
-  config.match_threads = 2;
-  engine.reconfigure(config);
-  EXPECT_EQ(engine.match_partition_costs().size(), 2u);
-
-  // A matcher-rebuilding change needs a pristine engine: under live WMEs the
-  // cost source cannot change on a parallel matcher...
-  engine.make_wme("item", {{"k", ops5::Value(0.0)}, {"v", ops5::Value(1.0)}});
-  config.match_cost_source = ops5::MatchCostSource::Analyzer;
-  EXPECT_THROW(engine.reconfigure(config), std::logic_error);
-  // ...but re-applying the current configuration is a no-op, not an error.
-  engine.reconfigure(engine.config());
-  // The strategy is fixed for the engine's lifetime, pristine or not.
-  engine.reset();
-  ops5::EngineConfig wrong_strategy = engine.config();
-  wrong_strategy.strategy = ops5::Strategy::Mea;
-  EXPECT_THROW(engine.reconfigure(wrong_strategy), std::logic_error);
-  engine.reconfigure(config);
-  EXPECT_EQ(engine.match_cost_source(), ops5::MatchCostSource::Analyzer);
-}
-
-TEST(ReteStaticEngine, PartitionCostsAccumulateMatchWork) {
-  const auto program = join_program();
-  ops5::EngineOptions options;
-  options.match_threads = 2;
-  ops5::Engine engine(program, nullptr, options);
-  util::Rng rng(29);
-  for (int i = 0; i < 40; ++i) {
-    engine.make_wme("item",
-                    {{"k", ops5::Value(static_cast<double>(rng.next_int(0, 2)))},
-                     {"v", ops5::Value(static_cast<double>(rng.next_int(0, 6)))}});
-  }
-  (void)engine.run();
-  const auto costs = engine.match_partition_costs();
-  ASSERT_EQ(costs.size(), 2u);
-  std::uint64_t total = 0;
-  for (const auto c : costs) {
-    EXPECT_GT(c, 0u);
-    total += c;
-  }
-  EXPECT_EQ(total, engine.counters().match_cost);
 }
 
 // ---------------------------------------------------------------------------
@@ -723,7 +624,7 @@ TEST(ReteStaticUnlinking, ZeroActivationPathsMatchStaticQuiescenceVerdicts) {
   const auto result = engine.run();
   ASSERT_GT(result.firings, 0u);
 
-  const auto& net = dynamic_cast<const rete::Network&>(engine.network());
+  const auto& net = engine.network();
   EXPECT_TRUE(net.check_invariants().empty());
   const rete::NodeActivations acts = net.node_activations();
   const rete::NetworkTopology topo = net.topology();

@@ -2,9 +2,9 @@
 // the unified serve client API. Covers the tick protocol (resident working
 // memory between ticks, per-tick checkpoint recovery, terminal failures),
 // recycled-context byte identity after stream close, byte-identical stream
-// firing logs across match-thread counts and across a mid-stream pack swap,
-// the stream-vs-batch differential, drain force-close, the watchdog's
-// per-tick budget, and the "streams" rollup section + validator invariants.
+// firing logs across a mid-stream pack swap, the stream-vs-batch
+// differential, drain force-close, the watchdog's per-tick budget, and the
+// "streams" rollup section + validator invariants.
 //
 // Runs under the TSan CI job: stream handles race the worker pool by design.
 
@@ -50,9 +50,9 @@ constexpr const char* kStreamSrc = R"(
 (p spin-forever (spin ^n <v>) --> (modify 1 ^n (compute <v> + 1)))
 )";
 
-std::shared_ptr<const SharedRuleBase> stream_rulebase(ops5::EngineOptions options = {}) {
+std::shared_ptr<const SharedRuleBase> stream_rulebase() {
   auto program = std::make_shared<const ops5::Program>(ops5::parse_program(kStreamSrc));
-  return SharedRuleBase::compile(std::move(program), nullptr, options);
+  return SharedRuleBase::compile(std::move(program));
 }
 
 const char* parity_of(std::size_t item) { return item % 3 == 0 ? "even" : "odd"; }
@@ -322,41 +322,6 @@ TEST(ServeStream, RecycledContextIsByteIdenticalToFresh) {
 }
 
 // ---------------------------------------------------------------------------
-// Byte identity across match-thread counts (acceptance criterion)
-// ---------------------------------------------------------------------------
-
-TEST(ServeStream, FiringLogsByteIdenticalAcrossMatchThreadCounts) {
-  const auto schedule = spam::make_stream_schedule(small_schedule_config(24, 6, 0.2));
-
-  const auto stream_log = [&schedule](std::size_t match_threads) {
-    ops5::EngineOptions engine_options;
-    engine_options.match_threads = match_threads;
-    ServerOptions options;
-    options.workers = 1;
-    options.session.capture_firing_log = true;
-    Server server(stream_rulebase(engine_options), options);
-    StreamHandle stream = server.open_stream("threads");
-    EXPECT_TRUE(stream.admitted());
-    for (std::size_t t = 0; t < schedule.size(); ++t) {
-      // Gated variant with retractions: deltas accumulate incrementally,
-      // everything fires on the last tick.
-      auto tick = stream.tick(
-          delta_tick(schedule[t], false, t + 1 == schedule.size(), true));
-      EXPECT_TRUE(tick.admitted());
-    }
-    StreamReport report = stream.close().get();
-    EXPECT_EQ(report.status, SceneStatus::Completed);
-    (void)server.drain();
-    return report.firing_log;
-  };
-
-  const std::string log1 = stream_log(1);
-  ASSERT_FALSE(log1.empty());
-  EXPECT_EQ(stream_log(2), log1);
-  EXPECT_EQ(stream_log(4), log1);
-}
-
-// ---------------------------------------------------------------------------
 // Mid-stream pack swap: dequeue-time binding, the stream finishes on the
 // pack it started on, byte-identically (acceptance criterion)
 // ---------------------------------------------------------------------------
@@ -421,7 +386,7 @@ TEST(ServeStream, MidStreamPackSwapLeavesTheStreamOnItsPack) {
 // ---------------------------------------------------------------------------
 // Stream-vs-batch differential (satellite): replaying the concatenated
 // ticks as one batch scene produces the identical final conflict set,
-// working memory, and firing sequence, at 1/2/4 match threads
+// working memory, and firing sequence
 // ---------------------------------------------------------------------------
 
 struct FinalState {
@@ -461,14 +426,10 @@ SceneJob concatenated_batch(const std::vector<spam::StreamTickSpec>& schedule,
   return job;
 }
 
-void run_differential(bool gated, std::size_t match_threads) {
-  SCOPED_TRACE(std::string(gated ? "gated" : "cursor") + " @ " +
-               std::to_string(match_threads) + " match threads");
+void run_differential(bool gated) {
   const auto schedule =
       spam::make_stream_schedule(small_schedule_config(24, 6, gated ? 0.2 : 0.0));
-  ops5::EngineOptions engine_options;
-  engine_options.match_threads = match_threads;
-  const auto rb = stream_rulebase(engine_options);
+  const auto rb = stream_rulebase();
   ServerOptions options;
   options.workers = 1;
   options.session.capture_firing_log = true;
@@ -528,12 +489,10 @@ void run_differential(bool gated, std::size_t match_threads) {
   }
 }
 
-TEST(ServeStreamDifferential, GatedBatchReplayIsByteIdentical) {
-  for (const std::size_t threads : {1u, 2u, 4u}) run_differential(true, threads);
-}
+TEST(ServeStreamDifferential, GatedBatchReplayIsByteIdentical) { run_differential(true); }
 
 TEST(ServeStreamDifferential, CursorChainFiringSequenceMatchesBatch) {
-  for (const std::size_t threads : {1u, 2u, 4u}) run_differential(false, threads);
+  run_differential(false);
 }
 
 // ---------------------------------------------------------------------------

@@ -118,7 +118,6 @@ TEST(SharedRuleBase, ExportsTopologyAndSharedArtifacts) {
   EXPECT_EQ(rb->topology().productions.size(), 3u);
   EXPECT_FALSE(rb->topology().alphas.empty());
   EXPECT_FALSE(rb->topology().joins.empty());
-  EXPECT_EQ(rb->match_costs().size(), 3u);
   EXPECT_NE(rb->engine_options().rete.shared_bindings, nullptr);
 }
 
