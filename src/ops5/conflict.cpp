@@ -21,8 +21,6 @@ namespace {
   return 0;
 }
 
-constexpr std::size_t kInitialSlots = 16;
-
 /// Hash of an instantiation's identity: the production id and the matched
 /// WME pointers in CE order. The final xor-shift folds high bits into the
 /// low ones the table masks with.
@@ -61,10 +59,10 @@ bool ConflictSet::Dominance::operator()(const Record* a, const Record* b) const 
 }
 
 ConflictSet::ConflictSet(Strategy strategy)
-    : strategy_(strategy), table_(kInitialSlots, nullptr), unfired_(Dominance{strategy}) {}
+    : strategy_(strategy), unfired_(Dominance{strategy}) {}
 
 void ConflictSet::add(const Production& production, std::span<const Wme* const> wmes) {
-  if ((size_ + 1) * 4 > table_.size() * 3) grow();
+  table_.reserve_one();
   const std::uint64_t hash = identity_hash(production.id(), wmes);
   const std::size_t slot = find_slot(hash, production.id(), wmes);
   if (table_[slot] != nullptr) {
@@ -86,8 +84,7 @@ void ConflictSet::add(const Production& production, std::span<const Wme* const> 
   inst.seq = next_seq_++;
   inst.fired = false;
   rec->hash = hash;
-  table_[slot] = rec;
-  ++size_;
+  table_.fill(slot, rec);
   insert_unfired(rec);
 }
 
@@ -98,8 +95,7 @@ void ConflictSet::remove(const Production& production, std::span<const Wme* cons
     throw std::logic_error("removing instantiation not present in conflict set");
   }
   if (!rec->inst.fired) rec->node = unfired_.extract(rec);
-  erase_slot(slot);
-  --size_;
+  table_.erase(slot);
   free_.push_back(rec);
 }
 
@@ -122,10 +118,8 @@ void ConflictSet::rearm(const Production& production, std::span<const Wme* const
 
 std::vector<const Instantiation*> ConflictSet::snapshot() const {
   std::vector<const Instantiation*> out;
-  out.reserve(size_);
-  for (const Record* rec : table_) {
-    if (rec != nullptr) out.push_back(&rec->inst);
-  }
+  out.reserve(table_.size());
+  table_.for_each([&out](const Record& rec) { out.push_back(&rec.inst); });
   return out;
 }
 
@@ -135,49 +129,17 @@ void ConflictSet::clear() {
     Record* rec = node.value();
     rec->node = std::move(node);
   }
-  for (Record*& slot : table_) {
-    if (slot != nullptr) free_.push_back(slot);
-    slot = nullptr;
-  }
-  size_ = 0;
+  table_.for_each([this](Record& rec) { free_.push_back(&rec); });
+  table_.clear();
   next_seq_ = 0;
 }
 
 std::size_t ConflictSet::find_slot(std::uint64_t hash, std::uint32_t production_id,
-                                   std::span<const Wme* const> wmes) const noexcept {
-  const std::size_t mask = table_.size() - 1;
-  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
-    const Record* rec = table_[i];
-    if (rec == nullptr) return i;
-    if (rec->hash == hash && rec->inst.production->id() == production_id &&
-        std::equal(rec->inst.wmes.begin(), rec->inst.wmes.end(), wmes.begin(), wmes.end())) {
-      return i;
-    }
-  }
-}
-
-void ConflictSet::erase_slot(std::size_t slot) noexcept {
-  // Backward-shift deletion: pull each later member of the probe run into
-  // the hole unless that would move it before its home slot, so every
-  // record stays reachable from its home without tombstones.
-  const std::size_t mask = table_.size() - 1;
-  for (std::size_t j = (slot + 1) & mask; table_[j] != nullptr; j = (j + 1) & mask) {
-    const std::size_t home = table_[j]->hash & mask;
-    if (((j - home) & mask) >= ((j - slot) & mask)) {
-      table_[slot] = table_[j];
-      slot = j;
-    }
-  }
-  table_[slot] = nullptr;
-}
-
-void ConflictSet::grow() {
-  const std::vector<Record*> old =
-      std::exchange(table_, std::vector<Record*>(table_.size() * 2, nullptr));
-  for (Record* rec : old) {
-    if (rec == nullptr) continue;
-    table_[find_slot(rec->hash, rec->inst.production->id(), rec->inst.wmes)] = rec;
-  }
+                                   std::span<const Wme* const> wmes) const {
+  return table_.find_slot(hash, [&](const Record& rec) {
+    return rec.hash == hash && rec.inst.production->id() == production_id &&
+           std::equal(rec.inst.wmes.begin(), rec.inst.wmes.end(), wmes.begin(), wmes.end());
+  });
 }
 
 void ConflictSet::insert_unfired(Record* rec) {

@@ -16,6 +16,7 @@
 
 #include "ops5/production.hpp"
 #include "ops5/wme.hpp"
+#include "util/open_table.hpp"
 
 namespace psmsys::ops5 {
 
@@ -80,9 +81,9 @@ class ConflictSet {
   [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }
 
   [[nodiscard]] Strategy strategy() const noexcept { return strategy_; }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] std::size_t size() const noexcept { return table_.size(); }
   [[nodiscard]] std::size_t unfired() const noexcept { return unfired_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] bool empty() const noexcept { return table_.empty(); }
 
   /// All current instantiations (unspecified order); used by tests/oracle.
   [[nodiscard]] std::vector<const Instantiation*> snapshot() const;
@@ -108,24 +109,20 @@ class ConflictSet {
     UnfiredIndex::node_type node;
   };
 
-  /// Table slot holding this identity, or the empty slot its probe run ends
-  /// at. The table must have an empty slot.
+  struct RecordHash {
+    [[nodiscard]] std::uint64_t operator()(const Record& rec) const noexcept { return rec.hash; }
+  };
+  /// Table slot holding this identity, or the empty slot its probe run ends at.
   [[nodiscard]] std::size_t find_slot(std::uint64_t hash, std::uint32_t production_id,
-                                      std::span<const Wme* const> wmes) const noexcept;
-  /// Empty `slot`, shifting later members of its probe run back.
-  void erase_slot(std::size_t slot) noexcept;
-  /// Double the table and re-place every record.
-  void grow();
+                                      std::span<const Wme* const> wmes) const;
   /// Put `rec` into unfired_, through its own node once it has one.
   void insert_unfired(Record* rec);
 
   Strategy strategy_;
   std::deque<Record> pool_;  ///< arena: stable addresses, records never freed
   std::vector<Record*> free_;
-  /// Linear-probing identity table: power-of-two size, at most 3/4 full,
-  /// null = empty slot.
-  std::vector<Record*> table_;
-  std::size_t size_ = 0;
+  /// Identity table over the live records.
+  util::OpenTable<Record, RecordHash> table_;
   UnfiredIndex unfired_;
   std::uint64_t next_seq_ = 0;
 };

@@ -34,7 +34,7 @@ Engine::Engine(std::shared_ptr<const Program> program, const ExternalRegistry* e
       externals_(externals),
       options_(std::move(options)),
       network_(*program_, *this, counters_, options_.costs, network_options(options_)) {
-  class_members_.resize(program_->class_count());
+  class_wm_.resize(program_->class_count());
   match_mark_ = counters_.match_cost;
 }
 
@@ -44,41 +44,60 @@ Engine::~Engine() = default;
 // Working memory
 // ---------------------------------------------------------------------------
 
-const Wme& Engine::insert_wme(ClassIndex cls, std::vector<Value> slots, TimeTag tag) {
-  const auto [it, inserted] =
-      wm_.try_emplace(tag, cls, program_->wme_class(cls).name(), std::move(slots), tag);
-  if (!inserted) throw std::logic_error("duplicate timetag in working memory");
-  std::vector<WmSlot*>& members = class_members_[cls];
-  it->second.class_pos = static_cast<std::uint32_t>(members.size());
-  members.push_back(&it->second);
-  return it->second.wme;
+std::size_t Engine::find_wme(TimeTag tag) const {
+  return wm_.find_slot(util::mix_bits(tag),
+                       [tag](const WmSlot& slot) { return slot.wme.timetag() == tag; });
 }
 
-void Engine::erase_wme(WmMap::iterator it) {
-  std::vector<WmSlot*>& members = class_members_[it->second.wme.class_index()];
-  WmSlot* moved = members.back();
-  members[it->second.class_pos] = moved;
-  moved->class_pos = it->second.class_pos;
-  members.pop_back();
-  wm_.erase(it);
-}
-
-const Wme& Engine::make_wme(ClassIndex cls, std::vector<std::pair<SlotIndex, Value>> sets) {
-  const WmeClass& decl = program_->wme_class(cls);
-  std::vector<Value> slots(decl.arity());
-  for (auto& [slot, value] : sets) {
-    if (slot >= slots.size()) throw std::out_of_range("make_wme: slot out of range");
-    slots[slot] = value;
+const Wme& Engine::insert_wme(ClassIndex cls, std::span<const Value> values, TimeTag tag) {
+  wm_.reserve_one();
+  const std::size_t at = find_wme(tag);
+  if (wm_[at] != nullptr) throw std::logic_error("duplicate timetag in working memory");
+  ClassWm& wm = class_wm_[cls];
+  WmSlot* slot = nullptr;
+  if (wm.free.empty()) {
+    slot = &wm_pool_.emplace_back();
+  } else {
+    slot = wm.free.back();
+    wm.free.pop_back();
   }
-  const Wme& ref = insert_wme(cls, std::move(slots), next_timetag_++);
+  slot->wme.reinit(cls, program_->wme_class(cls).name(), values, tag);
+  slot->class_pos = static_cast<std::uint32_t>(wm.members.size());
+  wm.members.push_back(slot);
+  wm_.fill(at, slot);
+  return slot->wme;
+}
+
+void Engine::erase_wme(std::size_t at) {
+  WmSlot* slot = wm_[at];
+  ClassWm& wm = class_wm_[slot->wme.class_index()];
+  WmSlot* moved = wm.members.back();
+  wm.members[slot->class_pos] = moved;
+  moved->class_pos = slot->class_pos;
+  wm.members.pop_back();
+  wm_.erase(at);
+  wm.free.push_back(slot);
+}
+
+const Wme& Engine::add_wme(ClassIndex cls, std::span<const Value> values) {
+  const Wme& ref = insert_wme(cls, values, next_timetag_++);
   ++counters_.wmes_added;
-  if (undo_active_) undo_log_.push_back({true, ref.timetag(), 0, {}});
+  if (undo_active_) undo_log_.push_back({ref.timetag(), 0, 0, true});
   if (watch_level_ >= 2) {
     watch_sink_("=>WM: " + std::to_string(ref.timetag()) + ": " +
-                ref.to_string(program_->symbols(), decl));
+                ref.to_string(program_->symbols(), program_->wme_class(cls)));
   }
   network_.add_wme(ref);
   return ref;
+}
+
+const Wme& Engine::make_wme(ClassIndex cls, std::vector<std::pair<SlotIndex, Value>> sets) {
+  new_values_.assign(program_->wme_class(cls).arity(), Value{});
+  for (auto& [slot, value] : sets) {
+    if (slot >= new_values_.size()) throw std::out_of_range("make_wme: slot out of range");
+    new_values_[slot] = value;
+  }
+  return add_wme(cls, new_values_);
 }
 
 const Wme& Engine::make_wme(std::string_view class_name,
@@ -88,8 +107,7 @@ const Wme& Engine::make_wme(std::string_view class_name,
   const auto cls = program_->class_index(*cls_sym);
   if (!cls) throw std::invalid_argument("not a WME class: " + std::string(class_name));
   const WmeClass& decl = program_->wme_class(*cls);
-  std::vector<std::pair<SlotIndex, Value>> resolved;
-  resolved.reserve(sets.size());
+  new_values_.assign(decl.arity(), Value{});
   for (auto& [attr, value] : sets) {
     const auto attr_sym = program_->symbols().find(attr);
     if (!attr_sym) throw std::invalid_argument("unknown attribute: " + std::string(attr));
@@ -97,14 +115,14 @@ const Wme& Engine::make_wme(std::string_view class_name,
     if (slot == kInvalidSlot) {
       throw std::invalid_argument("class has no attribute ^" + std::string(attr));
     }
-    resolved.emplace_back(slot, value);
+    new_values_[slot] = value;
   }
-  return make_wme(*cls, std::move(resolved));
+  return add_wme(*cls, new_values_);
 }
 
 void Engine::remove_wme(const Wme& wme) {
-  const auto it = wm_.find(wme.timetag());
-  if (it == wm_.end() || &it->second.wme != &wme) {
+  const std::size_t at = find_wme(wme.timetag());
+  if (wm_[at] == nullptr || &wm_[at]->wme != &wme) {
     throw std::logic_error("removing WME not in working memory");
   }
   ++counters_.wmes_removed;
@@ -113,11 +131,11 @@ void Engine::remove_wme(const Wme& wme) {
                 wme.to_string(program_->symbols(), program_->wme_class(wme.class_index())));
   }
   if (undo_active_) {
-    undo_log_.push_back({false, wme.timetag(), wme.class_index(),
-                         std::vector<Value>(wme.slots().begin(), wme.slots().end())});
+    undo_log_.push_back({wme.timetag(), undo_values_.size(), wme.class_index(), false});
+    undo_values_.insert(undo_values_.end(), wme.slots().begin(), wme.slots().end());
   }
   network_.remove_wme(wme);
-  erase_wme(it);
+  erase_wme(at);
 }
 
 std::size_t Engine::wm_size() const noexcept { return wm_.size(); }
@@ -132,8 +150,8 @@ void Engine::set_watch(int level, std::function<void(const std::string&)> sink) 
 }
 
 std::vector<const Wme*> Engine::wmes_of_class(ClassIndex cls) const {
-  if (cls >= class_members_.size()) return {};
-  const std::vector<WmSlot*>& members = class_members_[cls];
+  if (cls >= class_wm_.size()) return {};
+  const std::vector<WmSlot*>& members = class_wm_[cls].members;
   std::vector<const Wme*> out;
   out.reserve(members.size());
   for (const WmSlot* slot : members) out.push_back(&slot->wme);
@@ -167,36 +185,40 @@ void Engine::on_deactivate(const Production& production, std::span<const Wme* co
 // RHS evaluation
 // ---------------------------------------------------------------------------
 
-struct Engine::FiringEnv {
-  // Slot values of the matched WMEs, snapshotted at fire start: OPS5 variable
-  // bindings are fixed at match time, and the underlying WMEs may be removed
-  // by earlier actions of the same firing.
-  std::vector<std::vector<Value>> wme_slots;
-  const BindingAnalysis& bindings;
-  std::unordered_map<VariableId, Value> bound;  // from (bind ...) actions
-};
-
-Value Engine::eval(const Expr& expr, FiringEnv& env) {
+Value Engine::eval(const Expr& expr, const BindingAnalysis& bindings) {
   counters_.rhs_cost += 1;
   if (const auto* lit = std::get_if<Value>(&expr.node)) return *lit;
   if (const auto* ref = std::get_if<VarRef>(&expr.node)) {
-    if (const auto it = env.bound.find(ref->var); it != env.bound.end()) return it->second;
-    const auto site = env.bindings.site(ref->var);
+    for (const auto& [var, value] : firing_.bound) {
+      if (var == ref->var) return value;
+    }
+    const auto site = bindings.site(ref->var);
     if (!site) throw std::logic_error("variable has no binding site");
-    return env.wme_slots[site->positive_ce][site->slot];
+    return firing_.values[firing_.offsets[site->positive_ce] + site->slot];
   }
+  // Arguments go on the shared stack; a nested call pushes above them and
+  // pops its own before returning.
   const auto& call = std::get<CallExpr>(expr.node);
-  std::vector<Value> args;
-  args.reserve(call.args.size());
-  for (const auto& a : call.args) args.push_back(eval(a, env));
+  const std::size_t base = firing_.args.size();
+  for (const auto& a : call.args) {
+    const Value v = eval(a, bindings);
+    firing_.args.push_back(v);
+  }
+  const Value result = call_function(
+      call.function, std::span<const Value>(firing_.args).subspan(base, call.args.size()));
+  firing_.args.resize(base);
+  return result;
+}
+
+Value Engine::call_function(Symbol function, std::span<const Value> args) {
   if (externals_ != nullptr) {
-    if (const ExternalFn* fn = externals_->find(call.function)) {
+    if (const ExternalFn* fn = externals_->find(function)) {
       ExternalContext ctx(counters_, options_.costs, user_data_);
       return (*fn)(args, ctx);
     }
   }
   // Arithmetic builtins used by (compute ...) are always available.
-  const std::string& name = program_->symbols().name(call.function);
+  const std::string& name = program_->symbols().name(function);
   const auto binary = [&](auto op) {
     if (args.size() != 2 || !args[0].is_number() || !args[1].is_number()) {
       throw std::logic_error("builtin " + name + " needs two numeric arguments");
@@ -221,25 +243,20 @@ Value Engine::eval(const Expr& expr, FiringEnv& env) {
   throw std::logic_error("unknown external function: " + name);
 }
 
-std::vector<Value> Engine::build_slots(ClassIndex cls,
-                                       std::span<const std::pair<SlotIndex, Expr>> sets,
-                                       FiringEnv& env, const std::vector<Value>* base) {
-  const WmeClass& decl = program_->wme_class(cls);
-  std::vector<Value> slots = base != nullptr ? *base : std::vector<Value>(decl.arity());
-  for (const auto& [slot, expr] : sets) slots[slot] = eval(expr, env);
-  return slots;
-}
-
-void Engine::fire(const Production& production, std::vector<const Wme*> matched) {
-  FiringEnv env{{}, network_.bindings(production), {}};
-  env.wme_slots.reserve(matched.size());
-  for (const Wme* w : matched) {
-    env.wme_slots.emplace_back(w->slots().begin(), w->slots().end());
+void Engine::fire(const Production& production) {
+  const BindingAnalysis& bindings = network_.bindings(production);
+  // firing_.wmes holds the matched WMEs; a firing cut short by an exception
+  // leaves the other buffers dirty, so each starts empty here.
+  FiringBuffers& s = firing_;
+  s.values.clear();
+  s.offsets.clear();
+  s.bound.clear();
+  s.args.clear();
+  for (const Wme* w : s.wmes) {
+    s.offsets.push_back(static_cast<std::uint32_t>(s.values.size()));
+    s.values.insert(s.values.end(), w->slots().begin(), w->slots().end());
   }
   ++counters_.firings;
-
-  // Map 1-based positive-CE index -> live WME (updated by modify/remove).
-  std::vector<const Wme*> ce_wme = std::move(matched);
 
   for (const auto& action : production.rhs()) {
     counters_.rhs_cost += options_.costs.rhs_action;
@@ -248,54 +265,63 @@ void Engine::fire(const Production& production, std::vector<const Wme*> matched)
           using T = std::decay_t<decltype(a)>;
           if constexpr (std::is_same_v<T, MakeAction>) {
             ++counters_.rhs_actions;
-            make_wme(a.cls, [&] {
-              std::vector<std::pair<SlotIndex, Value>> sets;
-              sets.reserve(a.sets.size());
-              for (const auto& [slot, expr] : a.sets) sets.emplace_back(slot, eval(expr, env));
-              return sets;
-            }());
+            new_values_.assign(program_->wme_class(a.cls).arity(), Value{});
+            for (const auto& [slot, expr] : a.sets) {
+              const Value v = eval(expr, bindings);
+              if (slot >= new_values_.size()) {
+                throw std::out_of_range("make_wme: slot out of range");
+              }
+              new_values_[slot] = v;
+            }
+            add_wme(a.cls, new_values_);
           } else if constexpr (std::is_same_v<T, ModifyAction>) {
             ++counters_.rhs_actions;
-            const Wme* target = ce_wme.at(a.ce_index - 1);
+            const Wme* target = s.wmes.at(a.ce_index - 1);
             if (target == nullptr) {
               throw std::logic_error("modify of a WME already removed in this firing");
             }
-            const std::vector<Value> base(target->slots().begin(), target->slots().end());
-            std::vector<Value> slots = build_slots(target->class_index(), a.sets, env, &base);
             const ClassIndex cls = target->class_index();
+            new_values_.assign(target->slots().begin(), target->slots().end());
+            for (const auto& [slot, expr] : a.sets) new_values_[slot] = eval(expr, bindings);
             remove_wme(*target);
             // The same WME may be matched at several CE positions.
-            for (auto& slot_wme : ce_wme) {
+            for (auto& slot_wme : s.wmes) {
               if (slot_wme == target) slot_wme = nullptr;
             }
-            std::vector<std::pair<SlotIndex, Value>> sets;
-            sets.reserve(slots.size());
-            for (SlotIndex i = 0; i < slots.size(); ++i) sets.emplace_back(i, slots[i]);
-            const Wme& replacement = make_wme(cls, std::move(sets));
-            ce_wme[a.ce_index - 1] = &replacement;
+            // The replacement takes the removed WME's storage off its
+            // class's free list, and so its address.
+            const Wme& replacement = add_wme(cls, new_values_);
+            s.wmes[a.ce_index - 1] = &replacement;
           } else if constexpr (std::is_same_v<T, RemoveAction>) {
             ++counters_.rhs_actions;
-            const Wme* target = ce_wme.at(a.ce_index - 1);
+            const Wme* target = s.wmes.at(a.ce_index - 1);
             if (target == nullptr) {
               throw std::logic_error("remove of a WME already removed in this firing");
             }
             remove_wme(*target);
-            for (auto& slot_wme : ce_wme) {
+            for (auto& slot_wme : s.wmes) {
               if (slot_wme == target) slot_wme = nullptr;
             }
           } else if constexpr (std::is_same_v<T, BindAction>) {
-            env.bound[a.var] = eval(a.expr, env);
+            const Value v = eval(a.expr, bindings);
+            const auto it = std::find_if(s.bound.begin(), s.bound.end(),
+                                         [&](const auto& b) { return b.first == a.var; });
+            if (it != s.bound.end()) {
+              it->second = v;
+            } else {
+              s.bound.emplace_back(a.var, v);
+            }
           } else if constexpr (std::is_same_v<T, WriteAction>) {
             ++counters_.rhs_actions;
             if (write_handler_) {
               std::ostringstream os;
               for (std::size_t i = 0; i < a.exprs.size(); ++i) {
                 if (i) os << ' ';
-                os << eval(a.exprs[i], env).to_string(program_->symbols());
+                os << eval(a.exprs[i], bindings).to_string(program_->symbols());
               }
               write_handler_(os.str());
             } else {
-              for (const auto& e : a.exprs) (void)eval(e, env);
+              for (const auto& e : a.exprs) (void)eval(e, bindings);
             }
           } else if constexpr (std::is_same_v<T, HaltAction>) {
             halted_ = true;
@@ -349,12 +375,11 @@ bool Engine::step() {
   // Act. Copy the winner's identity first: firing can retract the winning
   // instantiation itself (removing a matched WME destroys the entry).
   const Production& production = *winner->production;
-  std::vector<const Wme*> matched = winner->wmes;
+  std::vector<const Wme*>& matched = firing_.wmes;
+  matched.assign(winner->wmes.begin(), winner->wmes.end());
   if (undo_active_ && winner->seq < journal_seq_) {
-    FiredEntry& entry = fired_log_.emplace_back();
-    entry.production = &production;
-    for (const Wme* w : matched) entry.timetags.push_back(w->timetag());
-    entry.seq = winner->seq;
+    fired_log_.push_back({&production, winner->seq, fired_timetags_.size()});
+    for (const Wme* w : matched) fired_timetags_.push_back(w->timetag());
   }
   if (watch_level_ >= 1) {
     std::string line = std::to_string(counters_.cycles + 1) + ". " +
@@ -363,7 +388,7 @@ bool Engine::step() {
     watch_sink_(line);
   }
   const util::WorkUnits rhs_before = counters_.rhs_cost;
-  fire(production, std::move(matched));
+  fire(production);
   ++counters_.cycles;
 
 #if PSMSYS_OBS
@@ -422,14 +447,18 @@ void Engine::begin_undo_log() {
   if (undo_active_) throw std::logic_error("undo log already active");
   undo_active_ = true;
   undo_log_.clear();
+  undo_values_.clear();
   fired_log_.clear();
+  fired_timetags_.clear();
   begin_mark_ = undo_checkpoint();
 }
 
 void Engine::commit_undo_log() noexcept {
   undo_active_ = false;
   undo_log_.clear();
+  undo_values_.clear();
   fired_log_.clear();
+  fired_timetags_.clear();
 }
 
 void Engine::replay_undo_tail(std::size_t down_to) {
@@ -438,15 +467,20 @@ void Engine::replay_undo_tail(std::size_t down_to) {
     if (entry.was_add) {
       // Replaying in reverse guarantees the WME is live here: any later
       // removal of it was already undone.
-      const auto live = wm_.find(entry.timetag);
-      if (live == wm_.end()) throw std::logic_error("undo log corrupt: added WME not live");
+      const std::size_t at = find_wme(entry.timetag);
+      if (wm_[at] == nullptr) throw std::logic_error("undo log corrupt: added WME not live");
       ++counters_.wmes_removed;
-      network_.remove_wme(live->second.wme);
-      erase_wme(live);
+      network_.remove_wme(wm_[at]->wme);
+      erase_wme(at);
     } else {
       // Restore with the *original* timetag so recency ordering — and every
-      // later conflict resolution — is unchanged by the aborted attempt.
-      const Wme& ref = insert_wme(entry.cls, entry.slots, entry.timetag);
+      // later conflict resolution — is unchanged by the aborted attempt. The
+      // removal's values are the tail of undo_values_.
+      const std::size_t arity = program_->wme_class(entry.cls).arity();
+      const Wme& ref = insert_wme(
+          entry.cls, std::span<const Value>(undo_values_).subspan(entry.values, arity),
+          entry.timetag);
+      undo_values_.resize(entry.values);
       ++counters_.wmes_added;
       network_.add_wme(ref);
     }
@@ -459,19 +493,21 @@ void Engine::rearm_fired_tail(std::size_t down_to, std::uint64_t seq_mark) {
   // instantiation older than the mark whose WMEs were never removed is the
   // same object as then, still marked fired; one whose WMEs were removed
   // and restored was re-created unfired (new seq), and rearm() skips it.
-  std::vector<const Wme*> wmes;
+  std::vector<const Wme*>& wmes = firing_.wmes;
   for (std::size_t i = fired_log_.size(); i > down_to; --i) {
     const FiredEntry& entry = fired_log_[i - 1];
-    if (entry.seq >= seq_mark) continue;
-    wmes.clear();
-    for (const TimeTag tag : entry.timetags) {
-      const auto live = wm_.find(tag);
-      if (live == wm_.end()) break;
-      wmes.push_back(&live->second.wme);
+    if (entry.seq < seq_mark) {
+      wmes.clear();
+      for (std::size_t t = entry.timetags; t < fired_timetags_.size(); ++t) {
+        const WmSlot* live = wm_[find_wme(fired_timetags_[t])];
+        if (live == nullptr) break;
+        wmes.push_back(&live->wme);
+      }
+      if (wmes.size() == fired_timetags_.size() - entry.timetags) {
+        conflict_set_.rearm(*entry.production, wmes, entry.seq);
+      }
     }
-    if (wmes.size() == entry.timetags.size()) {
-      conflict_set_.rearm(*entry.production, wmes, entry.seq);
-    }
+    fired_timetags_.resize(entry.timetags);
   }
   fired_log_.resize(down_to);
 }
@@ -527,8 +563,11 @@ void Engine::rollback_to_checkpoint(const UndoCheckpoint& cp) {
 void Engine::reset() {
   network_.clear();
   conflict_set_.clear();
+  for (ClassWm& wm : class_wm_) {
+    wm.free.insert(wm.free.end(), wm.members.begin(), wm.members.end());
+    wm.members.clear();
+  }
   wm_.clear();
-  for (auto& members : class_members_) members.clear();
   cycles_.clear();
   counters_ = util::WorkCounters{};
   match_mark_ = 0;
@@ -536,7 +575,9 @@ void Engine::reset() {
   halted_ = false;
   undo_active_ = false;
   undo_log_.clear();
+  undo_values_.clear();
   fired_log_.clear();
+  fired_timetags_.clear();
   peak_conflict_set_ = 0;
   // tracer_/tracer_tid_ deliberately survive, like the watch sink.
 }

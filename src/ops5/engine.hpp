@@ -5,6 +5,7 @@
 // network, working memory, and conflict set, and exposes the instrumentation
 // (work counters, per-cycle match chunks) the psm virtual-time models consume.
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -17,6 +18,7 @@
 #include "ops5/wme.hpp"
 #include "rete/network.hpp"
 #include "util/counters.hpp"
+#include "util/open_table.hpp"
 
 namespace psmsys::obs {
 class Tracer;
@@ -80,7 +82,10 @@ class Engine final : private rete::MatchListener {
   // ------------------------------ working memory --------------------------
 
   /// Create a WME of `cls` with the given slot values (missing slots nil).
-  /// Returns a reference valid until the WME is removed or reset() is called.
+  /// Returns a reference valid until the WME is removed or reset() is
+  /// called. Working memory is pooled: after that, the storage is reused,
+  /// so a stale reference aliases a later WME instead of reading freed
+  /// memory, and AddressSanitizer cannot catch it.
   const Wme& make_wme(ClassIndex cls, std::vector<std::pair<SlotIndex, Value>> sets);
 
   /// Convenience: class and attributes by name. Names must already be
@@ -93,7 +98,7 @@ class Engine final : private rete::MatchListener {
   [[nodiscard]] std::size_t wm_size() const noexcept;
 
   /// All live WMEs of a class, in unspecified order. O(|class|): working
-  /// memory keeps a per-class member list beside the timetag map, so the
+  /// memory keeps a per-class member list beside the timetag index, so the
   /// cost does not grow with the rest of working memory.
   [[nodiscard]] std::vector<const Wme*> wmes_of_class(ClassIndex cls) const;
   [[nodiscard]] std::vector<const Wme*> wmes_of_class(std::string_view class_name) const;
@@ -220,14 +225,10 @@ class Engine final : private rete::MatchListener {
   void on_activate(const Production& production, std::span<const Wme* const> wmes) override;
   void on_deactivate(const Production& production, std::span<const Wme* const> wmes) override;
 
-  void fire(const Production& production, std::vector<const Wme*> matched);
-
-  struct FiringEnv;
-  [[nodiscard]] Value eval(const Expr& expr, FiringEnv& env);
-  [[nodiscard]] std::vector<Value> build_slots(ClassIndex cls,
-                                               std::span<const std::pair<SlotIndex, Expr>> sets,
-                                               FiringEnv& env,
-                                               const std::vector<Value>* base);
+  /// Fire `production` on the WMEs in firing_.wmes.
+  void fire(const Production& production);
+  [[nodiscard]] Value eval(const Expr& expr, const BindingAnalysis& bindings);
+  [[nodiscard]] Value call_function(Symbol function, std::span<const Value> args);
 
   std::shared_ptr<const Program> program_;
   const ExternalRegistry* externals_;
@@ -247,45 +248,86 @@ class Engine final : private rete::MatchListener {
   /// cycle's match cost for tracing, whether or not chunks are recorded.
   util::WorkUnits match_mark_ = 0;
 
-  // Working memory: the owning timetag map plus a per-class member list.
-  // WMEs live in the map's nodes, which never move, so the lists can point
-  // at them; each slot knows its position in its class list, so removal is
-  // a swap-with-back there.
+  // Working memory: WMEs live in pooled slots in an arena (stable addresses,
+  // never freed before the engine), found by timetag through an
+  // open-addressed table and listed per class. Each slot knows its position
+  // in its class list, so removal is a swap-with-back there. A removed slot
+  // goes on its class's free list with its slot vector's capacity, so the
+  // next WME of that class (a modify's replacement, most often) reuses it
+  // without allocating.
   struct WmSlot {
-    WmSlot(ClassIndex cls, Symbol class_name, std::vector<Value> slots, TimeTag tag)
-        : wme(cls, class_name, std::move(slots), tag) {}
-    Wme wme;
+    Wme wme{0, kNilSymbol, {}, 0};
     std::uint32_t class_pos = 0;
   };
-  using WmMap = std::unordered_map<TimeTag, WmSlot>;
-  const Wme& insert_wme(ClassIndex cls, std::vector<Value> slots, TimeTag tag);
-  void erase_wme(WmMap::iterator it);
-  WmMap wm_;
-  std::vector<std::vector<WmSlot*>> class_members_;
+  struct TimetagHash {
+    [[nodiscard]] std::uint64_t operator()(const WmSlot& slot) const noexcept {
+      return util::mix_bits(slot.wme.timetag());
+    }
+  };
+  struct ClassWm {
+    std::vector<WmSlot*> members;
+    std::vector<WmSlot*> free;
+  };
+  /// Position in wm_ of the WME with `tag`, or of the empty slot its probe
+  /// run ends at.
+  [[nodiscard]] std::size_t find_wme(TimeTag tag) const;
+  const Wme& insert_wme(ClassIndex cls, std::span<const Value> values, TimeTag tag);
+  void erase_wme(std::size_t at);
+  /// make_wme()'s tail: a new WME with the next timetag, journaled, traced
+  /// and matched.
+  const Wme& add_wme(ClassIndex cls, std::span<const Value> values);
+  std::deque<WmSlot> wm_pool_;
+  std::vector<ClassWm> class_wm_;
+  util::OpenTable<WmSlot, TimetagHash> wm_;
+  /// The slot values of the WME being made, by make_wme() or an RHS make
+  /// or modify, built before it is inserted.
+  std::vector<Value> new_values_;
   TimeTag next_timetag_ = 1;
   bool halted_ = false;
 
+  /// Buffers every firing reuses, so a steady-state firing allocates
+  /// nothing. Firings never nest, and the network's delta guard rejects a
+  /// WM change from inside match propagation.
+  struct FiringBuffers {
+    /// The live WME of each positive CE; modify and remove update it.
+    /// Rollback's re-arm reuses it, outside any firing.
+    std::vector<const Wme*> wmes;
+    /// The matched WMEs' slot values, snapshotted at fire start: OPS5
+    /// variable bindings are fixed at match time, and earlier actions of the
+    /// firing may remove those WMEs (and their storage may be reused).
+    std::vector<Value> values;
+    std::vector<std::uint32_t> offsets;  ///< start of each CE's values
+    std::vector<std::pair<VariableId, Value>> bound;  ///< (bind ...) results
+    std::vector<Value> args;  ///< argument stack of (call ...) and (compute ...)
+  };
+  FiringBuffers firing_;
+
+  // The undo journal is flat: entries plus one buffer of the slot values of
+  // journaled removals, both truncated on rollback and cleared on commit.
   struct UndoEntry {
-    bool was_add = false;          ///< true: WME added; false: WME removed
     TimeTag timetag = 0;
-    ClassIndex cls = 0;            ///< only for removals
-    std::vector<Value> slots;      ///< only for removals
+    std::size_t values = 0;  ///< removals: offset of the slot values in undo_values_
+    ClassIndex cls = 0;      ///< removals only
+    bool was_add = false;    ///< true: WME added; false: WME removed
   };
   bool undo_active_ = false;
   std::vector<UndoEntry> undo_log_;
+  std::vector<Value> undo_values_;
   UndoCheckpoint begin_mark_;  ///< begin_undo_log()'s mark: both journals empty
 
   /// A firing, under an active undo log, of an instantiation older than the
   /// latest mark (begin_undo_log or undo_checkpoint). Instantiations created
   /// after a mark never outlive a rollback to it, so only these can need
   /// re-arming; `seq` tells the surviving object from a re-created one. The
-  /// WMEs are kept as timetags: the firing may remove them.
+  /// WMEs are kept as timetags, in fired_timetags_ from `timetags` up to the
+  /// next entry's: the firing may remove them.
   struct FiredEntry {
     const Production* production = nullptr;
-    std::vector<TimeTag> timetags;
     std::uint64_t seq = 0;
+    std::size_t timetags = 0;
   };
   std::vector<FiredEntry> fired_log_;
+  std::vector<TimeTag> fired_timetags_;
   std::uint64_t journal_seq_ = 0;  ///< journal firings of instantiations below this
 
   std::function<void(const std::string&)> write_handler_;

@@ -41,8 +41,9 @@ class WmeClass {
 using TimeTag = std::uint64_t;
 
 /// A working memory element: class + slot values + timetag. Instances are
-/// owned by the Engine's WorkingMemory and referenced (never owned) by the
-/// matcher and by conflict-set instantiations.
+/// owned by the Engine's working memory and referenced (never owned) by the
+/// matcher and by conflict-set instantiations. The engine pools them: once
+/// a WME is removed, its storage is re-initialised for a later one.
 class Wme {
  public:
   Wme(ClassIndex cls, Symbol class_name, std::vector<Value> slots, TimeTag tag)
@@ -57,6 +58,17 @@ class Wme {
   [[nodiscard]] std::string to_string(const SymbolTable& symbols, const WmeClass& cls) const;
 
  private:
+  friend class Engine;
+
+  /// Make this pooled WME a new one with `values`, reusing the slot
+  /// vector's capacity.
+  void reinit(ClassIndex cls, Symbol class_name, std::span<const Value> values, TimeTag tag) {
+    slots_.assign(values.begin(), values.end());
+    tag_ = tag;
+    class_ = cls;
+    class_name_ = class_name;
+  }
+
   std::vector<Value> slots_;
   TimeTag tag_;
   ClassIndex class_;

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "obs/obs_config.hpp"
+#include "util/open_table.hpp"
 
 // Hot-path layout (this file's three structural commitments):
 //
@@ -107,6 +108,17 @@ struct WmeRecord {
   std::vector<std::uint32_t> right_pos;
   std::vector<Token*> tokens;
   std::vector<NegJoinResult*> neg_results;
+};
+
+/// Hash of a record's WME pointer: the key of the network's WME index.
+[[nodiscard]] inline std::uint64_t wme_hash(const Wme* w) noexcept {
+  return util::mix_bits(reinterpret_cast<std::uintptr_t>(w));
+}
+
+struct WmeRecordHash {
+  [[nodiscard]] std::uint64_t operator()(const WmeRecord& r) const noexcept {
+    return wme_hash(r.wme);
+  }
 };
 
 [[nodiscard]] inline const Value& rec_slot(const WmeRecord& r, SlotIndex i) noexcept {
@@ -353,7 +365,11 @@ struct Network::Impl {
 
   /// The single pointer->record lookup per add/remove; all interior paths
   /// thread WmeRecord* instead of re-hashing the Wme pointer.
-  std::unordered_map<const Wme*, WmeRecord*> wme_map;
+  util::OpenTable<WmeRecord, WmeRecordHash> wme_index;
+  /// Index slot of `w`'s record, or the empty slot its probe run ends at.
+  [[nodiscard]] std::size_t find_record(const Wme* w) const {
+    return wme_index.find_slot(wme_hash(w), [w](const WmeRecord& r) { return r.wme == w; });
+  }
 
   BetaNode* dummy_store = nullptr;
   Token* dummy_token = nullptr;
@@ -886,11 +902,14 @@ struct Network::Impl {
   }
 
   void add_wme(const Wme& w) {
-    const auto [map_it, inserted] = wme_map.try_emplace(&w, nullptr);
-    if (!inserted) throw std::logic_error("WME added twice to Rete network");
+    // The guard first: a re-entrant add must not grow the index under the
+    // position a remove in progress holds.
     DeltaGuard guard(in_delta);
+    wme_index.reserve_one();
+    const std::size_t at = find_record(&w);
+    if (wme_index[at] != nullptr) throw std::logic_error("WME added twice to Rete network");
     WmeRecord* rec = make_record(w);
-    map_it->second = rec;
+    wme_index.fill(at, rec);
     if (w.class_index() >= dispatch.size()) return;
     const ClassDispatch& d = dispatch[w.class_index()];
     visit.assign(d.unbucketed.begin(), d.unbucketed.end());
@@ -954,10 +973,10 @@ struct Network::Impl {
   }
 
   void remove_wme(const Wme& w) {
-    const auto map_it = wme_map.find(&w);
-    if (map_it == wme_map.end()) throw std::logic_error("removing WME not in Rete network");
+    const std::size_t at = find_record(&w);
+    WmeRecord* rec = wme_index[at];
+    if (rec == nullptr) throw std::logic_error("removing WME not in Rete network");
     DeltaGuard guard(in_delta);
-    WmeRecord* rec = map_it->second;
 
     const util::WorkUnits before = counters.match_cost;
     for (const WmeRecord::AmRef& ref : rec->alpha_mems) {
@@ -1000,7 +1019,9 @@ struct Network::Impl {
       if (owner->join_results.empty()) emit_from_store(*owner->node, owner);  // unblocked
     }
 
-    wme_map.erase(map_it);
+    // Propagation never adds or removes a WME (the delta guard), so `at`
+    // still names the record's slot.
+    wme_index.erase(at);
     recycle_record(rec);
     if (options.record_chunks) chunks.push_back(counters.match_cost - before);
   }
@@ -1025,8 +1046,8 @@ struct Network::Impl {
       am.items.clear();
       for (auto& ri : am.right_indexes) release_index(ri);
     }
-    for (auto& entry : wme_map) recycle_record(entry.second);
-    wme_map.clear();
+    wme_index.for_each([this](WmeRecord& rec) { recycle_record(&rec); });
+    wme_index.clear();
     jr_free_list.clear();
     jr_free_list.reserve(jr_pool.size());
     for (auto& jr : jr_pool) jr_free_list.push_back(&jr);
@@ -1421,9 +1442,9 @@ struct Network::Impl {
     }
 
     // Slot-map rows and alpha-memory membership.
-    for (const auto& entry : wme_map) {
-      const WmeRecord* rec = entry.second;
-      if (rec->wme != entry.first) fail("record names wrong WME");
+    wme_index.for_each([&](const WmeRecord& r) {
+      const WmeRecord* rec = &r;
+      if (wme_index[find_record(rec->wme)] != rec) fail("record not reachable from its WME");
       if (rec->cls >= class_stores.size() || rec->row >= class_stores[rec->cls].rows.size() ||
           class_stores[rec->cls].rows[rec->row] != rec) {
         fail("record slot-map row desync");
@@ -1435,7 +1456,7 @@ struct Network::Impl {
           fail("alpha-memory item position desync");
         }
       }
-    }
+    });
 
     // Shared-index mirrors: always maintained, independent of link state.
     std::size_t am_idx = 0;

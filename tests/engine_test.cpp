@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -10,6 +12,27 @@
 #include "ops5/engine.hpp"
 #include "ops5/parser.hpp"
 #include "util/rng.hpp"
+
+// Heap allocations made by this thread while t_count_allocations is set,
+// counted by the replaced global operator new below for
+// EngineAllocations.SteadyStateRoundsAllocateNothing. The replacements are
+// kept out of line so that the compiler does not pair an inlined new with a
+// visible free().
+namespace {
+thread_local bool t_count_allocations = false;
+thread_local std::size_t t_allocations = 0;
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (t_count_allocations) ++t_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace psmsys::ops5 {
 namespace {
@@ -762,6 +785,28 @@ Shadow indexed_wm(const Engine& engine, const Program& program) {
   return out;
 }
 
+/// The size of the conflict set a fresh engine builds from `engine`'s WMEs,
+/// made in timetag order. A modify's replacement takes the removed
+/// WME's storage, and so its address: a conflict-set or Rete entry left
+/// keyed by a recycled address would make this differ from the live
+/// engine's conflict_set_size().
+std::size_t fresh_conflict_set_size(const std::shared_ptr<const Program>& program,
+                                    const Engine& engine) {
+  std::vector<const Wme*> live;
+  for (ClassIndex c = 0; c < program->class_count(); ++c) {
+    for (const Wme* w : engine.wmes_of_class(c)) live.push_back(w);
+  }
+  std::sort(live.begin(), live.end(),
+            [](const Wme* a, const Wme* b) { return a->timetag() < b->timetag(); });
+  Engine fresh(program, nullptr);
+  for (const Wme* w : live) {
+    std::vector<std::pair<SlotIndex, Value>> sets;
+    for (SlotIndex i = 0; i < w->slots().size(); ++i) sets.emplace_back(i, w->slot(i));
+    (void)fresh.make_wme(w->class_index(), std::move(sets));
+  }
+  return fresh.conflict_set_size();
+}
+
 void run_index_trace(std::uint64_t seed) {
   SCOPED_TRACE("seed " + std::to_string(seed));
   const auto program = parse_shared(kIndexSrc);
@@ -820,11 +865,127 @@ void run_index_trace(std::uint64_t seed) {
     }
     ASSERT_EQ(indexed_wm(engine, *program), shadow) << "step " << step;
     ASSERT_EQ(engine.wm_size(), shadow.size()) << "step " << step;
+    ASSERT_EQ(engine.conflict_set_size(), fresh_conflict_set_size(program, engine))
+        << "step " << step;
   }
 }
 
 TEST(EngineWmIndex, RandomTrafficMatchesShadowModel) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) run_index_trace(seed);
+}
+
+// ---------------------------------------------------------------------------
+// Steady-state allocation gate: once earlier rounds have grown every pool,
+// buffer and table to the working size, a round of stream-like ticks under
+// an undo log allocates nothing. (write) and watch tracing format strings,
+// so they stay outside the gate and this rule base uses neither.
+// ---------------------------------------------------------------------------
+
+constexpr const char* kSteadySrc = R"(
+(literalize job id stage n)
+(literalize part job v)
+(literalize tally count)
+(literalize done job total)
+(p expand
+   (job ^id <j> ^stage 0 ^n <n>)
+   -(done ^job <j>)
+   -->
+   (bind <twice> (compute <n> * 2))
+   (make part ^job <j> ^v <twice>)
+   (make part ^job <j> ^v (call scale <n>))
+   (modify 1 ^stage 1))
+(p combine
+   (job ^id <j> ^stage 1)
+   (part ^job <j> ^v <a>)
+   (part ^job <j> ^v { <b> > <a> })
+   -->
+   (make done ^job <j> ^total (compute <a> + <b>))
+   (remove 2)
+   (remove 3)
+   (modify 1 ^stage 2))
+(p count
+   (job ^id <j> ^stage 2)
+   (tally ^count <c>)
+   -->
+   (modify 2 ^count (compute <c> + 1))
+   (remove 1))
+)";
+
+TEST(EngineAllocations, SteadyStateRoundsAllocateNothing) {
+  Program builder;
+  parse_into(builder, kSteadySrc);
+  ExternalRegistry registry;
+  registry.register_function(builder.symbols(), "scale",
+                             [](std::span<const Value> args, ExternalContext& ctx) {
+                               ctx.charge_flops(1);
+                               return Value(args[0].number() * 3);
+                             });
+  builder.freeze();
+  const auto program = std::make_shared<const Program>(std::move(builder));
+  Engine engine(program, &registry);
+  const ClassIndex job = *program->class_index(*program->symbols().find("job"));
+
+  // Base working memory: the tally every finished job modifies, and a job
+  // whose instantiation predates the undo log, so its firing is journaled
+  // and its modified WME is restored from the removal journal.
+  engine.make_wme("tally", {{"count", Value(0.0)}});
+  engine.make_wme("job", {{"id", Value(9.0)}, {"stage", Value(0.0)}, {"n", Value(5.0)}});
+  const std::size_t base_wm = engine.wm_size();
+  const std::size_t base_cs = engine.conflict_set_size();
+
+  // make_wme takes its slot list by value: each tick moves in one built
+  // here, so the counted rounds themselves build nothing. Recycled Rete
+  // tokens reach the peak capacity of their vectors during the fourth
+  // round's close: after three warm-up rounds, the counted ones make exactly
+  // one allocation (a token vector in the network's new_token).
+  constexpr int kWarmup = 4;
+  constexpr int kCounted = 3;
+  constexpr int kTicks = 4;
+  std::vector<std::vector<std::pair<SlotIndex, Value>>> jobs;
+  for (int r = 0; r < kWarmup + kCounted; ++r) {
+    for (int tick = 0; tick < kTicks; ++tick) {
+      jobs.push_back({{0, Value(tick + 1)}, {1, Value(0.0)}, {2, Value(tick + 1)}});
+    }
+  }
+  std::size_t next_job = 0;
+  std::vector<std::uint64_t> firings;  // per round, reserved before counting
+  firings.reserve(kWarmup + kCounted);
+  std::vector<std::size_t> end_sizes;
+  end_sizes.reserve(2 * (kWarmup + kCounted));
+
+  // One round is one stream: ticks under one undo log, each behind its own
+  // checkpoint, every other tick rolled back, then the whole log.
+  const auto round = [&] {
+    const std::uint64_t before = engine.counters().firings;
+    engine.begin_undo_log();
+    for (int tick = 0; tick < kTicks; ++tick) {
+      const Engine::UndoCheckpoint cp = engine.undo_checkpoint();
+      (void)engine.make_wme(job, std::move(jobs[next_job++]));
+      (void)engine.run();
+      if (tick % 2 == 1) engine.rollback_to_checkpoint(cp);
+    }
+    engine.rollback_undo_log();
+    firings.push_back(engine.counters().firings - before);
+    end_sizes.push_back(engine.wm_size());
+    end_sizes.push_back(engine.conflict_set_size());
+  };
+  for (int r = 0; r < kWarmup; ++r) round();
+
+  t_allocations = 0;
+  t_count_allocations = true;
+  for (int r = 0; r < kCounted; ++r) round();
+  t_count_allocations = false;
+  EXPECT_EQ(t_allocations, 0U);
+
+  // Every round did the same work and left the base working memory. Each
+  // tick's job fires expand, combine and count; the base job adds three
+  // firings to the first tick.
+  EXPECT_EQ(firings.front(), 3U * kTicks + 3U);
+  for (const std::uint64_t f : firings) EXPECT_EQ(f, firings.front());
+  for (std::size_t i = 0; i < end_sizes.size(); i += 2) {
+    EXPECT_EQ(end_sizes[i], base_wm);
+    EXPECT_EQ(end_sizes[i + 1], base_cs);
+  }
 }
 
 }  // namespace

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <set>
 #include <sstream>
+#include <unordered_map>
 #include <vector>
 
+#include "util/open_table.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -260,6 +265,139 @@ TEST(Table, FmtHelpers) {
 TEST(WorkUnits, RoundTripSeconds) {
   const WorkUnits wu = from_seconds(2.5);
   EXPECT_NEAR(to_seconds(wu), 2.5, 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// OpenTable
+// ---------------------------------------------------------------------------
+
+struct Item {
+  std::uint64_t key = 0;
+  std::uint64_t hash = 0;
+};
+
+struct ItemHash {
+  [[nodiscard]] std::uint64_t operator()(const Item& item) const noexcept { return item.hash; }
+};
+
+using ItemTable = OpenTable<Item, ItemHash>;
+
+/// Random inserts, finds and erases over `keys`, with at most `max_live`
+/// live at once, checked against a std::unordered_map after every step. A
+/// deletion that breaks a probe run shows up as a live key the table no
+/// longer finds, or as an erased one it still does.
+void drive_against_reference(std::vector<Item>& keys, std::size_t max_live, std::uint64_t seed,
+                             int steps, ItemTable& table) {
+  Rng rng(seed);
+  std::unordered_map<std::uint64_t, Item*> reference;
+  const auto slot_of = [&table](const Item& item) {
+    return table.find_slot(item.hash, [&item](const Item& e) { return e.key == item.key; });
+  };
+  for (int step = 0; step < steps; ++step) {
+    Item& item = keys[rng.next_below(keys.size())];
+    const std::int64_t op = rng.next_int(0, 2);
+    const auto ref = reference.find(item.key);
+    if (op == 0 && ref == reference.end() && reference.size() < max_live) {
+      table.reserve_one();
+      const std::size_t slot = slot_of(item);
+      ASSERT_EQ(table[slot], nullptr) << "step " << step << ": absent key found";
+      table.fill(slot, &item);
+      reference.emplace(item.key, &item);
+    } else if (op == 1) {
+      const std::size_t slot = slot_of(item);
+      ASSERT_EQ(table[slot], ref == reference.end() ? nullptr : ref->second) << "step " << step;
+      if (ref != reference.end()) {
+        table.erase(slot);
+        reference.erase(ref);
+      }
+    } else {
+      ASSERT_EQ(table[slot_of(item)], ref == reference.end() ? nullptr : ref->second)
+          << "step " << step;
+    }
+    ASSERT_EQ(table.size(), reference.size()) << "step " << step;
+    if (step % 16 == 0) {
+      for (const auto& [key, live] : reference) {
+        ASSERT_EQ(table[slot_of(*live)], live) << "step " << step << ": key " << key << " lost";
+      }
+      std::size_t visited = 0;
+      table.for_each([&](const Item& e) {
+        ++visited;
+        EXPECT_EQ(reference.count(e.key), 1U) << "step " << step << ": stale key " << e.key;
+      });
+      ASSERT_EQ(visited, reference.size()) << "step " << step;
+    }
+  }
+}
+
+TEST(OpenTable, DenseTimetagsMatchReference) {
+  std::vector<Item> keys;
+  for (std::uint64_t tag = 1; tag <= 700; ++tag) keys.push_back({tag, mix_bits(tag)});
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    ItemTable table;
+    ASSERT_NO_FATAL_FAILURE(drive_against_reference(keys, keys.size(), seed, 20000, table));
+    EXPECT_GE(table.capacity(), 512U);  // at least five doublings from 16 slots
+    EXPECT_LE(table.size() * 4, table.capacity() * 3);
+  }
+}
+
+TEST(OpenTable, AlignedPointersMatchReference) {
+  std::vector<Item> keys;
+  for (std::uint64_t i = 0; i < 700; ++i) {
+    const std::uint64_t address = 0x7f3a'0000'0000ULL + 64 * i;
+    keys.push_back({address, mix_bits(address)});
+  }
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    ItemTable table;
+    ASSERT_NO_FATAL_FAILURE(drive_against_reference(keys, keys.size(), seed, 20000, table));
+    EXPECT_GE(table.capacity(), 512U);
+  }
+}
+
+TEST(OpenTable, ProbeRunsWrappingPastTheEndMatchReference) {
+  // Every home is one of the last five slots, whatever the table's size, so
+  // probe runs wrap past the end: deletions shift entries across it, and a
+  // doubling re-places them across it.
+  std::vector<Item> keys;
+  for (std::uint64_t k = 0; k < 40; ++k) keys.push_back({k, ~std::uint64_t{0} - k % 5});
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    ItemTable fixed;
+    ASSERT_NO_FATAL_FAILURE(drive_against_reference(keys, 12, seed, 20000, fixed));
+    EXPECT_EQ(fixed.capacity(), 16U);  // 12 live is exactly the 3/4 load
+    ItemTable growing;
+    ASSERT_NO_FATAL_FAILURE(drive_against_reference(keys, keys.size(), seed, 20000, growing));
+    EXPECT_GE(growing.capacity(), 32U);
+  }
+}
+
+TEST(OpenTable, ClearKeepsCapacity) {
+  std::vector<Item> keys;
+  for (std::uint64_t tag = 1; tag <= 100; ++tag) keys.push_back({tag, mix_bits(tag)});
+  ItemTable table;
+  for (Item& item : keys) {
+    table.reserve_one();
+    table.fill(table.find_slot(item.hash, [&](const Item& e) { return e.key == item.key; }),
+               &item);
+  }
+  const std::size_t capacity = table.capacity();
+  table.clear();
+  EXPECT_TRUE(table.empty());
+  EXPECT_EQ(table.capacity(), capacity);
+  EXPECT_EQ(table[table.find_slot(keys[0].hash, [&](const Item& e) { return e.key == keys[0].key; })],
+            nullptr);
+}
+
+TEST(OpenTable, MixedHashSpreadsDenseAndAlignedKeys) {
+  // Unmixed, 1024 addresses 64 bytes apart fall on 16 homes under a
+  // 1024-slot mask. Mixed, they and 1024 dense timetags each cover about
+  // as many homes as a random hash would (~647).
+  std::set<std::uint64_t> pointer_homes;
+  std::set<std::uint64_t> timetag_homes;
+  for (std::uint64_t i = 0; i < 1024; ++i) {
+    pointer_homes.insert(mix_bits(0x5555'0000'0000ULL + 64 * i) & 1023);
+    timetag_homes.insert(mix_bits(i + 1) & 1023);
+  }
+  EXPECT_GT(pointer_homes.size(), 500U);
+  EXPECT_GT(timetag_homes.size(), 500U);
 }
 
 }  // namespace
