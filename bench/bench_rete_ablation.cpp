@@ -1,28 +1,20 @@
-// Rete design ablation: the three network optimizations this implementation
-// shares with ParaOPS5 and Doorenbos — node sharing between productions with
-// common prefixes, hash-indexed join memories, and left/right node unlinking.
-// Each is toggled off to show its contribution on the LCC workload. A second
-// section measures the value-domain specialization pass: the generated LCC
-// base itself is clean (empty plan), so the workload is augmented with a
-// batch of provably-infeasible probe productions the abstract interpreter
-// can prune — the before/after match cost is the pass's headroom.
+// Rete design ablation: the two network optimizations this implementation
+// shares with ParaOPS5 — node sharing between productions with common
+// prefixes and hash-indexed join memories. Each is toggled off to show its
+// contribution on the LCC workload.
 
-#include "analysis/value_domain.hpp"
 #include "bench/harness.hpp"
-#include "ops5/parser.hpp"
 
 namespace psmsys::bench {
 
 namespace {
 
 util::WorkUnits run_with(const spam::Scene& scene, const std::vector<spam::Fragment>& best,
-                         bool sharing, bool indexed, bool unlinking,
-                         rete::NetworkStats* stats_out) {
+                         bool sharing, bool indexed, rete::NetworkStats* stats_out) {
   const spam::PhaseProgram phase = spam::build_lcc_program();
   ops5::EngineOptions options;
   options.rete.node_sharing = sharing;
   options.rete.indexed_joins = indexed;
-  options.rete.unlinking = unlinking;
   auto engine = phase.make_engine(scene, options);
   if (stats_out != nullptr) *stats_out = engine->network().stats();
 
@@ -40,73 +32,9 @@ util::WorkUnits run_with(const spam::Scene& scene, const std::vector<spam::Fragm
   return engine->counters().match_cost;
 }
 
-/// LCC plus `n` infeasible probes: each joins real fragment traffic against
-/// a relation name the constraint catalog can never produce, so the value
-/// domain of relation.name (a constant set) proves the production dead. The
-/// unspecialized network still pays alpha tests and left-memory insertions
-/// for every probe; the specialization plan prunes them at compile time.
-std::string augmented_lcc_source(int n) {
-  std::string src = spam::lcc_source();
-  for (int i = 0; i < n; ++i) {
-    const std::string tag = std::to_string(i);
-    src += "(p dead-probe-" + tag +
-           "\n"
-           "   (fragment ^id <s> ^best yes)\n"
-           "   (relation ^name no-such-relation-" + tag +
-           " ^subject <s>)\n"
-           "   -->\n   (halt))\n";
-  }
-  return src;
-}
-
-/// Runs the augmented workload with the plan applied (or not); reports the
-/// prune count through `pruned_out` when specializing.
-util::WorkUnits run_specialized(const spam::Scene& scene,
-                                const std::vector<spam::Fragment>& best, bool specialize,
-                                std::size_t* pruned_out) {
-  spam::PhaseProgram phase = spam::build_lcc_program();
-  phase.program =
-      std::make_shared<const ops5::Program>(ops5::parse_program(augmented_lcc_source(8)));
-
-  ops5::EngineOptions options;
-  if (specialize) {
-    const auto cls = [&](const char* name) {
-      return *phase.program->class_index(*phase.program->symbols().find(name));
-    };
-    analysis::ValueDomainOptions vdo;
-    vdo.seed_classes = {{cls("fragment"), cls("constraint"), cls("support"), cls("lcc-task")}};
-    vdo.output_classes = {{cls("context"), cls("consistency"), cls("relation")}};
-    // The constraint catalog writes more than the default 8 distinct
-    // relation names; keep the constant set exact so the probes' bogus
-    // names stay provably outside it.
-    vdo.max_constants = 64;
-    const analysis::ValueDomainReport vd =
-        analysis::analyze_value_domains(*phase.program, vdo);
-    options.rete.specialize =
-        vd.converged && analysis::verify_specialization(*phase.program, vdo, vd).empty();
-    options.rete.plan = vd.plan;
-    if (pruned_out != nullptr) *pruned_out = vd.plan->pruned_productions.size();
-  }
-
-  auto engine = phase.make_engine(scene, options);
-  spam::seed_fragment_wmes(*engine, best);
-  spam::seed_constraint_wmes(*engine);
-  spam::seed_support_wmes(*engine, best);
-  for (std::size_t i = 0; i < spam::kRegionClassCount; ++i) {
-    engine->make_wme(
-        "lcc-task",
-        {{"level", ops5::Value(4.0)},
-         {"subject-class", ops5::Value(*engine->program().symbols().find(
-                               spam::class_name(static_cast<spam::RegionClass>(i))))}});
-  }
-  (void)engine->run();
-  return engine->counters().match_cost;
-}
-
 }  // namespace
 
-PSMSYS_BENCH_CASE(rete_ablation, "rete",
-                  "Rete ablation: node sharing, hashed join memories, node unlinking") {
+PSMSYS_BENCH_CASE(rete_ablation, "rete", "Rete ablation: node sharing, hashed join memories") {
   auto& os = ctx.out();
 
   const auto config = ctx.quick() ? spam::sf_config() : spam::dc_config();
@@ -114,62 +42,30 @@ PSMSYS_BENCH_CASE(rete_ablation, "rete",
   const auto best = spam::best_fragments(spam::run_rtf(scene, 3).fragments);
 
   struct Config {
-    bool sharing, indexed, unlinking;
+    bool sharing, indexed;
   };
-  // The sharing x indexing matrix (unlinking on, the default), plus one
-  // unlinking-off row: its contribution is orthogonal to the other two, so a
-  // single ablation row against the full configuration shows its share.
-  const std::vector<Config> configs = {
-      {true, true, true},   {true, false, true}, {false, true, true},
-      {false, false, true}, {true, true, false},
-  };
+  const std::vector<Config> configs = {{true, true}, {true, false}, {false, true}, {false, false}};
 
-  util::Table table({"node sharing", "indexed joins", "unlinking", "match cost (wu)",
-                     "vs full", "alpha patterns", "join nodes"});
+  util::Table table({"node sharing", "indexed joins", "match cost (wu)", "vs full",
+                     "alpha patterns", "join nodes"});
   util::WorkUnits full = 0;
-  for (const auto& [sharing, indexed, unlinking] : configs) {
+  for (const auto& [sharing, indexed] : configs) {
     rete::NetworkStats stats;
-    const util::WorkUnits cost = run_with(scene, best, sharing, indexed, unlinking, &stats);
-    if (sharing && indexed && unlinking) full = cost;
+    const util::WorkUnits cost = run_with(scene, best, sharing, indexed, &stats);
+    if (sharing && indexed) full = cost;
     const double vs_full = static_cast<double>(cost) / static_cast<double>(full);
     if (!sharing && !indexed) ctx.metric("both_off_vs_full", vs_full);
-    if (!unlinking) ctx.metric("no_unlinking_vs_full", vs_full);
-    table.add_row({sharing ? "on" : "off", indexed ? "on" : "off", unlinking ? "on" : "off",
-                   util::Table::fmt(cost), util::Table::fmt(vs_full, 2) + "x",
-                   util::Table::fmt(stats.alpha_patterns), util::Table::fmt(stats.join_nodes)});
+    table.add_row({sharing ? "on" : "off", indexed ? "on" : "off", util::Table::fmt(cost),
+                   util::Table::fmt(vs_full, 2) + "x", util::Table::fmt(stats.alpha_patterns),
+                   util::Table::fmt(stats.join_nodes)});
   }
 
   table.print(os, "Full LCC (Level 4) run on " + config.name +
-                      " under five network configurations");
+                      " under four network configurations");
   os << "\nSharing and indexing are part of what made ParaOPS5's C implementation\n"
         "10-20x faster than the Lisp OPS5; indexing dominates on this workload\n"
-        "because LCC's joins are equality-selective (fragment ids, subjects).\n"
-        "Unlinking (Doorenbos) trims the residual activations of quiescent\n"
-        "productions without changing any match result.\n";
+        "because LCC's joins are equality-selective (fragment ids, subjects).\n";
   ctx.table("rete_ablation", table);
-
-  // Value-domain specialization: the augmented workload (LCC + 8 infeasible
-  // probe productions) with the proof-carrying plan off, then on.
-  std::size_t pruned = 0;
-  const util::WorkUnits plain = run_specialized(scene, best, false, nullptr);
-  const util::WorkUnits spec = run_specialized(scene, best, true, &pruned);
-  const double ratio = static_cast<double>(spec) / static_cast<double>(plain);
-  ctx.metric("specialized_vs_plain", ratio);
-  ctx.metric("specialization_pruned", static_cast<double>(pruned));
-
-  util::Table spec_table(
-      {"specialization", "match cost (wu)", "vs plain", "productions pruned"});
-  spec_table.add_row({"off", util::Table::fmt(plain), "1.00x", "0"});
-  spec_table.add_row({"on", util::Table::fmt(spec), util::Table::fmt(ratio, 2) + "x",
-                      util::Table::fmt(pruned)});
-  spec_table.print(os, "Same workload + 8 infeasible probe productions, with and "
-                       "without the value-domain specialization plan");
-  os << "\nThe abstract interpreter proves each probe's relation-name test\n"
-        "value-disjoint with relation.name's inferred constant set, prunes the\n"
-        "productions at compile time, and carries a certificate the network\n"
-        "re-verifies before applying the plan. Firing behaviour is identical;\n"
-        "only the provably-dead match work disappears.\n";
-  ctx.table("rete_specialization", spec_table);
 }
 
 }  // namespace psmsys::bench

@@ -1,43 +1,29 @@
 // Match-core microbench gates for the Rete hot-path rewrite: per-retract
 // cost must stay flat in working-memory size (the O(1) slot/back-pointer
-// retraction), quiescent productions must cost ~nothing under node unlinking,
-// and the LCC Level-2 trace must never match more expensively with unlinking
-// on than off. Unlike bench_rete_micro (a google-benchmark binary for
+// retraction), and quiescent productions must cost ~nothing under node
+// unlinking. Unlike bench_rete_micro (a google-benchmark binary for
 // host-time curves), these cases emit BENCH_rete_micro.json and *fail* the
 // harness when a flatness ratio regresses — they are the CI gate.
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "analysis/value_domain.hpp"
 #include "bench/harness.hpp"
 #include "ops5/parser.hpp"
 #include "rete/network.hpp"
-#include "spam/constraints.hpp"
-#include "spam/programs.hpp"
-#include "spam/scene_generator.hpp"
 
 namespace psmsys::bench {
 
 namespace {
 
-/// Counts activations; the matchers under test never fire RHS code here.
-class CountListener final : public rete::MatchListener {
+/// The networks under test never fire RHS code here: nothing listens.
+class NullListener final : public rete::MatchListener {
  public:
-  void on_activate(const ops5::Production&, std::span<const ops5::Wme* const>) override {
-    ++activations_;
-  }
-  void on_deactivate(const ops5::Production&, std::span<const ops5::Wme* const>) override {
-    --activations_;
-  }
-  [[nodiscard]] std::int64_t activations() const noexcept { return activations_; }
-
- private:
-  std::int64_t activations_ = 0;
+  void on_activate(const ops5::Production&, std::span<const ops5::Wme* const>) override {}
+  void on_deactivate(const ops5::Production&, std::span<const ops5::Wme* const>) override {}
 };
 
 /// A (item ^v i) WME per i — the minimal one-token-per-WME workload.
@@ -80,76 +66,6 @@ std::string quiescent_source(std::size_t idle) {
   return src;
 }
 
-/// The L2 workload: Level-2 task WMEs pairing fragments with their
-/// subject-class constraints, then the best fragments themselves. Built
-/// against `program`'s own class/symbol tables so it also works for
-/// augmented program variants.
-struct L2Trace {
-  std::vector<std::unique_ptr<ops5::Wme>> wmes;
-  std::size_t task_count = 0;
-};
-
-L2Trace build_l2_trace(const ops5::Program& program, const std::vector<spam::Fragment>& best) {
-  const auto frag_cls = *program.class_index(*program.symbols().find("fragment"));
-  const auto& frag_decl = program.wme_class(frag_cls);
-  const auto task_cls = *program.class_index(*program.symbols().find("lcc-task"));
-  const auto& task_decl = program.wme_class(task_cls);
-  const auto yes = ops5::Value(*program.symbols().find("yes"));
-
-  L2Trace trace;
-  ops5::TimeTag tag = 1;
-  for (const auto& f : best) {
-    for (const auto* c : spam::constraints_for(f.cls)) {
-      std::vector<ops5::Value> slots(task_decl.arity());
-      slots[task_decl.slot_of(*program.symbols().find("level"))] = ops5::Value(2.0);
-      slots[task_decl.slot_of(*program.symbols().find("subject"))] = ops5::Value(double(f.id));
-      slots[task_decl.slot_of(*program.symbols().find("constraint"))] =
-          ops5::Value(double(c->id));
-      slots[task_decl.slot_of(*program.symbols().find("subject-class"))] =
-          ops5::Value(*program.symbols().find(spam::class_name(c->subject)));
-      trace.wmes.push_back(
-          std::make_unique<ops5::Wme>(task_cls, task_decl.name(), std::move(slots), tag++));
-      ++trace.task_count;
-    }
-  }
-  for (const auto& f : best) {
-    std::vector<ops5::Value> slots(frag_decl.arity());
-    slots[frag_decl.slot_of(*program.symbols().find("id"))] = ops5::Value(double(f.id));
-    slots[frag_decl.slot_of(*program.symbols().find("region"))] = ops5::Value(double(f.region));
-    slots[frag_decl.slot_of(*program.symbols().find("class"))] =
-        ops5::Value(*program.symbols().find(spam::class_name(f.cls)));
-    slots[frag_decl.slot_of(*program.symbols().find("score"))] = ops5::Value(f.score);
-    slots[frag_decl.slot_of(*program.symbols().find("best"))] = yes;
-    trace.wmes.push_back(
-        std::make_unique<ops5::Wme>(frag_cls, frag_decl.name(), std::move(slots), tag++));
-  }
-  return trace;
-}
-
-/// Records the full delta log as strings keyed by production + timetags.
-class LogListener final : public rete::MatchListener {
- public:
-  explicit LogListener(const ops5::Program& program) : program_(program) {}
-  void on_activate(const ops5::Production& p, std::span<const ops5::Wme* const> wmes) override {
-    log_.push_back("+" + key(p, wmes));
-  }
-  void on_deactivate(const ops5::Production& p,
-                     std::span<const ops5::Wme* const> wmes) override {
-    log_.push_back("-" + key(p, wmes));
-  }
-  [[nodiscard]] const std::vector<std::string>& log() const noexcept { return log_; }
-
- private:
-  [[nodiscard]] std::string key(const ops5::Production& p,
-                                std::span<const ops5::Wme* const> wmes) const {
-    std::string k{program_.symbols().name(p.name())};
-    for (const auto* w : wmes) k += ":" + std::to_string(w->timetag());
-    return k;
-  }
-  const ops5::Program& program_;
-  std::vector<std::string> log_;
-};
-
 }  // namespace
 
 PSMSYS_BENCH_CASE(retract_heavy, "rete_micro",
@@ -171,7 +87,7 @@ PSMSYS_BENCH_CASE(retract_heavy, "rete_micro",
   std::vector<double> wu_per_op, ns_per_op;
   for (const std::size_t n : sizes) {
     const auto wmes = make_items(program, n);
-    CountListener listener;
+    NullListener listener;
     util::WorkCounters counters;
     rete::Network network(program, listener, counters);
     for (const auto& w : wmes) network.add_wme(*w);
@@ -227,266 +143,37 @@ PSMSYS_BENCH_CASE(quiescent_scaling, "rete_micro",
   const int cycles = 4;
   const std::vector<std::size_t> idle_counts = {0, 64, 256};
 
-  util::Table table({"idle prods", "wu/op (unlinking)", "wu/op (no unlinking)"});
-  std::vector<double> wu_on, wu_off;
+  util::Table table({"idle prods", "wu/op"});
+  std::vector<double> wu_per_op;
   for (const std::size_t idle : idle_counts) {
     const ops5::Program program = ops5::parse_program(quiescent_source(idle));
     const auto wmes = make_items(program, kWarm);
-    double wu[2] = {0, 0};
-    for (int mode = 0; mode < 2; ++mode) {
-      rete::NetworkOptions options;
-      options.unlinking = (mode == 0);
-      CountListener listener;
-      util::WorkCounters counters;
-      rete::Network network(program, listener, counters, {}, options);
-      for (const auto& w : wmes) network.add_wme(*w);
-      const auto before = counters.match_cost;
-      for (int c = 0; c < cycles; ++c) churn(network, wmes, kChurn);
-      wu[mode] = double(counters.match_cost - before) / double(cycles * 2 * kChurn);
-    }
-    wu_on.push_back(wu[0]);
-    wu_off.push_back(wu[1]);
-    table.add_row({util::Table::fmt(double(idle), 0), util::Table::fmt(wu[0], 2),
-                   util::Table::fmt(wu[1], 2)});
-    ctx.metric("wu_on_" + std::to_string(idle), wu[0]);
-    ctx.metric("wu_off_" + std::to_string(idle), wu[1]);
+    NullListener listener;
+    util::WorkCounters counters;
+    rete::Network network(program, listener, counters);
+    for (const auto& w : wmes) network.add_wme(*w);
+    const auto before = counters.match_cost;
+    for (int c = 0; c < cycles; ++c) churn(network, wmes, kChurn);
+    const double wu = double(counters.match_cost - before) / double(cycles * 2 * kChurn);
+    wu_per_op.push_back(wu);
+    table.add_row({util::Table::fmt(double(idle), 0), util::Table::fmt(wu, 2)});
+    ctx.metric("wu_idle_" + std::to_string(idle), wu);
   }
   table.print(os, "per-WME-change match cost as quiescent productions are added");
   ctx.table("quiescent_scaling", table);
 
-  // Gates: under unlinking, quadrupling the idle productions (64 -> 256) may
-  // add at most 5% per-op cost (the 0 -> 64 step pays a one-off topology
-  // cost — the shared beta memory exists at all — so the flatness gate is
-  // against the 64 baseline), and unlinking must never cost more than not
-  // unlinking.
-  const double idle_ratio = wu_on[2] / wu_on[1];
+  // Gate: quadrupling the idle productions (64 -> 256) may add at most 5%
+  // per-op cost (the 0 -> 64 step pays a one-off topology cost — the shared
+  // beta memory exists at all — so the flatness gate is against the 64
+  // baseline).
+  const double idle_ratio = wu_per_op[2] / wu_per_op[1];
   ctx.metric("idle_cost_ratio", idle_ratio);
   os << "\nunlinked idle-production overhead 64 -> 256: " << util::Table::fmt(idle_ratio, 2)
-     << "x (gate: 1.05x); no-unlinking pays " << util::Table::fmt(wu_off.back() / wu_on.back(), 1)
-     << "x at 256\n";
+     << "x (gate: 1.05x)\n";
   if (idle_ratio > 1.05) {
     ctx.fail("4x the quiescent productions raised per-op cost " +
              util::Table::fmt(idle_ratio, 2) + "x (gate: 1.05x) — unlinking is not engaging");
   }
-  if (wu_on.back() > wu_off.back()) {
-    ctx.fail("unlinking costs more than no unlinking at 256 idle productions");
-  }
-}
-
-PSMSYS_BENCH_CASE(lcc_l2_trace, "rete_micro",
-                  "LCC Level-2 trace: serial match cost/wall, unlinking on vs off") {
-  auto& os = ctx.out();
-
-  // The realistic load: the full LCC rule base, Level-2 task WMEs pairing
-  // fragments with their subject-class constraints, fragment churn. At L2
-  // only the lcc-l2-* productions can fire; the l1/l3/l4 chains stay
-  // quiescent, which is exactly the shape node unlinking exploits.
-  const spam::PhaseProgram phase = spam::build_lcc_program();
-  const auto& program = *phase.program;
-  const auto config = ctx.quick() ? spam::sf_config() : spam::dc_config();
-  const auto scene = spam::generate_scene(config);
-  const auto best = spam::best_fragments(spam::run_rtf(scene, 3).fragments);
-
-  const auto frag_cls = *program.class_index(*program.symbols().find("fragment"));
-  const auto& frag_decl = program.wme_class(frag_cls);
-  const auto task_cls = *program.class_index(*program.symbols().find("lcc-task"));
-  const auto& task_decl = program.wme_class(task_cls);
-  const auto yes = ops5::Value(*program.symbols().find("yes"));
-
-  std::vector<std::unique_ptr<ops5::Wme>> wmes;
-  ops5::TimeTag tag = 1;
-  std::size_t task_count = 0;
-  for (const auto& f : best) {
-    for (const auto* c : spam::constraints_for(f.cls)) {
-      std::vector<ops5::Value> slots(task_decl.arity());
-      slots[task_decl.slot_of(*program.symbols().find("level"))] = ops5::Value(2.0);
-      slots[task_decl.slot_of(*program.symbols().find("subject"))] = ops5::Value(double(f.id));
-      slots[task_decl.slot_of(*program.symbols().find("constraint"))] =
-          ops5::Value(double(c->id));
-      slots[task_decl.slot_of(*program.symbols().find("subject-class"))] =
-          ops5::Value(*program.symbols().find(spam::class_name(c->subject)));
-      wmes.push_back(
-          std::make_unique<ops5::Wme>(task_cls, task_decl.name(), std::move(slots), tag++));
-      ++task_count;
-    }
-  }
-  for (const auto& f : best) {
-    std::vector<ops5::Value> slots(frag_decl.arity());
-    slots[frag_decl.slot_of(*program.symbols().find("id"))] = ops5::Value(double(f.id));
-    slots[frag_decl.slot_of(*program.symbols().find("region"))] = ops5::Value(double(f.region));
-    slots[frag_decl.slot_of(*program.symbols().find("class"))] =
-        ops5::Value(*program.symbols().find(spam::class_name(f.cls)));
-    slots[frag_decl.slot_of(*program.symbols().find("score"))] = ops5::Value(f.score);
-    slots[frag_decl.slot_of(*program.symbols().find("best"))] = yes;
-    wmes.push_back(
-        std::make_unique<ops5::Wme>(frag_cls, frag_decl.name(), std::move(slots), tag++));
-  }
-
-  const int reps = ctx.quick() ? 3 : 5;
-  struct Run {
-    util::WorkUnits wu = 0;
-    double wall_ms = 0.0;
-    std::int64_t matches = 0;
-  };
-  Run runs[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    rete::NetworkOptions options;
-    options.unlinking = (mode == 0);
-    double best_ms = std::numeric_limits<double>::max();
-    for (int r = 0; r < reps; ++r) {
-      CountListener listener;
-      util::WorkCounters counters;
-      rete::Network network(program, listener, counters, {}, options);
-      const auto start = std::chrono::steady_clock::now();
-      for (const auto& w : wmes) network.add_wme(*w);
-      for (std::size_t i = task_count; i < wmes.size(); i += 3) network.remove_wme(*wmes[i]);
-      for (std::size_t i = task_count; i < wmes.size(); i += 3) network.add_wme(*wmes[i]);
-      const auto end = std::chrono::steady_clock::now();
-      best_ms = std::min(best_ms, std::chrono::duration<double, std::milli>(end - start).count());
-      runs[mode].wu = counters.match_cost;  // deterministic across reps
-      runs[mode].matches = listener.activations();
-    }
-    runs[mode].wall_ms = best_ms;
-  }
-
-  util::Table table({"network", "match cost (wu)", "wall (ms)", "matches"});
-  table.add_row({"unlinking on", util::Table::fmt(runs[0].wu),
-                 util::Table::fmt(runs[0].wall_ms, 2), util::Table::fmt(runs[0].matches, 0)});
-  table.add_row({"unlinking off", util::Table::fmt(runs[1].wu),
-                 util::Table::fmt(runs[1].wall_ms, 2), util::Table::fmt(runs[1].matches, 0)});
-  table.print(os, "L2 trace (" + std::to_string(task_count) + " task + " +
-                      std::to_string(best.size()) + " fragment WMEs, add + churn)");
-  ctx.table("lcc_l2_trace", table);
-  ctx.metric("wu_unlinking_on", double(runs[0].wu));
-  ctx.metric("wu_unlinking_off", double(runs[1].wu));
-  ctx.metric("wall_ms_unlinking_on", runs[0].wall_ms);
-  ctx.metric("wall_ms_unlinking_off", runs[1].wall_ms);
-
-  if (runs[0].matches != runs[1].matches) {
-    ctx.fail("unlinking changed the final match set");
-    return;
-  }
-  ctx.metric("wu_ratio_off_over_on", double(runs[1].wu) / double(runs[0].wu));
-  os << "\nmodel-cost ratio off/on: "
-     << util::Table::fmt(double(runs[1].wu) / double(runs[0].wu), 3) << "x\n";
-  if (runs[0].wu > runs[1].wu) {
-    ctx.fail("unlinking increased model match cost on the L2 trace");
-  }
-}
-
-PSMSYS_BENCH_CASE(lcc_l2_specialized, "rete_micro",
-                  "LCC Level-2 trace: value-domain specialization equivalence gate") {
-  auto& os = ctx.out();
-
-  // The LCC base plus 8 provably-infeasible probe productions (a bogus
-  // relation name the constraint catalog can never write). The value-domain
-  // pass prunes them behind its verified certificate; the gate then replays
-  // the L2 trace through the plain and the specialized network in lockstep
-  // and fails on ANY observable divergence: per-operation delta multisets
-  // must be identical (byte order within one retraction may legally shuffle
-  // — pruning removes the probes' prefix tokens from the per-WME swap-erase
-  // vectors — which the engine's set-based conflict resolution never sees),
-  // and the specialized match cost must not exceed the plain one.
-  std::string src = spam::lcc_source();
-  for (int i = 0; i < 8; ++i) {
-    const std::string tag = std::to_string(i);
-    src += "(p dead-probe-" + tag +
-           "\n   (fragment ^id <s> ^best yes)\n"
-           "   (relation ^name no-such-relation-" + tag +
-           " ^subject <s>)\n   -->\n   (halt))\n";
-  }
-  const auto program = std::make_shared<const ops5::Program>(ops5::parse_program(src));
-
-  const auto cls = [&](const char* name) {
-    return *program->class_index(*program->symbols().find(name));
-  };
-  analysis::ValueDomainOptions vdo;
-  vdo.seed_classes = {{cls("fragment"), cls("constraint"), cls("support"), cls("lcc-task")}};
-  vdo.output_classes = {{cls("context"), cls("consistency"), cls("relation")}};
-  vdo.max_constants = 64;  // the catalog writes more than 8 relation names
-  const analysis::ValueDomainReport vd = analysis::analyze_value_domains(*program, vdo);
-  const auto violations = analysis::verify_specialization(*program, vdo, vd);
-  if (!violations.empty()) {
-    ctx.fail("specialization certificate failed verification: " + violations.front());
-    return;
-  }
-  if (!vd.converged || vd.plan->pruned_productions.empty()) {
-    ctx.fail("value-domain pass failed to prune the infeasible probes");
-    return;
-  }
-  ctx.metric("pruned_productions", double(vd.plan->pruned_productions.size()));
-
-  const auto config = ctx.quick() ? spam::sf_config() : spam::dc_config();
-  const auto scene = spam::generate_scene(config);
-  const auto best = spam::best_fragments(spam::run_rtf(scene, 3).fragments);
-  const L2Trace trace = build_l2_trace(*program, best);
-
-  LogListener plain_l(*program), spec_l(*program);
-  util::WorkCounters plain_c, spec_c;
-  rete::Network plain(*program, plain_l, plain_c);
-  rete::NetworkOptions spec_options;
-  spec_options.specialize = true;
-  spec_options.plan = vd.plan;
-  rete::Network spec(*program, spec_l, spec_c, {}, spec_options);
-
-  std::size_t plain_seen = 0, spec_seen = 0;
-  std::size_t divergences = 0;
-  const auto step_check = [&]() {
-    std::vector<std::string> ps(plain_l.log().begin() + std::ptrdiff_t(plain_seen),
-                                plain_l.log().end());
-    std::vector<std::string> ss(spec_l.log().begin() + std::ptrdiff_t(spec_seen),
-                                spec_l.log().end());
-    std::sort(ps.begin(), ps.end());
-    std::sort(ss.begin(), ss.end());
-    if (ps != ss) ++divergences;
-    plain_seen = plain_l.log().size();
-    spec_seen = spec_l.log().size();
-  };
-  const auto drive = [&](const ops5::Wme& w, bool add) {
-    if (add) {
-      plain.add_wme(w);
-      spec.add_wme(w);
-    } else {
-      plain.remove_wme(w);
-      spec.remove_wme(w);
-    }
-    step_check();
-  };
-  for (const auto& w : trace.wmes) drive(*w, true);
-  for (std::size_t i = trace.task_count; i < trace.wmes.size(); i += 3) {
-    drive(*trace.wmes[i], false);
-  }
-  for (std::size_t i = trace.task_count; i < trace.wmes.size(); i += 3) {
-    drive(*trace.wmes[i], true);
-  }
-
-  util::Table table({"network", "match cost (wu)", "deltas", "divergent steps"});
-  table.add_row({"plain", util::Table::fmt(plain_c.match_cost),
-                 util::Table::fmt(plain_l.log().size()), "0"});
-  table.add_row({"specialized", util::Table::fmt(spec_c.match_cost),
-                 util::Table::fmt(spec_l.log().size()), util::Table::fmt(divergences)});
-  table.print(os, "L2 trace through the plain vs the specialized network (" +
-                      std::to_string(vd.plan->pruned_productions.size()) +
-                      " productions pruned by certificate)");
-  ctx.table("lcc_l2_specialized", table);
-  ctx.metric("wu_plain", double(plain_c.match_cost));
-  ctx.metric("wu_specialized", double(spec_c.match_cost));
-  ctx.metric("divergent_steps", double(divergences));
-
-  if (divergences > 0) {
-    ctx.fail("specialization changed a per-operation delta multiset");
-    return;
-  }
-  if (plain_l.log().size() != spec_l.log().size()) {
-    ctx.fail("specialization changed the total delta count");
-    return;
-  }
-  if (spec_c.match_cost > plain_c.match_cost) {
-    ctx.fail("specialization increased model match cost on the L2 trace");
-    return;
-  }
-  os << "\nspecialized/plain cost ratio: "
-     << util::Table::fmt(double(spec_c.match_cost) / double(plain_c.match_cost), 3) << "x\n";
 }
 
 }  // namespace psmsys::bench

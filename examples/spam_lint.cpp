@@ -2,7 +2,9 @@
 // decompositions.
 //
 //   spam_lint --phases                      lint the generated rtf/lcc/fa/model bases
-//   spam_lint FILE... [--seeds a,b,c]       lint OPS5 source files
+//   spam_lint FILE... [--seeds a,b,c]       lint OPS5 source files (the lint rules
+//                                           plus the value-domain rules AN014-AN017,
+//                                           seeded from --seeds/--outputs)
 //   spam_lint --cpp FILE [--seeds a,b,c]    lint OPS5 programs embedded in C++ raw strings
 //   spam_lint --interference sf|dc|moff|all [--level N]
 //                                           certify task decompositions interference-free
@@ -10,7 +12,8 @@
 //   spam_lint --costs                       print per-production static match costs
 //   spam_lint --out DIR                     write reports to DIR/<label>.rete.json
 //   spam_lint --outputs a,b,c               classes the control process extracts
-//                                           (enables AN008 dead-production checks)
+//                                           (enables the AN008 dead-production and
+//                                           AN017 dead-write checks)
 //   spam_lint --gate OLD NEW                run the full admission pipeline on the
 //                                           candidate pack NEW against the live pack
 //                                           OLD (files, or @rtf/@lcc/@fa/@model for
@@ -23,10 +26,6 @@
 //   spam_lint --verdict-out FILE            write the verdict JSON to FILE
 //   spam_lint --dump-phase NAME             print a built-in phase source (for
 //                                           deriving candidate packs in CI)
-//   spam_lint --specialize                  run the value-domain abstract
-//                                           interpreter: surface AN014-AN017 in
-//                                           lint output and add the proof-carrying
-//                                           "specialization" section to Rete reports
 //   spam_lint --list-rules                  print every lint rule with its default
 //                                           severity and one-line description
 //   spam_lint --strict                      treat warnings as failures
@@ -68,7 +67,6 @@ struct Options {
   bool strict = false;
   bool rete_report = false;
   bool costs = false;
-  bool specialize = false;
   bool list_rules = false;
   std::string out_dir;  // empty = reports go to stdout
   std::vector<std::string> files;
@@ -89,7 +87,7 @@ void usage(std::ostream& os) {
         "                 [--outputs a,b,c] [--interference sf|dc|moff|all [--level N]]\n"
         "                 [--gate OLD NEW [--gate-dataset sf|dc|moff] [--verdict-out FILE]]\n"
         "                 [--dump-phase rtf|lcc|fa|model] [--list-rules]\n"
-        "                 [--rete-report] [--costs] [--specialize] [--out DIR] [--strict]\n";
+        "                 [--rete-report] [--costs] [--out DIR] [--strict]\n";
 }
 
 [[nodiscard]] std::vector<std::string> split_csv(const std::string& csv) {
@@ -118,8 +116,6 @@ void usage(std::ostream& os) {
       opt.rete_report = true;
     } else if (arg == "--costs") {
       opt.costs = true;
-    } else if (arg == "--specialize") {
-      opt.specialize = true;
     } else if (arg == "--list-rules") {
       opt.list_rules = true;
     } else if (arg == "--out") {
@@ -236,27 +232,11 @@ struct LintTally {
 }
 
 /// Runs the Rete static analyzer and emits the report per the CLI flags:
-/// the JSON report to --out DIR (or stdout), the cost table to stdout. With
-/// --specialize, the value-domain pass runs first (seeded from seeds/outputs)
-/// and the report gains its "specialization" section. Returns false when a
-/// report file cannot be written or a class name does not resolve.
+/// the JSON report to --out DIR (or stdout), the cost table to stdout.
+/// Returns false when a report file cannot be written.
 [[nodiscard]] bool emit_rete_analysis(const ops5::Program& program, const std::string& label,
-                                      const std::vector<std::string>& seeds,
-                                      const std::vector<std::string>& outputs,
                                       const Options& opt) {
-  analysis::ReteStaticOptions options;
-  if (opt.specialize) {
-    options.specialize = true;
-    if (!resolve_classes(program, label, seeds, "seed",
-                         options.value_domains.seed_classes)) {
-      return false;
-    }
-    if (!resolve_classes(program, label, outputs, "output",
-                         options.value_domains.output_classes)) {
-      return false;
-    }
-  }
-  analysis::ReteStaticReport report = analysis::analyze_rete(program, options);
+  analysis::ReteStaticReport report = analysis::analyze_rete(program);
   report.program = label;
 
   if (opt.costs) {
@@ -316,16 +296,16 @@ struct LintTally {
 
   auto diags = analysis::lint_program(program, options);
 
-  // --specialize: the value-domain abstract interpreter contributes its
-  // AN014-AN017 findings to the same stream (lint_program itself stays
-  // single-production; the interpreter needs the whole-rule-base fixpoint).
-  if (opt.specialize) {
-    analysis::ValueDomainOptions vd;
-    vd.seed_classes = options.seed_classes;
-    vd.output_classes = options.output_classes;
-    const analysis::ValueDomainReport report = analysis::analyze_value_domains(program, vd);
-    diags.insert(diags.end(), report.diagnostics.begin(), report.diagnostics.end());
-  }
+  // The value-domain abstract interpreter contributes its AN014-AN017
+  // findings to the same stream, as the admission gate does (lint_program
+  // itself stays single-production; the interpreter needs the
+  // whole-rule-base fixpoint). Without declared seeds every class is Top and
+  // the pass finds nothing.
+  analysis::ValueDomainOptions vd;
+  vd.seed_classes = options.seed_classes;
+  vd.output_classes = options.output_classes;
+  const analysis::ValueDomainReport report = analysis::analyze_value_domains(program, vd);
+  diags.insert(diags.end(), report.diagnostics.begin(), report.diagnostics.end());
 
   for (const auto& d : diags) {
     std::cout << label << ": " << analysis::format_diagnostic(program, d) << '\n';
@@ -339,7 +319,7 @@ struct LintTally {
             << diags.size() << " finding(s)\n";
 
   if (opt.rete_report || opt.costs) {
-    if (!emit_rete_analysis(program, label, seeds, outputs, opt)) return false;
+    if (!emit_rete_analysis(program, label, opt)) return false;
   }
   return true;
 }
@@ -384,9 +364,7 @@ struct LintTally {
   const auto best = spam::best_fragments(spam::run_rtf(scene, 3).fragments);
 
   std::size_t conflicts = 0;
-  const auto certify = [&](const std::string& label, const spam::Decomposition& d,
-                           const std::vector<std::string>& seeds,
-                           const std::vector<std::string>& outputs) {
+  const auto certify = [&](const std::string& label, const spam::Decomposition& d) {
     const analysis::InterferenceReport report = analysis::check_interference(d.spec);
     std::cout << config.name << ' ' << label << ": " << report.summary(*d.spec.program)
               << '\n';
@@ -396,17 +374,15 @@ struct LintTally {
       for (auto& c : tag) {
         if (c == ' ') c = '-';
       }
-      report_ok = emit_rete_analysis(*d.spec.program, tag, seeds, outputs, opt) && report_ok;
+      report_ok = emit_rete_analysis(*d.spec.program, tag, opt) && report_ok;
     }
   };
 
-  certify("rtf", spam::rtf_decomposition(scene, 3), {"region", "rtf-task"}, {"fragment"});
+  certify("rtf", spam::rtf_decomposition(scene, 3));
   const std::vector<int> levels =
       level > 0 ? std::vector<int>{level} : std::vector<int>{4, 3, 2};
   for (const int lv : levels) {
-    certify("lcc L" + std::to_string(lv), spam::lcc_decomposition(lv, scene, best),
-            {"fragment", "constraint", "support", "lcc-task"},
-            {"context", "consistency", "relation"});
+    certify("lcc L" + std::to_string(lv), spam::lcc_decomposition(lv, scene, best));
   }
   return conflicts;
 }

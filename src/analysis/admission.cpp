@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "analysis/lint.hpp"
+#include "analysis/value_domain.hpp"
 
 namespace psmsys::analysis {
 
@@ -160,14 +161,14 @@ void add_finding(VerdictSection& s, Code code, Severity severity,
 }
 
 // ---------------------------------------------------------------------------
-// Section: value_domains (abstract interpretation + specialization proof)
+// Section: value_domains (abstract interpretation, AN014–AN017)
 // ---------------------------------------------------------------------------
 
 [[nodiscard]] VerdictSection value_domains_section(const PackInput& pack,
                                                    const AdmissionOptions& options) {
   VerdictSection s;
   s.analyzer = "value_domains";
-  ValueDomainOptions vd = options.rete.value_domains;
+  ValueDomainOptions vd;
   vd.seed_classes = resolve_classes(*pack.program, pack.seed_classes);
   vd.output_classes = resolve_classes(*pack.program, pack.output_classes);
   const ValueDomainReport report = analyze_value_domains(*pack.program, vd);
@@ -181,23 +182,8 @@ void add_finding(VerdictSection& s, Code code, Severity severity,
     f.message = d.message;
     s.findings.push_back(std::move(f));
   }
-  // The specialization certificate must re-verify from the recorded domains
-  // alone; a plan whose own proof fails is never admissible.
-  const auto violations = verify_specialization(*pack.program, vd, report);
-  for (const auto& v : violations) {
-    add_finding(s, Code::CertificateInvalidation, Severity::Error, "",
-                "specialization certificate: " + v);
-  }
   s.details.emplace_back("converged", obs::json::Value(report.converged));
   s.details.emplace_back("iterations", obs::json::Value(report.iterations));
-  s.details.emplace_back(
-      "pruned_productions",
-      obs::json::Value(report.plan ? report.plan->pruned_productions.size() : 0));
-  s.details.emplace_back(
-      "dead_tests", obs::json::Value(report.plan ? report.plan->dead_tests.size() : 0));
-  s.details.emplace_back(
-      "fold_tests", obs::json::Value(report.plan ? report.plan->fold_tests.size() : 0));
-  s.details.emplace_back("certificate_verified", obs::json::Value(violations.empty()));
   finalize_section(s, options);
   return s;
 }

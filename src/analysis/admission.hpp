@@ -4,10 +4,9 @@
 //
 // AnalysisPipeline bundles every analyzer in src/analysis — the linter
 // (AN001–AN009), the rete_static cost model, the value-domain abstract
-// interpreter (AN014–AN017 plus the specialization certificate re-check),
-// and the task-interference checker — into one gate that judges a
-// *candidate* rule pack, optionally
-// against the *live* pack it would replace, and emits a single
+// interpreter (AN014–AN017), and the task-interference checker — into one
+// gate that judges a *candidate* rule pack, optionally against the *live*
+// pack it would replace, and emits a single
 // byte-deterministic, schema-versioned AdmissionVerdict
 // ("admission-verdict-v1": pass/warn/reject with per-analyzer sections).
 //

@@ -287,9 +287,6 @@ obs::json::Value ReteStaticReport::to_json() const {
     out.emplace_back("calibration_correlation",
                      Value(rounded(calibration_correlation())));
   }
-  if (specialization.has_value()) {
-    out.emplace_back("specialization", *specialization);
-  }
   return Value(std::move(out));
 }
 
@@ -354,30 +351,11 @@ ReteStaticReport analyze_rete(const Program& program, const ReteStaticOptions& o
   rete::NetworkOptions net = options.network;
   net.record_chunks = false;
 
-  // Value-domain specialization: derive the proof-carrying plan first, and
-  // compile the analyzed network with it only if the certificate re-verifies.
-  std::optional<obs::json::Value> specialization;
-  if (options.specialize) {
-    const ValueDomainReport vd = analyze_value_domains(program, options.value_domains);
-    const auto violations = verify_specialization(program, options.value_domains, vd);
-    const bool verified = violations.empty();
-    net.specialize = verified && vd.converged && !vd.plan->empty();
-    net.plan = vd.plan;
-    obs::json::Value spec = vd.to_json(program);
-    spec.set("verified", obs::json::Value(verified));
-    spec.set("applied", obs::json::Value(net.specialize));
-    obs::json::Array viol_json;
-    for (const auto& v : violations) viol_json.emplace_back(v);
-    spec.set("violations", obs::json::Value(std::move(viol_json)));
-    specialization = std::move(spec);
-  }
-
   const rete::Network network(program, listener, scratch, {}, net);
   const NetworkTopology topo = network.topology();
   const rete::NetworkStats stats = network.stats();
 
   ReteStaticReport report;
-  report.specialization = std::move(specialization);
   report.production_count = program.productions().size();
   report.alpha_nodes = stats.alpha_patterns;
   report.join_nodes = stats.join_nodes + stats.negative_nodes;
@@ -385,14 +363,12 @@ ReteStaticReport analyze_rete(const Program& program, const ReteStaticOptions& o
   report.nominal_wm = options.nominal_wm;
   report.fanin_exponent = options.fanin_exponent;
 
-  if (options.compute_unshared) {
-    rete::NetworkOptions raw = net;
-    raw.node_sharing = false;
-    const rete::Network unshared(program, listener, scratch, {}, raw);
-    const rete::NetworkStats u = unshared.stats();
-    report.alpha_nodes_unshared = u.alpha_patterns;
-    report.join_nodes_unshared = u.join_nodes + u.negative_nodes;
-  }
+  rete::NetworkOptions raw = net;
+  raw.node_sharing = false;
+  const rete::Network unshared(program, listener, scratch, {}, raw);
+  const rete::NetworkStats u = unshared.stats();
+  report.alpha_nodes_unshared = u.alpha_patterns;
+  report.join_nodes_unshared = u.join_nodes + u.negative_nodes;
 
   const auto fps = program_footprints(program);
   const auto traffic = class_traffic(program, fps);

@@ -1,6 +1,6 @@
 #pragma once
 
-// Whole-rule-base Rete dataflow analyzer (ISSUE 5 tentpole).
+// Whole-rule-base Rete dataflow analyzer.
 //
 // Everything else in src/analysis reasons about productions one at a time;
 // this pass compiles the production set to the real Rete network
@@ -27,9 +27,6 @@
 #include <string>
 #include <vector>
 
-#include <optional>
-
-#include "analysis/value_domain.hpp"
 #include "obs/json.hpp"
 #include "ops5/production.hpp"
 #include "rete/network.hpp"
@@ -47,16 +44,6 @@ struct ReteStaticOptions {
   /// assumption), 1 takes the write-site count at face value. The default
   /// dampens skew: write sites are a proxy for traffic, not a measurement.
   double fanin_exponent = 0.5;
-  /// Also compile the node_sharing=false network to report sharing factors.
-  bool compute_unshared = true;
-  /// Run the value-domain abstract interpreter first and compile the analyzed
-  /// network with its proof-carrying SpecializationPlan. The plan is applied
-  /// only if verify_specialization re-checks its certificate clean; the
-  /// report gains a "specialization" JSON section either way.
-  bool specialize = false;
-  /// Seed/output classes and lattice caps for the value-domain pass; only
-  /// consulted when `specialize` is set.
-  ValueDomainOptions value_domains;
 };
 
 /// One alpha pattern of the shared network.
@@ -121,7 +108,7 @@ struct ReteStaticReport {
   std::string program;                 ///< program name tag (caller-supplied)
   std::size_t production_count = 0;
   std::size_t alpha_nodes = 0;         ///< shared compilation
-  std::size_t alpha_nodes_unshared = 0;///< 0 when compute_unshared is off
+  std::size_t alpha_nodes_unshared = 0;///< node_sharing=false compilation
   std::size_t join_nodes = 0;          ///< joins + negative nodes, shared
   std::size_t join_nodes_unshared = 0;
   std::size_t beta_memories = 0;
@@ -133,14 +120,9 @@ struct ReteStaticReport {
   std::vector<ProductionReport> productions;///< ordered by production id
   std::vector<DependencyEdge> edges;        ///< ordered by (from, to, cls)
   std::vector<CalibrationRow> calibration;  ///< empty until calibrate() runs
-  /// Value-domain specialization summary (JSON key "specialization"), present
-  /// only when ReteStaticOptions::specialize ran: the value-domain report's
-  /// JSON plus "verified" (certificate re-check result) and "applied"
-  /// (whether the analyzed network was actually compiled with the plan).
-  std::optional<obs::json::Value> specialization;
 
   /// Alpha sharing factor: unshared / shared node counts (1.0 = no sharing
-  /// benefit). 0 when the unshared compilation was skipped.
+  /// benefit). 0 for an empty program.
   [[nodiscard]] double alpha_sharing() const noexcept;
   [[nodiscard]] double join_sharing() const noexcept;
 
@@ -162,8 +144,7 @@ struct ReteStaticReport {
 
   /// Deterministic JSON rendering of the whole report. The calibration table
   /// (keys "calibration" and "calibration_correlation") is appended only when
-  /// calibrate() ran, and "specialization" only when the specialization pass
-  /// ran, so pre-existing golden files are byte-stable.
+  /// calibrate() ran, so pre-existing golden files are byte-stable.
   [[nodiscard]] obs::json::Value to_json() const;
 };
 

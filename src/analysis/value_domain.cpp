@@ -252,52 +252,6 @@ bool ValueDomain::may_satisfy(Predicate pred, const Value& constant) const {
   return true;
 }
 
-bool ValueDomain::must_satisfy(Predicate pred, const Value& constant) const {
-  if (is_bottom()) return false;
-  switch (pred) {
-    case Predicate::Eq: {
-      // Domain must be exactly the singleton {constant}.
-      switch (constant.kind()) {
-        case Value::Kind::Nil:
-          return nil_ && sym_ == SymPart::None && num_ == NumPart::None;
-        case Value::Kind::Sym:
-          return !nil_ && num_ == NumPart::None && sym_ == SymPart::Consts &&
-                 sym_consts_.size() == 1 && sym_consts_.front() == constant.symbol();
-        case Value::Kind::Num:
-          return !nil_ && sym_ == SymPart::None && num_ == NumPart::Consts &&
-                 num_consts_.size() == 1 && num_consts_.front() == constant.number();
-      }
-      return false;
-    }
-    case Predicate::Ne:
-      return !contains(constant);
-    case Predicate::Lt:
-    case Predicate::Le:
-    case Predicate::Gt:
-    case Predicate::Ge: {
-      // Every member must be a number satisfying the bound.
-      if (!constant.is_number()) return false;
-      if (nil_ || sym_ != SymPart::None) return false;
-      if (num_ == NumPart::Any || num_ == NumPart::None) return false;
-      if (num_ == NumPart::Consts) {
-        for (double n : num_consts_) {
-          if (!ops5::apply_predicate(pred, Value(n), constant)) return false;
-        }
-        return true;
-      }
-      const double c = constant.number();
-      switch (pred) {
-        case Predicate::Lt: return range_.hi < c;
-        case Predicate::Le: return range_.hi <= c;
-        case Predicate::Gt: return range_.lo > c;
-        case Predicate::Ge: return range_.lo >= c;
-        default: return false;
-      }
-    }
-  }
-  return false;
-}
-
 bool ValueDomain::may_satisfy_disjunction(std::span<const Value> alts) const {
   for (const auto& alt : alts) {
     if (contains(alt)) return true;
@@ -534,19 +488,6 @@ struct EqSite {
   return out;
 }
 
-[[nodiscard]] SpecializationCertificate::DomainFact fact_of(const Program& program,
-                                                            const State& st, ClassIndex cls,
-                                                            SlotIndex slot) {
-  const auto& wc = program.wme_class(cls);
-  SpecializationCertificate::DomainFact f;
-  f.cls = cls;
-  f.slot = slot;
-  f.class_name = program.symbols().name(wc.name());
-  f.attr = program.symbols().name(wc.attributes()[slot]);
-  f.domain = st.domains[cls][slot].render(program.symbols());
-  return f;
-}
-
 [[nodiscard]] std::string test_text(const Program& program, const ConditionElement& ce,
                                     const AttrTest& t) {
   const auto& wc = program.wme_class(ce.cls);
@@ -578,65 +519,29 @@ struct EqSite {
   return out;
 }
 
-/// Why a production can provably never fire, with the domain facts proving it.
-struct InfeasibleInfo {
-  std::string detail;
-  std::vector<SpecializationCertificate::DomainFact> facts;
-};
-
-[[nodiscard]] std::optional<InfeasibleInfo> production_infeasible(const Program& program,
-                                                                  const Production& p,
-                                                                  const State& st) {
+/// Can the production provably never fire? True when a positive CE's class is
+/// unreachable, a positive CE's constant test is dead, or an equality join's
+/// site domains share no value.
+[[nodiscard]] bool production_infeasible(const Production& p, const State& st) {
   for (const auto& ce : p.lhs()) {
     if (ce.negated) continue;
-    if (!st.reachable[ce.cls]) {
-      InfeasibleInfo info;
-      info.detail = "positive CE class ";
-      info.detail += program.symbols().name(ce.class_name);
-      info.detail += " is unreachable (never seeded or written by a fireable production)";
-      return info;
-    }
+    if (!st.reachable[ce.cls]) return true;
     for (const auto& t : ce.tests) {
       if (t.is_variable) continue;
       const ValueDomain& d = st.domains[ce.cls][t.slot];
       const bool dead = t.is_disjunction() ? !d.may_satisfy_disjunction(t.disjunction)
                                            : !d.may_satisfy(t.pred, t.constant);
-      if (dead) {
-        InfeasibleInfo info;
-        info.detail = "positive CE test ";
-        info.detail += test_text(program, ce, t);
-        info.detail += " can never pass: domain of ";
-        info.detail += slot_text(program, ce.cls, t.slot);
-        info.detail += " is ";
-        info.detail += d.render(program.symbols());
-        info.facts.push_back(fact_of(program, st, ce.cls, t.slot));
-        return info;
-      }
+      if (dead) return true;
     }
   }
   for (const auto& [var, sites] : eq_sites(p, st)) {
     for (std::size_t i = 0; i + 1 < sites.size(); ++i) {
       for (std::size_t j = i + 1; j < sites.size(); ++j) {
-        if (!sites[i].domain.intersects(sites[j].domain)) {
-          InfeasibleInfo info;
-          info.detail = "join on <";
-          info.detail += program.variable_name(var);
-          info.detail += "> is infeasible: ";
-          info.detail += slot_text(program, sites[i].ce->cls, sites[i].slot);
-          info.detail += " in ";
-          info.detail += sites[i].domain.render(program.symbols());
-          info.detail += " never equals ";
-          info.detail += slot_text(program, sites[j].ce->cls, sites[j].slot);
-          info.detail += " in ";
-          info.detail += sites[j].domain.render(program.symbols());
-          info.facts.push_back(fact_of(program, st, sites[i].ce->cls, sites[i].slot));
-          info.facts.push_back(fact_of(program, st, sites[j].ce->cls, sites[j].slot));
-          return info;
-        }
+        if (!sites[i].domain.intersects(sites[j].domain)) return true;
       }
     }
   }
-  return std::nullopt;
+  return false;
 }
 
 /// Binding environment: per-variable domain from its first Eq occurrence in a
@@ -679,7 +584,7 @@ struct Env {
 bool transfer_round(const Program& program, const ValueDomainOptions& options, State& st) {
   bool changed = false;
   for (const auto& p : program.productions()) {
-    if (production_infeasible(program, p, st)) continue;
+    if (production_infeasible(p, st)) continue;
     Env env = binding_env(program, p, st);
     for (const auto& action : p.rhs()) {
       if (const auto* mk = std::get_if<ops5::MakeAction>(&action)) {
@@ -717,15 +622,6 @@ bool transfer_round(const Program& program, const ValueDomainOptions& options, S
     }
   }
   return changed;
-}
-
-[[nodiscard]] rete::SpecializationPlan::TestKey key_of(ClassIndex cls, const AttrTest& t) {
-  rete::SpecializationPlan::TestKey k;
-  k.cls = cls;
-  k.slot = t.slot;
-  k.pred = t.pred;
-  k.value = t.constant;
-  return k;
 }
 
 [[nodiscard]] bool in_classes(const std::optional<std::vector<ClassIndex>>& list,
@@ -766,12 +662,8 @@ ValueDomainReport analyze_value_domains(const Program& program,
   report.domains = st.domains;
   report.reachable = st.reachable;
 
-  auto plan = std::make_shared<rete::SpecializationPlan>();
-  if (!report.converged) {
-    // Never act on a state that is not a proven fixpoint.
-    report.plan = std::move(plan);
-    return report;
-  }
+  // Never report on a state that is not a proven fixpoint.
+  if (!report.converged) return report;
 
   for (const auto& p : program.productions()) {
     // AN014 / AN015: constant tests against the inferred domains. Tests on
@@ -825,7 +717,7 @@ ValueDomainReport analyze_value_domains(const Program& program,
     // condition on its class. Only meaningful when the output classes are
     // declared (a narrowing write to an output class is the normal way to
     // retire a WME from matching — LCC's `^counted yes` refraction idiom).
-    if (options.output_classes && !production_infeasible(program, p, st)) {
+    if (options.output_classes && !production_infeasible(p, st)) {
       Env env = binding_env(program, p, st);
       for (const auto& action : p.rhs()) {
         if (const auto* bind = std::get_if<ops5::BindAction>(&action)) {
@@ -886,278 +778,7 @@ ValueDomainReport analyze_value_domains(const Program& program,
       }
     }
   }
-
-  // Specialization plan + certificate. Productions are visited in id order,
-  // keeping pruned_productions sorted for SpecializationPlan::prunes.
-  for (const auto& p : program.productions()) {
-    auto info = production_infeasible(program, p, st);
-    if (!info) continue;
-    plan->pruned_productions.push_back(p.id());
-    SpecializationCertificate::Entry e;
-    e.kind = "prune-production";
-    e.production = program.symbols().name(p.name());
-    e.production_id = p.id();
-    e.detail = std::move(info->detail);
-    e.facts = std::move(info->facts);
-    report.certificate.entries.push_back(std::move(e));
-  }
-  for (const auto& p : program.productions()) {
-    if (plan->prunes(p.id())) continue;
-    for (const auto& ce : p.lhs()) {
-      if (!st.reachable[ce.cls]) continue;  // no WME traffic: nothing to save
-      for (const auto& t : ce.tests) {
-        if (t.is_variable || t.is_disjunction()) continue;
-        const ValueDomain& d = st.domains[ce.cls][t.slot];
-        const auto key = key_of(ce.cls, t);
-        if (!d.may_satisfy(t.pred, t.constant)) {
-          // Only negated CEs get here: a dead test in a positive CE already
-          // pruned the whole production above.
-          if (std::find(plan->dead_tests.begin(), plan->dead_tests.end(), key) ==
-              plan->dead_tests.end()) {
-            plan->dead_tests.push_back(key);
-            SpecializationCertificate::Entry e;
-            e.kind = "dead-test";
-            e.test = key;
-            e.detail = "test " + test_text(program, ce, t) + " on class " +
-                       std::string(program.symbols().name(ce.class_name)) +
-                       " can never pass: domain of " + slot_text(program, ce.cls, t.slot) +
-                       " is " + d.render(program.symbols());
-            e.facts.push_back(fact_of(program, st, ce.cls, t.slot));
-            report.certificate.entries.push_back(std::move(e));
-          }
-        } else if (d.must_satisfy(t.pred, t.constant)) {
-          if (std::find(plan->fold_tests.begin(), plan->fold_tests.end(), key) ==
-              plan->fold_tests.end()) {
-            plan->fold_tests.push_back(key);
-            SpecializationCertificate::Entry e;
-            e.kind = "fold-test";
-            e.test = key;
-            e.detail = "test " + test_text(program, ce, t) + " on class " +
-                       std::string(program.symbols().name(ce.class_name)) +
-                       " always passes: domain of " + slot_text(program, ce.cls, t.slot) +
-                       " is " + d.render(program.symbols());
-            e.facts.push_back(fact_of(program, st, ce.cls, t.slot));
-            report.certificate.entries.push_back(std::move(e));
-          }
-        }
-      }
-    }
-  }
-  report.plan = std::move(plan);
   return report;
-}
-
-// ---------------------------------------------------------------------------
-// verify_specialization
-// ---------------------------------------------------------------------------
-
-std::vector<std::string> verify_specialization(const Program& program,
-                                               const ValueDomainOptions& options,
-                                               const ValueDomainReport& report) {
-  std::vector<std::string> violations;
-  if (!report.converged) {
-    if (report.plan && !report.plan->empty()) {
-      violations.push_back("unconverged report carries a non-empty plan");
-    }
-    return violations;
-  }
-  if (report.plan == nullptr) {
-    violations.push_back("report has no specialization plan");
-    return violations;
-  }
-  if (report.domains.size() != program.class_count() ||
-      report.reachable.size() != program.class_count()) {
-    violations.push_back("domain table shape does not match the program's classes");
-    return violations;
-  }
-  for (ClassIndex c = 0; c < program.class_count(); ++c) {
-    if (report.domains[c].size() != program.wme_class(c).arity()) {
-      violations.push_back("domain row for class " +
-                           std::string(program.symbols().name(program.wme_class(c).name())) +
-                           " does not match its arity");
-      return violations;
-    }
-  }
-
-  State st;
-  st.domains = report.domains;
-  st.reachable = report.reachable;
-
-  // 1. The seeds must be covered: every externally-seedable class Top.
-  auto check_seed = [&](ClassIndex c) {
-    if (!st.reachable[c]) {
-      violations.push_back("seed class " +
-                           std::string(program.symbols().name(program.wme_class(c).name())) +
-                           " not marked reachable");
-      return;
-    }
-    for (SlotIndex s = 0; s < st.domains[c].size(); ++s) {
-      if (!st.domains[c][s].is_top()) {
-        violations.push_back("seed class slot " + slot_text(program, c, s) +
-                             " is not Top: external WMEs would escape the domains");
-      }
-    }
-  };
-  if (options.seed_classes) {
-    for (ClassIndex c : *options.seed_classes) {
-      if (c < program.class_count()) check_seed(c);
-    }
-  } else {
-    for (ClassIndex c = 0; c < program.class_count(); ++c) check_seed(c);
-  }
-
-  // 2. The recorded domains must be a post-fixpoint of the transfer function:
-  // one more round may not grow anything. This re-derives soundness without
-  // trusting the iteration that produced the report.
-  {
-    State probe = st;
-    if (transfer_round(program, options, probe)) {
-      violations.push_back("recorded domains are not a post-fixpoint: one transfer round grew them");
-    }
-  }
-
-  // 3. Every plan entry must be re-derivable from the domains alone and must
-  // carry a certificate entry.
-  auto cert_has = [&](const std::string& kind, auto pred) {
-    for (const auto& e : report.certificate.entries) {
-      if (e.kind == kind && pred(e)) return true;
-    }
-    return false;
-  };
-  if (!std::is_sorted(report.plan->pruned_productions.begin(),
-                      report.plan->pruned_productions.end())) {
-    violations.push_back("pruned production ids are not sorted");
-  }
-  for (std::uint32_t id : report.plan->pruned_productions) {
-    if (id >= program.productions().size()) {
-      violations.push_back("pruned production id " + std::to_string(id) + " out of range");
-      continue;
-    }
-    const Production& p = program.productions()[id];
-    if (!production_infeasible(program, p, st)) {
-      violations.push_back("pruned production " +
-                           std::string(program.symbols().name(p.name())) +
-                           " is not provably infeasible under the recorded domains");
-    }
-    if (!cert_has("prune-production",
-                  [&](const auto& e) { return e.production_id == id; })) {
-      violations.push_back("no certificate entry for pruned production id " +
-                           std::to_string(id));
-    }
-  }
-  for (const auto& key : report.plan->dead_tests) {
-    if (key.cls >= program.class_count() || key.slot >= st.domains[key.cls].size()) {
-      violations.push_back("dead-test key indexes out of range");
-      continue;
-    }
-    if (st.reachable[key.cls] &&
-        st.domains[key.cls][key.slot].may_satisfy(key.pred, key.value)) {
-      violations.push_back("dead test on " + slot_text(program, key.cls, key.slot) +
-                           " may still be satisfiable under the recorded domains");
-    }
-    if (!cert_has("dead-test", [&](const auto& e) { return e.test == key; })) {
-      violations.push_back("no certificate entry for dead test on " +
-                           slot_text(program, key.cls, key.slot));
-    }
-  }
-  for (const auto& key : report.plan->fold_tests) {
-    if (key.cls >= program.class_count() || key.slot >= st.domains[key.cls].size()) {
-      violations.push_back("fold-test key indexes out of range");
-      continue;
-    }
-    if (st.reachable[key.cls] &&
-        !st.domains[key.cls][key.slot].must_satisfy(key.pred, key.value)) {
-      violations.push_back("folded test on " + slot_text(program, key.cls, key.slot) +
-                           " is not guaranteed under the recorded domains");
-    }
-    if (!cert_has("fold-test", [&](const auto& e) { return e.test == key; })) {
-      violations.push_back("no certificate entry for folded test on " +
-                           slot_text(program, key.cls, key.slot));
-    }
-  }
-
-  // 4. No stray certificate entries claiming transformations the plan lacks.
-  for (const auto& e : report.certificate.entries) {
-    bool in_plan = false;
-    if (e.kind == "prune-production") {
-      in_plan = report.plan->prunes(e.production_id);
-    } else if (e.kind == "dead-test") {
-      in_plan = std::find(report.plan->dead_tests.begin(), report.plan->dead_tests.end(),
-                          e.test) != report.plan->dead_tests.end();
-    } else if (e.kind == "fold-test") {
-      in_plan = std::find(report.plan->fold_tests.begin(), report.plan->fold_tests.end(),
-                          e.test) != report.plan->fold_tests.end();
-    }
-    if (!in_plan) {
-      violations.push_back("certificate entry (" + e.kind +
-                           ") does not correspond to any plan item");
-    }
-  }
-  return violations;
-}
-
-// ---------------------------------------------------------------------------
-// JSON
-// ---------------------------------------------------------------------------
-
-obs::json::Value ValueDomainReport::to_json(const Program& program) const {
-  using obs::json::Array;
-  using obs::json::Object;
-  using obs::json::Value;
-
-  auto key_json = [&](const rete::SpecializationPlan::TestKey& k) {
-    const auto& wc = program.wme_class(k.cls);
-    Object o;
-    o.emplace_back("class", Value(program.symbols().name(wc.name())));
-    o.emplace_back("attr", Value(program.symbols().name(wc.attributes()[k.slot])));
-    o.emplace_back("pred", Value(ops5::predicate_name(k.pred)));
-    o.emplace_back("value", Value(k.value.to_string(program.symbols())));
-    return Value(std::move(o));
-  };
-
-  Object root;
-  root.emplace_back("converged", Value(converged));
-  root.emplace_back("iterations", Value(static_cast<unsigned long long>(iterations)));
-
-  Array pruned;
-  Array dead;
-  Array folds;
-  if (plan != nullptr) {
-    for (std::uint32_t id : plan->pruned_productions) {
-      if (id < program.productions().size()) {
-        pruned.emplace_back(program.symbols().name(program.productions()[id].name()));
-      }
-    }
-    for (const auto& k : plan->dead_tests) dead.push_back(key_json(k));
-    for (const auto& k : plan->fold_tests) folds.push_back(key_json(k));
-  }
-  root.emplace_back("pruned_productions", Value(std::move(pruned)));
-  root.emplace_back("dead_tests", Value(std::move(dead)));
-  root.emplace_back("fold_tests", Value(std::move(folds)));
-
-  Array cert;
-  for (const auto& e : certificate.entries) {
-    Object o;
-    o.emplace_back("kind", Value(e.kind));
-    if (e.kind == "prune-production") {
-      o.emplace_back("production", Value(e.production));
-    } else {
-      o.emplace_back("test", key_json(e.test));
-    }
-    o.emplace_back("detail", Value(e.detail));
-    Array facts;
-    for (const auto& f : e.facts) {
-      Object fo;
-      fo.emplace_back("class", Value(f.class_name));
-      fo.emplace_back("attr", Value(f.attr));
-      fo.emplace_back("domain", Value(f.domain));
-      facts.push_back(Value(std::move(fo)));
-    }
-    o.emplace_back("facts", Value(std::move(facts)));
-    cert.push_back(Value(std::move(o)));
-  }
-  root.emplace_back("certificate", Value(std::move(cert)));
-  return Value(std::move(root));
 }
 
 }  // namespace psmsys::analysis

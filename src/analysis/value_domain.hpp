@@ -1,6 +1,6 @@
 #pragma once
 
-// Whole-rule-base value-domain abstract interpreter (ISSUE 10 tentpole).
+// Whole-rule-base value-domain abstract interpreter.
 //
 // Infers, for every (WME class, attribute) pair, an over-approximation of the
 // values that slot can ever hold at runtime: a fixpoint over the RHS
@@ -17,34 +17,24 @@
 // join is monotone — so the ascending chains are finite and the fixpoint
 // terminates without widening.
 //
-// The analysis powers three consumers:
-//   - lint diagnostics AN014 (attribute type mismatch), AN015 (always-false
-//     condition), AN016 (infeasible join), AN017 (domain-narrowing modify
-//     no condition can re-match);
-//   - the proof-carrying rete::SpecializationPlan (NetworkOptions::specialize)
-//     pruning never-fireable productions, dropping never-satisfiable alpha
-//     tests from dispatch, and folding provably-true constant tests;
-//   - the "value_domains" section of the admission verdict (admission.hpp).
+// The analysis feeds the lint diagnostics AN014 (attribute type mismatch),
+// AN015 (always-false condition), AN016 (infeasible join) and AN017
+// (domain-narrowing modify no condition can re-match), in spam_lint and in
+// the "value_domains" section of the admission verdict (admission.hpp).
 //
 // Soundness contract: the domains over-approximate every WME the rule base
 // itself can create *plus* anything injected into a declared seed class.
-// Injecting WMEs of a non-seed class from outside voids the certificate —
-// the same contract LintOptions::seed_classes already states for AN003/AN009.
-// Every plan ships with a SpecializationCertificate; verify_specialization()
-// re-checks it from scratch (domains form a post-fixpoint, every pruned /
-// folded entry is justified by the recorded domain facts) without trusting
-// the fixpoint iteration that produced it.
+// Injecting WMEs of a non-seed class from outside voids the findings — the
+// same contract LintOptions::seed_classes already states for AN003/AN009.
 
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "analysis/diagnostics.hpp"
-#include "obs/json.hpp"
 #include "ops5/production.hpp"
-#include "rete/network.hpp"
 
 namespace psmsys::analysis {
 
@@ -83,11 +73,6 @@ class ValueDomain {
   /// Could some member of the domain satisfy `pred` against `constant`?
   /// Over-approximate (false => the test is statically impossible).
   [[nodiscard]] bool may_satisfy(ops5::Predicate pred, const ops5::Value& constant) const;
-
-  /// Does every member of the domain satisfy `pred` against `constant`?
-  /// Under-approximate (true => the test is statically redundant). False for
-  /// Bottom: folding a test on an unreachable class proves nothing.
-  [[nodiscard]] bool must_satisfy(ops5::Predicate pred, const ops5::Value& constant) const;
 
   /// Could the whole OPS5 disjunction `<< v1 v2 ... >>` ever pass?
   [[nodiscard]] bool may_satisfy_disjunction(std::span<const ops5::Value> alts) const;
@@ -136,31 +121,8 @@ struct ValueDomainOptions {
   /// Const-set size cap before overflow to interval hull / Any.
   std::size_t max_constants = 8;
   /// Fixpoint round cap (backstop only; the lattice is finite). If hit, the
-  /// report is marked unconverged and carries no diagnostics and no plan.
+  /// report is marked unconverged and carries no diagnostics.
   std::size_t max_iterations = 64;
-};
-
-/// Machine-checkable justification for every transformation in the plan.
-/// Each entry names the transformation, the domain facts it relies on, and a
-/// rendered explanation; verify_specialization() re-derives each claim from
-/// the recorded per-class domains alone.
-struct SpecializationCertificate {
-  struct DomainFact {
-    ops5::ClassIndex cls = 0;
-    ops5::SlotIndex slot = 0;
-    std::string class_name;
-    std::string attr;
-    std::string domain;  ///< ValueDomain::render of the fact relied upon
-  };
-  struct Entry {
-    std::string kind;        ///< "prune-production" | "dead-test" | "fold-test"
-    std::string production;  ///< prune entries only
-    std::uint32_t production_id = 0;
-    rete::SpecializationPlan::TestKey test;  ///< dead/fold entries only
-    std::string detail;      ///< human-readable justification
-    std::vector<DomainFact> facts;
-  };
-  std::vector<Entry> entries;
 };
 
 struct ValueDomainReport {
@@ -171,34 +133,17 @@ struct ValueDomainReport {
   std::vector<std::uint8_t> reachable;
   /// AN014–AN017, ordered by production then check order.
   std::vector<Diagnostic> diagnostics;
-  /// The network specialization this analysis proves sound. Never null;
-  /// empty when nothing is provable.
-  std::shared_ptr<const rete::SpecializationPlan> plan;
-  SpecializationCertificate certificate;
   bool converged = true;
   std::size_t iterations = 0;
 
   [[nodiscard]] const ValueDomain& domain(ops5::ClassIndex cls, ops5::SlotIndex slot) const {
     return domains.at(cls).at(slot);
   }
-
-  /// Deterministic JSON: pruned productions, dead/fold tests, certificate
-  /// entries with their domain facts, and convergence metadata.
-  [[nodiscard]] obs::json::Value to_json(const ops5::Program& program) const;
 };
 
-/// Run the fixpoint and derive diagnostics + specialization plan +
-/// certificate. The program must be frozen.
+/// Run the fixpoint and derive the AN014–AN017 diagnostics. The program must
+/// be frozen.
 [[nodiscard]] ValueDomainReport analyze_value_domains(const ops5::Program& program,
                                                       const ValueDomainOptions& options = {});
-
-/// Re-check a report's certificate from scratch: (1) the recorded domains are
-/// a post-fixpoint of the transfer function under `options` (sound without
-/// trusting the iteration), and (2) every plan entry (pruned production, dead
-/// test, fold test) is justified by those domains and appears in the
-/// certificate. Returns human-readable violations; empty = proof checks out.
-[[nodiscard]] std::vector<std::string> verify_specialization(
-    const ops5::Program& program, const ValueDomainOptions& options,
-    const ValueDomainReport& report);
 
 }  // namespace psmsys::analysis

@@ -32,11 +32,11 @@
 //    maintained incrementally, so same-keyed successors share upkeep, a link
 //    transition is a flag flip (no index rebuild to thrash on empty<->nonempty
 //    oscillation), and bucket orders — hence candidate orders and firing
-//    logs — are bit-equal whether unlinking is on or off. An unlinked
-//    successor skips its activations and its index-upkeep *charges*; the
-//    shared physical insert still happens, amortized across all users of the
-//    slot. Negative nodes only right-unlink — an empty alpha memory means the
-//    absence test holds and left activations must still create tokens.
+//    logs — never depend on link state. An unlinked successor skips its
+//    activations and its index-upkeep *charges*; the shared physical insert
+//    still happens, amortized across all users of the slot. Negative nodes
+//    only right-unlink — an empty alpha memory means the absence test holds
+//    and left activations must still create tokens.
 //
 //  * Arena/SoA memory — WME slot values are copied into per-class column
 //    vectors addressed by a generation-checked slot-map row, so match tests
@@ -187,15 +187,6 @@ struct AlphaPattern {
   std::vector<ConstTest> const_tests;
   std::vector<IntraTest> intra_tests;
   std::vector<DisjTest> disj_tests;
-  /// Specialization (NetworkOptions::plan): parallel to const_tests, nonzero
-  /// marks a test proven always-true and skipped at match time. Empty when
-  /// nothing folds. The full const_tests list stays the sharing identity, so
-  /// folding never merges patterns (which could reorder activations).
-  std::vector<std::uint8_t> const_skip;
-  /// Specialization: a constant test is proven never-true, so the pattern is
-  /// left out of its class's dispatch. The memory still exists (and
-  /// stays empty forever), which is exactly what negated CEs need.
-  bool dead = false;
   AlphaMemory* memory = nullptr;
   // Topology export (analysis/rete_static): creation-order id and the
   // productions whose CEs compiled into this pattern.
@@ -259,9 +250,9 @@ struct JoinNode {
   int index_test = -1;  // -1: unindexed (scan)
 
   /// Unlink flags: right_linked mirrors parent->tokens non-emptiness,
-  /// left_linked mirrors amem->items non-emptiness (always true with
-  /// NetworkOptions::unlinking off). Flags gate activations and index-upkeep
-  /// charges only — the shared indexes are maintained regardless.
+  /// left_linked mirrors amem->items non-emptiness. Flags gate activations
+  /// and index-upkeep charges only — the shared indexes are maintained
+  /// regardless.
   bool right_linked = true;
   bool left_linked = true;
   std::uint32_t right_ord = 0;  ///< amem shared-index ordinal (index_slots)
@@ -305,11 +296,6 @@ struct Network::Impl {
   util::CostModel costs;
   NetworkOptions options;
 
-  /// Specialization plan in force, or null (options.specialize off / no plan).
-  [[nodiscard]] const SpecializationPlan* spec_plan() const noexcept {
-    return options.specialize ? options.plan.get() : nullptr;
-  }
-
   // Ownership pools. Nodes are created at compile time and never destroyed
   // until the network dies; tokens, records, and join results churn at match
   // time and recycle through the free lists below with their vector
@@ -345,8 +331,8 @@ struct Network::Impl {
 
   /// Hashed alpha dispatch for one WME class (Doorenbos' hashed alpha
   /// network). `patterns` is the class's dispatch list in compile order.
-  /// A pattern whose first *evaluated* constant test is an equality can only
-  /// pass for WMEs carrying that (slot, value), so it sits in that bucket;
+  /// A pattern whose first constant test is an equality can only pass for
+  /// WMEs carrying that (slot, value), so it sits in that bucket;
   /// every other pattern is unbucketed and visited by every WME of the
   /// class. A pattern whose first test equals NaN can never pass and sits
   /// nowhere. Positions are ascending within every list.
@@ -401,9 +387,9 @@ struct Network::Impl {
 
   // Per-node activation counters (PSMSYS_OBS only), indexed by the topology
   // ids. Lifetime gauges like the peak above: clear() retains them so a whole
-  // run's measured traffic can calibrate the static cost model. With
-  // unlinking on, activations skipped at unlinked nodes are not counted —
-  // quiescent productions legitimately read zero.
+  // run's measured traffic can calibrate the static cost model. Activations
+  // skipped at unlinked nodes are not counted — quiescent productions
+  // legitimately read zero.
   std::vector<std::uint64_t> alpha_acts;
   std::vector<std::uint64_t> join_acts;
 
@@ -576,9 +562,7 @@ struct Network::Impl {
   // ------------------------------- matching -------------------------------
 
   [[nodiscard]] bool alpha_passes(const AlphaPattern& p, const WmeRecord& w) {
-    for (std::size_t i = 0; i < p.const_tests.size(); ++i) {
-      if (!p.const_skip.empty() && p.const_skip[i] != 0) continue;  // folded: provably true
-      const ConstTest& t = p.const_tests[i];
+    for (const auto& t : p.const_tests) {
       ++counters.alpha_tests;
       counters.match_cost += costs.alpha_test;
       if (!apply_predicate(t.pred, rec_slot(w, t.slot), t.value)) return false;
@@ -700,15 +684,15 @@ struct Network::Impl {
         t->left_pos.resize(node.left_specs.size());
         t->pos_in_node = static_cast<std::uint32_t>(node.tokens.size());
         node.tokens.push_back(t);
-        if (options.unlinking && node.tokens.size() == 1) right_relink_children(node);
+        if (node.tokens.size() == 1) right_relink_children(node);
         index_token(node, t);
         for (JoinNode* j : node.join_children) {
-          if (j->index_test >= 0 && (!options.unlinking || j->left_linked)) {
+          if (j->index_test >= 0 && j->left_linked) {
             counters.match_cost += costs.join_test;  // per-successor index upkeep
           }
         }
         for (JoinNode* j : node.join_children) {
-          if (!options.unlinking || j->left_linked) join_left_activate(*j, t);
+          if (j->left_linked) join_left_activate(*j, t);
         }
         break;
       }
@@ -719,7 +703,7 @@ struct Network::Impl {
         Token* t = new_token(parent, wme, wrec, &node);
         t->pos_in_node = static_cast<std::uint32_t>(node.tokens.size());
         node.tokens.push_back(t);
-        if (options.unlinking && node.tokens.size() == 1) right_relink_children(node);
+        if (node.tokens.size() == 1) right_relink_children(node);
         // Compute blockers against the negative CE's alpha memory. Indexed
         // candidates come straight from the shared right-index bucket — no
         // snapshot copy: propagation cannot mutate the bucket (see the
@@ -759,7 +743,7 @@ struct Network::Impl {
   /// Memory's case; this is for negative-node unblocking and NEG chains).
   void emit_from_store(BetaNode& store, Token* t) {
     for (JoinNode* j : store.join_children) {
-      if (!options.unlinking || j->left_linked) join_left_activate(*j, t);
+      if (j->left_linked) join_left_activate(*j, t);
     }
     for (BetaNode* c : store.left_children) left_activate(*c, t, nullptr, nullptr);
   }
@@ -855,7 +839,7 @@ struct Network::Impl {
     if (node.kind == BetaKind::Memory) {
       unindex_token(node, t);
       for (JoinNode* j : node.join_children) {
-        if (j->index_test >= 0 && (!options.unlinking || j->left_linked)) {
+        if (j->index_test >= 0 && j->left_linked) {
           counters.match_cost += costs.join_test;  // per-successor index upkeep
         }
       }
@@ -879,7 +863,7 @@ struct Network::Impl {
     }
     swap_erase(node.tokens, t->pos_in_node,
                [](Token* moved, std::uint32_t p) { moved->pos_in_node = p; });
-    if (options.unlinking && node.tokens.empty()) right_unlink_children(node);
+    if (node.tokens.empty()) right_unlink_children(node);
     if (t->wrec != nullptr) {
       swap_erase(t->wrec->tokens, t->pos_in_wrec,
                  [](Token* moved, std::uint32_t p) { moved->pos_in_wrec = p; });
@@ -940,7 +924,7 @@ struct Network::Impl {
             {&am, static_cast<std::uint32_t>(am.items.size()), right_base});
         am.items.push_back({rec, am_slot});
         rec->right_pos.resize(right_base + am.index_slots.size());
-        if (options.unlinking && was_empty) left_relink_successors(am);
+        if (was_empty) left_relink_successors(am);
         // Physical upkeep of the shared right indexes (uncharged), then the
         // per-successor upkeep charges for linked indexed successors.
         for (std::uint32_t ord = 0; ord < am.index_slots.size(); ++ord) {
@@ -951,20 +935,20 @@ struct Network::Impl {
           bucket.push_back({rec, ps});
         }
         for (const JoinNode* j : am.join_successors) {
-          if (j->index_test >= 0 && (!options.unlinking || j->right_linked)) {
+          if (j->index_test >= 0 && j->right_linked) {
             counters.match_cost += costs.join_test;
           }
         }
         for (const BetaNode* neg : am.negative_successors) {
-          if (neg->index_test >= 0 && (!options.unlinking || neg->right_linked)) {
+          if (neg->index_test >= 0 && neg->right_linked) {
             counters.match_cost += costs.join_test;
           }
         }
         for (BetaNode* neg : am.negative_successors) {
-          if (!options.unlinking || neg->right_linked) negative_right_activate(*neg, *rec);
+          if (neg->right_linked) negative_right_activate(*neg, *rec);
         }
         for (JoinNode* j : am.join_successors) {
-          if (!options.unlinking || j->right_linked) join_right_activate(*j, *rec);
+          if (j->right_linked) join_right_activate(*j, *rec);
         }
       }
       if (options.record_chunks) chunks.push_back(counters.match_cost - before);
@@ -993,16 +977,16 @@ struct Network::Impl {
                    });
       }
       for (const JoinNode* j : am.join_successors) {
-        if (j->index_test >= 0 && (!options.unlinking || j->right_linked)) {
+        if (j->index_test >= 0 && j->right_linked) {
           counters.match_cost += costs.join_test;
         }
       }
       for (const BetaNode* neg : am.negative_successors) {
-        if (neg->index_test >= 0 && (!options.unlinking || neg->right_linked)) {
+        if (neg->index_test >= 0 && neg->right_linked) {
           counters.match_cost += costs.join_test;
         }
       }
-      if (options.unlinking && am.items.empty()) left_unlink_successors(am);
+      if (am.items.empty()) left_unlink_successors(am);
     }
     rec->alpha_mems.clear();
     rec->right_pos.clear();
@@ -1084,8 +1068,6 @@ struct Network::Impl {
     std::sort(disj_tests.begin(), disj_tests.end(),
               [](const DisjTest& a, const DisjTest& b) { return a.slot < b.slot; });
     if (options.node_sharing) {
-      // Over the full pattern arena, not the dispatch lists: dead-specialized
-      // patterns are absent from dispatch but still shareable.
       for (AlphaPattern& p : patterns) {
         if (p.cls == cls && p.const_tests == const_tests && p.intra_tests == intra_tests &&
             p.disj_tests == disj_tests) {
@@ -1100,40 +1082,17 @@ struct Network::Impl {
     p.disj_tests = std::move(disj_tests);
     p.memory = &alpha_memories.emplace_back();
     p.topo_id = static_cast<std::uint32_t>(patterns.size() - 1);
-    // Specialization: flags depend only on (class, test), so shared lookups
-    // comparing tests alone still find patterns with identical flags.
-    if (const SpecializationPlan* plan = spec_plan()) {
-      const auto has = [&](const std::vector<SpecializationPlan::TestKey>& keys,
-                           const ConstTest& t) {
-        const SpecializationPlan::TestKey key{cls, t.slot, t.pred, t.value};
-        return std::find(keys.begin(), keys.end(), key) != keys.end();
-      };
-      bool any_fold = false;
-      std::vector<std::uint8_t> skip(p.const_tests.size(), 0);
-      for (std::size_t i = 0; i < p.const_tests.size(); ++i) {
-        if (has(plan->dead_tests, p.const_tests[i])) p.dead = true;
-        if (has(plan->fold_tests, p.const_tests[i])) {
-          skip[i] = 1;
-          any_fold = true;
-        }
-      }
-      if (any_fold) p.const_skip = std::move(skip);
-    }
-    if (!p.dead) dispatch[cls].patterns.push_back(&p);
+    dispatch[cls].patterns.push_back(&p);
     return &p;
   }
 
   /// Post-compile pass: bucket each class's patterns by their first
-  /// evaluated constant test (folded tests are skipped — they are never
-  /// evaluated, so never charged).
+  /// constant test.
   void finalize_dispatch() {
     for (ClassDispatch& d : dispatch) {
       for (std::uint32_t pos = 0; pos < d.patterns.size(); ++pos) {
         const AlphaPattern& p = *d.patterns[pos];
-        const ConstTest* first = nullptr;
-        for (std::size_t i = 0; i < p.const_tests.size() && first == nullptr; ++i) {
-          if (p.const_skip.empty() || p.const_skip[i] == 0) first = &p.const_tests[i];
-        }
+        const ConstTest* first = p.const_tests.empty() ? nullptr : &p.const_tests[0];
         if (first == nullptr || first->pred != Predicate::Eq) {
           d.unbucketed.push_back(pos);
           continue;
@@ -1383,12 +1342,12 @@ struct Network::Impl {
   /// right-linked for the network's whole life.
   void reset_links() {
     for (auto& j : join_nodes) {
-      j.right_linked = !options.unlinking || !j.parent->tokens.empty();
-      j.left_linked = !options.unlinking || !j.amem->items.empty();
+      j.right_linked = !j.parent->tokens.empty();
+      j.left_linked = !j.amem->items.empty();
     }
     for (auto& node : beta_nodes) {
       if (node.kind == BetaKind::Negative) {
-        node.right_linked = !options.unlinking || !node.tokens.empty();
+        node.right_linked = !node.tokens.empty();
       }
     }
   }
@@ -1529,25 +1488,16 @@ struct Network::Impl {
       ++node_idx;
     }
 
-    // Link flags mirror the opposite memory's emptiness (unlinking on) or are
-    // all set (unlinking off).
+    // Link flags mirror the opposite memory's emptiness.
     for (const auto& j : join_nodes) {
       const std::string who = "join " + std::to_string(j.topo_id);
-      if (options.unlinking) {
-        if (j.right_linked != !j.parent->tokens.empty()) fail(who + ": right link flag desync");
-        if (j.left_linked != !j.amem->items.empty()) fail(who + ": left link flag desync");
-      } else if (!j.right_linked || !j.left_linked) {
-        fail(who + ": unlink flag set with unlinking disabled");
-      }
+      if (j.right_linked != !j.parent->tokens.empty()) fail(who + ": right link flag desync");
+      if (j.left_linked != !j.amem->items.empty()) fail(who + ": left link flag desync");
     }
     for (const auto& node : beta_nodes) {
       if (node.kind != BetaKind::Negative) continue;
       const std::string who = "negative node " + std::to_string(node.topo_id);
-      if (options.unlinking) {
-        if (node.right_linked != !node.tokens.empty()) fail(who + ": right link flag desync");
-      } else if (!node.right_linked) {
-        fail(who + ": unlink flag set with unlinking disabled");
-      }
+      if (node.right_linked != !node.tokens.empty()) fail(who + ": right link flag desync");
     }
 
 #if PSMSYS_OBS
@@ -1579,14 +1529,7 @@ Network::Network(const ops5::Program& program, MatchListener& listener,
   impl_->dummy_token->node = impl_->dummy_store;
   impl_->dummy_store->tokens.push_back(impl_->dummy_token);
 
-  const SpecializationPlan* plan = impl_->spec_plan();
-  for (const auto& p : program.productions()) {
-    // A pruned production can never fire (some positive CE or join is
-    // provably unsatisfiable), so skipping its whole chain is invisible to
-    // the listener; only the work disappears.
-    if (plan != nullptr && plan->prunes(p.id())) continue;
-    impl_->compile(p, stats_);
-  }
+  for (const auto& p : program.productions()) impl_->compile(p, stats_);
 
   stats_.alpha_patterns = impl_->patterns.size();
   stats_.alpha_memories = impl_->alpha_memories.size();

@@ -10,7 +10,10 @@
 //     each pattern's first equality constant so a WME visits only the
 //     patterns its own slot values can pass;
 //   beta network — BetaMemory / JoinNode / NegativeNode / ProductionNode
-//     chains with token-tree removal and optional node sharing.
+//     chains with token-tree removal and optional node sharing. Every join
+//     is unlinked (Doorenbos' left/right unlinking) while the memory on one
+//     side is empty, so WM traffic through quiescent productions costs
+//     ~nothing; match results and firing logs never depend on link state.
 //
 // Instrumentation: every elementary operation charges the engine's
 // WorkCounters via the CostModel, and each (WME-change × alpha-pattern)
@@ -19,7 +22,6 @@
 // about 100 instructions"), so the psm match-parallelism model bin-packs
 // exactly these chunk costs.
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -80,54 +82,6 @@ using BindingTable = std::unordered_map<const ops5::Production*, ops5::BindingAn
 /// NetworkOptions::shared_bindings by all networks compiled over it.
 [[nodiscard]] BindingTable analyze_all_bindings(const ops5::Program& program);
 
-/// Compile-time network specialization plan, produced by the value-domain
-/// abstract interpreter (analysis/value_domain) and consumed here. Pure data:
-/// the network trusts the plan blindly, soundness is the producer's proof
-/// obligation (every plan ships with a machine-checkable
-/// SpecializationCertificate on the analysis side).
-///
-/// Three transformation kinds, all firing-log invisible by construction:
-///   - pruned productions are never compiled (their production node could
-///     never activate, so the listener never hears from them either way);
-///   - dead constant tests mark their whole alpha pattern dead: the pattern
-///     and its memory are still built (negated CEs may reference them — an
-///     empty alpha memory means the absence test holds), but the pattern is
-///     dropped from the per-class dispatch list, so WM traffic never charges
-///     its tests;
-///   - foldable constant tests (provably true for every WME the rule base
-///     can produce) are skipped during alpha evaluation. The folded test
-///     stays part of the pattern's sharing identity, so specialization never
-///     merges patterns and cannot perturb activation order.
-struct SpecializationPlan {
-  /// One constant alpha-level test, identified structurally. A key applies to
-  /// every alpha pattern of `cls` containing this exact test, which is sound
-  /// because the justifying domains are per-(class, slot), never per-CE.
-  struct TestKey {
-    ops5::ClassIndex cls = 0;
-    ops5::SlotIndex slot = 0;
-    ops5::Predicate pred = ops5::Predicate::Eq;
-    ops5::Value value;
-    [[nodiscard]] bool operator==(const TestKey& o) const noexcept {
-      return cls == o.cls && slot == o.slot && pred == o.pred && value == o.value;
-    }
-  };
-  /// Production ids that can never fire (dead positive CE or infeasible
-  /// join), sorted ascending.
-  std::vector<std::uint32_t> pruned_productions;
-  /// Constant tests no WME of their class can ever pass.
-  std::vector<TestKey> dead_tests;
-  /// Constant tests every WME of their class is guaranteed to pass.
-  std::vector<TestKey> fold_tests;
-
-  [[nodiscard]] bool prunes(std::uint32_t production_id) const noexcept {
-    return std::binary_search(pruned_productions.begin(), pruned_productions.end(),
-                              production_id);
-  }
-  [[nodiscard]] bool empty() const noexcept {
-    return pruned_productions.empty() && dead_tests.empty() && fold_tests.empty();
-  }
-};
-
 struct NetworkOptions {
   /// Share alpha memories and beta-level nodes between productions with
   /// common prefixes (standard Rete sharing; disable for the ablation bench).
@@ -139,34 +93,12 @@ struct NetworkOptions {
   /// whose key matches instead of scanning the whole opposite memory.
   /// Disable for the ablation bench.
   bool indexed_joins = true;
-  /// Doorenbos-style left/right node unlinking: a join whose beta-memory
-  /// input is empty detaches from its alpha memory's activation fan-out
-  /// (right unlinking), and a join whose alpha memory is empty detaches from
-  /// token propagation (left unlinking), so WM traffic through quiescent
-  /// productions costs ~nothing. Negative nodes only right-unlink — an empty
-  /// alpha memory means the absence test holds and tokens must still be
-  /// created. The hash indexes live on the memories (one per distinct key
-  /// slot) and are always maintained, so a link transition is a pure flag
-  /// flip and unlinking cannot perturb candidate order: match results,
-  /// firing logs, and conflict-set deltas are bit-identical either way.
-  /// Per-node activation counts and match-cost charges drop for unlinked
-  /// nodes, which is the measurable point. Disable for the ablation bench.
-  bool unlinking = true;
   /// Precomputed binding analyses for (a superset of) the program's
   /// productions. Not owned: the table must outlive the network. When set,
   /// compilation reuses these entries instead of re-running analyze_bindings
   /// per production per network — the compile-once half of the serve-time
   /// split between the shared rule base and per-session match state.
   const BindingTable* shared_bindings = nullptr;
-  /// Apply `plan` at compile time: skip pruned productions, drop dead alpha
-  /// patterns from dispatch, skip folded constant tests. No-op when false or
-  /// when `plan` is null/empty. Match results and delta logs are identical
-  /// with specialization on or off (the rete_fuzz_test / match_oracle_test
-  /// spec axis enforces byte-equality) — only the work shrinks.
-  bool specialize = false;
-  /// The proof-carrying plan; shared so copies of the options never dangle.
-  /// Ignored unless `specialize` is set.
-  std::shared_ptr<const SpecializationPlan> plan;
 };
 
 class Network final : public Matcher {
@@ -208,9 +140,10 @@ class Network final : public Matcher {
   [[nodiscard]] const ops5::BindingAnalysis& bindings(const ops5::Production& p) const override;
 
   /// Structural self-check for the differential tests: every position
-  /// back-pointer, index/memory mirror, slot-map row, and (when unlinking is
-  /// on) link flag is validated against the authoritative lists. Returns
-  /// human-readable violation descriptions, empty when consistent.
+  /// back-pointer, index/memory mirror, slot-map row, and link flag is
+  /// validated against the authoritative lists (a link flag must mirror the
+  /// non-emptiness of the memory it watches). Returns human-readable
+  /// violation descriptions, empty when consistent.
   [[nodiscard]] std::vector<std::string> check_invariants() const override;
 
   /// Compile-time network shape with per-node sharing (user) information.

@@ -99,6 +99,31 @@ TEST(Admission, IdenticalPacksPassEverySection) {
   EXPECT_TRUE(obs::validate_admission_verdict(verdict.to_json()).empty());
 }
 
+TEST(Admission, ValueRuleRejectsCandidate) {
+  // pong.tag is only ever written the symbol `ok`, so `typo`'s numeric test
+  // on it can never pass: AN014, an error, in the value_domains section.
+  PackInput candidate;
+  candidate.program = parse(R"(
+(literalize ping n)
+(literalize pong n tag)
+(p bounce (ping ^n <n>) --> (make pong ^n <n> ^tag ok))
+(p typo (pong ^tag 3) --> (make ping ^n 0))
+)");
+  candidate.seed_classes = {{"ping"}};
+  const AnalysisPipeline pipeline;
+  const AdmissionVerdict verdict = pipeline.admit(nullptr, candidate);
+
+  const auto& values = section(verdict, "value_domains");
+  EXPECT_EQ(values.decision, AdmissionDecision::Reject);
+  ASSERT_EQ(values.findings.size(), 1u);
+  EXPECT_EQ(values.findings[0].code, "AN014");
+  EXPECT_EQ(values.findings[0].severity, "error");
+  EXPECT_EQ(values.findings[0].production, "typo");
+  EXPECT_EQ(verdict.decision, AdmissionDecision::Reject);
+  EXPECT_FALSE(verdict.accepted());
+  EXPECT_TRUE(obs::validate_admission_verdict(verdict.to_json()).empty());
+}
+
 TEST(Admission, RequiresFrozenPrograms) {
   PackInput candidate;
   candidate.program = std::make_shared<const ops5::Program>();

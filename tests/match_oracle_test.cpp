@@ -1,14 +1,12 @@
 // Differential match oracle for the Rete network.
 //
-// Seeded random rule bases and WME add/remove traces are run through three
-// matchers at once — the naive from-scratch oracle, the Rete network, and
-// the Rete network compiled with the value-domain specialization plan — and
-// the match sets must be identical after *every* operation: any lost or
+// Seeded random rule bases and WME add/remove traces are run through two
+// matchers at once — the naive from-scratch oracle and the Rete network —
+// and the match sets must be identical after *every* operation: any lost or
 // duplicated delta diverges the set at the step where it happens.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <map>
 #include <memory>
@@ -16,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/value_domain.hpp"
 #include "ops5/parser.hpp"
 #include "rete/naive.hpp"
 #include "rete/network.hpp"
@@ -29,8 +26,7 @@ using ops5::Program;
 using ops5::Value;
 using ops5::Wme;
 
-/// Tracks the current match multiset and the full ordered delta log. Multiset
-/// because the Rete network may report the same (production, timetags)
+/// Tracks the current match multiset. Multiset because the Rete network may report the same (production, timetags)
 /// instantiation once per distinct join path when one WME satisfies several
 /// condition elements — activations and deactivations stay balanced, and the
 /// engine's conflict set handles the copies symmetrically, so the matcher
@@ -41,15 +37,12 @@ class OracleListener final : public MatchListener {
 
   void on_activate(const ops5::Production& production,
                    std::span<const Wme* const> wmes) override {
-    const std::string key = key_of(production, wmes);
-    log_.push_back("+" + key);
-    ++matches_[key];
+    ++matches_[key_of(production, wmes)];
   }
 
   void on_deactivate(const ops5::Production& production,
                      std::span<const Wme* const> wmes) override {
     const std::string key = key_of(production, wmes);
-    log_.push_back("-" + key);
     const auto it = matches_.find(key);
     ASSERT_TRUE(it != matches_.end()) << "deactivation of unknown match: " << key;
     if (--it->second == 0) matches_.erase(it);
@@ -61,7 +54,6 @@ class OracleListener final : public MatchListener {
     for (const auto& [key, count] : matches_) s.insert(key);
     return s;
   }
-  [[nodiscard]] const std::vector<std::string>& log() const noexcept { return log_; }
 
  private:
   [[nodiscard]] std::string key_of(const ops5::Production& production,
@@ -73,7 +65,6 @@ class OracleListener final : public MatchListener {
 
   const Program& program_;
   std::map<std::string, std::size_t> matches_;
-  std::vector<std::string> log_;
 };
 
 /// Random rule base over two joinable classes (4..9 productions).
@@ -119,29 +110,13 @@ TEST_P(MatchOracleTest, AllMatchersAgreeAtEveryStep) {
 
   OracleListener naive_l(p);
   OracleListener rete_l(p);
-  OracleListener spec_l(p);
-  util::WorkCounters naive_c, rete_c, spec_c;
+  util::WorkCounters naive_c, rete_c;
   NaiveMatcher naive(p, naive_l, naive_c);
   Network rete(p, rete_l, rete_c);
-
-  // The same serial network compiled with the value-domain specialization
-  // plan (seeded with the generator's ground truth: only a and b are ever
-  // asserted). Behind its verified certificate, it must be log-invisible.
-  analysis::ValueDomainOptions vdo;
-  vdo.seed_classes = {{*p.class_index(*p.symbols().find("a")),
-                       *p.class_index(*p.symbols().find("b"))}};
-  const analysis::ValueDomainReport vd = analysis::analyze_value_domains(p, vdo);
-  NetworkOptions spec_opt;
-  spec_opt.specialize =
-      vd.converged && analysis::verify_specialization(p, vdo, vd).empty();
-  spec_opt.plan = vd.plan;
-  Network spec(p, spec_l, spec_c, util::CostModel{}, spec_opt);
 
   std::vector<std::unique_ptr<Wme>> owned;
   std::vector<const Wme*> live;
   ops5::TimeTag tag = 1;
-  std::size_t spec_seen = 0;
-  std::size_t rete_seen = 0;
   for (int step = 0; step < 150; ++step) {
     const bool remove = !live.empty() && rng.next_bool(0.35);
     if (remove) {
@@ -151,7 +126,6 @@ TEST_P(MatchOracleTest, AllMatchersAgreeAtEveryStep) {
       live.pop_back();
       naive.remove_wme(*w);
       rete.remove_wme(*w);
-      spec.remove_wme(*w);
     } else {
       const auto cls = static_cast<ops5::ClassIndex>(rng.next_below(2));
       std::vector<Value> slots{Value(static_cast<double>(rng.next_int(0, 2))),
@@ -162,28 +136,9 @@ TEST_P(MatchOracleTest, AllMatchersAgreeAtEveryStep) {
       live.push_back(owned.back().get());
       naive.add_wme(*owned.back());
       rete.add_wme(*owned.back());
-      spec.add_wme(*owned.back());
     }
     const std::set<std::string> oracle = naive_l.support();
     ASSERT_EQ(rete_l.support(), oracle) << "serial Rete diverged at step " << step;
-    // The specialized network must emit the same per-step delta multiset as
-    // the plain one. Sorted before comparing: pruning removes the pruned
-    // productions' prefix tokens from the per-WME swap-erase vectors, which
-    // may legally reorder retractions *within* one step — invisible to the
-    // engine's set-based conflict resolution.
-    {
-      const auto& sl = spec_l.log();
-      const auto& rl = rete_l.log();
-      ASSERT_EQ(sl.size() - spec_seen, rl.size() - rete_seen)
-          << "specialized Rete delta count diverged at step " << step;
-      std::vector<std::string> ss(sl.begin() + static_cast<std::ptrdiff_t>(spec_seen), sl.end());
-      std::vector<std::string> rs(rl.begin() + static_cast<std::ptrdiff_t>(rete_seen), rl.end());
-      std::sort(ss.begin(), ss.end());
-      std::sort(rs.begin(), rs.end());
-      ASSERT_EQ(ss, rs) << "specialized Rete step deltas diverged at step " << step;
-      spec_seen = sl.size();
-      rete_seen = rl.size();
-    }
   }
 
   // clear() must not throw mid-trace state away inconsistently (it resets
@@ -191,7 +146,6 @@ TEST_P(MatchOracleTest, AllMatchersAgreeAtEveryStep) {
   // by ReteFuzzClear.ClearDrainsAndStaysUsable).
   naive.clear();
   rete.clear();
-  spec.clear();
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTraces, MatchOracleTest, ::testing::Range(0, 20));

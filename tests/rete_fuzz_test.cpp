@@ -1,36 +1,24 @@
-// Seeded randomized differential oracle for the Rete hot-path rewrite
-// (ISSUE 9): node unlinking, O(1) retraction, and the arena/SoA layout must
-// be invisible in match results.
+// Seeded randomized differential oracle for the Rete hot-path layout: node
+// unlinking, O(1) retraction, and the arena/SoA layout must be invisible in
+// match results.
 //
 // Each trace draws a random rule base from one of three stress families —
 // negation-heavy (blocker churn through negative nodes), retraction-heavy
 // (the streaming workload: most operations retract or modify), and
 // quiescent-production (rule bases dominated by productions whose tail CEs
 // can never match, the unlinking fast path) — and replays a random
-// add/retract/modify WME trace through four matchers at once:
+// add/retract/modify WME trace through the naive oracle and the Rete network
+// at once.
 //
-//   naive oracle · Rete (unlinking on) · Rete (unlinking off)
-//   · Rete compiled with the value-domain SpecializationPlan
-//
-// After every operation the support sets must agree with the oracle, the
-// unlinking-on and unlinking-off serial networks must produce *byte-identical*
-// delta logs (unlinking only skips provably-no-op work, and the shared
-// memory-level indexes make candidate orders bit-equal), the specialized
-// network must emit the identical per-step delta *multiset* (its certificate
-// is verified before the plan is applied; seeds {a, b} match the trace
-// generator, which never asserts class q — so quiescent-family q-tail
-// productions actually get pruned; byte order is not required because
-// pruning removes the pruned productions' prefix tokens from the per-WME
-// swap-erase vectors, legally reshuffling intra-step retraction order that
-// the engine's conflict set never observes), and every Rete matcher must pass
-// its structural self-check (position back-pointers, index mirrors, link
-// flags, slot-map rows). Full retraction at the end must leave an empty
-// network — zero live tokens, clean invariants — that still matches
-// correctly when the trace is replayed into it.
+// After every operation the Rete network's support set must agree with the
+// oracle's, and the network must pass its structural self-check (position
+// back-pointers, index mirrors, link flags, slot-map rows). Full retraction
+// at the end must leave an empty network — zero live tokens, clean
+// invariants — that still matches correctly when the trace is replayed into
+// it.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -39,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/value_domain.hpp"
 #include "ops5/parser.hpp"
 #include "rete/naive.hpp"
 #include "rete/network.hpp"
@@ -52,24 +39,21 @@ using ops5::Program;
 using ops5::Value;
 using ops5::Wme;
 
-/// Current match multiset plus the ordered delta log (multiset: one WME
-/// satisfying several CEs of a production yields one instantiation per join
-/// path; activations and deactivations stay balanced).
+/// Current match multiset (one WME satisfying several CEs of a production
+/// yields one instantiation per join path; activations and deactivations
+/// stay balanced).
 class Listener final : public MatchListener {
  public:
   explicit Listener(const Program& program) : program_(program) {}
 
   void on_activate(const ops5::Production& production,
                    std::span<const Wme* const> wmes) override {
-    const std::string key = key_of(production, wmes);
-    log_.push_back("+" + key);
-    ++matches_[key];
+    ++matches_[key_of(production, wmes)];
   }
 
   void on_deactivate(const ops5::Production& production,
                      std::span<const Wme* const> wmes) override {
     const std::string key = key_of(production, wmes);
-    log_.push_back("-" + key);
     const auto it = matches_.find(key);
     ASSERT_TRUE(it != matches_.end()) << "deactivation of unknown match: " << key;
     if (--it->second == 0) matches_.erase(it);
@@ -80,7 +64,6 @@ class Listener final : public MatchListener {
     for (const auto& [key, count] : matches_) s.insert(key);
     return s;
   }
-  [[nodiscard]] const std::vector<std::string>& log() const noexcept { return log_; }
   [[nodiscard]] bool empty() const noexcept { return matches_.empty(); }
 
  private:
@@ -93,7 +76,6 @@ class Listener final : public MatchListener {
 
   const Program& program_;
   std::map<std::string, std::size_t> matches_;
-  std::vector<std::string> log_;
 };
 
 enum class Family { NegationHeavy, RetractionHeavy, Quiescent };
@@ -136,8 +118,8 @@ std::string random_program_source(util::Rng& rng, Family family) {
       src += ")\n";
     }
     // Quiescent family: most productions end in a CE on the never-asserted
-    // class, so their tails stay empty and (with unlinking) unlinked for the
-    // whole trace while their prefixes see full WME traffic.
+    // class, so their tails stay empty and unlinked for the whole trace
+    // while their prefixes see full WME traffic.
     if (family == Family::Quiescent && rng.next_bool(0.75)) {
       src += "   (q ^k " + std::to_string(rng.next_int(0, 2)) + " ^v <x>)\n";
     }
@@ -146,37 +128,14 @@ std::string random_program_source(util::Rng& rng, Family family) {
   return src;
 }
 
-[[nodiscard]] ops5::ClassIndex cls_of(const Program& p, std::string_view name) {
-  return *p.class_index(*p.symbols().find(name));
-}
-
-/// All four matchers plus their listeners, driven in lockstep.
+/// The oracle and the Rete network plus their listeners, driven in lockstep.
 struct Harness {
   explicit Harness(const Program& p) : program(p) {
-    matchers.reserve(4);
-    names = {"naive", "rete", "rete-nounlink", "rete-spec"};
-    listeners.reserve(4);
-    for (int i = 0; i < 4; ++i) listeners.push_back(std::make_unique<Listener>(p));
-    counters.resize(4);
+    names = {"naive", "rete"};
+    for (int i = 0; i < 2; ++i) listeners.push_back(std::make_unique<Listener>(p));
+    counters.resize(2);
     matchers.push_back(std::make_unique<NaiveMatcher>(p, *listeners[0], counters[0]));
     matchers.push_back(std::make_unique<Network>(p, *listeners[1], counters[1]));
-    NetworkOptions no_unlink;
-    no_unlink.unlinking = false;
-    matchers.push_back(std::make_unique<Network>(p, *listeners[2], counters[2],
-                                                 util::CostModel{}, no_unlink));
-    // Specialized axis: the value-domain pass runs with the trace generator's
-    // ground truth (only classes a and b are ever asserted), and the plan is
-    // applied only behind its own verified certificate — exactly the
-    // rete_static wiring. An empty plan degrades to the plain network.
-    analysis::ValueDomainOptions vdo;
-    vdo.seed_classes = {{cls_of(p, "a"), cls_of(p, "b")}};
-    const analysis::ValueDomainReport vd = analysis::analyze_value_domains(p, vdo);
-    NetworkOptions spec;
-    spec.specialize = vd.converged &&
-                      analysis::verify_specialization(p, vdo, vd).empty();
-    spec.plan = vd.plan;
-    matchers.push_back(std::make_unique<Network>(p, *listeners[3], counters[3],
-                                                 util::CostModel{}, spec));
   }
 
   void add(const Wme& w) {
@@ -187,51 +146,18 @@ struct Harness {
   }
 
   void check_step(int step) {
-    const std::set<std::string> oracle = listeners[0]->support();
-    for (std::size_t i = 1; i < matchers.size(); ++i) {
-      ASSERT_EQ(listeners[i]->support(), oracle)
-          << names[i] << " support diverged at step " << step;
-    }
-    // Unlinking must be invisible down to the exact delta sequence: the
-    // skipped activations are provably no-ops and the shared indexes keep
-    // candidate orders bit-equal.
-    ASSERT_EQ(listeners[1]->log(), listeners[2]->log())
-        << "unlinking changed the serial delta log at step " << step;
-    // The proof-carrying specialization must be semantically invisible:
-    // every step emits the identical delta multiset. Byte order is checked
-    // per step after sorting — pruning legitimately perturbs intra-step
-    // retraction order (absent prefix tokens shift the swap-erase vectors)
-    // without the engine's set-based conflict resolution ever noticing.
-    {
-      const auto& spec = listeners[3]->log();
-      const auto& rete = listeners[1]->log();
-      ASSERT_EQ(spec.size() - spec_checked, rete.size() - rete_checked)
-          << "specialization changed the delta count at step " << step;
-      std::vector<std::string> spec_step(spec.begin() + static_cast<std::ptrdiff_t>(spec_checked),
-                                         spec.end());
-      std::vector<std::string> rete_step(rete.begin() + static_cast<std::ptrdiff_t>(rete_checked),
-                                         rete.end());
-      std::sort(spec_step.begin(), spec_step.end());
-      std::sort(rete_step.begin(), rete_step.end());
-      ASSERT_EQ(spec_step, rete_step)
-          << "specialization changed the step delta multiset at step " << step;
-      spec_checked = spec.size();
-      rete_checked = rete.size();
-    }
+    ASSERT_EQ(listeners[1]->support(), listeners[0]->support())
+        << "rete support diverged at step " << step;
   }
 
   void check_invariants(int step) {
-    for (std::size_t i = 1; i < matchers.size(); ++i) {
-      const auto violations = matchers[i]->check_invariants();
-      ASSERT_TRUE(violations.empty())
-          << names[i] << " invariants violated at step " << step << ": " << violations[0]
-          << " (+" << (violations.size() - 1) << " more)";
-    }
+    const auto violations = matchers[1]->check_invariants();
+    ASSERT_TRUE(violations.empty())
+        << "rete invariants violated at step " << step << ": " << violations[0] << " (+"
+        << (violations.size() - 1) << " more)";
   }
 
   const Program& program;
-  std::size_t spec_checked = 0;  ///< delta-log watermark of the spec axis
-  std::size_t rete_checked = 0;  ///< matching watermark of the plain serial axis
   std::vector<std::string> names;
   std::vector<std::unique_ptr<Listener>> listeners;
   std::vector<util::WorkCounters> counters;
@@ -307,8 +233,8 @@ TEST_P(ReteFuzzTest, DifferentialTraceWithInvariants) {
   h.check_invariants(110);
 
   // Full retraction must drain the network completely: empty support, zero
-  // live tokens, and clean structural invariants (which, with unlinking on,
-  // also means every non-dummy-fed node has unlinked again).
+  // live tokens, and clean structural invariants (which also means every
+  // non-dummy-fed node has unlinked again).
   while (!live.empty()) h.remove(retract_random());
   h.check_step(-1);
   if (::testing::Test::HasFatalFailure()) return;

@@ -1,14 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/value_domain.hpp"
 #include "ops5/parser.hpp"
-#include "rete/network.hpp"
-#include "util/counters.hpp"
 
 namespace psmsys::analysis {
 namespace {
@@ -85,10 +82,9 @@ TEST(ValueDomainLattice, OfAndContains) {
 
   const ValueDomain one = ValueDomain::of(Value(1));
   EXPECT_TRUE(one.may_satisfy(Predicate::Eq, Value(1)));
-  EXPECT_TRUE(one.must_satisfy(Predicate::Eq, Value(1)));
   EXPECT_FALSE(one.may_satisfy(Predicate::Ne, Value(1)));
   EXPECT_TRUE(one.may_satisfy(Predicate::Lt, Value(2)));
-  EXPECT_TRUE(one.must_satisfy(Predicate::Lt, Value(2)));
+  EXPECT_FALSE(one.may_satisfy(Predicate::Ge, Value(2)));
   EXPECT_FALSE(one.may_satisfy(Predicate::Gt, Value(2)));
 }
 
@@ -100,7 +96,7 @@ TEST(ValueDomainLattice, JoinGrowsMonotonically) {
   EXPECT_FALSE(d.join_with(ValueDomain::of(Value(1)), 8));  // no growth
   EXPECT_TRUE(d.may_satisfy(Predicate::Eq, Value(4)));
   EXPECT_FALSE(d.may_satisfy(Predicate::Eq, Value(3)));
-  EXPECT_TRUE(d.must_satisfy(Predicate::Ge, Value(1)));
+  EXPECT_FALSE(d.may_satisfy(Predicate::Lt, Value(1)));
   EXPECT_TRUE(d.join_with(ValueDomain::top(), 8));
   EXPECT_TRUE(d.is_top());
   EXPECT_FALSE(d.join_with(ValueDomain::of(Value(9)), 8));  // Top absorbs
@@ -114,7 +110,7 @@ TEST(ValueDomainLattice, ConstOverflowToRangeHull) {
   EXPECT_TRUE(d.may_satisfy(Predicate::Eq, Value(3)));
   EXPECT_FALSE(d.may_satisfy(Predicate::Eq, Value(6)));
   EXPECT_FALSE(d.may_satisfy(Predicate::Eq, Value(2.5)));  // integral hull
-  EXPECT_TRUE(d.must_satisfy(Predicate::Le, Value(5)));
+  EXPECT_FALSE(d.may_satisfy(Predicate::Gt, Value(5)));  // hull ends at 5
 }
 
 TEST(ValueDomainLattice, NarrowAndIntersect) {
@@ -155,15 +151,11 @@ TEST(ValueDomainAnalysis, InfersWrittenDomainsFromSeeds) {
   // ghost is never written and not seeded.
   EXPECT_FALSE(report.reachable[cls_of(p, "ghost")]);
   EXPECT_TRUE(report.domain(cls_of(p, "ghost"), slot_of(p, "ghost", "g")).is_bottom());
-  // Clean base: no value-domain findings, nothing pruned or dead. The one
-  // provable specialization is a fold: flag.state is the singleton {pending},
-  // so consume-flag's `^state pending` test always passes.
+  // flag.state is only ever written by mk-flag's literal.
+  EXPECT_EQ(report.domain(cls_of(p, "flag"), slot_of(p, "flag", "state")).render(symbols),
+            "sym{pending}");
+  // Clean base: no value-domain findings.
   EXPECT_TRUE(report.diagnostics.empty());
-  ASSERT_NE(report.plan, nullptr);
-  EXPECT_TRUE(report.plan->pruned_productions.empty());
-  EXPECT_TRUE(report.plan->dead_tests.empty());
-  ASSERT_EQ(report.plan->fold_tests.size(), 1u);
-  EXPECT_EQ(report.plan->fold_tests.front().cls, cls_of(p, "flag"));
 }
 
 TEST(ValueDomainAnalysis, UnseededAnalysisIsVacuousButSound) {
@@ -172,7 +164,6 @@ TEST(ValueDomainAnalysis, UnseededAnalysisIsVacuousButSound) {
   ASSERT_TRUE(report.converged);
   EXPECT_TRUE(report.domain(cls_of(p, "ghost"), slot_of(p, "ghost", "g")).is_top());
   EXPECT_TRUE(report.diagnostics.empty());
-  EXPECT_TRUE(report.plan->empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -190,8 +181,6 @@ TEST(ValueDomainAnalysis, An014AttributeTypeMismatch) {
   EXPECT_EQ(d.severity, Severity::Error);
   EXPECT_EQ(p.symbols().name(d.production), "bad14");
   EXPECT_NE(d.message.find("sensor.mode"), std::string::npos);
-  // The impossible positive CE also prunes the production.
-  EXPECT_TRUE(report.plan->prunes(p.find_production(*p.symbols().find("bad14"))->id()));
 }
 
 TEST(ValueDomainAnalysis, An015AlwaysFalseCondition) {
@@ -203,13 +192,29 @@ TEST(ValueDomainAnalysis, An015AlwaysFalseCondition) {
   EXPECT_FALSE(has_code(report.diagnostics, Code::AttributeTypeMismatch));  // same kind, wrong value
 }
 
+TEST(ValueDomainAnalysis, An015OnNegatedCondition) {
+  // A negated CE whose test can never pass is an absence test that always
+  // holds: the production still fires, but the condition is dead code.
+  const Program p = parse(std::string(kBase) + R"(
+(p neg-dead (task ^state go) -(sensor ^mode off) --> (make out ^v 4))
+)");
+  const auto report = analyze_value_domains(p, seeded(p, {"task"}));
+  ASSERT_TRUE(report.converged);
+  const auto it = std::find_if(report.diagnostics.begin(), report.diagnostics.end(),
+                               [](const Diagnostic& x) { return x.code == Code::AlwaysFalseCondition; });
+  ASSERT_NE(it, report.diagnostics.end());
+  EXPECT_EQ(p.symbols().name(it->production), "neg-dead");
+  EXPECT_NE(it->message.find("sensor.mode"), std::string::npos);
+  EXPECT_NE(it->message.find("sym{active}"), std::string::npos);
+  EXPECT_FALSE(has_code(report.diagnostics, Code::AttributeTypeMismatch));
+}
+
 TEST(ValueDomainAnalysis, An016InfeasibleJoin) {
   const Program p = parse(std::string(kBase) + R"(
 (p bad16 (sensor ^mode <m>) (flag ^state <m>) --> (make out ^v 1))
 )");
   const auto report = analyze_value_domains(p, seeded(p, {"task"}));
   ASSERT_TRUE(has_code(report.diagnostics, Code::InfeasibleJoin));
-  EXPECT_TRUE(report.plan->prunes(p.find_production(*p.symbols().find("bad16"))->id()));
 }
 
 TEST(ValueDomainAnalysis, An016NegativeControlOverlappingJoin) {
@@ -218,7 +223,6 @@ TEST(ValueDomainAnalysis, An016NegativeControlOverlappingJoin) {
 )");
   const auto report = analyze_value_domains(p, seeded(p, {"task"}));
   EXPECT_FALSE(has_code(report.diagnostics, Code::InfeasibleJoin));
-  EXPECT_FALSE(report.plan->prunes(p.find_production(*p.symbols().find("ok16"))->id()));
 }
 
 TEST(ValueDomainAnalysis, An017DeadWriteModify) {
@@ -249,175 +253,13 @@ TEST(ValueDomainAnalysis, An017SkipsOutputClasses) {
 
 TEST(ValueDomainAnalysis, BottomDomainsSuppressConditionFindings) {
   // Conditions on an unreachable class are AN003/AN009 territory; the
-  // value-domain pass stays quiet and prunes instead.
+  // value-domain pass stays quiet.
   const Program p = parse(std::string(kBase) + R"(
 (p never (ghost ^g 1) --> (make out ^v 3))
 )");
   const auto report = analyze_value_domains(p, seeded(p, {"task"}));
   EXPECT_FALSE(has_code(report.diagnostics, Code::AlwaysFalseCondition));
   EXPECT_FALSE(has_code(report.diagnostics, Code::AttributeTypeMismatch));
-  EXPECT_TRUE(report.plan->prunes(p.find_production(*p.symbols().find("never"))->id()));
-}
-
-// ---------------------------------------------------------------------------
-// Specialization plan + certificate
-// ---------------------------------------------------------------------------
-
-TEST(ValueDomainPlan, DeadTestFromNegatedCe) {
-  const Program p = parse(std::string(kBase) + R"(
-(p neg-dead (task ^state go) -(sensor ^mode off) --> (make out ^v 4))
-)");
-  const auto report = analyze_value_domains(p, seeded(p, {"task"}));
-  ASSERT_TRUE(report.converged);
-  ASSERT_EQ(report.plan->dead_tests.size(), 1u);
-  const auto& key = report.plan->dead_tests.front();
-  EXPECT_EQ(key.cls, cls_of(p, "sensor"));
-  EXPECT_EQ(key.slot, slot_of(p, "sensor", "mode"));
-  // neg-dead itself stays compiled: the absence test simply always holds.
-  EXPECT_FALSE(report.plan->prunes(p.find_production(*p.symbols().find("neg-dead"))->id()));
-  EXPECT_TRUE(verify_specialization(p, seeded(p, {"task"}), report).empty());
-}
-
-TEST(ValueDomainPlan, FoldTestForGuaranteedConstant) {
-  const Program p = parse(std::string(kBase) + R"(
-(p fold (sensor ^mode active ^id <i>) --> (make out ^v <i>))
-)");
-  const auto report = analyze_value_domains(p, seeded(p, {"task"}));
-  // kBase's flag.state fold plus the sensor.mode fold under test.
-  ASSERT_EQ(report.plan->fold_tests.size(), 2u);
-  EXPECT_TRUE(std::any_of(report.plan->fold_tests.begin(), report.plan->fold_tests.end(),
-                          [&](const auto& k) {
-                            return k.cls == cls_of(p, "sensor") &&
-                                   k.slot == slot_of(p, "sensor", "mode");
-                          }));
-  EXPECT_TRUE(verify_specialization(p, seeded(p, {"task"}), report).empty());
-}
-
-TEST(ValueDomainPlan, CertificateCoversEveryPlanItem) {
-  const Program p = parse(std::string(kBase) + R"(
-(p never (ghost ^g 1) --> (make out ^v 3))
-(p neg-dead (task ^state go) -(sensor ^mode off) --> (make out ^v 4))
-(p fold (sensor ^mode active ^id <i>) --> (make out ^v <i>))
-)");
-  const auto opt = seeded(p, {"task"});
-  const auto report = analyze_value_domains(p, opt);
-  EXPECT_EQ(report.certificate.entries.size(),
-            report.plan->pruned_productions.size() + report.plan->dead_tests.size() +
-                report.plan->fold_tests.size());
-  EXPECT_TRUE(verify_specialization(p, opt, report).empty());
-}
-
-TEST(ValueDomainPlan, VerifyRejectsTamperedReport) {
-  const Program p = parse(std::string(kBase) + R"(
-(p never (ghost ^g 1) --> (make out ^v 3))
-)");
-  const auto opt = seeded(p, {"task"});
-  auto report = analyze_value_domains(p, opt);
-  ASSERT_FALSE(report.plan->pruned_productions.empty());
-
-  // Tamper 1: claim a fold the domains cannot justify.
-  {
-    auto bad = report;
-    auto plan = std::make_shared<rete::SpecializationPlan>(*bad.plan);
-    rete::SpecializationPlan::TestKey fake;
-    fake.cls = cls_of(p, "task");
-    fake.slot = slot_of(p, "task", "state");
-    fake.pred = Predicate::Eq;
-    fake.value = Value(*p.symbols().find("go"));
-    plan->fold_tests.push_back(fake);
-    bad.plan = plan;
-    EXPECT_FALSE(verify_specialization(p, opt, bad).empty());
-  }
-  // Tamper 2: shrink a seeded domain below Top (external WMEs would escape).
-  {
-    auto bad = report;
-    bad.domains[cls_of(p, "task")][slot_of(p, "task", "state")] = ValueDomain::of(Value(1));
-    EXPECT_FALSE(verify_specialization(p, opt, bad).empty());
-  }
-  // Tamper 3: strip the certificate while keeping the plan.
-  {
-    auto bad = report;
-    bad.certificate.entries.clear();
-    EXPECT_FALSE(verify_specialization(p, opt, bad).empty());
-  }
-}
-
-TEST(ValueDomainPlan, ReportJsonShape) {
-  const Program p = parse(std::string(kBase) + R"(
-(p never (ghost ^g 1) --> (make out ^v 3))
-)");
-  const auto report = analyze_value_domains(p, seeded(p, {"task"}));
-  const auto j = report.to_json(p);
-  ASSERT_TRUE(j.is_object());
-  EXPECT_TRUE(j.find("converged")->as_bool());
-  ASSERT_NE(j.find("pruned_productions"), nullptr);
-  EXPECT_EQ(j.find("pruned_productions")->as_array().size(), 1u);
-  EXPECT_EQ(j.find("pruned_productions")->as_array()[0].as_string(), "never");
-  ASSERT_NE(j.find("certificate"), nullptr);
-  // One prune entry ("never") plus kBase's flag.state fold entry.
-  EXPECT_EQ(j.find("certificate")->as_array().size(), 2u);
-  // Byte-determinism across repeated runs.
-  EXPECT_EQ(j.dump(), analyze_value_domains(p, seeded(p, {"task"})).to_json(p).dump());
-}
-
-// ---------------------------------------------------------------------------
-// Network consumption: specialized compile prunes without changing matches
-// ---------------------------------------------------------------------------
-
-class CountingListener final : public rete::MatchListener {
- public:
-  void on_activate(const ops5::Production& production, std::span<const ops5::Wme* const>) override {
-    log_.push_back("+" + std::to_string(production.id()));
-  }
-  void on_deactivate(const ops5::Production& production, std::span<const ops5::Wme* const>) override {
-    log_.push_back("-" + std::to_string(production.id()));
-  }
-  [[nodiscard]] const std::vector<std::string>& log() const noexcept { return log_; }
-
- private:
-  std::vector<std::string> log_;
-};
-
-TEST(ValueDomainPlan, SpecializedNetworkMatchesIdentically) {
-  const Program p = parse(std::string(kBase) + R"(
-(p never (ghost ^g 1) --> (make out ^v 3))
-(p neg-dead (task ^state go) -(sensor ^mode off) --> (make out ^v 4))
-(p fold (sensor ^mode active ^id <i>) --> (make out ^v <i>))
-)");
-  const auto report = analyze_value_domains(p, seeded(p, {"task"}));
-  ASSERT_FALSE(report.plan->empty());
-
-  auto drive = [&](bool specialize) {
-    CountingListener listener;
-    util::WorkCounters counters;
-    rete::NetworkOptions opt;
-    opt.specialize = specialize;
-    opt.plan = report.plan;
-    rete::Network net(p, listener, counters, {}, opt);
-    std::vector<std::unique_ptr<ops5::Wme>> wmes;
-    auto add = [&](std::string_view cls_name, std::vector<Value> slots) {
-      const ClassIndex c = cls_of(p, cls_name);
-      const auto& decl = p.wme_class(c);
-      slots.resize(decl.arity());
-      wmes.push_back(std::make_unique<ops5::Wme>(c, decl.name(), std::move(slots),
-                                                 wmes.size() + 1));
-      net.add_wme(*wmes.back());
-    };
-    const Value go(*p.symbols().find("go"));
-    const Value active(*p.symbols().find("active"));
-    add("task", {Value(1), go});
-    add("sensor", {Value(1), active, Value(1)});
-    add("task", {Value(2), go});
-    net.remove_wme(*wmes[0]);
-    EXPECT_TRUE(net.check_invariants().empty());
-    return std::make_pair(listener.log(), counters.match_cost);
-  };
-
-  const auto [plain_log, plain_cost] = drive(false);
-  const auto [spec_log, spec_cost] = drive(true);
-  EXPECT_EQ(plain_log, spec_log);   // byte-identical activation stream
-  EXPECT_LT(spec_cost, plain_cost); // strictly less match work
-  EXPECT_FALSE(plain_log.empty());
 }
 
 }  // namespace
