@@ -15,6 +15,7 @@
 // is task-level only: every engine matches on its one serial Rete network.
 
 #include <algorithm>
+#include <chrono>
 #include <thread>
 
 #include "bench/harness.hpp"
@@ -104,7 +105,11 @@ PSMSYS_BENCH_CASE(multiplicative, "multiplicative",
   // first: a cold run can read far below the warm ratio. Each repetition then runs every P back to back, alternating the order,
   // and contributes one ratio wall(1) / wall(P): adjacent runs see the same
   // host speed, so the ratio cancels drift that an absolute wall would keep.
-  // The row reports the median ratio with its IQR; it is not gated.
+  // The row reports the median ratio with its IQR; it is not gated. Two more
+  // rows explain it: the run's summed work units (what the model sees) and
+  // its tail from the last task process's collect to psm::run's return (the
+  // task processes' teardown and join, which no work unit charges). Medians,
+  // not gated.
   const auto decomposition = spam::lcc_decomposition(2, *measured.scene, measured.best);
   const unsigned hardware = std::thread::hardware_concurrency();
   const std::size_t p_max =
@@ -115,11 +120,16 @@ PSMSYS_BENCH_CASE(multiplicative, "multiplicative",
 
   for (const std::size_t p : m_procs) (void)timed_run(decomposition, p, 1);
   std::vector<std::vector<double>> ratios(m_procs.size());
+  std::vector<std::vector<double>> work_units(m_procs.size());
+  std::vector<std::vector<double>> tails_ms(m_procs.size());
   std::vector<double> wall(m_procs.size());
   for (int rep = 0; rep < reps; ++rep) {
     for (std::size_t k = 0; k < m_procs.size(); ++k) {
       const std::size_t i = rep % 2 == 0 ? k : m_procs.size() - 1 - k;
-      wall[i] = static_cast<double>(timed_run(decomposition, m_procs[i], 1).wall.count());
+      const TimedRun run = timed_run(decomposition, m_procs[i], 1);
+      wall[i] = static_cast<double>(run.wall.count());
+      work_units[i].push_back(static_cast<double>(run.metrics.total_cost_wu()));
+      tails_ms[i].push_back(std::chrono::duration<double, std::milli>(run.tail).count());
     }
     for (std::size_t i = 0; i < m_procs.size(); ++i) ratios[i].push_back(wall[0] / wall[i]);
   }
@@ -129,6 +139,8 @@ PSMSYS_BENCH_CASE(multiplicative, "multiplicative",
   util::Table m_table(std::move(m_headers));
   std::vector<std::string> achieved_row{"achieved (predicted)"};
   std::vector<std::string> iqr_row{"IQR"};
+  std::vector<std::string> wu_row{"work units"};
+  std::vector<std::string> tail_row{"tail ms"};
   std::vector<SpeedupPoint> series;
   for (std::size_t i = 0; i < m_procs.size(); ++i) {
     const std::size_t p = m_procs[i];
@@ -139,12 +151,20 @@ PSMSYS_BENCH_CASE(multiplicative, "multiplicative",
     achieved_row.push_back(util::Table::fmt(median, 2) + " (" + util::Table::fmt(predicted, 2) +
                            ")");
     iqr_row.push_back("[" + util::Table::fmt(q1, 2) + ", " + util::Table::fmt(q3, 2) + "]");
+    const double wu = util::percentile(work_units[i], 50.0);
+    const double tail_ms = util::percentile(tails_ms[i], 50.0);
+    wu_row.push_back(util::Table::fmt(wu, 0));
+    tail_row.push_back(util::Table::fmt(tail_ms, 2));
     series.push_back({p, median});
     ctx.metric("measured_task" + std::to_string(p) + "_speedup", median);
     ctx.metric("measured_task" + std::to_string(p) + "_iqr", q3 - q1);
+    ctx.metric("measured_task" + std::to_string(p) + "_wu", wu);
+    ctx.metric("measured_task" + std::to_string(p) + "_tail_ms", tail_ms);
   }
   m_table.add_row(std::move(achieved_row));
   m_table.add_row(std::move(iqr_row));
+  m_table.add_row(std::move(wu_row));
+  m_table.add_row(std::move(tail_row));
   m_table.print(os, "\nMeasured task-level speed-ups on the real executor, SF Level 2 (median\n"
                     "of " + std::to_string(reps) + " alternating repetitions; model prediction "
                     "in parens)");
@@ -152,7 +172,8 @@ PSMSYS_BENCH_CASE(multiplicative, "multiplicative",
   ctx.speedup_series("measured_tlp_SF_L2", std::move(series));
   ctx.metric("hardware_concurrency", hardware);
   ctx.note("measured task row: median wall(1)/wall(P) over alternating repetitions "
-           "after one untimed run per P; reported, not gated");
+           "after one untimed run per P, with the median summed work units and "
+           "collect-to-return tail per P; reported, not gated");
 }
 
 }  // namespace psmsys::bench

@@ -77,6 +77,10 @@ struct MeasuredLcc {
 /// fastest run (min wall absorbs scheduler noise).
 struct TimedRun {
   std::chrono::nanoseconds wall{};
+  /// From the last task process's collect to psm::run's return: the task
+  /// processes' teardown and join, which no work unit charges.
+  std::chrono::nanoseconds tail{};
+  /// The run's counters; metrics.total_cost_wu() is its summed work units.
   obs::RunMetrics metrics;
 };
 [[nodiscard]] TimedRun timed_run(const spam::Decomposition& decomposition,

@@ -54,12 +54,7 @@ bool dominates(const Instantiation& a, const Instantiation& b, Strategy strategy
   return a.seq < b.seq;
 }
 
-bool ConflictSet::Dominance::operator()(const Record* a, const Record* b) const {
-  return dominates(a->inst, b->inst, strategy);
-}
-
-ConflictSet::ConflictSet(Strategy strategy)
-    : strategy_(strategy), unfired_(Dominance{strategy}) {}
+ConflictSet::ConflictSet(Strategy strategy) : strategy_(strategy) {}
 
 void ConflictSet::add(const Production& production, std::span<const Wme* const> wmes) {
   table_.reserve_one();
@@ -68,13 +63,7 @@ void ConflictSet::add(const Production& production, std::span<const Wme* const> 
   if (table_[slot] != nullptr) {
     throw std::logic_error("duplicate instantiation added to conflict set");
   }
-  Record* rec = nullptr;
-  if (free_.empty()) {
-    rec = &pool_.emplace_back();
-  } else {
-    rec = free_.back();
-    free_.pop_back();
-  }
+  Record* rec = pool_.acquire();
   Instantiation& inst = rec->inst;
   inst.production = &production;
   inst.wmes.assign(wmes.begin(), wmes.end());
@@ -85,7 +74,7 @@ void ConflictSet::add(const Production& production, std::span<const Wme* const> 
   inst.fired = false;
   rec->hash = hash;
   table_.fill(slot, rec);
-  insert_unfired(rec);
+  heap_push(rec);
 }
 
 void ConflictSet::remove(const Production& production, std::span<const Wme* const> wmes) {
@@ -94,16 +83,15 @@ void ConflictSet::remove(const Production& production, std::span<const Wme* cons
   if (rec == nullptr) {
     throw std::logic_error("removing instantiation not present in conflict set");
   }
-  if (!rec->inst.fired) rec->node = unfired_.extract(rec);
+  if (!rec->inst.fired) heap_erase(rec->heap_pos);
   table_.erase(slot);
-  free_.push_back(rec);
+  pool_.release(rec);
 }
 
 const Instantiation* ConflictSet::select() {
   if (unfired_.empty()) return nullptr;
-  auto node = unfired_.extract(unfired_.begin());
-  Record* best = node.value();
-  best->node = std::move(node);
+  Record* best = unfired_.front();
+  heap_erase(0);
   best->inst.fired = true;
   return &best->inst;
 }
@@ -113,7 +101,7 @@ void ConflictSet::rearm(const Production& production, std::span<const Wme* const
   Record* rec = table_[find_slot(identity_hash(production.id(), wmes), production.id(), wmes)];
   if (rec == nullptr || rec->inst.seq != seq || !rec->inst.fired) return;
   rec->inst.fired = false;
-  insert_unfired(rec);
+  heap_push(rec);
 }
 
 std::vector<const Instantiation*> ConflictSet::snapshot() const {
@@ -124,12 +112,8 @@ std::vector<const Instantiation*> ConflictSet::snapshot() const {
 }
 
 void ConflictSet::clear() {
-  while (!unfired_.empty()) {
-    auto node = unfired_.extract(unfired_.begin());
-    Record* rec = node.value();
-    rec->node = std::move(node);
-  }
-  table_.for_each([this](Record& rec) { free_.push_back(&rec); });
+  unfired_.clear();
+  table_.for_each([this](Record& rec) { pool_.release(&rec); });
   table_.clear();
   next_seq_ = 0;
 }
@@ -142,12 +126,45 @@ std::size_t ConflictSet::find_slot(std::uint64_t hash, std::uint32_t production_
   });
 }
 
-void ConflictSet::insert_unfired(Record* rec) {
-  if (rec->node.empty()) {
-    unfired_.insert(rec);
+void ConflictSet::heap_push(Record* rec) {
+  unfired_.push_back(rec);
+  sift_up(rec, unfired_.size() - 1);
+}
+
+void ConflictSet::heap_erase(std::size_t pos) {
+  Record* last = unfired_.back();
+  unfired_.pop_back();
+  if (pos == unfired_.size()) return;  // `pos` was the last position
+  // The last record fills the hole. It came from another subtree, so it may
+  // belong above the hole as well as below it.
+  if (pos > 0 && above(last, unfired_[(pos - 1) / 2])) {
+    sift_up(last, pos);
   } else {
-    unfired_.insert(std::move(rec->node));
+    sift_down(last, pos);
   }
+}
+
+void ConflictSet::sift_up(Record* rec, std::size_t pos) {
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!above(rec, unfired_[parent])) break;
+    place(unfired_[parent], pos);
+    pos = parent;
+  }
+  place(rec, pos);
+}
+
+void ConflictSet::sift_down(Record* rec, std::size_t pos) {
+  const std::size_t n = unfired_.size();
+  while (true) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && above(unfired_[child + 1], unfired_[child])) ++child;
+    if (!above(unfired_[child], rec)) break;
+    place(unfired_[child], pos);
+    pos = child;
+  }
+  place(rec, pos);
 }
 
 }  // namespace psmsys::ops5

@@ -9,24 +9,28 @@
 // cost accordingly.
 
 #include <cstdint>
-#include <deque>
-#include <set>
 #include <span>
 #include <vector>
 
 #include "ops5/production.hpp"
 #include "ops5/wme.hpp"
 #include "util/open_table.hpp"
+#include "util/pool.hpp"
+#include "util/small_vec.hpp"
 
 namespace psmsys::ops5 {
 
 /// A satisfied production: the production plus the WMEs matching its
-/// positive CEs, in CE order.
+/// positive CEs, in CE order. Both arrays are as wide as the production's
+/// positive-CE count, and hold up to kInlineCes inline: every production of
+/// the SPAM phase programs has at most 3 positive CEs.
 struct Instantiation {
+  static constexpr std::uint32_t kInlineCes = 3;
+
   const Production* production = nullptr;
-  std::vector<const Wme*> wmes;
+  util::SmallVec<const Wme*, kInlineCes> wmes;
   /// Timetags sorted descending — the LEX recency key, precomputed on entry.
-  std::vector<TimeTag> recency;
+  util::SmallVec<TimeTag, kInlineCes> recency;
   /// Creation sequence number; final deterministic tie-break.
   std::uint64_t seq = 0;
   /// Refraction: an instantiation fires at most once while it remains in
@@ -36,17 +40,19 @@ struct Instantiation {
 
 enum class Strategy : std::uint8_t { Lex, Mea };
 
-/// Strict weak ordering: does `a` dominate `b` under the strategy?
+/// Does `a` dominate `b` under the strategy? A strict total order on the
+/// instantiations of one conflict set, whose sequence numbers are unique.
 [[nodiscard]] bool dominates(const Instantiation& a, const Instantiation& b, Strategy strategy);
 
 /// The conflict set: all current instantiations, with O(1) add/remove by
 /// (production, matched WMEs) identity and an ordered index of unfired
 /// instantiations for O(log n) selection.
 ///
-/// Instantiations live in pooled records that are recycled with their
-/// vectors' capacity and their index node, and identity lookups go through
-/// an open-addressed table of record pointers, so in steady state an add, a
-/// remove, a select or a rearm allocates nothing and copies no key.
+/// Instantiations live in pooled records that hold their arrays inline,
+/// identity lookups go through an open-addressed table of record pointers,
+/// and the unfired index is a binary heap of record pointers in which each
+/// record knows its position. So in steady state an add, a remove, a select
+/// or a rearm allocates nothing and copies no key.
 class ConflictSet {
  public:
   explicit ConflictSet(Strategy strategy = Strategy::Lex);
@@ -93,20 +99,11 @@ class ConflictSet {
   void clear();
 
  private:
-  struct Record;
-  struct Dominance {
-    Strategy strategy;
-    [[nodiscard]] bool operator()(const Record* a, const Record* b) const;
-  };
-  using UnfiredIndex = std::set<Record*, Dominance>;
-
-  /// A pooled instantiation. While the record is not in unfired_ (fired, or
-  /// free) it holds its extracted index node, so re-inserting it allocates
-  /// nothing.
+  /// A pooled instantiation.
   struct Record {
     Instantiation inst;
-    std::uint64_t hash = 0;  ///< identity hash of (production id, wmes)
-    UnfiredIndex::node_type node;
+    std::uint64_t hash = 0;       ///< identity hash of (production id, wmes)
+    std::uint32_t heap_pos = 0;   ///< position in unfired_ while unfired
   };
 
   struct RecordHash {
@@ -115,15 +112,32 @@ class ConflictSet {
   /// Table slot holding this identity, or the empty slot its probe run ends at.
   [[nodiscard]] std::size_t find_slot(std::uint64_t hash, std::uint32_t production_id,
                                       std::span<const Wme* const> wmes) const;
-  /// Put `rec` into unfired_, through its own node once it has one.
-  void insert_unfired(Record* rec);
+
+  // The unfired index: a binary heap in which every record dominates its
+  // children, so the root is the one select() returns.
+  [[nodiscard]] bool above(const Record* a, const Record* b) const {
+    return dominates(a->inst, b->inst, strategy_);
+  }
+  /// Store `rec` at heap position `pos`.
+  void place(Record* rec, std::size_t pos) noexcept {
+    unfired_[pos] = rec;
+    rec->heap_pos = static_cast<std::uint32_t>(pos);
+  }
+  void heap_push(Record* rec);
+  /// Take the record at `pos` out of the heap.
+  void heap_erase(std::size_t pos);
+  /// Move `rec`, which belongs at or above `pos`, up to where it dominates
+  /// its parent, shifting the records it passes down.
+  void sift_up(Record* rec, std::size_t pos);
+  /// Move `rec`, which belongs at or below `pos`, down to where it dominates
+  /// its children, shifting the records it passes up.
+  void sift_down(Record* rec, std::size_t pos);
 
   Strategy strategy_;
-  std::deque<Record> pool_;  ///< arena: stable addresses, records never freed
-  std::vector<Record*> free_;
+  util::Pool<Record> pool_;
   /// Identity table over the live records.
   util::OpenTable<Record, RecordHash> table_;
-  UnfiredIndex unfired_;
+  std::vector<Record*> unfired_;
   std::uint64_t next_seq_ = 0;
 };
 

@@ -53,30 +53,24 @@ const Wme& Engine::insert_wme(ClassIndex cls, std::span<const Value> values, Tim
   wm_.reserve_one();
   const std::size_t at = find_wme(tag);
   if (wm_[at] != nullptr) throw std::logic_error("duplicate timetag in working memory");
-  ClassWm& wm = class_wm_[cls];
-  WmSlot* slot = nullptr;
-  if (wm.free.empty()) {
-    slot = &wm_pool_.emplace_back();
-  } else {
-    slot = wm.free.back();
-    wm.free.pop_back();
-  }
+  std::vector<WmSlot*>& members = class_wm_[cls];
+  WmSlot* slot = wm_pool_.acquire();
   slot->wme.reinit(cls, program_->wme_class(cls).name(), values, tag);
-  slot->class_pos = static_cast<std::uint32_t>(wm.members.size());
-  wm.members.push_back(slot);
+  slot->class_pos = static_cast<std::uint32_t>(members.size());
+  members.push_back(slot);
   wm_.fill(at, slot);
   return slot->wme;
 }
 
 void Engine::erase_wme(std::size_t at) {
   WmSlot* slot = wm_[at];
-  ClassWm& wm = class_wm_[slot->wme.class_index()];
-  WmSlot* moved = wm.members.back();
-  wm.members[slot->class_pos] = moved;
+  std::vector<WmSlot*>& members = class_wm_[slot->wme.class_index()];
+  WmSlot* moved = members.back();
+  members[slot->class_pos] = moved;
   moved->class_pos = slot->class_pos;
-  wm.members.pop_back();
+  members.pop_back();
   wm_.erase(at);
-  wm.free.push_back(slot);
+  wm_pool_.release(slot);
 }
 
 const Wme& Engine::add_wme(ClassIndex cls, std::span<const Value> values) {
@@ -151,7 +145,7 @@ void Engine::set_watch(int level, std::function<void(const std::string&)> sink) 
 
 std::vector<const Wme*> Engine::wmes_of_class(ClassIndex cls) const {
   if (cls >= class_wm_.size()) return {};
-  const std::vector<WmSlot*>& members = class_wm_[cls].members;
+  const std::vector<WmSlot*>& members = class_wm_[cls];
   std::vector<const Wme*> out;
   out.reserve(members.size());
   for (const WmSlot* slot : members) out.push_back(&slot->wme);
@@ -288,8 +282,8 @@ void Engine::fire(const Production& production) {
             for (auto& slot_wme : s.wmes) {
               if (slot_wme == target) slot_wme = nullptr;
             }
-            // The replacement takes the removed WME's storage off its
-            // class's free list, and so its address.
+            // The pool is LIFO: the replacement takes the removed WME's
+            // storage, and so its address.
             const Wme& replacement = add_wme(cls, new_values_);
             s.wmes[a.ce_index - 1] = &replacement;
           } else if constexpr (std::is_same_v<T, RemoveAction>) {
@@ -563,9 +557,9 @@ void Engine::rollback_to_checkpoint(const UndoCheckpoint& cp) {
 void Engine::reset() {
   network_.clear();
   conflict_set_.clear();
-  for (ClassWm& wm : class_wm_) {
-    wm.free.insert(wm.free.end(), wm.members.begin(), wm.members.end());
-    wm.members.clear();
+  for (std::vector<WmSlot*>& members : class_wm_) {
+    for (WmSlot* slot : members) wm_pool_.release(slot);
+    members.clear();
   }
   wm_.clear();
   cycles_.clear();

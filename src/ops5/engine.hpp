@@ -5,7 +5,6 @@
 // network, working memory, and conflict set, and exposes the instrumentation
 // (work counters, per-cycle match chunks) the psm virtual-time models consume.
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -19,6 +18,7 @@
 #include "rete/network.hpp"
 #include "util/counters.hpp"
 #include "util/open_table.hpp"
+#include "util/pool.hpp"
 
 namespace psmsys::obs {
 class Tracer;
@@ -248,13 +248,12 @@ class Engine final : private rete::MatchListener {
   /// cycle's match cost for tracing, whether or not chunks are recorded.
   util::WorkUnits match_mark_ = 0;
 
-  // Working memory: WMEs live in pooled slots in an arena (stable addresses,
-  // never freed before the engine), found by timetag through an
-  // open-addressed table and listed per class. Each slot knows its position
-  // in its class list, so removal is a swap-with-back there. A removed slot
-  // goes on its class's free list with its slot vector's capacity, so the
-  // next WME of that class (a modify's replacement, most often) reuses it
-  // without allocating.
+  // Working memory: WMEs live in pooled slots (stable addresses, values
+  // stored inline), found by timetag through an open-addressed table and
+  // listed per class. Each slot knows its position in its class list, so
+  // removal is a swap-with-back there. A removed slot goes back to the pool,
+  // so the next WME (a modify's replacement, most often) reuses it without
+  // allocating.
   struct WmSlot {
     Wme wme{0, kNilSymbol, {}, 0};
     std::uint32_t class_pos = 0;
@@ -264,10 +263,6 @@ class Engine final : private rete::MatchListener {
       return util::mix_bits(slot.wme.timetag());
     }
   };
-  struct ClassWm {
-    std::vector<WmSlot*> members;
-    std::vector<WmSlot*> free;
-  };
   /// Position in wm_ of the WME with `tag`, or of the empty slot its probe
   /// run ends at.
   [[nodiscard]] std::size_t find_wme(TimeTag tag) const;
@@ -276,8 +271,8 @@ class Engine final : private rete::MatchListener {
   /// make_wme()'s tail: a new WME with the next timetag, journaled, traced
   /// and matched.
   const Wme& add_wme(ClassIndex cls, std::span<const Value> values);
-  std::deque<WmSlot> wm_pool_;
-  std::vector<ClassWm> class_wm_;
+  util::Pool<WmSlot> wm_pool_;
+  std::vector<std::vector<WmSlot*>> class_wm_;  ///< live slots of each class
   util::OpenTable<WmSlot, TimetagHash> wm_;
   /// The slot values of the WME being made, by make_wme() or an RHS make
   /// or modify, built before it is inserted.

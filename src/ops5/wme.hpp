@@ -4,10 +4,12 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "ops5/value.hpp"
+#include "util/small_vec.hpp"
 
 namespace psmsys::ops5 {
 
@@ -44,24 +46,34 @@ using TimeTag = std::uint64_t;
 /// owned by the Engine's working memory and referenced (never owned) by the
 /// matcher and by conflict-set instantiations. The engine pools them: once
 /// a WME is removed, its storage is re-initialised for a later one.
+///
+/// The slot values live inside the WME up to kInlineSlots of them, the
+/// largest class arity of the SPAM phase programs (RTF's region), so no WME
+/// of theirs owns a heap block. A wider class spills to the heap.
 class Wme {
  public:
-  Wme(ClassIndex cls, Symbol class_name, std::vector<Value> slots, TimeTag tag)
-      : slots_(std::move(slots)), tag_(tag), class_(cls), class_name_(class_name) {}
+  static constexpr std::uint32_t kInlineSlots = 7;
+
+  Wme(ClassIndex cls, Symbol class_name, std::span<const Value> slots, TimeTag tag)
+      : tag_(tag), class_(cls), class_name_(class_name) {
+    slots_.assign(slots.begin(), slots.end());
+  }
 
   [[nodiscard]] ClassIndex class_index() const noexcept { return class_; }
   [[nodiscard]] Symbol class_name() const noexcept { return class_name_; }
   [[nodiscard]] TimeTag timetag() const noexcept { return tag_; }
   [[nodiscard]] std::span<const Value> slots() const noexcept { return slots_; }
-  [[nodiscard]] const Value& slot(SlotIndex i) const { return slots_.at(i); }
+  [[nodiscard]] const Value& slot(SlotIndex i) const {
+    if (i >= slots_.size()) throw std::out_of_range("Wme::slot: slot index out of range");
+    return slots_[i];
+  }
 
   [[nodiscard]] std::string to_string(const SymbolTable& symbols, const WmeClass& cls) const;
 
  private:
   friend class Engine;
 
-  /// Make this pooled WME a new one with `values`, reusing the slot
-  /// vector's capacity.
+  /// Make this pooled WME a new one with `values`, reusing its storage.
   void reinit(ClassIndex cls, Symbol class_name, std::span<const Value> values, TimeTag tag) {
     slots_.assign(values.begin(), values.end());
     tag_ = tag;
@@ -69,7 +81,7 @@ class Wme {
     class_name_ = class_name;
   }
 
-  std::vector<Value> slots_;
+  util::SmallVec<Value, kInlineSlots> slots_;
   TimeTag tag_;
   ClassIndex class_;
   Symbol class_name_;

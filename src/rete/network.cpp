@@ -9,6 +9,8 @@
 
 #include "obs/obs_config.hpp"
 #include "util/open_table.hpp"
+#include "util/pool.hpp"
+#include "util/small_vec.hpp"
 
 // Hot-path layout (this file's three structural commitments):
 //
@@ -38,12 +40,14 @@
 //    only right-unlink — an empty alpha memory means the absence test holds
 //    and left activations must still create tokens.
 //
-//  * Arena/SoA memory — WME slot values are copied into per-class column
-//    vectors addressed by a generation-checked slot-map row, so match tests
-//    read unchecked contiguous storage instead of bounds-checked Wme slots,
-//    and each add/remove performs a single pointer->record hash lookup (the
-//    record is threaded through propagation). Tokens, negative join results,
-//    records, and index buckets recycle through capacity-preserving pools.
+//  * Pooled, inline memory — tokens, negative join results and WME records
+//    live in util::Pool chunks and recycle through their LIFO free lists;
+//    their membership lists are util::SmallVec arrays whose common lengths
+//    fit inline, so destroying a network frees chunks, not objects. A record
+//    reads its WME's slot values through one unchecked pointer, and each
+//    add/remove performs a single pointer->record hash lookup (the record is
+//    threaded through propagation). Index buckets recycle through their own
+//    capacity-preserving pools.
 
 namespace psmsys::rete {
 
@@ -72,43 +76,57 @@ struct NegJoinResult {
   std::uint32_t pos_in_wrec = 0;   ///< position in wrec->neg_results
 };
 
+// Inline capacities of the token and record lists, chosen from the lengths
+// these lists reach on the SF, DC and MOFF scenes (DESIGN §22.4): each
+// covers nearly every list, and every array but alpha_mems stays within
+// std::vector's 24 bytes. A longer list spills to the heap and keeps its
+// spill when the pooled object is recycled.
+constexpr std::uint32_t kInlineChildren = 2;     ///< token children, record tokens
+constexpr std::uint32_t kInlineJoinResults = 1;  ///< a token's or a record's join results
+constexpr std::uint32_t kInlinePositions = 2;    ///< left_pos, right_pos
+constexpr std::uint32_t kInlineAlphaMems = 2;
+
 struct Token {
   Token* parent = nullptr;
   const Wme* wme = nullptr;  // null for the dummy token and neg-after-neg tokens
   WmeRecord* wrec = nullptr;  // record of `wme`, null iff wme is null
   BetaNode* node = nullptr;
-  std::vector<Token*> children;
-  std::vector<NegJoinResult*> join_results;  // only for tokens owned by negative nodes
+  util::SmallVec<Token*, kInlineChildren> children;
+  /// Only for tokens owned by negative nodes.
+  util::SmallVec<NegJoinResult*, kInlineJoinResults> join_results;
   std::uint32_t pos_in_node = 0;    ///< position in node->tokens
   std::uint32_t pos_in_parent = 0;  ///< position in parent->children
   std::uint32_t pos_in_wrec = 0;    ///< position in wrec->tokens
   /// Left-index bucket positions: one slot per shared left index of the
   /// owning memory node ([0] for a negative node's own left index).
-  std::vector<std::uint32_t> left_pos;
+  util::SmallVec<std::uint32_t, kInlinePositions> left_pos;
 };
 
-/// Side record per live WME: the SoA value row plus every membership the WME
+/// Side record per live WME: its slot values plus every membership the WME
 /// holds, with enough position state to undo all of them in O(1) each.
 struct WmeRecord {
   const Wme* wme = nullptr;
-  Value* const* cols = nullptr;  ///< class-store column base pointers (borrowed)
-  std::uint32_t row = 0;         ///< slot-map row within the class store
-  std::uint32_t nslots = 0;
-  ClassIndex cls = 0;
-  std::uint32_t gen = 0;  ///< recycling epoch of this record/row pairing
+  /// wme->slots().data(): the WME outlives its record, and its values never
+  /// move.
+  const Value* vals = nullptr;
   struct AmRef {
     AlphaMemory* am = nullptr;
     std::uint32_t item_pos = 0;    ///< position in am->items
     std::uint32_t right_base = 0;  ///< start of this membership's right_pos span
   };
-  std::vector<AmRef> alpha_mems;
+  util::SmallVec<AmRef, kInlineAlphaMems> alpha_mems;
   /// Right-index bucket positions: per alpha-memory membership, one slot per
   /// shared right index of that memory (at alpha_mems[i].right_base + the
   /// index ordinal).
-  std::vector<std::uint32_t> right_pos;
-  std::vector<Token*> tokens;
-  std::vector<NegJoinResult*> neg_results;
+  util::SmallVec<std::uint32_t, kInlinePositions> right_pos;
+  util::SmallVec<Token*, kInlineChildren> tokens;
+  util::SmallVec<NegJoinResult*, kInlineJoinResults> neg_results;
 };
+
+// Pooling must not make the objects bigger than their std::vector versions
+// were (120 and 128 bytes).
+static_assert(sizeof(Token) <= 120);
+static_assert(sizeof(WmeRecord) <= 128);
 
 /// Hash of a record's WME pointer: the key of the network's WME index.
 [[nodiscard]] inline std::uint64_t wme_hash(const Wme* w) noexcept {
@@ -122,8 +140,8 @@ struct WmeRecordHash {
 };
 
 [[nodiscard]] inline const Value& rec_slot(const WmeRecord& r, SlotIndex i) noexcept {
-  assert(i < r.nslots);
-  return r.cols[i][r.row];
+  assert(i < r.wme->slots().size());
+  return r.vals[i];
 }
 
 /// One constant test in the alpha network.
@@ -265,12 +283,12 @@ struct JoinNode {
   std::vector<std::uint32_t> users;
 };
 
-/// Swap-with-back removal at a known position; `reposition` receives the
-/// element that moved into `pos` (a no-op self-assignment when `pos` was the
-/// back). Exactly the container mutation erase_one() used to perform, minus
-/// its linear find.
-template <typename T, typename Reposition>
-void swap_erase(std::vector<T>& v, std::uint32_t pos, Reposition reposition) {
+/// Swap-with-back removal at a known position in a std::vector or a
+/// util::SmallVec; `reposition` receives the element that moved into `pos` (a
+/// no-op self-assignment when `pos` was the back). Exactly the container
+/// mutation erase_one() used to perform, minus its linear find.
+template <typename Vec, typename Reposition>
+void swap_erase(Vec& v, std::uint32_t pos, Reposition reposition) {
   assert(pos < v.size());
   v[pos] = v.back();
   reposition(v[pos], pos);
@@ -296,38 +314,24 @@ struct Network::Impl {
   util::CostModel costs;
   NetworkOptions options;
 
-  // Ownership pools. Nodes are created at compile time and never destroyed
-  // until the network dies; tokens, records, and join results churn at match
-  // time and recycle through the free lists below with their vector
-  // capacities intact (the deques are the arenas — stable addresses).
-  std::deque<AlphaPattern> patterns;
-  std::deque<AlphaMemory> alpha_memories;
-  std::deque<BetaNode> beta_nodes;
-  std::deque<JoinNode> join_nodes;
+  // Ownership pools (stable addresses). Nodes are created at compile time
+  // and never released, so their pools are append-only arenas iterated in
+  // creation order; tokens, records, and join results churn at match time
+  // and recycle through their pools' free lists with their lists' capacity
+  // intact.
+  util::Pool<AlphaPattern> patterns;
+  util::Pool<AlphaMemory> alpha_memories;
+  util::Pool<BetaNode> beta_nodes;
+  util::Pool<JoinNode> join_nodes;
 
-  std::vector<Token*> token_free_list;
-  std::deque<Token> token_pool;
-  std::vector<NegJoinResult*> jr_free_list;
-  std::deque<NegJoinResult> jr_pool;
-  std::vector<WmeRecord*> rec_free_list;
-  std::deque<WmeRecord> rec_pool;
+  util::Pool<Token> tokens;
+  util::Pool<NegJoinResult> join_results;
+  util::Pool<WmeRecord> records;
 
   // Index-bucket pools: emptied buckets keep their heap blocks and are handed
   // back out when an index gains a fresh key (or is rebuilt after a relink).
   std::vector<std::vector<RightEntry>> right_bucket_pool;
   std::vector<std::vector<Token*>> left_bucket_pool;
-
-  /// Per-class SoA value storage: cols[slot][row] for the record at `row` of
-  /// the slot map `rows`. col_ptrs is sized once (arity) so its data() stays
-  /// valid; entries are refreshed whenever a column reallocates.
-  struct ClassStore {
-    std::int64_t arity = -1;  // set by the first WME of the class
-    std::vector<std::vector<Value>> cols;
-    std::vector<Value*> col_ptrs;
-    std::vector<WmeRecord*> rows;  // slot map: null = free row
-    std::vector<std::uint32_t> free_rows;
-  };
-  std::vector<ClassStore> class_stores;
 
   /// Hashed alpha dispatch for one WME class (Doorenbos' hashed alpha
   /// network). `patterns` is the class's dispatch list in compile order.
@@ -411,16 +415,10 @@ struct Network::Impl {
   // ------------------------------- allocation -----------------------------
 
   Token* new_token(Token* parent, const Wme* wme, WmeRecord* wrec, BetaNode* node) {
-    Token* t = nullptr;
-    if (!token_free_list.empty()) {
-      t = token_free_list.back();
-      token_free_list.pop_back();
-      t->children.clear();      // clear, don't reassign: keep capacity
-      t->join_results.clear();
-      t->left_pos.clear();
-    } else {
-      t = &token_pool.emplace_back();
-    }
+    Token* t = tokens.acquire();
+    t->children.clear();  // clear, don't reassign: keep any spill
+    t->join_results.clear();
+    t->left_pos.clear();
     t->parent = parent;
     t->wme = wme;
     t->wrec = wrec;
@@ -441,25 +439,23 @@ struct Network::Impl {
     return t;
   }
 
-  void free_token(Token* t) {
+  void charge_token_free() {
     ++counters.tokens_deleted;
     counters.match_cost += costs.token_op;
 #if PSMSYS_OBS
     --live_tokens;
 #endif
-    token_free_list.push_back(t);
+  }
+
+  void free_token(Token* t) {
+    charge_token_free();
+    tokens.release(t);
   }
 
   /// Allocates a join result and registers it with both its owner token and
   /// the blocking WME's record (positions recorded for O(1) unlink).
   NegJoinResult* new_jr(Token* owner, WmeRecord* wrec) {
-    NegJoinResult* jr = nullptr;
-    if (!jr_free_list.empty()) {
-      jr = jr_free_list.back();
-      jr_free_list.pop_back();
-    } else {
-      jr = &jr_pool.emplace_back();
-    }
+    NegJoinResult* jr = join_results.acquire();
     jr->owner = owner;
     jr->wrec = wrec;
     jr->pos_in_owner = static_cast<std::uint32_t>(owner->join_results.size());
@@ -472,63 +468,30 @@ struct Network::Impl {
 
   void free_jr(NegJoinResult* jr) {
     counters.match_cost += costs.negative_op;
-    jr_free_list.push_back(jr);
+    join_results.release(jr);
   }
 
   WmeRecord* make_record(const Wme& w) {
-    const ClassIndex cls = w.class_index();
-    if (cls >= class_stores.size()) class_stores.resize(cls + 1);
-    ClassStore& cs = class_stores[cls];
     const std::span<const Value> vals = w.slots();
-    if (cs.arity < 0) {
-      cs.arity = static_cast<std::int64_t>(vals.size());
-      cs.cols.resize(vals.size());
-      cs.col_ptrs.assign(vals.size(), nullptr);
+    // Match tests read slots unchecked, up to the class's arity.
+    if (w.class_index() < program.class_count() &&
+        vals.size() != program.wme_class(w.class_index()).arity()) {
+      throw std::logic_error("WME arity differs from its class");
     }
-    if (static_cast<std::size_t>(cs.arity) != vals.size()) {
-      throw std::logic_error("WME arity differs within class");
-    }
-    std::uint32_t row = 0;
-    if (!cs.free_rows.empty()) {
-      row = cs.free_rows.back();
-      cs.free_rows.pop_back();
-      for (std::size_t i = 0; i < vals.size(); ++i) cs.cols[i][row] = vals[i];
-    } else {
-      row = static_cast<std::uint32_t>(cs.rows.size());
-      cs.rows.push_back(nullptr);
-      for (std::size_t i = 0; i < vals.size(); ++i) {
-        cs.cols[i].push_back(vals[i]);
-        cs.col_ptrs[i] = cs.cols[i].data();
-      }
-    }
-    WmeRecord* rec = nullptr;
-    if (!rec_free_list.empty()) {
-      rec = rec_free_list.back();
-      rec_free_list.pop_back();
-    } else {
-      rec = &rec_pool.emplace_back();
-    }
+    WmeRecord* rec = records.acquire();
     rec->wme = &w;
-    rec->cols = cs.col_ptrs.data();
-    rec->row = row;
-    rec->nslots = static_cast<std::uint32_t>(vals.size());
-    rec->cls = cls;
-    cs.rows[row] = rec;
+    rec->vals = vals.data();
     return rec;
   }
 
   void recycle_record(WmeRecord* rec) {
-    ClassStore& cs = class_stores[rec->cls];
-    cs.rows[rec->row] = nullptr;
-    cs.free_rows.push_back(rec->row);
-    ++rec->gen;  // row handle epoch: anything still naming the old pairing is stale
     rec->wme = nullptr;
-    rec->cols = nullptr;
+    rec->vals = nullptr;
     rec->alpha_mems.clear();
     rec->right_pos.clear();
     rec->tokens.clear();
     rec->neg_results.clear();
-    rec_free_list.push_back(rec);
+    records.release(rec);
   }
 
   // -------------------------- index bucket pooling ------------------------
@@ -1014,13 +977,17 @@ struct Network::Impl {
     if (in_delta) throw std::logic_error("re-entrant WME mutation during match propagation");
     // Structural teardown of all match state; no listener callbacks (the
     // engine resets its conflict set alongside). Buckets, tokens, records,
-    // and join results all return to their pools with capacity intact.
-    std::size_t dummy_pos = 0;
+    // and join results all return to their pools with capacity intact. The
+    // dummy token is charged like the others, as it always was, but stays.
     for (auto& node : beta_nodes) {
       for (Token* t : node.tokens) {
+        for (NegJoinResult* jr : t->join_results) join_results.release(jr);
         t->join_results.clear();
-        if (t == dummy_token) dummy_pos = token_free_list.size();
-        free_token(t);
+        if (t == dummy_token) {
+          charge_token_free();
+        } else {
+          free_token(t);
+        }
       }
       node.tokens.clear();
       release_index(node.left_index);
@@ -1032,15 +999,9 @@ struct Network::Impl {
     }
     wme_index.for_each([this](WmeRecord& rec) { recycle_record(&rec); });
     wme_index.clear();
-    jr_free_list.clear();
-    jr_free_list.reserve(jr_pool.size());
-    for (auto& jr : jr_pool) jr_free_list.push_back(&jr);
-    // Restore the dummy token (freed above for counter symmetry, as before).
     dummy_store->tokens.push_back(dummy_token);
     dummy_token->pos_in_node = 0;
     dummy_token->children.clear();
-    token_free_list[dummy_pos] = token_free_list.back();
-    token_free_list.pop_back();
     chunks.clear();
     reset_links();
 #if PSMSYS_OBS
@@ -1075,13 +1036,13 @@ struct Network::Impl {
         }
       }
     }
-    AlphaPattern& p = patterns.emplace_back();
+    AlphaPattern& p = *patterns.acquire();
     p.cls = cls;
     p.const_tests = std::move(const_tests);
     p.intra_tests = std::move(intra_tests);
     p.disj_tests = std::move(disj_tests);
-    p.memory = &alpha_memories.emplace_back();
-    p.topo_id = static_cast<std::uint32_t>(patterns.size() - 1);
+    p.memory = alpha_memories.acquire();
+    p.topo_id = static_cast<std::uint32_t>(patterns.constructed() - 1);
     dispatch[cls].patterns.push_back(&p);
     return &p;
   }
@@ -1112,7 +1073,7 @@ struct Network::Impl {
     for (BetaNode* c : parent.children) {
       if (c->kind == BetaKind::Memory) return c;
     }
-    BetaNode& bm = beta_nodes.emplace_back();
+    BetaNode& bm = *beta_nodes.acquire();
     bm.kind = BetaKind::Memory;
     parent.children.push_back(&bm);
     return &bm;
@@ -1126,7 +1087,7 @@ struct Network::Impl {
         if (j->amem == &amem && j->tests == tests) return j;
       }
     }
-    JoinNode& j = join_nodes.emplace_back();
+    JoinNode& j = *join_nodes.acquire();
     j.parent = &store;
     j.amem = &amem;
     j.tests = std::move(tests);
@@ -1164,7 +1125,7 @@ struct Network::Impl {
         }
       }
     }
-    BetaNode& neg = beta_nodes.emplace_back();
+    BetaNode& neg = *beta_nodes.acquire();
     neg.kind = BetaKind::Negative;
     neg.amem = &amem;
     neg.tests = std::move(tests);
@@ -1277,7 +1238,7 @@ struct Network::Impl {
       }
     }
 
-    BetaNode& pnode = beta_nodes.emplace_back();
+    BetaNode& pnode = *beta_nodes.acquire();
     pnode.kind = BetaKind::Production;
     pnode.production = &production;
     if (pending_join != nullptr) {
@@ -1400,14 +1361,11 @@ struct Network::Impl {
       ++node_idx;
     }
 
-    // Slot-map rows and alpha-memory membership.
+    // Record values and alpha-memory membership.
     wme_index.for_each([&](const WmeRecord& r) {
       const WmeRecord* rec = &r;
       if (wme_index[find_record(rec->wme)] != rec) fail("record not reachable from its WME");
-      if (rec->cls >= class_stores.size() || rec->row >= class_stores[rec->cls].rows.size() ||
-          class_stores[rec->cls].rows[rec->row] != rec) {
-        fail("record slot-map row desync");
-      }
+      if (rec->vals != rec->wme->slots().data()) fail("record values desync from its WME");
       for (std::uint32_t i = 0; i < rec->alpha_mems.size(); ++i) {
         const WmeRecord::AmRef& ref = rec->alpha_mems[i];
         if (ref.item_pos >= ref.am->items.size() || ref.am->items[ref.item_pos].rec != rec ||
@@ -1523,17 +1481,17 @@ Network::Network(const ops5::Program& program, MatchListener& listener,
   impl_->dispatch.resize(program.class_count());
 
   // Dummy top store with its dummy token.
-  impl_->dummy_store = &impl_->beta_nodes.emplace_back();
+  impl_->dummy_store = impl_->beta_nodes.acquire();
   impl_->dummy_store->kind = BetaKind::Memory;
-  impl_->dummy_token = &impl_->token_pool.emplace_back();
+  impl_->dummy_token = impl_->tokens.acquire();
   impl_->dummy_token->node = impl_->dummy_store;
   impl_->dummy_store->tokens.push_back(impl_->dummy_token);
 
   for (const auto& p : program.productions()) impl_->compile(p, stats_);
 
-  stats_.alpha_patterns = impl_->patterns.size();
-  stats_.alpha_memories = impl_->alpha_memories.size();
-  stats_.join_nodes = impl_->join_nodes.size();
+  stats_.alpha_patterns = impl_->patterns.constructed();
+  stats_.alpha_memories = impl_->alpha_memories.constructed();
+  stats_.join_nodes = impl_->join_nodes.constructed();
   std::size_t memories = 0;
   std::size_t negatives = 0;
   for (const auto& n : impl_->beta_nodes) {
@@ -1543,7 +1501,7 @@ Network::Network(const ops5::Program& program, MatchListener& listener,
   stats_.beta_memories = memories - 1;  // exclude the dummy store
   stats_.negative_nodes = negatives;
 
-  impl_->alpha_acts.assign(impl_->patterns.size(), 0);
+  impl_->alpha_acts.assign(impl_->patterns.constructed(), 0);
   impl_->join_acts.assign(impl_->next_join_id, 0);
   impl_->finalize_links();
   impl_->finalize_dispatch();
@@ -1594,7 +1552,7 @@ NetworkTopology Network::topology() const {
   };
 
   NetworkTopology topo;
-  topo.alphas.reserve(impl_->patterns.size());
+  topo.alphas.reserve(impl_->patterns.constructed());
   for (const auto& p : impl_->patterns) {
     NetworkTopology::AlphaNode a;
     a.id = p.topo_id;

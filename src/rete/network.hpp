@@ -23,7 +23,6 @@
 // exactly these chunk costs.
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -140,7 +139,7 @@ class Network final : public Matcher {
   [[nodiscard]] const ops5::BindingAnalysis& bindings(const ops5::Production& p) const override;
 
   /// Structural self-check for the differential tests: every position
-  /// back-pointer, index/memory mirror, slot-map row, and link flag is
+  /// back-pointer, index/memory mirror, record value pointer, and link flag is
   /// validated against the authoritative lists (a link flag must mirror the
   /// non-emptiness of the memory it watches). Returns human-readable
   /// violation descriptions, empty when consistent.

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <span>
 #include <tuple>
 
 #include "ops5/conflict.hpp"
@@ -185,10 +186,10 @@ TEST_F(ConflictSetTest, SnapshotReflectsContents) {
   EXPECT_EQ(cs.snapshot().size(), 2u);
 }
 
-// Once the record pool, its free list, the identity table and the index
-// nodes have grown to the working size, adding, selecting, rearming,
-// removing and clearing 3-WME instantiations allocates nothing: records are
-// recycled with their vectors' capacity and their index node.
+// Once the record pool, its free list, the identity table and the unfired
+// heap have grown to the working size, adding, selecting, rearming,
+// removing and clearing 3-WME instantiations allocates nothing: records hold
+// their WMEs and recency key inline and are recycled.
 TEST_F(ConflictSetTest, SteadyStateAllocatesNothing) {
   constexpr std::size_t kLive = 200;
   for (TimeTag tag = 1; tag <= kLive + 2; ++tag) (void)wme(tag);
@@ -230,25 +231,26 @@ class ConflictModel {
  public:
   explicit ConflictModel(Strategy strategy) : strategy_(strategy) {}
 
-  [[nodiscard]] const Instantiation* find(const Production& p, const Wmes& wmes) const {
+  [[nodiscard]] const Instantiation* find(const Production& p,
+                                         std::span<const Wme* const> wmes) const {
     const auto it = std::find_if(entries_.begin(), entries_.end(), [&](const Instantiation& e) {
-      return e.production == &p && e.wmes == wmes;
+      return e.production == &p && std::ranges::equal(e.wmes, wmes);
     });
     return it == entries_.end() ? nullptr : &*it;
   }
 
-  void add(const Production& p, const Wmes& wmes) {
+  void add(const Production& p, std::span<const Wme* const> wmes) {
     Instantiation& e = entries_.emplace_back();
     e.production = &p;
-    e.wmes = wmes;
+    e.wmes.assign(wmes.begin(), wmes.end());
     for (const Wme* w : wmes) e.recency.push_back(w->timetag());
     std::sort(e.recency.begin(), e.recency.end(), std::greater<>());
     e.seq = next_seq_++;
   }
 
-  void remove(const Production& p, const Wmes& wmes) {
+  void remove(const Production& p, std::span<const Wme* const> wmes) {
     std::erase_if(entries_, [&](const Instantiation& e) {
-      return e.production == &p && e.wmes == wmes;
+      return e.production == &p && std::ranges::equal(e.wmes, wmes);
     });
   }
 
@@ -267,9 +269,9 @@ class ConflictModel {
     return best;
   }
 
-  void rearm(const Production& p, const Wmes& wmes, std::uint64_t seq) {
+  void rearm(const Production& p, std::span<const Wme* const> wmes, std::uint64_t seq) {
     for (Instantiation& e : entries_) {
-      if (e.production == &p && e.wmes == wmes && e.seq == seq) e.fired = false;
+      if (e.production == &p && std::ranges::equal(e.wmes, wmes) && e.seq == seq) e.fired = false;
     }
   }
 
@@ -289,7 +291,9 @@ class ConflictModel {
 
 using Entry = std::tuple<const Production*, Wmes, std::uint64_t, bool>;
 
-Entry entry_of(const Instantiation& i) { return {i.production, i.wmes, i.seq, i.fired}; }
+Entry entry_of(const Instantiation& i) {
+  return {i.production, Wmes(i.wmes.begin(), i.wmes.end()), i.seq, i.fired};
+}
 
 void expect_same(const ConflictSet& cs, const ConflictModel& model, std::size_t step) {
   ASSERT_EQ(cs.size(), model.entries().size()) << "step " << step;
@@ -335,12 +339,12 @@ TEST_F(ConflictSetTest, DifferentialAgainstReferenceModel) {
         for (const Wme*& w : wmes) w = pool[rng.next_below(pool.size())];
         return wmes;
       };
-      const auto add = [&](const Production& p, const Wmes& wmes) {
+      const auto add = [&](const Production& p, std::span<const Wme* const> wmes) {
         if (model.find(p, wmes) != nullptr) {
           EXPECT_THROW(cs.add(p, wmes), std::logic_error);
           return;
         }
-        history.emplace_back(&p, wmes, model.next_seq());
+        history.emplace_back(&p, Wmes(wmes.begin(), wmes.end()), model.next_seq());
         cs.add(p, wmes);
         model.add(p, wmes);
       };
@@ -401,6 +405,88 @@ TEST_F(ConflictSetTest, DifferentialAgainstReferenceModel) {
       // The trace really exercised both rearm outcomes.
       EXPECT_GT(rearmed_live, 0U);
       EXPECT_GT(rearmed_recreated, 0U);
+    }
+  }
+}
+
+// The unfired heap under load: a few hundred unfired instantiations, so a
+// removal of an unfired one almost always lands on an interior heap
+// position; fired instantiations re-entering through rearm; selections; and
+// at the end every unfired instantiation drained in dominance order, each
+// selection checked against ConflictModel. An erase that only sifts down (the
+// record moved into the hole can belong above it), a pop that skips the
+// sift-down, and a swap that leaves the moved record's heap position stale
+// each make some selection here disagree with the model.
+TEST_F(ConflictSetTest, UnfiredHeapAgainstReferenceModel) {
+  const std::array<const Production*, 3> productions = {&production("loose"), &production("general"),
+                                                        &production("tight")};
+  std::vector<const Wme*> pool;
+  for (TimeTag tag = 1; tag <= 40; ++tag) pool.push_back(wme(tag));
+
+  for (const Strategy strategy : {Strategy::Lex, Strategy::Mea}) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      SCOPED_TRACE(::testing::Message() << (strategy == Strategy::Lex ? "LEX" : "MEA")
+                                        << " seed " << seed);
+      util::Rng rng(seed);
+      ConflictSet cs(strategy);
+      ConflictModel model(strategy);
+      std::size_t interior_removals = 0;
+      std::size_t rearms = 0;
+      std::size_t peak_unfired = 0;
+      std::vector<std::size_t> fired;  // model entries that have fired
+
+      for (std::size_t step = 0; step < 3000; ++step) {
+        const std::size_t size = model.entries().size();
+        const std::uint64_t roll = rng.next_below(100);
+        if (roll < 45) {
+          if (size >= 500) continue;
+          Wmes wmes(1 + rng.next_below(3));
+          for (const Wme*& w : wmes) w = pool[rng.next_below(pool.size())];
+          const Production& p = *productions[rng.next_below(productions.size())];
+          if (model.find(p, wmes) != nullptr) continue;
+          cs.add(p, wmes);
+          model.add(p, wmes);
+        } else if (roll < 60) {
+          if (size == 0) continue;
+          const Instantiation e = model.entries()[rng.next_below(size)];
+          if (!e.fired && cs.unfired() >= 100) ++interior_removals;
+          cs.remove(*e.production, e.wmes);
+          model.remove(*e.production, e.wmes);
+        } else if (roll < 80) {
+          const Instantiation* got = cs.select();
+          const Instantiation* want = model.select();
+          ASSERT_EQ(got == nullptr, want == nullptr) << "step " << step;
+          if (got != nullptr) {
+            ASSERT_EQ(entry_of(*got), entry_of(*want)) << "step " << step;
+          }
+        } else {
+          fired.clear();
+          for (std::size_t i = 0; i < size; ++i) {
+            if (model.entries()[i].fired) fired.push_back(i);
+          }
+          if (fired.empty()) continue;
+          const Instantiation e = model.entries()[fired[rng.next_below(fired.size())]];
+          cs.rearm(*e.production, e.wmes, e.seq);
+          model.rearm(*e.production, e.wmes, e.seq);
+          ++rearms;
+        }
+        peak_unfired = std::max(peak_unfired, cs.unfired());
+        if (step % 50 == 0) expect_same(cs, model, step);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+      expect_same(cs, model, 3000);
+      for (std::size_t n = 0;; ++n) {
+        const Instantiation* got = cs.select();
+        const Instantiation* want = model.select();
+        ASSERT_EQ(got == nullptr, want == nullptr) << "drain " << n;
+        if (got == nullptr) break;
+        ASSERT_EQ(entry_of(*got), entry_of(*want)) << "drain " << n;
+      }
+      EXPECT_EQ(cs.unfired(), 0U);
+      // The trace really ran the heap deep and hit each path many times.
+      EXPECT_GE(peak_unfired, 200U);
+      EXPECT_GE(interior_removals, 100U);
+      EXPECT_GE(rearms, 100U);
     }
   }
 }

@@ -119,9 +119,11 @@ TEST(WmeClass, RejectsEmpty) {
 TEST(Wme, SlotsAndPrinting) {
   SymbolTable t;
   WmeClass cls(t.intern("region"), {t.intern("id"), t.intern("area")});
-  Wme w(0, cls.name(), {Value(7.0), Value(100.0)}, 42);
+  const std::vector<Value> values = {Value(7.0), Value(100.0)};
+  Wme w(0, cls.name(), values, 42);
   EXPECT_EQ(w.timetag(), 42u);
   EXPECT_EQ(w.slot(0), Value(7.0));
+  EXPECT_THROW((void)w.slot(2), std::out_of_range);
   EXPECT_EQ(w.to_string(t, cls), "(region ^id 7 ^area 100)");
 }
 

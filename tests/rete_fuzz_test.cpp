@@ -12,7 +12,7 @@
 //
 // After every operation the Rete network's support set must agree with the
 // oracle's, and the network must pass its structural self-check (position
-// back-pointers, index mirrors, link flags, slot-map rows). Full retraction
+// back-pointers, index mirrors, link flags, record value pointers). Full retraction
 // at the end must leave an empty network — zero live tokens, clean
 // invariants — that still matches correctly when the trace is replayed into
 // it.

@@ -3,13 +3,17 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <set>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "util/open_table.hpp"
+#include "util/pool.hpp"
 #include "util/rng.hpp"
+#include "util/small_vec.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/work_units.hpp"
@@ -398,6 +402,241 @@ TEST(OpenTable, MixedHashSpreadsDenseAndAlignedKeys) {
   }
   EXPECT_GT(pointer_homes.size(), 500U);
   EXPECT_GT(timetag_homes.size(), 500U);
+}
+
+// ---------------------------------------------------------------------------
+// SmallVec
+// ---------------------------------------------------------------------------
+
+static_assert(sizeof(SmallVec<void*, 2>) == sizeof(std::vector<void*>));
+static_assert(sizeof(SmallVec<std::uint32_t, 4>) == sizeof(std::vector<std::uint32_t>));
+
+template <typename Small>
+::testing::AssertionResult same_elements(const Small& small,
+                                         const std::vector<typename Small::value_type>& ref) {
+  if (small.size() != ref.size()) {
+    return ::testing::AssertionFailure() << "size " << small.size() << ", want " << ref.size();
+  }
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    if (!(small[i] == ref[i])) return ::testing::AssertionFailure() << "element " << i << " differs";
+  }
+  if (small.empty() != ref.empty() || (!ref.empty() && !(small.back() == ref.back()))) {
+    return ::testing::AssertionFailure() << "empty()/back() disagree";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Random push, pop, swap-erase, resize, assign, clear, copy and move on a
+/// SmallVec and a std::vector side by side; after every step both hold the
+/// same elements in the same order, and the SmallVec's capacity has not
+/// shrunk. Lengths wander from empty to a few times the inline capacity, so
+/// the array spills, and crosses that boundary again after clear() refills
+/// the spill it kept.
+///
+/// Kills: a spill that drops the last inline element (the elements differ
+/// after the first push past N); a clear() that releases the spill (the
+/// capacity shrinks).
+template <typename T, std::uint32_t kInline>
+void drive_small_vec(std::uint64_t seed, int steps) {
+  using Small = SmallVec<T, kInline>;
+  Rng rng(seed);
+  Small small;
+  std::vector<T> ref;
+  const auto random_value = [&rng] { return static_cast<T>(rng.next_below(1000) + 1); };
+  int crossings_after_clear = 0;
+  bool cleared_since_spill = false;
+  const auto spilled = [&small] { return small.capacity() > kInline; };
+  for (int step = 0; step < steps; ++step) {
+    const std::size_t before_size = small.size();
+    const std::size_t before_cap = small.capacity();
+    const std::uint64_t op = rng.next_below(100);
+    const std::size_t limit = 4 * kInline + 3;
+    if (op < 40) {
+      if (small.size() < limit) {
+        const T v = random_value();
+        small.push_back(v);
+        ref.push_back(v);
+      }
+    } else if (op < 55) {
+      if (!ref.empty()) {
+        small.pop_back();
+        ref.pop_back();
+      }
+    } else if (op < 70) {
+      // Swap-with-back erase at a random position, as the Rete removes.
+      if (!ref.empty()) {
+        const std::size_t pos = rng.next_below(ref.size());
+        small[pos] = small.back();
+        small.pop_back();
+        ref[pos] = ref.back();
+        ref.pop_back();
+      }
+    } else if (op < 78) {
+      const std::size_t n = rng.next_below(limit + 1);
+      small.resize(n);
+      ref.resize(n);
+    } else if (op < 84) {
+      const std::size_t n = rng.next_below(limit + 1);
+      if (rng.next_below(2) == 0) {
+        const T v = random_value();
+        small.assign(n, v);
+        ref.assign(n, v);
+      } else {
+        std::vector<T> source(n);
+        for (T& v : source) v = random_value();
+        small.assign(source.begin(), source.end());
+        ref.assign(source.begin(), source.end());
+      }
+    } else if (op < 90) {
+      small.clear();
+      ref.clear();
+      if (spilled()) cleared_since_spill = true;
+    } else if (op < 95) {
+      Small copy = small;
+      ASSERT_TRUE(same_elements(copy, ref)) << "copy, step " << step;
+      Small moved = std::move(copy);
+      ASSERT_TRUE(same_elements(moved, ref)) << "move, step " << step;
+      ASSERT_TRUE(copy.empty()) << "moved-from, step " << step;
+      small = moved;
+    } else {
+      Small moved = std::move(small);
+      small = std::move(moved);
+    }
+    ASSERT_TRUE(same_elements(small, ref)) << "step " << step;
+    ASSERT_GE(small.capacity(), small.size()) << "step " << step;
+    if (op < 95) {
+      ASSERT_GE(small.capacity(), before_cap) << "capacity shrank at step " << step;
+    }
+    if (before_size <= kInline && small.size() > kInline && cleared_since_spill) {
+      ++crossings_after_clear;
+    }
+  }
+  EXPECT_GT(crossings_after_clear, 0) << "the trace never refilled a kept spill";
+}
+
+TEST(SmallVec, DifferentialAgainstVector) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    ASSERT_NO_FATAL_FAILURE((drive_small_vec<std::uint32_t, 4>(seed, 4000)));
+    ASSERT_NO_FATAL_FAILURE((drive_small_vec<std::uint64_t, 1>(seed, 4000)));
+    ASSERT_NO_FATAL_FAILURE((drive_small_vec<std::uint64_t, 3>(seed, 4000)));
+  }
+}
+
+TEST(SmallVec, SpillsPastTheInlineCapacityAndKeepsItOnClear) {
+  SmallVec<std::uint32_t, 2> v;
+  v.push_back(1);
+  v.push_back(2);
+  EXPECT_EQ(v.capacity(), 2U);
+  v.push_back(3);  // the spill must carry both inline elements over
+  ASSERT_GT(v.capacity(), 2U);
+  EXPECT_EQ(v.size(), 3U);
+  EXPECT_EQ(v[0], 1U);
+  EXPECT_EQ(v[1], 2U);
+  EXPECT_EQ(v[2], 3U);
+  const std::uint32_t* spill = v.data();
+  const std::size_t capacity = v.capacity();
+  v.clear();
+  EXPECT_TRUE(v.empty());
+  EXPECT_EQ(v.capacity(), capacity);
+  for (std::uint32_t i = 0; i < capacity; ++i) v.push_back(i);
+  EXPECT_EQ(v.data(), spill);  // refilled in place, no new block
+}
+
+// ---------------------------------------------------------------------------
+// Pool
+// ---------------------------------------------------------------------------
+
+struct PoolItem {
+  std::uint64_t stamp = 0;
+  std::uint64_t pad[3] = {};
+};
+
+/// Random acquire and release against a reference set of live elements and
+/// a reference LIFO stack of released ones. An acquire must never return a
+/// live element, must return the most recently released one if any (with
+/// the state it was released in), and otherwise a fresh value-initialised
+/// one. Every live element keeps its address and its stamp while the pool
+/// adds chunks.
+///
+/// Kills: a pool that recycles a slot twice (an acquire returns a live
+/// element).
+TEST(Pool, AcquireAndReleaseMatchReference) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    Pool<PoolItem> pool;
+    std::vector<std::pair<PoolItem*, std::uint64_t>> live;  // element and its stamp
+    std::set<PoolItem*> live_set;
+    std::vector<std::pair<PoolItem*, std::uint64_t>> released;
+    const std::size_t max_live = 6 * Pool<PoolItem>::kChunkElements;
+    for (std::uint64_t step = 1; step <= 30000; ++step) {
+      const bool acquire = live.empty() || (live.size() < max_live && rng.next_below(100) < 55);
+      if (acquire) {
+        const std::size_t constructed = pool.constructed();
+        PoolItem* item = pool.acquire();
+        ASSERT_EQ(live_set.count(item), 0U) << "step " << step << ": handed out a live element";
+        if (released.empty()) {
+          EXPECT_EQ(pool.constructed(), constructed + 1) << "step " << step;
+          EXPECT_EQ(item->stamp, 0U) << "step " << step << ": new element not value-initialised";
+        } else {
+          EXPECT_EQ(item, released.back().first) << "step " << step << ": reuse is not LIFO";
+          EXPECT_EQ(item->stamp, released.back().second) << "step " << step << ": state lost";
+          EXPECT_EQ(pool.constructed(), constructed) << "step " << step;
+          released.pop_back();
+        }
+        item->stamp = step;
+        live.emplace_back(item, step);
+        live_set.insert(item);
+      } else {
+        const std::size_t pos = rng.next_below(live.size());
+        pool.release(live[pos].first);
+        released.push_back(live[pos]);
+        live_set.erase(live[pos].first);
+        live[pos] = live.back();
+        live.pop_back();
+      }
+      ASSERT_EQ(pool.constructed(), live.size() + released.size()) << "step " << step;
+      if (step % 1000 == 0) {
+        for (const auto& [item, stamp] : live) {
+          ASSERT_EQ(item->stamp, stamp) << "step " << step << ": element moved or overwritten";
+        }
+      }
+    }
+    EXPECT_GT(pool.constructed(), 4 * Pool<PoolItem>::kChunkElements);  // grew several chunks
+    // Iteration visits every constructed element once, live or released.
+    std::set<const PoolItem*> seen;
+    for (const PoolItem& item : pool) seen.insert(&item);
+    EXPECT_EQ(seen.size(), pool.constructed());
+    for (PoolItem* item : live_set) EXPECT_EQ(seen.count(item), 1U);
+  }
+}
+
+struct Counted {
+  static inline std::map<const Counted*, int>* destroyed = nullptr;
+  ~Counted() { ++(*destroyed)[this]; }
+  int value = 0;
+};
+
+TEST(Pool, DestructionDestroysEachElementOnce) {
+  std::map<const Counted*, int> destroyed;
+  Counted::destroyed = &destroyed;
+  std::set<const Counted*> constructed;
+  {
+    Pool<Counted> pool;
+    std::vector<Counted*> held;
+    for (std::size_t i = 0; i < 3 * Pool<Counted>::kChunkElements + 5; ++i) {
+      held.push_back(pool.acquire());
+      constructed.insert(held.back());
+    }
+    for (std::size_t i = 0; i < held.size(); i += 3) pool.release(held[i]);
+    for (int i = 0; i < 4; ++i) (void)pool.acquire();  // recycles, constructs nothing
+    EXPECT_EQ(pool.constructed(), constructed.size());
+    EXPECT_TRUE(destroyed.empty());  // release() does not destroy
+  }
+  EXPECT_EQ(destroyed.size(), constructed.size());
+  for (const Counted* c : constructed) EXPECT_EQ(destroyed[c], 1) << "element destroyed wrongly";
+  Counted::destroyed = nullptr;
 }
 
 }  // namespace
