@@ -210,8 +210,7 @@ int main(int argc, char** argv) {
               << "  completed   " << report.completed_ids.size() << "/" << report.status.size()
               << "\n  quarantined " << report.quarantined_ids.size() << "\n  abandoned   "
               << report.abandoned_ids.size() << "\n  retries     " << report.retries
-              << " (backoff sleeps " << report.backoff_sleeps << ")\n  requeues    "
-              << report.requeues << "\n  dead workers";
+              << "\n  requeues    " << report.requeues << "\n  dead workers";
     if (report.dead_workers.empty()) std::cout << " none";
     for (const auto w : report.dead_workers) std::cout << ' ' << w;
     std::cout << '\n';

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -416,9 +417,13 @@ bool Engine::step() {
 RunResult Engine::run() { return run(0); }
 
 RunResult Engine::run(std::uint64_t cycle_budget) {
+  // The budget is relative to the cycle count; saturate the sum, or a huge
+  // budget would wrap into an immediate cutoff.
+  const std::uint64_t room = std::numeric_limits<std::uint64_t>::max() - counters_.cycles;
   const std::uint64_t deadline =
-      cycle_budget == 0 ? options_.max_cycles
-                        : std::min(options_.max_cycles, counters_.cycles + cycle_budget);
+      cycle_budget == 0 || cycle_budget > room
+          ? options_.max_cycles
+          : std::min(options_.max_cycles, counters_.cycles + cycle_budget);
   RunResult result;
   while (true) {
     if (counters_.cycles >= deadline) {

@@ -1,25 +1,27 @@
 #pragma once
 
-// The central task queue of SPAM/PSM (Figure 5). One producer (the control
-// process, which enqueues everything up front) and N consumer task
-// processes. Contention on this queue was measured to be "minimal"
-// (Section 7, observation 4); the queue also counts pops so the benchmarks
-// can report queue-management overhead.
+// The central task queue of SPAM/PSM (Figure 5). The control process loads
+// every task up front and N task processes pop from it. Contention on this
+// queue was measured to be "minimal" (Section 7, observation 4).
 //
-// Tasks are handed out by pointer into the preloaded list — a pop must not
-// copy the Task (its std::function inject closure allocates), or the copy
-// shows up in the queue-management overhead the benchmarks charge.
-// Requeueing (fault recovery: a task stranded by a dead worker goes back on
-// the queue) re-hands-out indices and never grows the list, so pointers
-// stay valid for the queue's lifetime. Requeued tasks are drained before
-// fresh ones: a stranded task already waited a full scheduling round, so it
-// must not queue again behind every untouched task.
+// Tasks are handed out by pointer into the caller's list — a pop must not
+// copy the Task (its std::function inject closure allocates). Requeueing
+// (fault recovery: a task stranded by a dead worker goes back on the queue)
+// re-hands-out ids and never touches the list, so pointers stay valid for
+// the queue's lifetime. Requeued tasks are handed out before fresh ones: a
+// stranded task already waited a full scheduling round, so it must not queue
+// again behind every untouched task.
+//
+// The queue blocks. A robust worker must not exit while another worker
+// still holds a task: if that worker dies, its task is requeued and somebody
+// has to be around to drain it. pop() therefore waits while work is in
+// flight and returns nullptr only when every task is resolved (or no live
+// worker can ever resolve the remainder).
 
-#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <stdexcept>
 #include <vector>
 
 #include "psm/task.hpp"
@@ -28,55 +30,62 @@ namespace psmsys::psm {
 
 class TaskQueue {
  public:
-  /// Load the full task list (control process, before forking workers).
-  explicit TaskQueue(std::vector<Task> tasks) : tasks_(std::move(tasks)) {}
+  /// Serve `tasks` (ids dense 0..n-1; must outlive the queue) to `workers`
+  /// task processes.
+  TaskQueue(const std::vector<Task>& tasks, std::size_t workers)
+      : tasks_(tasks), live_workers_(workers) {}
 
-  /// Pop the next task, or nullptr when the queue is exhausted. Thread-safe;
-  /// requeued tasks are handed out first (in requeue order), then fresh
-  /// tasks in queue order. The pointer stays valid for the queue's lifetime.
-  /// The fast path stays lock-free: the requeue check is one relaxed load of
-  /// a counter that is zero for the whole run unless a worker died.
+  /// Next task to execute — requeued ones first, in requeue order, then fresh
+  /// ones in list order — or nullptr when all work is provably done. The
+  /// caller holds the task until it calls finish().
   [[nodiscard]] const Task* pop() {
-    if (const Task* t = pop_requeued()) return t;
-    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i < tasks_.size()) {
-      pops_.fetch_add(1, std::memory_order_relaxed);
-      return &tasks_[i];
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (true) {
+      if (!requeued_.empty()) {
+        const std::uint64_t id = requeued_.front();
+        requeued_.pop_front();
+        ++in_flight_;
+        return &tasks_[id];
+      }
+      if (next_ < tasks_.size()) {
+        ++in_flight_;
+        return &tasks_[next_++];
+      }
+      if (in_flight_ == 0 || live_workers_ == 0) return nullptr;
+      cv_.wait(lock);
     }
-    // A requeue may have landed after the check above; never report an empty
-    // queue while a stranded task is still waiting.
-    return pop_requeued();
   }
 
-  /// Put a task back on the queue (strand recovery after a worker death).
-  void requeue(std::uint64_t task_id) {
-    if (task_id >= tasks_.size()) throw std::out_of_range("requeue: unknown task id");
-    const std::lock_guard<std::mutex> lock(requeue_mutex_);
-    requeued_.push_back(static_cast<std::size_t>(task_id));
-    requeue_pending_.fetch_add(1, std::memory_order_release);
+  /// The held task is resolved (completed or quarantined), or — if
+  /// `requeue_it` — stranded by the caller's death and back on the queue.
+  void finish(std::uint64_t id, bool requeue_it) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    --in_flight_;
+    if (requeue_it) requeued_.push_back(id);
+    cv_.notify_all();
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return tasks_.size(); }
-  [[nodiscard]] std::uint64_t pops() const noexcept { return pops_.load(); }
+  /// Results lost with a dead worker's WM: schedule re-execution.
+  void requeue_lost(const std::vector<std::uint64_t>& ids) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto id : ids) requeued_.push_back(id);
+    cv_.notify_all();
+  }
+
+  void worker_exited() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    --live_workers_;
+    cv_.notify_all();
+  }
 
  private:
-  [[nodiscard]] const Task* pop_requeued() {
-    if (requeue_pending_.load(std::memory_order_acquire) == 0) return nullptr;
-    const std::lock_guard<std::mutex> lock(requeue_mutex_);
-    if (requeued_.empty()) return nullptr;
-    const std::size_t r = requeued_.front();
-    requeued_.pop_front();
-    requeue_pending_.fetch_sub(1, std::memory_order_release);
-    pops_.fetch_add(1, std::memory_order_relaxed);
-    return &tasks_[r];
-  }
-
-  std::vector<Task> tasks_;
-  std::atomic<std::size_t> next_{0};
-  std::atomic<std::uint64_t> pops_{0};
-  std::atomic<std::size_t> requeue_pending_{0};
-  std::mutex requeue_mutex_;
-  std::deque<std::size_t> requeued_;
+  const std::vector<Task>& tasks_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::size_t next_ = 0;
+  std::deque<std::uint64_t> requeued_;
+  std::size_t in_flight_ = 0;
+  std::size_t live_workers_ = 0;
 };
 
 }  // namespace psmsys::psm

@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
-#include <condition_variable>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 
 #include "obs/trace.hpp"
+#include "psm/queue.hpp"
 
 namespace psmsys::psm {
 
@@ -37,94 +35,7 @@ void validate_tasks(const std::vector<Task>& tasks, std::size_t task_processes) 
   }
 }
 
-/// Blocking work coordinator. Unlike TaskQueue's non-blocking pop, a robust
-/// worker must not exit while another worker still holds a task: if that
-/// worker dies, its task is requeued and somebody has to be around to drain
-/// it. pop() therefore blocks while work is in flight and returns nullptr
-/// only when every task is resolved (or no live worker can ever resolve the
-/// remainder).
-class Coordinator {
- public:
-  Coordinator(const std::vector<Task>& tasks, std::size_t workers)
-      : tasks_(tasks), live_workers_(workers) {}
-
-  /// Next task to execute, or nullptr when all work is provably done.
-  [[nodiscard]] const Task* pop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (true) {
-      if (next_ < tasks_.size()) {
-        ++in_flight_;
-        return &tasks_[next_++];
-      }
-      if (!requeued_.empty()) {
-        const std::uint64_t id = requeued_.front();
-        requeued_.pop_front();
-        ++in_flight_;
-        return &tasks_[id];
-      }
-      if (in_flight_ == 0 || live_workers_ == 0) return nullptr;
-      cv_.wait(lock);
-    }
-  }
-
-  /// The held task is resolved (completed or quarantined), or — if
-  /// `requeue_it` — stranded by the caller's death and back on the queue.
-  void finish(std::uint64_t id, bool requeue_it) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    --in_flight_;
-    if (requeue_it) requeued_.push_back(id);
-    cv_.notify_all();
-  }
-
-  /// Results lost with a dead worker's WM: schedule re-execution.
-  void requeue_lost(const std::vector<std::uint64_t>& ids) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto id : ids) requeued_.push_back(id);
-    cv_.notify_all();
-  }
-
-  void worker_exited() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    --live_workers_;
-    cv_.notify_all();
-  }
-
- private:
-  const std::vector<Task>& tasks_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::size_t next_ = 0;
-  std::deque<std::uint64_t> requeued_;
-  std::size_t in_flight_ = 0;
-  std::size_t live_workers_ = 0;
-};
-
 enum class Disposition : std::uint8_t { Pending, Completed, Quarantined };
-
-[[nodiscard]] std::uint64_t grown_deadline(const RobustnessPolicy& policy,
-                                           std::uint32_t attempt) {
-  if (policy.cycle_deadline == 0) return 0;
-  const double grown = static_cast<double>(policy.cycle_deadline) *
-                       std::pow(std::max(policy.deadline_growth, 1.0),
-                                static_cast<double>(attempt - 1));
-  return static_cast<std::uint64_t>(grown);
-}
-
-[[nodiscard]] std::chrono::microseconds backoff_delay(const RobustnessPolicy& policy,
-                                                      std::uint32_t retry) {
-  if (policy.backoff_base.count() <= 0) return std::chrono::microseconds{0};
-  const double us = static_cast<double>(policy.backoff_base.count()) *
-                    std::pow(std::max(policy.backoff_multiplier, 1.0),
-                             static_cast<double>(retry - 1));
-  const auto capped =
-      std::min(us, static_cast<double>(policy.backoff_cap.count()));
-  return std::chrono::microseconds{static_cast<std::int64_t>(capped)};
-}
-
-/// Cycles an injected mid-task crash executes before dying: enough to leave
-/// partial working-memory state behind, so recovery genuinely depends on
-/// the engine's rollback.
-constexpr std::uint64_t kCrashAfterCycles = 2;
 
 const char* attempt_result_name(AttemptResult r) {
   switch (r) {
@@ -187,7 +98,6 @@ RunResult run(const TaskProcessFactory& factory, std::vector<Task> tasks,
   std::mutex report_mutex;  // guards report bookkeeping + state + attempt_count
   std::atomic<std::uint64_t> retries{0};
   std::atomic<std::uint64_t> requeues{0};
-  std::atomic<std::uint64_t> backoff_sleeps{0};
   // Run-wide maxima of the per-engine OBS gauges (0 when compiled out).
   std::atomic<std::uint64_t> peak_conflict_set{0};
   std::atomic<std::uint64_t> peak_live_tokens{0};
@@ -200,7 +110,7 @@ RunResult run(const TaskProcessFactory& factory, std::vector<Task> tasks,
     }
   };
 
-  Coordinator coordinator(tasks, task_processes);
+  TaskQueue queue(tasks, task_processes);
 
   const auto start = std::chrono::steady_clock::now();
   {
@@ -221,14 +131,14 @@ RunResult run(const TaskProcessFactory& factory, std::vector<Task> tasks,
           const std::lock_guard<std::mutex> lock(report_mutex);
           report.dead_workers.push_back(p);
           report.errors.push_back(std::current_exception());
-          coordinator.worker_exited();
+          queue.worker_exited();
           return;
         }
         if (tracer != nullptr) {
           runner->engine().set_tracer(tracer, static_cast<std::uint32_t>(p));
         }
 
-        while (const Task* task = coordinator.pop()) {
+        while (const Task* task = queue.pop()) {
           const std::uint64_t id = task->id;
           ++my_pops;
 
@@ -249,14 +159,13 @@ RunResult run(const TaskProcessFactory& factory, std::vector<Task> tasks,
               }
             }
             requeues.fetch_add(1 + my_results.size(), std::memory_order_relaxed);
-            coordinator.requeue_lost(my_results);
-            coordinator.finish(id, /*requeue_it=*/true);
+            queue.requeue_lost(my_results);
+            queue.finish(id, /*requeue_it=*/true);
             died = true;
             break;
           }
 
-          // Attempt loop: local retries with backoff until completion or
-          // quarantine. Every failed attempt is rolled back, so the engine
+          // Attempt loop: local retries until completion or quarantine. Every failed attempt is rolled back, so the engine
           // state a successful attempt sees is bit-identical to a fault-free
           // run's.
           while (true) {
@@ -275,17 +184,10 @@ RunResult run(const TaskProcessFactory& factory, std::vector<Task> tasks,
             std::uint64_t attempt_cost = 0;
             std::uint64_t attempt_cycles = 0;
             try {
-              if (injector != nullptr && injector->fails(id, attempt)) {
-                // Mid-task crash: really execute a couple of cycles, roll
-                // back, then fail.
-                runner->abort_after(*task, kCrashAfterCycles);
-                throw InjectedTaskFault(id, attempt);
-              }
-              const std::uint64_t deadline =
-                  (injector != nullptr && injector->overruns(id, attempt))
-                      ? 1  // livelock: the budget machinery must cut it off
-                      : grown_deadline(policy, attempt);
-              TaskMeasurement m = runner->run_guarded(*task, deadline);
+              TaskMeasurement m = runner->attempt(
+                  *task, {.number = attempt,
+                          .cycle_deadline = policy.cycle_deadline,
+                          .injector = injector});
               attempt_cost = m.counters.total_cost();
               attempt_cycles = m.counters.cycles;
               {
@@ -356,20 +258,15 @@ RunResult run(const TaskProcessFactory& factory, std::vector<Task> tasks,
             }
 
             retries.fetch_add(1, std::memory_order_relaxed);
-            const auto delay = backoff_delay(policy, attempt);
-            if (delay.count() > 0) {
-              backoff_sleeps.fetch_add(1, std::memory_order_relaxed);
-              std::this_thread::sleep_for(delay);
-            }
           }
 
-          coordinator.finish(id, /*requeue_it=*/false);
+          queue.finish(id, /*requeue_it=*/false);
           // Strict contract: a worker stops at its first failure (the error
           // is aggregated and thrown after the join).
           if (strict_failed) break;
         }
 
-        coordinator.worker_exited();
+        queue.worker_exited();
         if (!died && !strict_failed && options.collect) {
           try {
             options.collect(p, runner->engine());
@@ -385,7 +282,6 @@ RunResult run(const TaskProcessFactory& factory, std::vector<Task> tasks,
 
   report.retries = retries.load();
   report.requeues = requeues.load();
-  report.backoff_sleeps = backoff_sleeps.load();
   report.status.resize(n_tasks);
   for (std::size_t i = 0; i < n_tasks; ++i) {
     switch (state[i]) {

@@ -49,20 +49,15 @@ class WorkerFailure : public std::runtime_error {
   std::vector<std::exception_ptr> errors;
 };
 
+/// A failed attempt is retried at once, on the same task process, with the
+/// cycle deadline doubled (grown_deadline).
 struct RobustnessPolicy {
   /// Attempts per task before it is quarantined (>= 1).
   std::size_t max_attempts = 3;
-  /// Sleep before retry k (1-based) is backoff_base * backoff_multiplier^(k-1),
-  /// capped at backoff_cap. Zero base disables sleeping (tests).
-  std::chrono::microseconds backoff_base{0};
-  double backoff_multiplier = 2.0;
-  std::chrono::microseconds backoff_cap{100'000};
-  /// Per-attempt recognize-act cycle budget (0 = unlimited): the deadline
-  /// that cuts off livelocked tasks via the engine's cycle-limit machinery.
+  /// The first attempt's recognize-act cycle budget (0 = unlimited): the
+  /// deadline that cuts off livelocked tasks via the engine's cycle-limit
+  /// machinery.
   std::uint64_t cycle_deadline = 0;
-  /// The deadline grows by this factor per retry, so a task that was merely
-  /// slow (not livelocked) can still complete before quarantine.
-  double deadline_growth = 2.0;
 };
 
 /// Why a task attempt ended.
@@ -106,7 +101,6 @@ struct RunReport {
   std::vector<std::size_t> dead_workers;       ///< processes that died mid-run
   std::uint64_t retries = 0;                   ///< attempts beyond each task's first
   std::uint64_t requeues = 0;                  ///< strandings recovered from dead workers
-  std::uint64_t backoff_sleeps = 0;
   /// Errors from quarantined tasks' final attempts (diagnosable, aggregated).
   std::vector<std::exception_ptr> errors;
 

@@ -1,9 +1,17 @@
 #include "psm/task.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
+#include "psm/faults.hpp"
+
 namespace psmsys::psm {
+
+/// Cycles an injected mid-task crash executes before dying: enough to leave
+/// partial working-memory state behind, so recovery genuinely depends on the
+/// engine's rollback.
+constexpr std::uint64_t kCrashAfterCycles = 2;
 
 util::WorkCounters counters_delta(const util::WorkCounters& before,
                                   const util::WorkCounters& after) noexcept {
@@ -51,8 +59,29 @@ TaskMeasurement TaskRunner::run(const Task& task) {
   return measure_from(task, before);
 }
 
-void TaskRunner::rollback() {
-  engine_->rollback_undo_log();
+std::uint64_t grown_deadline(std::uint64_t first, std::uint32_t number) noexcept {
+  const std::uint32_t doublings = number > 1 ? number - 1 : 0;
+  if (first == 0 || doublings == 0) return first;
+  if (doublings >= 64 || first > (std::numeric_limits<std::uint64_t>::max() >> doublings)) {
+    return std::numeric_limits<std::uint64_t>::max();
+  }
+  return first << doublings;
+}
+
+// An attempt's scope: its own undo log outside a stream, a checkpoint in the
+// stream's journal inside one.
+ops5::Engine::UndoCheckpoint TaskRunner::open_checkpoint() {
+  if (stream_active_) return engine_->undo_checkpoint();
+  engine_->begin_undo_log();
+  return {};
+}
+
+void TaskRunner::roll_back_to(const ops5::Engine::UndoCheckpoint& cp) {
+  if (stream_active_) {
+    engine_->rollback_to_checkpoint(cp);
+  } else {
+    engine_->rollback_undo_log();
+  }
   cycle_offset_ = engine_->cycle_records().size();
 }
 
@@ -82,63 +111,51 @@ bool TaskRunner::run_sliced(std::uint64_t cycle_deadline, const std::function<bo
   }
 }
 
-TaskMeasurement TaskRunner::run_guarded(const Task& task, std::uint64_t cycle_deadline,
-                                        const std::function<bool()>& cancelled,
-                                        std::uint64_t cancel_check_every) {
+TaskMeasurement TaskRunner::attempt(const Task& task, const AttemptOptions& options,
+                                    const std::function<bool()>& cancelled,
+                                    const std::function<void(ops5::Engine&)>& collect) {
+  const FaultInjector* injector = options.injector;
+  if (injector != nullptr && injector->fails(task.id, options.number)) {
+    abort_after(task, kCrashAfterCycles);
+    throw InjectedTaskFault(task.id, options.number);
+  }
+  const std::uint64_t deadline = injector != nullptr && injector->overruns(task.id, options.number)
+                                     ? 1
+                                     : grown_deadline(options.cycle_deadline, options.number);
   const util::WorkCounters before = engine_->counters();
-  engine_->begin_undo_log();
+  const ops5::Engine::UndoCheckpoint cp = open_checkpoint();
   bool deadline_hit = false;
   try {
     task.inject(*engine_);
-    deadline_hit = run_sliced(cycle_deadline, cancelled, cancel_check_every, task.id);
-  } catch (...) {
-    rollback();
-    throw;
-  }
-  if (deadline_hit) {
-    rollback();
-    throw TaskDeadlineExceeded(task.id, cycle_deadline);
-  }
-  engine_->commit_undo_log();
-  return measure_from(task, before);
-}
-
-TaskMeasurement TaskRunner::run_isolated(const Task& task, std::uint64_t cycle_deadline,
-                                         const std::function<bool()>& cancelled,
-                                         std::uint64_t cancel_check_every,
-                                         const std::function<void(ops5::Engine&)>& collect) {
-  const util::WorkCounters before = engine_->counters();
-  engine_->begin_undo_log();
-  bool deadline_hit = false;
-  try {
-    task.inject(*engine_);
-    deadline_hit = run_sliced(cycle_deadline, cancelled, cancel_check_every, task.id);
+    deadline_hit = run_sliced(deadline, cancelled, options.cancel_check_every, task.id);
     if (!deadline_hit && collect) collect(*engine_);
   } catch (...) {
-    rollback();
+    roll_back_to(cp);
     throw;
   }
   if (deadline_hit) {
-    rollback();
-    throw TaskDeadlineExceeded(task.id, cycle_deadline);
+    roll_back_to(cp);
+    throw TaskDeadlineExceeded(task.id, deadline);
   }
   TaskMeasurement m = measure_from(task, before);
-  rollback();
+  if (options.discard) {
+    roll_back_to(cp);
+  } else if (!stream_active_) {
+    engine_->commit_undo_log();
+  }
   return m;
 }
 
 void TaskRunner::abort_after(const Task& task, std::uint64_t cycles) {
-  engine_->begin_undo_log();
+  const ops5::Engine::UndoCheckpoint cp = open_checkpoint();
   try {
     task.inject(*engine_);
     (void)engine_->run(cycles == 0 ? 1 : cycles);
   } catch (...) {
-    engine_->rollback_undo_log();
-    cycle_offset_ = engine_->cycle_records().size();
+    roll_back_to(cp);
     throw;
   }
-  engine_->rollback_undo_log();
-  cycle_offset_ = engine_->cycle_records().size();
+  roll_back_to(cp);
 }
 
 void TaskRunner::begin_stream() {
@@ -147,54 +164,11 @@ void TaskRunner::begin_stream() {
   stream_active_ = true;
 }
 
-TaskMeasurement TaskRunner::run_tick(const Task& task, std::uint64_t cycle_deadline,
-                                     const std::function<bool()>& cancelled,
-                                     std::uint64_t cancel_check_every,
-                                     const std::function<void(ops5::Engine&)>& collect) {
-  if (!stream_active_) throw std::logic_error("run_tick outside an active stream");
-  const util::WorkCounters before = engine_->counters();
-  const ops5::Engine::UndoCheckpoint cp = engine_->undo_checkpoint();
-  bool deadline_hit = false;
-  try {
-    task.inject(*engine_);
-    deadline_hit = run_sliced(cycle_deadline, cancelled, cancel_check_every, task.id);
-    if (!deadline_hit && collect) collect(*engine_);
-  } catch (...) {
-    engine_->rollback_to_checkpoint(cp);
-    cycle_offset_ = engine_->cycle_records().size();
-    throw;
-  }
-  if (deadline_hit) {
-    engine_->rollback_to_checkpoint(cp);
-    cycle_offset_ = engine_->cycle_records().size();
-    throw TaskDeadlineExceeded(task.id, cycle_deadline);
-  }
-  // Success: the tick's WM effects stay resident for later ticks.
-  return measure_from(task, before);
-}
-
-void TaskRunner::abort_tick_after(const Task& task, std::uint64_t cycles) {
-  if (!stream_active_) throw std::logic_error("abort_tick_after outside an active stream");
-  const ops5::Engine::UndoCheckpoint cp = engine_->undo_checkpoint();
-  try {
-    task.inject(*engine_);
-    (void)engine_->run(cycles == 0 ? 1 : cycles);
-  } catch (...) {
-    engine_->rollback_to_checkpoint(cp);
-    cycle_offset_ = engine_->cycle_records().size();
-    throw;
-  }
-  engine_->rollback_to_checkpoint(cp);
-  cycle_offset_ = engine_->cycle_records().size();
-}
-
 void TaskRunner::end_stream() {
   if (!stream_active_) throw std::logic_error("no active stream to end");
   stream_active_ = false;
   engine_->rollback_undo_log();
   cycle_offset_ = engine_->cycle_records().size();
 }
-
-bool TaskRunner::stream_active() const noexcept { return stream_active_; }
 
 }  // namespace psmsys::psm

@@ -20,6 +20,8 @@
 
 namespace psmsys::psm {
 
+class FaultInjector;
+
 struct Task {
   std::uint64_t id = 0;        ///< dense index; also the FIFO queue position
   std::string label;
@@ -48,9 +50,8 @@ struct TaskProcessFactory {
   std::function<void(ops5::Engine&)> base_init;
 };
 
-/// Thrown by TaskRunner::run_guarded when an attempt exceeds its cycle
-/// deadline. The attempt's working-memory effects have already been rolled
-/// back when this escapes.
+/// Thrown by TaskRunner::attempt when an attempt exceeds its cycle deadline,
+/// after its working-memory effects have been rolled back.
 class TaskDeadlineExceeded : public std::runtime_error {
  public:
   TaskDeadlineExceeded(std::uint64_t task_id, std::uint64_t cycle_deadline)
@@ -63,16 +64,35 @@ class TaskDeadlineExceeded : public std::runtime_error {
   std::uint64_t cycle_deadline;
 };
 
-/// Thrown by TaskRunner::run_guarded / run_isolated when the caller's
-/// cancellation predicate turns true between execution slices (the serve
-/// watchdog's wall-clock abort). The attempt's working-memory effects have
-/// already been rolled back when this escapes.
+/// Thrown by TaskRunner::attempt when the caller's cancellation predicate
+/// turns true between execution slices (the serve watchdog's wall-clock
+/// abort), after the attempt's working-memory effects have been rolled back.
 class TaskAborted : public std::runtime_error {
  public:
   explicit TaskAborted(std::uint64_t task_id)
       : std::runtime_error("task " + std::to_string(task_id) + " aborted"), task_id(task_id) {}
 
   std::uint64_t task_id;
+};
+
+/// The cycle budget of attempt `number` (1-based) of a task whose first
+/// attempt gets `first` (0 = unlimited): it doubles per retry, so a task that
+/// was merely slow, not livelocked, can still complete before quarantine. It
+/// saturates at the largest budget instead of wrapping.
+[[nodiscard]] std::uint64_t grown_deadline(std::uint64_t first, std::uint32_t number) noexcept;
+
+/// How one attempt at a task runs.
+struct AttemptOptions {
+  /// 1-based attempt number: it grows the deadline and keys the injector.
+  std::uint32_t number = 1;
+  /// The first attempt's recognize-act cycle budget (0 = unlimited).
+  std::uint64_t cycle_deadline = 0;
+  /// Cycles between polls of the cancellation predicate (0 = never poll).
+  std::uint64_t cancel_check_every = 0;
+  /// Crash and overrun plan keyed by (task id, number); may be null.
+  const FaultInjector* injector = nullptr;
+  /// Roll a successful attempt back too, after collect.
+  bool discard = false;
 };
 
 /// One task process: engine + base WM, executing tasks sequentially.
@@ -84,74 +104,59 @@ class TaskRunner {
   /// Inject the task, run to quiescence, and return the measured deltas.
   TaskMeasurement run(const Task& task);
 
-  /// Fault-tolerant attempt: journaled execution under a per-attempt cycle
-  /// deadline (0 = unlimited). If the deadline cuts the run off, or the
-  /// task's inject/rules throw, the engine is rolled back bit-identically
-  /// to its pre-attempt state (working memory, timetags, recency) and the
-  /// error propagates (TaskDeadlineExceeded for deadline cuts). On success
-  /// the measurement is exactly what run() would have produced.
-  ///
-  /// When both `cancelled` and `cancel_check_every` are set, execution runs
-  /// in slices of `cancel_check_every` cycles and polls `cancelled` between
-  /// slices; a true result rolls back and throws TaskAborted. Slicing changes
-  /// neither firing order nor measurements — the conflict set carries over
-  /// between run() calls untouched.
-  TaskMeasurement run_guarded(const Task& task, std::uint64_t cycle_deadline = 0,
-                              const std::function<bool()>& cancelled = {},
-                              std::uint64_t cancel_check_every = 0);
+  /// One fault-tolerant attempt, journaled from a checkpoint: its own undo
+  /// log outside a stream, the stream's journal inside one. It injects the
+  /// task, runs it to quiescence under grown_deadline(cycle_deadline,
+  /// number), polling `cancelled` every `cancel_check_every` cycles when both
+  /// are set, then lets `collect` read working memory. A success keeps its
+  /// effects (committed outside a stream) unless `discard` rolls them back
+  /// after collect. A deadline cut (or the engine's max_cycles ceiling), a
+  /// cancellation, or a throw from inject, the rules or collect rolls the
+  /// engine back bit-identically to the checkpoint (working memory,
+  /// timetags, recency) and propagates: TaskDeadlineExceeded, TaskAborted, or
+  /// the original exception. The injector's failed attempts crash two
+  /// cycles in through abort_after() and throw InjectedTaskFault; its
+  /// overruns get a deadline of 1 cycle, as a livelock would. Slicing and
+  /// the checkpoint change neither firing order nor measurements.
+  TaskMeasurement attempt(const Task& task, const AttemptOptions& options = {},
+                          const std::function<bool()>& cancelled = {},
+                          const std::function<void(ops5::Engine&)>& collect = {});
 
-  /// Session-style attempt: like run_guarded, but the attempt's WM effects
-  /// are ALWAYS rolled back — after `collect` (if given) has read results out
-  /// of working memory. The engine therefore returns to its base state
-  /// bit-identically (WMEs, timetags, recency) whether the task succeeded,
-  /// overran, or threw, which is what lets one resident engine serve an
-  /// arbitrary scene sequence with per-scene output independent of ordering.
-  /// A throwing `collect` also rolls back, then rethrows.
+  /// An attempt whose effects are always rolled back, after `collect` has
+  /// read results: the engine returns to its base state whether the task
+  /// succeeded, overran, or threw.
   TaskMeasurement run_isolated(const Task& task, std::uint64_t cycle_deadline = 0,
                                const std::function<bool()>& cancelled = {},
                                std::uint64_t cancel_check_every = 0,
-                               const std::function<void(ops5::Engine&)>& collect = {});
+                               const std::function<void(ops5::Engine&)>& collect = {}) {
+    return attempt(task,
+                   {.cycle_deadline = cycle_deadline,
+                    .cancel_check_every = cancel_check_every,
+                    .discard = true},
+                   cancelled, collect);
+  }
 
-  /// Fault-simulation helper: start the task for real, execute at most
-  /// `cycles` recognize-act cycles, then abort and roll back — the mid-task
-  /// crash the injector uses to prove recovery leaves no partial state.
+  /// Fault simulation: start the task for real, execute at most `cycles`
+  /// cycles, then roll back to the checkpoint an attempt would take — the
+  /// mid-task crash that proves recovery leaves no partial state.
   void abort_after(const Task& task, std::uint64_t cycles);
 
   // ------------------------------ streaming -------------------------------
   //
   // A stream holds the undo log open across many ticks: begin_stream() opens
-  // the journal, each run_tick() snapshots a checkpoint and keeps its WM
+  // the journal, each attempt() inside it checkpoints and keeps its WM
   // effects on success (rolling back only its own tail on failure), and
   // end_stream() rolls the whole journal back so the engine returns to its
-  // base state bit-identically — the same recovery contract run_isolated()
-  // gives a single scene, stretched over a tick sequence.
+  // base state bit-identically — the same recovery contract an isolated
+  // attempt gives a single scene, stretched over a tick sequence.
 
   /// Open the stream journal. Throws if a stream (or any undo log) is
   /// already active.
   void begin_stream();
 
-  /// Execute one tick inside an open stream: checkpoint, inject, run to
-  /// quiescence under the same deadline/cancellation discipline as
-  /// run_isolated, then `collect` (if given) reads results out of WM. On
-  /// success the tick's WM effects STAY (that is the point of a stream); on
-  /// deadline cut, cancellation, or any throw the engine is rolled back to
-  /// the tick's checkpoint — earlier ticks' effects survive — and the error
-  /// propagates (TaskDeadlineExceeded / TaskAborted / original exception).
-  TaskMeasurement run_tick(const Task& task, std::uint64_t cycle_deadline = 0,
-                           const std::function<bool()>& cancelled = {},
-                           std::uint64_t cancel_check_every = 0,
-                           const std::function<void(ops5::Engine&)>& collect = {});
-
-  /// Fault-simulation helper for streams: like abort_after, but scoped to a
-  /// tick checkpoint inside the open stream journal instead of opening its
-  /// own undo log.
-  void abort_tick_after(const Task& task, std::uint64_t cycles);
-
   /// Close the stream: roll back every tick's effects so the engine is
   /// bit-identical to its pre-begin_stream() state.
   void end_stream();
-
-  [[nodiscard]] bool stream_active() const noexcept;
 
   [[nodiscard]] ops5::Engine& engine() noexcept { return *engine_; }
   [[nodiscard]] const ops5::Engine& engine() const noexcept { return *engine_; }
@@ -160,7 +165,8 @@ class TaskRunner {
   TaskMeasurement measure_from(const Task& task, const util::WorkCounters& before);
   bool run_sliced(std::uint64_t cycle_deadline, const std::function<bool()>& cancelled,
                   std::uint64_t cancel_check_every, std::uint64_t task_id);
-  void rollback();
+  ops5::Engine::UndoCheckpoint open_checkpoint();
+  void roll_back_to(const ops5::Engine::UndoCheckpoint& cp);
 
   std::unique_ptr<ops5::Engine> engine_;
   std::size_t cycle_offset_ = 0;

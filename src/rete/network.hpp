@@ -37,6 +37,30 @@
 
 namespace psmsys::rete {
 
+/// Cumulative per-node activation counts, indexed by the creation-order node
+/// ids NetworkTopology exports (alpha: WMEs passing the pattern on add; join:
+/// left + right activations, negative nodes included in the join id space).
+/// Counts are lifetime gauges — clear() retains them — so static analyzer
+/// costs can be calibrated against a whole run's measured traffic.
+struct NodeActivations {
+  std::vector<std::uint64_t> alpha;
+  std::vector<std::uint64_t> join;
+
+  [[nodiscard]] bool empty() const noexcept {
+    return alpha.empty() && join.empty();
+  }
+};
+
+/// Summary of the compiled network shape (for tests and DESIGN docs).
+struct NetworkStats {
+  std::size_t alpha_patterns = 0;
+  std::size_t alpha_memories = 0;
+  std::size_t beta_memories = 0;
+  std::size_t join_nodes = 0;
+  std::size_t negative_nodes = 0;
+  std::size_t production_nodes = 0;
+};
+
 /// Compile-time shape of the network, exported for the whole-rule-base static
 /// analyzer (analysis/rete_static). Node ids are creation-order indices, so
 /// for a fixed frozen program the topology is byte-deterministic. `users`
@@ -116,27 +140,27 @@ class Network final : public Matcher {
   void remove_wme(const ops5::Wme& wme) override;
   void clear() override;
 
-  [[nodiscard]] NetworkStats stats() const noexcept override { return stats_; }
+  [[nodiscard]] NetworkStats stats() const noexcept { return stats_; }
 
   /// Match chunks recorded since the last take_chunks() call. Each entry is
   /// the work-unit cost of one independent alpha-pattern cascade.
-  [[nodiscard]] std::vector<util::WorkUnits> take_chunks() override;
+  [[nodiscard]] std::vector<util::WorkUnits> take_chunks();
 
   /// Peak number of simultaneously-live beta-memory tokens over the network's
   /// lifetime — the working-set gauge behind the paper's memory-contention
   /// discussion. Always 0 when built with PSMSYS_OBS=0.
-  [[nodiscard]] std::uint64_t peak_live_tokens() const noexcept override;
+  [[nodiscard]] std::uint64_t peak_live_tokens() const noexcept;
 
   /// Currently-live beta-memory tokens (instantaneous working-set reading).
   /// Always 0 when built with PSMSYS_OBS=0.
-  [[nodiscard]] std::uint64_t live_tokens() const noexcept override;
+  [[nodiscard]] std::uint64_t live_tokens() const noexcept;
 
   /// Lifetime per-node activation counts indexed by the topology() node ids.
   /// Empty when built with PSMSYS_OBS=0.
-  [[nodiscard]] NodeActivations node_activations() const override;
+  [[nodiscard]] NodeActivations node_activations() const;
 
   /// Binding analysis computed during compilation, exposed for RHS evaluation.
-  [[nodiscard]] const ops5::BindingAnalysis& bindings(const ops5::Production& p) const override;
+  [[nodiscard]] const ops5::BindingAnalysis& bindings(const ops5::Production& p) const;
 
   /// Structural self-check for the differential tests: every position
   /// back-pointer, index/memory mirror, record value pointer, and link flag is

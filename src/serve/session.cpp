@@ -1,8 +1,6 @@
 #include "serve/session.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <exception>
 
 #include "obs/trace.hpp"
@@ -30,23 +28,8 @@ const char* to_string(RejectReason reason) noexcept {
   return "?";
 }
 
-namespace {
-
-/// Same growth law as the robust executor's per-attempt deadline.
-std::uint64_t grown_deadline(const SessionOptions& options, std::uint32_t attempt) {
-  if (options.cycle_deadline == 0) return 0;
-  const double grown =
-      static_cast<double>(options.cycle_deadline) *
-      std::pow(std::max(options.deadline_growth, 1.0), static_cast<double>(attempt - 1));
-  return static_cast<std::uint64_t>(grown);
-}
-
-/// Cycles an injected mid-scene crash executes before dying (matches the
-/// robust executor's kCrashAfterCycles): enough to leave partial WM state
-/// behind, so isolation genuinely depends on the rollback.
-constexpr std::uint64_t kCrashAfterCycles = 2;
-
-}  // namespace
+/// Cycles between watchdog-abort polls while a scene runs.
+constexpr std::uint64_t kAbortCheckEvery = 64;
 
 EngineContext::EngineContext(std::shared_ptr<const SharedRuleBase> rulebase,
                              const std::function<void(ops5::Engine&)>& base_init,
@@ -86,23 +69,16 @@ Session::TickOutcome Session::run_tick(const SceneJob& job,
   const SessionOptions& options = context_.options_;
   TickOutcome out;
   const psm::Task task{id_, job.label, job.inject};
-  for (std::uint32_t attempt = 1; attempt <= options.max_attempts; ++attempt) {
+  psm::AttemptOptions attempt{.cycle_deadline = options.cycle_deadline,
+                              .cancel_check_every = kAbortCheckEvery,
+                              .injector = options.injector};
+  for (; attempt.number <= options.max_attempts; ++attempt.number) {
     context_.firing_log_.clear();
-    out.attempts = attempt;
+    out.attempts = attempt.number;
     try {
-      if (options.injector != nullptr && options.injector->fails(id_, attempt)) {
-        // Mid-tick crash: really execute a couple of cycles, roll back to
-        // the tick's checkpoint, then fail — the poisoned-scene path of the
-        // fault-storm test. Earlier ticks' resident WM survives.
-        context_.runner_.abort_tick_after(task, kCrashAfterCycles);
-        throw psm::InjectedTaskFault(id_, attempt);
-      }
-      const std::uint64_t deadline =
-          (options.injector != nullptr && options.injector->overruns(id_, attempt))
-              ? 1  // livelock: the deadline machinery must cut it off
-              : grown_deadline(options, attempt);
-      psm::TaskMeasurement m = context_.runner_.run_tick(
-          task, deadline, aborted, options.abort_check_every, job.collect);
+      // Inside the stream journal: a failed attempt rolls back to the
+      // tick's checkpoint, and earlier ticks' resident WM survives.
+      psm::TaskMeasurement m = context_.runner_.attempt(task, attempt, aborted, job.collect);
       out.status = SceneStatus::Completed;
       out.counters = m.counters;
       out.firing_log = std::move(context_.firing_log_);

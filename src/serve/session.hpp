@@ -80,15 +80,12 @@ struct SceneReport {
 
 /// Per-session execution policy, shared by every session of a server.
 struct SessionOptions {
-  /// Recognize-act cycles per attempt (0 = unlimited). The deterministic
-  /// runaway bound: a scene that exceeds it is rolled back and retried with
-  /// a grown deadline, then quarantined after max_attempts.
+  /// Recognize-act cycles of the first attempt (0 = unlimited). The
+  /// deterministic runaway bound: a scene that exceeds it is rolled back and
+  /// retried with the deadline doubled, then quarantined after max_attempts.
+  /// The wall-clock watchdog's abort is polled every 64 cycles.
   std::uint64_t cycle_deadline = 0;
-  double deadline_growth = 2.0;  ///< deadline multiplier per retry
   std::size_t max_attempts = 2;  ///< attempts before quarantine (min 1)
-  /// Cycles between watchdog-abort polls while a scene runs; 0 disables
-  /// polling (the wall-clock watchdog then cannot interrupt mid-scene).
-  std::uint64_t abort_check_every = 64;
   /// Capture each scene's watch-level-1 firing log into SceneReport
   /// (the byte-identity proof surface; costs a string per firing).
   bool capture_firing_log = false;

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <memory>
 #include <new>
@@ -469,6 +471,20 @@ TEST(Engine, BudgetedRunIsRelativeToCurrentCycles) {
   const RunResult second = engine.run(5);
   EXPECT_TRUE(second.cycle_limited);
   EXPECT_EQ(second.cycles, 15u);
+}
+
+TEST(Engine, HugeBudgetSaturatesInsteadOfWrapping) {
+  // A budget whose sum with the cycle count wraps used to end the run
+  // before its first cycle; it must mean "no budget" instead.
+  const auto program = parse_shared(kRunawaySrc);
+  EngineConfig config;
+  config.max_cycles = 3'100;
+  Engine engine(program, nullptr, config);
+  engine.make_wme("counter", {{"n", Value(0.0)}});
+  ASSERT_EQ(engine.run(3'000).cycles, 3'000u);
+  const RunResult huge = engine.run(std::numeric_limits<std::uint64_t>::max() - 2'047);
+  EXPECT_TRUE(huge.cycle_limited);  // by max_cycles, 100 cycles later
+  EXPECT_EQ(huge.cycles, 3'100u);
 }
 
 TEST(Engine, BudgetedRunCompletesWithinBudget) {

@@ -3,6 +3,7 @@
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <thread>
 
 #include "psm/queue.hpp"
 #include "psm/run.hpp"
@@ -59,78 +60,78 @@ TEST(CountersDelta, AccumulateMatchesPlusEquals) {
 // TaskQueue
 // ---------------------------------------------------------------------------
 
-TEST(TaskQueue, PopsInOrderThenEmpty) {
-  std::vector<Task> tasks(3);
-  for (std::size_t i = 0; i < 3; ++i) {
+std::vector<Task> noop_tasks(std::size_t n) {
+  std::vector<Task> tasks(n);
+  for (std::size_t i = 0; i < n; ++i) {
     tasks[i].id = i;
     tasks[i].inject = [](ops5::Engine&) {};
   }
-  TaskQueue q(std::move(tasks));
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.pop()->id, 0u);
-  EXPECT_EQ(q.pop()->id, 1u);
-  EXPECT_EQ(q.pop()->id, 2u);
-  EXPECT_EQ(q.pop(), nullptr);
-  EXPECT_EQ(q.pops(), 3u);
+  return tasks;
+}
+
+TEST(TaskQueue, PopsInOrderThenEmpty) {
+  const auto tasks = noop_tasks(3);
+  TaskQueue q(tasks, 1);
+  for (std::uint64_t id = 0; id < 3; ++id) {
+    const Task* t = q.pop();
+    ASSERT_NE(t, nullptr);
+    EXPECT_EQ(t->id, id);
+    q.finish(id, false);
+  }
+  EXPECT_EQ(q.pop(), nullptr);  // nothing fresh, requeued or in flight
 }
 
 TEST(TaskQueue, PopHandsOutStablePointersNotCopies) {
-  std::vector<Task> tasks(2);
-  for (std::size_t i = 0; i < 2; ++i) {
-    tasks[i].id = i;
-    tasks[i].inject = [](ops5::Engine&) {};
-  }
-  TaskQueue q(std::move(tasks));
+  const auto tasks = noop_tasks(2);
+  TaskQueue q(tasks, 2);
   const Task* a = q.pop();
   const Task* b = q.pop();
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_NE(a, b);
-  // Pointers into the preloaded list stay valid across later pops/requeues.
-  q.requeue(a->id);
+  EXPECT_EQ(a, &tasks[0]);
+  EXPECT_EQ(b, &tasks[1]);
+  // A requeued task comes back as the same pointer into the caller's list.
+  q.finish(a->id, true);
   EXPECT_EQ(q.pop(), a);
-  EXPECT_EQ(a->id, 0u);
 }
 
 TEST(TaskQueue, RequeuedTasksDrainBeforeFreshOnes) {
-  // Regression for the fairness note in queue.hpp: a stranded task already
-  // waited a full scheduling round, so it must be handed out before the
-  // untouched remainder of the fresh list — not after it.
-  std::vector<Task> tasks(4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    tasks[i].id = i;
-    tasks[i].inject = [](ops5::Engine&) {};
-  }
-  TaskQueue q(std::move(tasks));
+  // A stranded task already waited a full scheduling round, so it must be
+  // handed out before the untouched remainder of the fresh list.
+  const auto tasks = noop_tasks(4);
+  TaskQueue q(tasks, 1);
   EXPECT_EQ(q.pop()->id, 0u);
-  q.requeue(0);  // stranded while fresh tasks 1..3 still wait
+  q.finish(0, true);  // stranded while fresh tasks 1..3 still wait
   EXPECT_EQ(q.pop()->id, 0u);  // requeued first...
+  q.finish(0, false);
   EXPECT_EQ(q.pop()->id, 1u);  // ...then fresh order resumes
-  q.requeue(1);
+  q.requeue_lost({0});
+  q.finish(1, true);
+  EXPECT_EQ(q.pop()->id, 0u);  // requeue order: lost result, then held task
+  q.finish(0, false);
   EXPECT_EQ(q.pop()->id, 1u);
+  q.finish(1, false);
   EXPECT_EQ(q.pop()->id, 2u);
+  q.finish(2, false);
   EXPECT_EQ(q.pop()->id, 3u);
+  q.finish(3, false);
   EXPECT_EQ(q.pop(), nullptr);
-  EXPECT_EQ(q.pops(), 6u);  // successful pops only: 0,0,1,1,2,3
 }
 
 TEST(TaskQueue, RequeueHandsTasksOutAgain) {
-  std::vector<Task> tasks(2);
-  for (std::size_t i = 0; i < 2; ++i) {
-    tasks[i].id = i;
-    tasks[i].inject = [](ops5::Engine&) {};
-  }
-  TaskQueue q(std::move(tasks));
-  (void)q.pop();
-  (void)q.pop();
-  EXPECT_EQ(q.pop(), nullptr);
-  q.requeue(1);
-  q.requeue(0);
-  EXPECT_EQ(q.pop()->id, 1u);  // requeue order
-  EXPECT_EQ(q.pop()->id, 0u);
-  EXPECT_EQ(q.pop(), nullptr);
-  EXPECT_EQ(q.pops(), 4u);
-  EXPECT_THROW(q.requeue(99), std::out_of_range);
+  // With the last task in flight, pop waits instead of reporting an empty
+  // queue; the waiting worker takes the task over when the holder dies.
+  const auto tasks = noop_tasks(1);
+  TaskQueue q(tasks, 2);
+  const Task* held = q.pop();
+  ASSERT_NE(held, nullptr);
+  std::jthread idle([&] {
+    const Task* t = q.pop();
+    EXPECT_EQ(t, held);
+    if (t != nullptr) q.finish(t->id, false);
+    EXPECT_EQ(q.pop(), nullptr);
+    q.worker_exited();
+  });
+  q.finish(held->id, true);  // the holder dies holding it
+  q.worker_exited();
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <latch>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -124,6 +125,17 @@ void expect_exact_accounting(const RunReport& report, std::size_t n_tasks) {
   ASSERT_EQ(report.attempts.size(), n_tasks);
 }
 
+/// A fault plan under which task `id` fails its first attempt and passes its
+/// second.
+FaultConfig first_attempt_fails(std::uint64_t id) {
+  FaultConfig faults;
+  faults.transient_rate = 0.5;
+  for (faults.seed = 1;; ++faults.seed) {
+    const FaultInjector probe(faults);
+    if (probe.fails(id, 1) && !probe.fails(id, 2)) return faults;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Refraction across a retried attempt: an instantiation of the base working
 // memory that fired in a crashed first attempt must fire again on the retry,
@@ -150,13 +162,7 @@ TEST(RunRobust, RetryAfterFaultFiresBaseInstantiationAgain) {
     engine.make_wme("trigger", {{"n", ops5::Value(7.0)}});
   };
 
-  FaultConfig faults;
-  faults.transient_rate = 0.5;
-  for (faults.seed = 1;; ++faults.seed) {
-    const FaultInjector probe(faults);
-    if (probe.fails(0, 1) && !probe.fails(0, 2)) break;
-  }
-  const FaultInjector injector(faults);
+  const FaultInjector injector(first_attempt_fails(0));
   std::size_t seen = 0;
   const RunResult result = run(factory, {task},
                                robust_opts(1, {}, &injector, [&](std::size_t, ops5::Engine& e) {
@@ -221,7 +227,6 @@ TEST(RunRobust, RunawayTaskDeadlineQuarantinedWithoutPollutingProcess) {
   RobustnessPolicy policy;
   policy.max_attempts = 3;
   policy.cycle_deadline = 10;
-  policy.deadline_growth = 2.0;
   std::size_t results = 0;
   const auto collect = [&](std::size_t, ops5::Engine& engine) { results += count_results(engine); };
   const auto report =
@@ -245,7 +250,6 @@ TEST(RunRobust, SlowTaskCompletesUnderDeadlineGrowth) {
   RobustnessPolicy policy;
   policy.max_attempts = 3;
   policy.cycle_deadline = 10;  // attempts get 10, 20, 40 cycles
-  policy.deadline_growth = 2.0;
   const auto report = run(workload.factory(), tasks, robust_opts(1, policy)).report;
 
   expect_exact_accounting(report, 1);
@@ -267,13 +271,88 @@ TEST(RunRobust, BackoffSleepsAccompanyRetries) {
   FaultInjector injector(faults);
   RobustnessPolicy policy;
   policy.max_attempts = 3;  // ...so both tasks burn all attempts
-  policy.backoff_base = std::chrono::microseconds{50};
   const auto report = run(workload.factory(), tasks, robust_opts(1, policy, &injector)).report;
 
   expect_exact_accounting(report, 2);
   EXPECT_EQ(report.quarantined_ids.size(), 2u);
   EXPECT_EQ(report.retries, 4u);  // 2 retries per task
-  EXPECT_EQ(report.backoff_sleeps, 4u);
+}
+
+TEST(RunRobust, DeadlineGrowthDoublesAndSaturates) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(grown_deadline(0, 7), 0u);  // unlimited stays unlimited
+  EXPECT_EQ(grown_deadline(10, 1), 10u);
+  EXPECT_EQ(grown_deadline(10, 3), 40u);
+  EXPECT_EQ(grown_deadline(std::uint64_t{1} << 62, 2), std::uint64_t{1} << 63);
+  EXPECT_EQ(grown_deadline(std::uint64_t{1} << 62, 3), kMax);
+  EXPECT_EQ(grown_deadline(1, 65), kMax);
+
+  // A retry past 2^64 cycles gets the saturated budget and completes.
+  TinyWorkload workload;
+  const FaultInjector injector(first_attempt_fails(0));
+  RobustnessPolicy policy;
+  policy.cycle_deadline = kMax - 2'047;
+  const auto report =
+      run(workload.factory(), {TinyWorkload::slow(0)}, robust_opts(1, policy, &injector)).report;
+  EXPECT_TRUE(report.complete());
+  EXPECT_EQ(report.retries, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The isolated attempt: whatever the outcome, the engine is back at base
+// ---------------------------------------------------------------------------
+
+/// Working memory by timetag, the conflict-set size, and the timetag the next
+/// WME would get (read by a probe WME that a stream rolls back again).
+std::vector<std::string> engine_state(TaskRunner& runner) {
+  ops5::Engine& engine = runner.engine();
+  std::vector<std::string> state;
+  for (const char* cls : {"job", "result", "spin", "ctr"}) {
+    for (const ops5::Wme* w : engine.wmes_of_class(cls)) {
+      state.push_back(std::to_string(w->timetag()) + ":" + cls);
+    }
+  }
+  std::sort(state.begin(), state.end());
+  state.push_back("cs " + std::to_string(engine.conflict_set_size()));
+  runner.begin_stream();
+  state.push_back("next " + std::to_string(engine.make_wme("spin", {}).timetag()));
+  runner.end_stream();
+  return state;
+}
+
+TEST(RunIsolated, ReturnsToBaseAfterCollectOnSuccessOverrunAndThrow) {
+  TinyWorkload workload;
+  TaskProcessFactory factory = workload.factory();
+  // A pending base instantiation: every attempt fires it, so each rollback
+  // has to re-arm it.
+  factory.base_init = [](ops5::Engine& engine) {
+    engine.make_wme("job", {{"n", ops5::Value(99.0)}});
+  };
+  TaskRunner runner(factory);
+  const auto base = engine_state(runner);
+  ASSERT_EQ(runner.engine().conflict_set_size(), 1u);
+
+  std::size_t collected = 0;
+  const auto collect = [&](ops5::Engine& engine) { collected = count_results(engine); };
+  const TaskMeasurement first = runner.run_isolated(TinyWorkload::good(1), 0, {}, 0, collect);
+  EXPECT_EQ(collected, 2u);
+  EXPECT_EQ(first.counters.firings, 2u);
+  EXPECT_EQ(engine_state(runner), base);
+
+  EXPECT_THROW((void)runner.run_isolated(TinyWorkload::runaway(2), 10, {}, 0, collect),
+               TaskDeadlineExceeded);
+  EXPECT_EQ(engine_state(runner), base);
+  EXPECT_THROW((void)runner.run_isolated(TinyWorkload::poison(3), 0, {}, 0, collect),
+               std::runtime_error);
+  EXPECT_EQ(engine_state(runner), base);
+  const auto failing_collect = [](ops5::Engine&) { throw std::logic_error("collect failed"); };
+  EXPECT_THROW((void)runner.run_isolated(TinyWorkload::good(4), 0, {}, 0, failing_collect),
+               std::logic_error);
+  EXPECT_EQ(engine_state(runner), base);
+
+  const TaskMeasurement again = runner.run_isolated(TinyWorkload::good(1), 0, {}, 0, collect);
+  EXPECT_EQ(again.counters.total_cost(), first.counters.total_cost());
+  EXPECT_EQ(again.counters.firings, first.counters.firings);
 }
 
 // ---------------------------------------------------------------------------
@@ -447,6 +526,21 @@ TEST(RunThreaded, AggregatesAllWorkerErrors) {
     EXPECT_NE(msg.find("worker error 0"), std::string::npos);
     EXPECT_NE(msg.find("worker error 1"), std::string::npos);
   }
+}
+
+TEST(RunThreaded, HugeCycleDeadlineDoesNotCutOffLaterTasks) {
+  // Task 1 starts on an engine that has run 3,000 cycles; its cycle count
+  // plus a deadline near 2^64 used to wrap into an immediate cutoff.
+  TinyWorkload workload;
+  Task warm = TinyWorkload::slow(0);
+  warm.inject = [](ops5::Engine& engine) {
+    engine.make_wme("ctr", {{"n", ops5::Value(-2'970.0)}});
+  };
+  RunOptions options = strict_opts(1);
+  options.robustness.cycle_deadline = std::numeric_limits<std::uint64_t>::max() - 2'047;
+  const RunResult result = run(workload.factory(), {warm, TinyWorkload::good(1)}, options);
+  EXPECT_EQ(result.measurements()[0].counters.cycles, 3'000u);
+  EXPECT_EQ(result.measurements()[1].counters.firings, 1u);
 }
 
 TEST(RunThreaded, SingleErrorRethrownWithOriginalType) {

@@ -533,7 +533,6 @@ TEST(ServeStream, DrainForceClosesOpenStreamsAfterQueuedTicks) {
 TEST(ServeStream, WatchdogBudgetCoversTicksNotIdleStreams) {
   ServerOptions options;
   options.workers = 1;
-  options.session.abort_check_every = 8;
   options.watchdog_budget = std::chrono::milliseconds(50);
   options.watchdog_poll = std::chrono::milliseconds(1);
   Server server(stream_rulebase(), options);

@@ -47,7 +47,6 @@ TEST(ServeStress, OverloadWithFaultStormKeepsExactAccounting) {
   options.queue_capacity = 16;  // far below offered load: shedding is expected
   options.session.cycle_deadline = 100;
   options.session.max_attempts = 2;
-  options.session.abort_check_every = 16;
   options.session.injector = &injector;
   options.watchdog_budget = std::chrono::milliseconds(250);
   options.watchdog_poll = std::chrono::milliseconds(2);

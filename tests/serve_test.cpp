@@ -24,6 +24,7 @@
 #include "obs/trace.hpp"
 #include "ops5/parser.hpp"
 #include "psm/faults.hpp"
+#include "psm/run.hpp"
 #include "serve/server.hpp"
 
 namespace psmsys::serve {
@@ -391,6 +392,63 @@ TEST(ServeRefraction, FailedTickCheckpointRollbackReArmsBaseInstantiation) {
 }
 
 // ---------------------------------------------------------------------------
+// One attempt for both executors: a fault plan has the same outcomes
+// ---------------------------------------------------------------------------
+
+TEST(SharedAttempt, FaultPlanGivesSameOutcomesThroughRunAndSession) {
+  psm::FaultConfig config;
+  config.seed = 7;
+  config.transient_rate = 0.3;
+  config.poison_rate = 0.15;
+  config.overrun_rate = 0.25;
+  const psm::FaultInjector injector(config);
+  constexpr std::uint64_t kScenes = 16;
+  constexpr std::uint32_t kMaxAttempts = 3;
+  const auto rb = tiny_rulebase();
+
+  psm::TaskProcessFactory factory;
+  factory.make_engine = [&rb] { return rb->make_engine(); };
+  std::vector<psm::Task> tasks;
+  for (std::uint64_t id = 0; id < kScenes; ++id) {
+    tasks.push_back({id, "result", result_scene(id).inject});
+  }
+  psm::RunOptions run_options;
+  run_options.robustness.max_attempts = kMaxAttempts;
+  run_options.injector = &injector;
+  const psm::RunReport report = psm::run(factory, tasks, run_options).report;
+
+  SessionOptions options;
+  options.max_attempts = kMaxAttempts;
+  options.injector = &injector;
+  EngineContext context(rb, {}, options);
+  std::set<psm::AttemptResult> seen;
+  for (std::uint64_t id = 0; id < kScenes; ++id) {
+    const SceneReport scene = Session(id, context).run(result_scene(id), {});
+    const auto& attempts = report.attempts[id];
+    ASSERT_EQ(scene.attempts, attempts.size()) << "scene " << id;
+    const bool completed = attempts.back().result == psm::AttemptResult::Completed;
+    EXPECT_EQ(scene.status, completed ? SceneStatus::Completed : SceneStatus::Quarantined);
+    // The session reports its last failure's cause: the same injected fault
+    // or the same 1-cycle overrun as the executor's attempt.
+    const auto failed = std::find_if(attempts.rbegin(), attempts.rend(), [](const auto& a) {
+      return a.result != psm::AttemptResult::Completed;
+    });
+    EXPECT_EQ(scene.error, failed == attempts.rend() ? "" : failed->error) << "scene " << id;
+    // Each attempt's outcome is the plan's: crash, 1-cycle overrun, or done.
+    for (const auto& a : attempts) {
+      EXPECT_EQ(a.result, injector.fails(id, a.number)      ? psm::AttemptResult::Fault
+                          : injector.overruns(id, a.number) ? psm::AttemptResult::DeadlineExceeded
+                                                            : psm::AttemptResult::Completed)
+          << "scene " << id << " attempt " << a.number;
+      seen.insert(a.result);
+    }
+  }
+  EXPECT_EQ(seen.size(), 3u);  // completed, fault and deadline_exceeded attempts
+  EXPECT_FALSE(report.quarantined_ids.empty());
+  EXPECT_GT(report.retries, report.quarantined_ids.size() * (kMaxAttempts - 1));
+}
+
+// ---------------------------------------------------------------------------
 // Runaway containment: cycle deadline (deterministic) and watchdog (wall)
 // ---------------------------------------------------------------------------
 
@@ -411,7 +469,6 @@ TEST(ServeRunaway, CycleDeadlineQuarantinesAndNextSceneIsUnperturbed) {
   options.workers = 1;  // both scenes run on the same engine context
   options.session.capture_firing_log = true;
   options.session.cycle_deadline = 40;
-  options.session.deadline_growth = 2.0;
   options.session.max_attempts = 3;
   Server server(rb, options);
 
@@ -438,7 +495,6 @@ TEST(ServeRunaway, CycleDeadlineQuarantinesAndNextSceneIsUnperturbed) {
 TEST(ServeRunaway, WatchdogAbortsWallClockRunaway) {
   ServerOptions options;
   options.workers = 1;
-  options.session.abort_check_every = 8;
   options.session.capture_firing_log = true;
   options.watchdog_budget = std::chrono::milliseconds(25);
   options.watchdog_poll = std::chrono::milliseconds(1);

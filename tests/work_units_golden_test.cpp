@@ -264,8 +264,8 @@ std::string stream_line(const spam::DatasetConfig& config) {
   runner.begin_stream();
   for (std::size_t t = 0; t < schedule.size(); ++t) {
     retractions += schedule[t].retractions.size();
-    if (t == schedule.size() / 2) runner.abort_tick_after(tick(t), 25);
-    (void)runner.run_tick(tick(t));
+    if (t == schedule.size() / 2) runner.abort_after(tick(t), 25);
+    (void)runner.attempt(tick(t));
   }
   runner.end_stream();
   EXPECT_GT(retractions, 0U);
