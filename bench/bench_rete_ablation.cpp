@@ -11,12 +11,11 @@ namespace {
 
 util::WorkUnits run_with(const spam::Scene& scene, const std::vector<spam::Fragment>& best,
                          bool sharing, bool indexed, rete::NetworkStats* stats_out) {
-  const spam::PhaseProgram phase = spam::build_lcc_program();
-  ops5::EngineOptions options;
-  options.rete.node_sharing = sharing;
-  options.rete.indexed_joins = indexed;
-  auto engine = phase.make_engine(scene, options);
-  if (stats_out != nullptr) *stats_out = engine->network().stats();
+  spam::PhaseProgram phase = spam::build_lcc_program();
+  phase.network = std::make_shared<const rete::CompiledNetwork>(
+      *phase.program, rete::NetworkOptions{.node_sharing = sharing, .indexed_joins = indexed});
+  auto engine = phase.make_engine(scene);
+  if (stats_out != nullptr) *stats_out = phase.network->stats();
 
   spam::seed_fragment_wmes(*engine, best);
   spam::seed_constraint_wmes(*engine);

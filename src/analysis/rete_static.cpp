@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "analysis/footprint.hpp"
-#include "util/counters.hpp"
 
 namespace psmsys::analysis {
 
@@ -17,13 +16,6 @@ using ops5::ClassIndex;
 using ops5::Production;
 using ops5::Program;
 using rete::NetworkTopology;
-
-/// The analyzer compiles throwaway networks: nothing listens, nothing is
-/// charged to a caller-visible counter.
-struct NullListener final : rete::MatchListener {
-  void on_activate(const Production&, std::span<const ops5::Wme* const>) override {}
-  void on_deactivate(const Production&, std::span<const ops5::Wme* const>) override {}
-};
 
 // --- selectivity estimates (DESIGN.md section 13) --------------------------
 //
@@ -346,12 +338,7 @@ std::vector<DependencyEdge> dependency_edges(const Program& program) {
 ReteStaticReport analyze_rete(const Program& program, const ReteStaticOptions& options) {
   if (!program.frozen()) throw std::invalid_argument("analyze_rete requires a frozen Program");
 
-  NullListener listener;
-  util::WorkCounters scratch;
-  rete::NetworkOptions net = options.network;
-  net.record_chunks = false;
-
-  const rete::Network network(program, listener, scratch, {}, net);
+  const rete::CompiledNetwork network(program);
   const NetworkTopology topo = network.topology();
   const rete::NetworkStats stats = network.stats();
 
@@ -362,13 +349,10 @@ ReteStaticReport analyze_rete(const Program& program, const ReteStaticOptions& o
   report.beta_memories = stats.beta_memories;
   report.nominal_wm = options.nominal_wm;
   report.fanin_exponent = options.fanin_exponent;
-
-  rete::NetworkOptions raw = net;
-  raw.node_sharing = false;
-  const rete::Network unshared(program, listener, scratch, {}, raw);
-  const rete::NetworkStats u = unshared.stats();
-  report.alpha_nodes_unshared = u.alpha_patterns;
-  report.join_nodes_unshared = u.join_nodes + u.negative_nodes;
+  // Unshared, every CE compiles into its own alpha pattern and its own join
+  // or negative node.
+  for (const auto& path : topo.productions) report.alpha_nodes_unshared += path.nodes.size();
+  report.join_nodes_unshared = report.alpha_nodes_unshared;
 
   const auto fps = program_footprints(program);
   const auto traffic = class_traffic(program, fps);

@@ -4,10 +4,12 @@
 //
 // Everything else in src/analysis reasons about productions one at a time;
 // this pass compiles the production set to the real Rete network
-// (rete::Network::topology()) and analyzes the *compiled* shape as a whole:
+// (rete::CompiledNetwork::topology()) and analyzes the *compiled* shape as a
+// whole:
 //
 //   - node sharing: how many alpha/join nodes the shared network has versus
-//     the unshared compilation (Gupta's classic sharing factor);
+//     the unshared compilation, one of each per CE (Gupta's classic sharing
+//     factor);
 //   - static join selectivity estimates from attribute-test structure, and
 //     worst-case beta-memory growth bounds per production;
 //   - class fan-in ("traffic"): how many RHS actions across the rule base
@@ -34,8 +36,6 @@
 namespace psmsys::analysis {
 
 struct ReteStaticOptions {
-  /// Network build options the deployment actually uses (sharing/indexing).
-  rete::NetworkOptions network;
   /// Assumed live WMEs per class for the beta-memory growth bounds. The
   /// bounds scale polynomially in this, so it is a unit, not a prediction.
   double nominal_wm = 8.0;
@@ -108,7 +108,7 @@ struct ReteStaticReport {
   std::string program;                 ///< program name tag (caller-supplied)
   std::size_t production_count = 0;
   std::size_t alpha_nodes = 0;         ///< shared compilation
-  std::size_t alpha_nodes_unshared = 0;///< node_sharing=false compilation
+  std::size_t alpha_nodes_unshared = 0;///< node_sharing=false: one per CE
   std::size_t join_nodes = 0;          ///< joins + negative nodes, shared
   std::size_t join_nodes_unshared = 0;
   std::size_t beta_memories = 0;
@@ -129,7 +129,7 @@ struct ReteStaticReport {
   /// Per-production match-cost estimates, indexed by production id.
   [[nodiscard]] std::vector<double> cost_vector() const;
 
-  /// Join measured per-node activation counts (rete::Matcher::
+  /// Join measured per-node activation counts (rete::Network::
   /// node_activations(), same topology id space as `topo`) onto the report's
   /// productions: each production is charged every node on its compiled path
   /// (shared nodes charged to every user, matching the static-cost

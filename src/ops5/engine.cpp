@@ -13,31 +13,41 @@ namespace psmsys::ops5 {
 
 namespace {
 
-[[nodiscard]] std::shared_ptr<const Program> require_program(
-    std::shared_ptr<const Program> program) {
+[[nodiscard]] const std::shared_ptr<const Program>& require_program(
+    const std::shared_ptr<const Program>& program) {
   if (program == nullptr) throw std::invalid_argument("engine needs a program");
   return program;
 }
 
-[[nodiscard]] rete::NetworkOptions network_options(const EngineConfig& config) {
-  // step() drops the cycle's chunks unless it records cycles, so the network
-  // records them only then.
-  rete::NetworkOptions net = config.rete;
-  net.record_chunks = net.record_chunks && config.record_cycles;
-  return net;
+[[nodiscard]] std::shared_ptr<const rete::CompiledNetwork> network_of(
+    const std::shared_ptr<const Program>& program,
+    std::shared_ptr<const rete::CompiledNetwork> network) {
+  if (network == nullptr || &network->program() != require_program(program).get()) {
+    throw std::invalid_argument("engine needs the compiled network of its program");
+  }
+  return network;
 }
 
 }  // namespace
 
-Engine::Engine(std::shared_ptr<const Program> program, const ExternalRegistry* externals,
-               EngineOptions options)
-    : program_(require_program(std::move(program))),
+// step() drops the cycle's chunks unless it records cycles, so the network
+// records them only then.
+Engine::Engine(std::shared_ptr<const Program> program,
+               std::shared_ptr<const rete::CompiledNetwork> network,
+               const ExternalRegistry* externals, EngineConfig options)
+    : program_(std::move(program)),
       externals_(externals),
       options_(std::move(options)),
-      network_(*program_, *this, counters_, options_.costs, network_options(options_)) {
+      network_(network_of(program_, std::move(network)), *this, counters_, options_.costs,
+               options_.record_cycles) {
   class_wm_.resize(program_->class_count());
   match_mark_ = counters_.match_cost;
 }
+
+Engine::Engine(std::shared_ptr<const Program> program, const ExternalRegistry* externals,
+               EngineConfig options)
+    : Engine(program, std::make_shared<const rete::CompiledNetwork>(*require_program(program)),
+             externals, std::move(options)) {}
 
 Engine::~Engine() = default;
 
@@ -239,7 +249,7 @@ Value Engine::call_function(Symbol function, std::span<const Value> args) {
 }
 
 void Engine::fire(const Production& production) {
-  const BindingAnalysis& bindings = network_.bindings(production);
+  const BindingAnalysis& bindings = network_.compiled().bindings(production);
   // firing_.wmes holds the matched WMEs; a firing cut short by an exception
   // leaves the other buffers dirty, so each starts empty here.
   FiringBuffers& s = firing_;

@@ -1,9 +1,10 @@
 #pragma once
 
 // The OPS5 recognize-act interpreter — our analog of ParaOPS5's sequential
-// core. Each PSM task process owns one Engine; the engine owns a Rete
-// network, working memory, and conflict set, and exposes the instrumentation
-// (work counters, per-cycle match chunks) the psm virtual-time models consume.
+// core. Each PSM task process owns one Engine; the engine owns its Rete match
+// state (over the rule base's shared compiled network), working memory, and
+// conflict set, and exposes the instrumentation (work counters, per-cycle
+// match chunks) the psm virtual-time models consume.
 
 #include <functional>
 #include <memory>
@@ -27,8 +28,7 @@ class Tracer;
 namespace psmsys::ops5 {
 
 /// Construction-time engine configuration. This is the ONE place an engine
-/// is configured: every knob is read at construction. `EngineOptions`
-/// remains as an alias for older call sites.
+/// is configured: every knob is read at construction.
 struct EngineConfig {
   Strategy strategy = Strategy::Lex;
   /// Safety valve against runaway rule bases.
@@ -37,11 +37,7 @@ struct EngineConfig {
   /// match-parallelism model; adds memory proportional to cycles).
   bool record_cycles = false;
   util::CostModel costs;
-  rete::NetworkOptions rete;
 };
-
-/// Backwards-compatible alias; EngineConfig is the canonical name.
-using EngineOptions = EngineConfig;
 
 /// Per recognize-act cycle: the independently-schedulable match chunk costs
 /// (what ParaOPS5 distributes over match processes) and the sequential
@@ -70,10 +66,16 @@ struct RunResult {
 
 class Engine final : private rete::MatchListener {
  public:
-  /// The program must be frozen. `externals` may be nullptr if the program
-  /// uses no (call ...) expressions; it must outlive the engine.
+  /// An engine over `network`, the compiled network of `program`, which it
+  /// shares read-only with every other engine of the rule base. `externals`
+  /// may be nullptr if the program uses no (call ...) expressions; it must
+  /// outlive the engine.
+  Engine(std::shared_ptr<const Program> program,
+         std::shared_ptr<const rete::CompiledNetwork> network,
+         const ExternalRegistry* externals, EngineConfig options = {});
+  /// Compiles the frozen program's network for this engine alone.
   Engine(std::shared_ptr<const Program> program, const ExternalRegistry* externals,
-         EngineOptions options = {});
+         EngineConfig options = {});
   ~Engine() override;
 
   Engine(const Engine&) = delete;
@@ -183,8 +185,8 @@ class Engine final : private rete::MatchListener {
   [[nodiscard]] const Program& program() const noexcept { return *program_; }
   [[nodiscard]] const util::WorkCounters& counters() const noexcept { return counters_; }
   [[nodiscard]] std::span<const CycleRecord> cycle_records() const noexcept { return cycles_; }
-  /// The engine's Rete network: shape, gauges, topology and activation
-  /// counters for the instrumentation that reads them.
+  /// The engine's Rete network: gauges and activation counters, and through
+  /// compiled() the shape, topology and binding analyses.
   [[nodiscard]] const rete::Network& network() const noexcept { return network_; }
   [[nodiscard]] std::size_t conflict_set_size() const noexcept { return conflict_set_.size(); }
 

@@ -482,34 +482,71 @@ class Parser {
     return w;
   }
 
+  /// An expression is at most this many levels deep: a constant or a
+  /// variable is one level, and each parenthesized form (a call or a
+  /// compute) and each compute operator adds one (the phase programs use
+  /// 5). Parsing, evaluation and destruction recurse once per level, so
+  /// hostile source is rejected here instead of overflowing the stack.
+  static constexpr std::uint32_t kMaxExprDepth = 256;
+
   Expr parse_expr() {
+    std::uint32_t height = 0;
+    return parse_expr(1, height);
+  }
+
+  /// An expression whose root sits `depth` levels deep; `height` receives
+  /// the levels of its own tree, so depth + height - 1 is its deepest level.
+  Expr parse_expr(std::uint32_t depth, std::uint32_t& height) {
     const Token t = lex_.take();
+    height = 1;
     switch (t.kind) {
       case TokKind::Number: return Expr(Value(t.number));
       case TokKind::Variable: return Expr(VarRef{program_.intern_variable(t.text)});
       case TokKind::Sym:
         return t.text == "nil" ? Expr(Value{}) : Expr(Value(program_.symbols().intern(t.text)));
-      case TokKind::LParen: return parse_call_expr();
+      case TokKind::LParen: return parse_call_expr(depth, height);
       default: throw ParseError("expected expression", t.line);
     }
   }
 
-  Expr parse_call_expr() {
+  /// Throws unless an expression level `depth` is within the bound; `at` is
+  /// the token that would open it.
+  static void check_depth(std::uint32_t depth, const Token& at) {
+    if (depth > kMaxExprDepth) {
+      throw ParseError(
+          "expression nested more than " + std::to_string(kMaxExprDepth) + " levels deep",
+          at.line, at.col);
+    }
+  }
+
+  Expr parse_operand(std::uint32_t depth, std::uint32_t& height) {
+    check_depth(depth, lex_.peek());
+    return parse_expr(depth, height);
+  }
+
+  Expr parse_call_expr(std::uint32_t depth, std::uint32_t& height) {
     Token head = expect(TokKind::Sym, "function name");
-    if (head.text == "compute") return parse_compute();
+    if (head.text == "compute") return parse_compute(depth, height);
     // `(call fn args...)` names an external function explicitly; a bare
     // `(fn args...)` also works for anything that isn't a reserved form.
     if (head.text == "call") head = expect(TokKind::Sym, "external function name");
     CallExpr call;
     call.function = program_.symbols().intern(head.text);
-    while (lex_.peek().kind != TokKind::RParen) call.args.push_back(parse_expr());
+    while (lex_.peek().kind != TokKind::RParen) {
+      std::uint32_t arg = 0;
+      call.args.push_back(parse_operand(depth + 1, arg));
+      height = std::max(height, arg + 1);
+    }
     lex_.take();
     return Expr(std::move(call));
   }
 
-  /// `(compute e op e [op e ...])` — left-associative infix arithmetic.
-  Expr parse_compute() {
-    Expr acc = parse_expr();
+  /// `(compute e op e [op e ...])` — left-associative infix arithmetic. The
+  /// operator tree hangs one level below the form, and each operator pushes
+  /// the tree built so far one level deeper.
+  Expr parse_compute(std::uint32_t depth, std::uint32_t& height) {
+    const std::uint32_t root = depth + 1;
+    Expr acc = parse_operand(root, height);
     while (lex_.peek().kind != TokKind::RParen) {
       const Token op = lex_.take();
       std::string op_name;
@@ -524,13 +561,17 @@ class Parser {
           op_name != "mod") {
         throw ParseError("unknown compute operator: " + op_name, op.line);
       }
+      check_depth(root + height, op);
       CallExpr call;
       call.function = program_.symbols().intern(op_name);
       call.args.push_back(std::move(acc));
-      call.args.push_back(parse_expr());
+      std::uint32_t operand = 0;
+      call.args.push_back(parse_operand(root + 1, operand));
+      height = std::max(height, operand) + 1;
       acc = Expr(std::move(call));
     }
     lex_.take();
+    ++height;  // the form's own level
     return acc;
   }
 

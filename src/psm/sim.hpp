@@ -114,7 +114,7 @@ struct MatchModel {
 [[nodiscard]] util::WorkUnits cycle_cost(const ops5::CycleRecord& cycle, const MatchModel& model);
 
 /// Virtual duration of a whole task (sum over its cycles). The measurement
-/// must have been taken with EngineOptions::record_cycles = true when
+/// must have been taken with EngineConfig::record_cycles = true when
 /// match_processes > 0.
 [[nodiscard]] util::WorkUnits task_cost_with_match(const TaskMeasurement& task,
                                                    const MatchModel& model);

@@ -5,8 +5,9 @@
 // matcher reports conflict-set changes through MatchListener. The interface
 // is exactly that lockstep surface: the three WM-delta entry points and the
 // structural self-check. The engine owns a concrete rete::Network and reads
-// its instrumentation (shape, match chunks, token gauges, activation
-// counters, binding analyses) from the network directly.
+// its instrumentation (match chunks, token gauges, activation counters) from
+// the network directly, and the shape and binding analyses from the
+// network's shared rete::CompiledNetwork.
 
 #include <span>
 #include <string>

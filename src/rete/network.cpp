@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/obs_config.hpp"
@@ -12,7 +13,16 @@
 #include "util/pool.hpp"
 #include "util/small_vec.hpp"
 
-// Hot-path layout (this file's three structural commitments):
+// Hot-path layout (this file's four structural commitments):
+//
+//  * Shape apart from state — every node's shape (tests, successor lists,
+//    index layouts, production paths) lives in the CompiledNetwork under a
+//    dense id: alpha patterns and their memories share the pattern's id,
+//    positive joins and negative nodes share the topology's join ids, and
+//    every token store (the dummy top store, beta memories, negative and
+//    production nodes) has a store id. A Network keeps only what matching
+//    changes, in flat arrays indexed by those ids, so building an engine over
+//    a compiled rule base allocates a handful of arrays and compiles nothing.
 //
 //  * O(1) retraction — every membership (alpha-memory item, beta-store token,
 //    index-bucket entry, token-tree child, negative join result) carries its
@@ -60,89 +70,8 @@ using ops5::Value;
 using ops5::Wme;
 
 // ---------------------------------------------------------------------------
-// Network data structures
+// Compiled node shapes (read-only once compiled, shared by every Network)
 // ---------------------------------------------------------------------------
-
-struct AlphaMemory;
-struct JoinNode;
-struct BetaNode;
-struct WmeRecord;
-struct Token;
-
-struct NegJoinResult {
-  Token* owner = nullptr;
-  WmeRecord* wrec = nullptr;
-  std::uint32_t pos_in_owner = 0;  ///< position in owner->join_results
-  std::uint32_t pos_in_wrec = 0;   ///< position in wrec->neg_results
-};
-
-// Inline capacities of the token and record lists, chosen from the lengths
-// these lists reach on the SF, DC and MOFF scenes (DESIGN §22.4): each
-// covers nearly every list, and every array but alpha_mems stays within
-// std::vector's 24 bytes. A longer list spills to the heap and keeps its
-// spill when the pooled object is recycled.
-constexpr std::uint32_t kInlineChildren = 2;     ///< token children, record tokens
-constexpr std::uint32_t kInlineJoinResults = 1;  ///< a token's or a record's join results
-constexpr std::uint32_t kInlinePositions = 2;    ///< left_pos, right_pos
-constexpr std::uint32_t kInlineAlphaMems = 2;
-
-struct Token {
-  Token* parent = nullptr;
-  const Wme* wme = nullptr;  // null for the dummy token and neg-after-neg tokens
-  WmeRecord* wrec = nullptr;  // record of `wme`, null iff wme is null
-  BetaNode* node = nullptr;
-  util::SmallVec<Token*, kInlineChildren> children;
-  /// Only for tokens owned by negative nodes.
-  util::SmallVec<NegJoinResult*, kInlineJoinResults> join_results;
-  std::uint32_t pos_in_node = 0;    ///< position in node->tokens
-  std::uint32_t pos_in_parent = 0;  ///< position in parent->children
-  std::uint32_t pos_in_wrec = 0;    ///< position in wrec->tokens
-  /// Left-index bucket positions: one slot per shared left index of the
-  /// owning memory node ([0] for a negative node's own left index).
-  util::SmallVec<std::uint32_t, kInlinePositions> left_pos;
-};
-
-/// Side record per live WME: its slot values plus every membership the WME
-/// holds, with enough position state to undo all of them in O(1) each.
-struct WmeRecord {
-  const Wme* wme = nullptr;
-  /// wme->slots().data(): the WME outlives its record, and its values never
-  /// move.
-  const Value* vals = nullptr;
-  struct AmRef {
-    AlphaMemory* am = nullptr;
-    std::uint32_t item_pos = 0;    ///< position in am->items
-    std::uint32_t right_base = 0;  ///< start of this membership's right_pos span
-  };
-  util::SmallVec<AmRef, kInlineAlphaMems> alpha_mems;
-  /// Right-index bucket positions: per alpha-memory membership, one slot per
-  /// shared right index of that memory (at alpha_mems[i].right_base + the
-  /// index ordinal).
-  util::SmallVec<std::uint32_t, kInlinePositions> right_pos;
-  util::SmallVec<Token*, kInlineChildren> tokens;
-  util::SmallVec<NegJoinResult*, kInlineJoinResults> neg_results;
-};
-
-// Pooling must not make the objects bigger than their std::vector versions
-// were (120 and 128 bytes).
-static_assert(sizeof(Token) <= 120);
-static_assert(sizeof(WmeRecord) <= 128);
-
-/// Hash of a record's WME pointer: the key of the network's WME index.
-[[nodiscard]] inline std::uint64_t wme_hash(const Wme* w) noexcept {
-  return util::mix_bits(reinterpret_cast<std::uintptr_t>(w));
-}
-
-struct WmeRecordHash {
-  [[nodiscard]] std::uint64_t operator()(const WmeRecord& r) const noexcept {
-    return wme_hash(r.wme);
-  }
-};
-
-[[nodiscard]] inline const Value& rec_slot(const WmeRecord& r, SlotIndex i) noexcept {
-  assert(i < r.wme->slots().size());
-  return r.vals[i];
-}
 
 /// One constant test in the alpha network.
 struct ConstTest {
@@ -176,6 +105,166 @@ struct JoinTest {
   [[nodiscard]] bool operator==(const JoinTest&) const = default;
 };
 
+constexpr std::uint32_t kNoNode = ~std::uint32_t{0};
+
+/// An alpha pattern and the shape of its alpha memory (one memory per
+/// pattern, so both go by the pattern's id).
+struct AlphaNode {
+  ClassIndex cls = 0;
+  std::vector<ConstTest> const_tests;
+  std::vector<IntraTest> intra_tests;
+  std::vector<DisjTest> disj_tests;
+  std::vector<std::uint32_t> join_successors;      ///< positive join ids
+  std::vector<std::uint32_t> negative_successors;  ///< negative node join ids
+  /// Shared right indexes, one per distinct WME key slot among the indexed
+  /// successors (finalize_links). Records' right_pos spans are
+  /// index_slots.size() wide.
+  std::vector<SlotIndex> index_slots;
+  std::uint32_t first_right_index = 0;  ///< its indexes in the network's flat array
+};
+
+/// A two-input node by join id: a positive join or a negative node.
+struct JoinNode {
+  std::uint32_t alpha = 0;  ///< right input
+  /// The token store whose emptiness right-unlinks the node: a join's left
+  /// input, a negative node's own store.
+  std::uint32_t store = 0;
+  std::uint32_t depth = 0;  ///< CEs resolved before this node
+  bool negated = false;
+  std::vector<JoinTest> tests;
+  std::vector<std::uint32_t> children;  ///< positive joins: store ids fed
+  // Hashed-memory optimization (ParaOPS5): when the node has an equality
+  // test (and a join's left input is a plain memory), both sides are indexed
+  // by that test's value so an activation probes only matching candidates.
+  // The physical indexes are shared on the memories; the node holds
+  // ordinals.
+  int index_test = -1;          // -1: unindexed (scan)
+  std::uint32_t right_ord = 0;  ///< alpha memory shared-index ordinal (index_slots)
+  std::uint32_t left_ord = 0;   ///< positive joins: left store's ordinal (left_specs)
+};
+
+enum class BetaKind : std::uint8_t { Memory, Negative, Production };
+
+/// A token store by store id: the dummy top store (id 0), a beta memory, a
+/// negative node or a production node.
+struct StoreNode {
+  BetaKind kind = BetaKind::Memory;
+  std::uint32_t join = kNoNode;  ///< Negative only: its join id
+  std::vector<std::uint32_t> join_children;  ///< positive join ids
+  std::vector<std::uint32_t> left_children;  ///< store ids (NEG->NEG, NEG->P chains)
+  /// Shared left indexes over this store's tokens: for a memory, one per
+  /// distinct (levels_up, token_slot) key spec among indexed join children
+  /// (finalize_links); for an indexed negative node, its own key (joins
+  /// below a negative node are never indexed). Member tokens' left_pos spans
+  /// are left_specs.size() wide.
+  struct LeftSpec {
+    std::uint32_t levels_up = 0;
+    SlotIndex token_slot = 0;
+  };
+  std::vector<LeftSpec> left_specs;
+  std::uint32_t first_left_index = 0;  ///< its indexes in the network's flat array
+  const ops5::Production* production = nullptr;  ///< Production only
+};
+
+/// Hashed alpha dispatch for one WME class (Doorenbos' hashed alpha
+/// network). `patterns` is the class's dispatch list of alpha ids in compile
+/// order. A pattern whose first constant test is an equality can only pass
+/// for WMEs carrying that (slot, value), so it sits in that bucket; every
+/// other pattern is unbucketed and visited by every WME of the class. A
+/// pattern whose first test equals NaN can never pass and sits nowhere.
+/// Positions are ascending within every list.
+struct ClassDispatch {
+  std::vector<std::uint32_t> patterns;
+  std::vector<std::uint32_t> unbucketed;
+  struct SlotBuckets {
+    SlotIndex slot = 0;
+    std::unordered_map<Value, std::vector<std::uint32_t>, ops5::ValueHash> buckets;
+  };
+  std::vector<SlotBuckets> slots;
+};
+
+// ---------------------------------------------------------------------------
+// Match state (per Network)
+// ---------------------------------------------------------------------------
+
+struct WmeRecord;
+struct Token;
+
+struct NegJoinResult {
+  Token* owner = nullptr;
+  WmeRecord* wrec = nullptr;
+  std::uint32_t pos_in_owner = 0;  ///< position in owner->join_results
+  std::uint32_t pos_in_wrec = 0;   ///< position in wrec->neg_results
+};
+
+// Inline capacities of the token and record lists, chosen from the lengths
+// these lists reach on the SF, DC and MOFF scenes (DESIGN §22.4): each
+// covers nearly every list, and every array but alpha_mems stays within
+// std::vector's 24 bytes. A longer list spills to the heap and keeps its
+// spill when the pooled object is recycled.
+constexpr std::uint32_t kInlineChildren = 2;     ///< token children, record tokens
+constexpr std::uint32_t kInlineJoinResults = 1;  ///< a token's or a record's join results
+constexpr std::uint32_t kInlinePositions = 2;    ///< left_pos, right_pos
+constexpr std::uint32_t kInlineAlphaMems = 2;
+
+struct Token {
+  Token* parent = nullptr;
+  const Wme* wme = nullptr;  // null for the dummy token and neg-after-neg tokens
+  WmeRecord* wrec = nullptr;  // record of `wme`, null iff wme is null
+  util::SmallVec<Token*, kInlineChildren> children;
+  /// Only for tokens owned by negative nodes.
+  util::SmallVec<NegJoinResult*, kInlineJoinResults> join_results;
+  std::uint32_t store = 0;          ///< id of the store holding the token
+  std::uint32_t pos_in_node = 0;    ///< position in its store's tokens
+  std::uint32_t pos_in_parent = 0;  ///< position in parent->children
+  std::uint32_t pos_in_wrec = 0;    ///< position in wrec->tokens
+  /// Left-index bucket positions: one slot per shared left index of the
+  /// owning store.
+  util::SmallVec<std::uint32_t, kInlinePositions> left_pos;
+};
+
+/// Side record per live WME: its slot values plus every membership the WME
+/// holds, with enough position state to undo all of them in O(1) each.
+struct WmeRecord {
+  const Wme* wme = nullptr;
+  /// wme->slots().data(): the WME outlives its record, and its values never
+  /// move.
+  const Value* vals = nullptr;
+  struct AmRef {
+    std::uint32_t alpha = 0;       ///< the alpha memory's id
+    std::uint32_t item_pos = 0;    ///< position in the memory's items
+    std::uint32_t right_base = 0;  ///< start of this membership's right_pos span
+  };
+  util::SmallVec<AmRef, kInlineAlphaMems> alpha_mems;
+  /// Right-index bucket positions: per alpha-memory membership, one slot per
+  /// shared right index of that memory (at alpha_mems[i].right_base + the
+  /// index ordinal).
+  util::SmallVec<std::uint32_t, kInlinePositions> right_pos;
+  util::SmallVec<Token*, kInlineChildren> tokens;
+  util::SmallVec<NegJoinResult*, kInlineJoinResults> neg_results;
+};
+
+// Pooling must not make the objects bigger than their std::vector versions
+// were (120 and 128 bytes).
+static_assert(sizeof(Token) <= 120);
+static_assert(sizeof(WmeRecord) <= 128);
+
+/// Hash of a record's WME pointer: the key of the network's WME index.
+[[nodiscard]] inline std::uint64_t wme_hash(const Wme* w) noexcept {
+  return util::mix_bits(reinterpret_cast<std::uintptr_t>(w));
+}
+
+struct WmeRecordHash {
+  [[nodiscard]] std::uint64_t operator()(const WmeRecord& r) const noexcept {
+    return wme_hash(r.wme);
+  }
+};
+
+[[nodiscard]] inline const Value& rec_slot(const WmeRecord& r, SlotIndex i) noexcept {
+  assert(i < r.wme->slots().size());
+  return r.vals[i];
+}
+
 struct AmItem {
   WmeRecord* rec = nullptr;
   std::uint32_t am_slot = 0;  ///< index of this membership in rec->alpha_mems
@@ -189,98 +278,13 @@ struct RightEntry {
 using RightIndex = std::unordered_map<Value, std::vector<RightEntry>, ops5::ValueHash>;
 using LeftIndex = std::unordered_map<Value, std::vector<Token*>, ops5::ValueHash>;
 
-struct AlphaMemory {
-  std::vector<AmItem> items;
-  std::vector<JoinNode*> join_successors;
-  std::vector<BetaNode*> negative_successors;
-  /// Shared right indexes, one per distinct WME key slot among the indexed
-  /// successors (finalize_links). Always maintained; right_pos spans are
-  /// index_slots.size() wide.
-  std::vector<SlotIndex> index_slots;
-  std::vector<RightIndex> right_indexes;
-};
-
-struct AlphaPattern {
-  ClassIndex cls = 0;
-  std::vector<ConstTest> const_tests;
-  std::vector<IntraTest> intra_tests;
-  std::vector<DisjTest> disj_tests;
-  AlphaMemory* memory = nullptr;
-  // Topology export (analysis/rete_static): creation-order id and the
-  // productions whose CEs compiled into this pattern.
-  std::uint32_t topo_id = 0;
-  std::vector<std::uint32_t> users;
-};
-
-enum class BetaKind : std::uint8_t { Memory, Negative, Production };
-
-struct BetaNode {
-  BetaKind kind = BetaKind::Memory;
-  std::vector<Token*> tokens;
-
-  // Negative nodes only:
-  AlphaMemory* amem = nullptr;
-  std::vector<JoinTest> tests;
-  // Hashed memories for negative nodes, symmetric with JoinNode. The right
-  // side probes the amem's shared index at right_ord; the left index over the
-  // node's own tokens stays private (nothing else keys them).
-  int index_test = -1;
-  LeftIndex left_index;
-  /// Negative nodes right-unlink while they hold no tokens (no left unlink:
-  /// absence semantics require left activations even with an empty amem).
-  bool right_linked = true;
-  std::uint32_t right_ord = 0;  ///< amem shared-index ordinal (index_slots)
-
-  // Token stores (Memory / Negative): downstream consumers.
-  std::vector<JoinNode*> join_children;
-  std::vector<BetaNode*> left_children;  // NEG->NEG, NEG->P chains
-  /// Shared left indexes over this store's tokens, one per distinct
-  /// (levels_up, token_slot) key spec among indexed join children
-  /// (finalize_links). Always maintained; member tokens' left_pos spans are
-  /// left_specs.size() wide.
-  struct LeftSpec {
-    std::uint32_t levels_up = 0;
-    SlotIndex token_slot = 0;
-  };
-  std::vector<LeftSpec> left_specs;
-  std::vector<LeftIndex> left_indexes;
-
-  // Production nodes only:
-  const ops5::Production* production = nullptr;
-
-  // Topology export, Negative kind only: shared id space with JoinNode.
-  std::uint32_t topo_id = 0;
-  std::uint32_t topo_alpha = 0;
-  std::uint32_t topo_depth = 0;
-  std::vector<std::uint32_t> users;
-};
-
-struct JoinNode {
-  BetaNode* parent = nullptr;  // token store
-  AlphaMemory* amem = nullptr;
-  std::vector<JoinTest> tests;
-  std::vector<BetaNode*> children;
-
-  // Hashed-memory optimization (ParaOPS5): when the join has an equality
-  // test and its parent is a plain memory, both sides are indexed by that
-  // test's value so an activation probes only matching candidates. The
-  // physical indexes are shared on the memories; this node holds ordinals.
-  int index_test = -1;  // -1: unindexed (scan)
-
-  /// Unlink flags: right_linked mirrors parent->tokens non-emptiness,
-  /// left_linked mirrors amem->items non-emptiness. Flags gate activations
-  /// and index-upkeep charges only — the shared indexes are maintained
-  /// regardless.
-  bool right_linked = true;
-  bool left_linked = true;
-  std::uint32_t right_ord = 0;  ///< amem shared-index ordinal (index_slots)
-  std::uint32_t left_ord = 0;   ///< parent shared-index ordinal (left_specs)
-
-  // Topology export: shared id space with negative BetaNodes.
-  std::uint32_t topo_id = 0;
-  std::uint32_t topo_alpha = 0;
-  std::uint32_t topo_depth = 0;
-  std::vector<std::uint32_t> users;
+/// Unlink flags of one two-input node: right mirrors its store's tokens
+/// non-emptiness, left (positive joins only) its alpha memory's items
+/// non-emptiness. Flags gate activations and index-upkeep charges only — the
+/// shared indexes are maintained regardless.
+struct Links {
+  bool right = true;
+  bool left = true;
 };
 
 /// Swap-with-back removal at a known position in a std::vector or a
@@ -301,55 +305,421 @@ void swap_erase(Vec& v, std::uint32_t pos, Reposition reposition) {
   return cur->wrec;
 }
 
+/// The token-side key of an indexed node: the bound value its equality test
+/// compares against.
+[[nodiscard]] const Value& token_key(const JoinNode& j, const Token* t) {
+  const JoinTest& test = j.tests[static_cast<std::size_t>(j.index_test)];
+  return rec_slot(*wme_up(t, test.levels_up), test.token_slot);
+}
+
+/// The WME-side key of an indexed node.
+[[nodiscard]] const Value& wme_key(const JoinNode& j, const WmeRecord& w) {
+  return rec_slot(w, j.tests[static_cast<std::size_t>(j.index_test)].wme_slot);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Impl
+// Compilation
+// ---------------------------------------------------------------------------
+
+struct CompiledNetwork::Nodes {
+  const ops5::Program& program;
+  NetworkOptions options;
+  std::vector<AlphaNode> alphas;  ///< by alpha id
+  std::vector<JoinNode> joins;    ///< by join id
+  std::vector<StoreNode> stores;  ///< by store id; 0 is the dummy top store
+  std::vector<ClassDispatch> dispatch;  ///< by class
+  std::vector<NetworkTopology::ProductionPath> paths;  ///< by production id
+  std::vector<ops5::BindingAnalysis> bindings;         ///< by production id
+  std::uint32_t right_indexes = 0;  ///< shared right indexes over all alpha memories
+  std::uint32_t left_indexes = 0;   ///< shared left indexes over all stores
+
+  Nodes(const ops5::Program& prog, const NetworkOptions& opt) : program(prog), options(opt) {
+    dispatch.resize(program.class_count());
+    new_store(BetaKind::Memory);  // the dummy top store
+    for (const auto& p : program.productions()) compile(p);
+    finalize_links();
+    finalize_dispatch();
+  }
+
+  std::uint32_t new_store(BetaKind kind) {
+    stores.emplace_back().kind = kind;
+    return static_cast<std::uint32_t>(stores.size() - 1);
+  }
+
+  [[nodiscard]] static int first_equality(const std::vector<JoinTest>& tests) {
+    for (std::size_t i = 0; i < tests.size(); ++i) {
+      if (tests[i].pred == Predicate::Eq) return static_cast<int>(i);
+    }
+    return -1;
+  }
+
+  std::uint32_t build_or_share_alpha(ClassIndex cls, std::vector<ConstTest> const_tests,
+                                     std::vector<IntraTest> intra_tests,
+                                     std::vector<DisjTest> disj_tests) {
+    // Canonical order for sharing.
+    std::sort(const_tests.begin(), const_tests.end(), [](const ConstTest& a, const ConstTest& b) {
+      if (a.slot != b.slot) return a.slot < b.slot;
+      return static_cast<int>(a.pred) < static_cast<int>(b.pred);
+    });
+    std::sort(intra_tests.begin(), intra_tests.end(), [](const IntraTest& a, const IntraTest& b) {
+      if (a.slot != b.slot) return a.slot < b.slot;
+      return a.other_slot < b.other_slot;
+    });
+    std::sort(disj_tests.begin(), disj_tests.end(),
+              [](const DisjTest& a, const DisjTest& b) { return a.slot < b.slot; });
+    if (options.node_sharing) {
+      for (std::uint32_t id = 0; id < alphas.size(); ++id) {
+        const AlphaNode& p = alphas[id];
+        if (p.cls == cls && p.const_tests == const_tests && p.intra_tests == intra_tests &&
+            p.disj_tests == disj_tests) {
+          return id;
+        }
+      }
+    }
+    const auto id = static_cast<std::uint32_t>(alphas.size());
+    AlphaNode& p = alphas.emplace_back();
+    p.cls = cls;
+    p.const_tests = std::move(const_tests);
+    p.intra_tests = std::move(intra_tests);
+    p.disj_tests = std::move(disj_tests);
+    dispatch[cls].patterns.push_back(id);
+    return id;
+  }
+
+  std::uint32_t build_or_share_memory(std::uint32_t join) {
+    // Shared or not, a join has at most one memory child.
+    for (const std::uint32_t c : joins[join].children) {
+      if (stores[c].kind == BetaKind::Memory) return c;
+    }
+    const std::uint32_t bm = new_store(BetaKind::Memory);
+    joins[join].children.push_back(bm);
+    return bm;
+  }
+
+  std::uint32_t build_or_share_join(std::uint32_t store, std::uint32_t alpha,
+                                    std::vector<JoinTest> tests, std::uint32_t depth) {
+    if (options.node_sharing) {
+      for (const std::uint32_t j : stores[store].join_children) {
+        if (joins[j].alpha == alpha && joins[j].tests == tests) return j;
+      }
+    }
+    const auto id = static_cast<std::uint32_t>(joins.size());
+    JoinNode& j = joins.emplace_back();
+    j.alpha = alpha;
+    j.store = store;
+    j.depth = depth;
+    j.tests = std::move(tests);
+    if (options.indexed_joins && stores[store].kind == BetaKind::Memory) {
+      j.index_test = first_equality(j.tests);
+    }
+    stores[store].join_children.push_back(id);
+    alphas[alpha].join_successors.push_back(id);
+    return id;
+  }
+
+  /// A negative node below `join_parent` or, when that is kNoNode, below
+  /// `store_parent`. Returns its join id.
+  std::uint32_t build_negative(std::uint32_t join_parent, std::uint32_t store_parent,
+                               std::uint32_t alpha, std::vector<JoinTest> tests,
+                               std::uint32_t depth) {
+    const auto siblings = [&]() -> std::vector<std::uint32_t>& {
+      return join_parent != kNoNode ? joins[join_parent].children
+                                    : stores[store_parent].left_children;
+    };
+    if (options.node_sharing) {
+      for (const std::uint32_t c : siblings()) {
+        const StoreNode& s = stores[c];
+        if (s.kind == BetaKind::Negative && joins[s.join].alpha == alpha &&
+            joins[s.join].tests == tests) {
+          return s.join;
+        }
+      }
+    }
+    const std::uint32_t store = new_store(BetaKind::Negative);
+    const auto id = static_cast<std::uint32_t>(joins.size());
+    stores[store].join = id;
+    JoinNode& neg = joins.emplace_back();
+    neg.alpha = alpha;
+    neg.store = store;
+    neg.depth = depth;
+    neg.negated = true;
+    neg.tests = std::move(tests);
+    if (options.indexed_joins) neg.index_test = first_equality(neg.tests);
+    siblings().push_back(store);
+    alphas[alpha].negative_successors.push_back(id);
+    return id;
+  }
+
+  void compile(const ops5::Production& production) {
+    bindings.push_back(ops5::analyze_bindings(production));
+
+    struct BoundVar {
+      std::uint32_t depth;  // chain depth of the token carrying the binding
+      SlotIndex slot;
+    };
+    std::unordered_map<ops5::VariableId, BoundVar> bound;
+
+    std::uint32_t current_store = 0;
+    std::uint32_t pending_join = kNoNode;
+    std::uint32_t chain_depth = 0;
+    NetworkTopology::ProductionPath& path = paths.emplace_back();
+    path.production = production.id();
+
+    for (const auto& ce : production.lhs()) {
+      // Split this CE's tests into alpha-level and join-level tests.
+      std::vector<ConstTest> const_tests;
+      std::vector<IntraTest> intra_tests;
+      std::vector<DisjTest> disj_tests;
+      std::unordered_map<ops5::VariableId, SlotIndex> ce_local;
+      struct PendingJoinTest {
+        SlotIndex wme_slot;
+        Predicate pred;
+        std::uint32_t binding_depth;
+        SlotIndex token_slot;
+      };
+      std::vector<PendingJoinTest> join_tests_raw;
+
+      for (const auto& test : ce.tests) {
+        if (test.is_disjunction()) {
+          disj_tests.push_back({test.slot, test.disjunction});
+          continue;
+        }
+        if (!test.is_variable) {
+          const_tests.push_back({test.slot, test.pred, test.constant});
+          continue;
+        }
+        if (const auto it = bound.find(test.var); it != bound.end()) {
+          join_tests_raw.push_back({test.slot, test.pred, it->second.depth, it->second.slot});
+        } else if (const auto lc = ce_local.find(test.var); lc != ce_local.end()) {
+          intra_tests.push_back({test.slot, test.pred, lc->second});
+        } else {
+          ce_local.emplace(test.var, test.slot);  // binding occurrence
+        }
+      }
+
+      const std::uint32_t alpha = build_or_share_alpha(
+          ce.cls, std::move(const_tests), std::move(intra_tests), std::move(disj_tests));
+
+      if (!ce.negated) {
+        if (pending_join != kNoNode) {
+          current_store = build_or_share_memory(pending_join);
+          ++chain_depth;
+        }
+        // Candidate tokens at this join have depth == chain_depth.
+        std::vector<JoinTest> tests;
+        tests.reserve(join_tests_raw.size());
+        for (const auto& r : join_tests_raw) {
+          tests.push_back({r.wme_slot, r.pred, chain_depth - r.binding_depth, r.token_slot});
+        }
+        pending_join = build_or_share_join(current_store, alpha, std::move(tests), chain_depth);
+        path.nodes.push_back(pending_join);
+        // This CE's wme lands in the next token-creating node: depth+1.
+        for (const auto& [var, slot] : ce_local) {
+          bound.emplace(var, BoundVar{chain_depth + 1, slot});
+        }
+      } else {
+        // Negative node tokens have depth chain_depth + 1.
+        std::vector<JoinTest> tests;
+        tests.reserve(join_tests_raw.size());
+        for (const auto& r : join_tests_raw) {
+          tests.push_back({r.wme_slot, r.pred, chain_depth + 1 - r.binding_depth, r.token_slot});
+        }
+        const std::uint32_t neg =
+            build_negative(pending_join, current_store, alpha, std::move(tests), chain_depth);
+        path.nodes.push_back(neg);
+        pending_join = kNoNode;
+        current_store = joins[neg].store;
+        ++chain_depth;
+      }
+    }
+
+    const std::uint32_t pnode = new_store(BetaKind::Production);
+    stores[pnode].production = &production;
+    if (pending_join != kNoNode) {
+      joins[pending_join].children.push_back(pnode);
+    } else {
+      stores[current_store].left_children.push_back(pnode);
+    }
+  }
+
+  /// Post-compile pass (sharing can extend successor lists mid-compile, so
+  /// the shared-index layout is only stable once all productions are in):
+  /// dedupes each alpha memory's indexed successors by WME key slot and each
+  /// store's indexed join children by (levels_up, token_slot) key spec, hands
+  /// every successor the ordinal of its shared index, and lays every index
+  /// out in the network's flat arrays.
+  void finalize_links() {
+    for (AlphaNode& am : alphas) {
+      const auto slot_ord = [&am](SlotIndex slot) {
+        for (std::uint32_t k = 0; k < am.index_slots.size(); ++k) {
+          if (am.index_slots[k] == slot) return k;
+        }
+        am.index_slots.push_back(slot);
+        return static_cast<std::uint32_t>(am.index_slots.size() - 1);
+      };
+      for (const auto* successors : {&am.join_successors, &am.negative_successors}) {
+        for (const std::uint32_t id : *successors) {
+          JoinNode& j = joins[id];
+          if (j.index_test >= 0) {
+            j.right_ord = slot_ord(j.tests[static_cast<std::size_t>(j.index_test)].wme_slot);
+          }
+        }
+      }
+      am.first_right_index = right_indexes;
+      right_indexes += static_cast<std::uint32_t>(am.index_slots.size());
+    }
+    for (StoreNode& node : stores) {
+      for (const std::uint32_t id : node.join_children) {
+        JoinNode& j = joins[id];
+        if (j.index_test < 0) continue;
+        const JoinTest& test = j.tests[static_cast<std::size_t>(j.index_test)];
+        std::uint32_t k = 0;
+        for (; k < node.left_specs.size(); ++k) {
+          if (node.left_specs[k].levels_up == test.levels_up &&
+              node.left_specs[k].token_slot == test.token_slot) {
+            break;
+          }
+        }
+        if (k == node.left_specs.size()) {
+          node.left_specs.push_back({test.levels_up, test.token_slot});
+        }
+        j.left_ord = k;
+      }
+      if (node.kind == BetaKind::Negative && joins[node.join].index_test >= 0) {
+        const JoinNode& neg = joins[node.join];
+        const JoinTest& key = neg.tests[static_cast<std::size_t>(neg.index_test)];
+        node.left_specs.push_back({key.levels_up, key.token_slot});
+      }
+      node.first_left_index = left_indexes;
+      left_indexes += static_cast<std::uint32_t>(node.left_specs.size());
+    }
+  }
+
+  /// Post-compile pass: bucket each class's patterns by their first
+  /// constant test.
+  void finalize_dispatch() {
+    for (ClassDispatch& d : dispatch) {
+      for (std::uint32_t pos = 0; pos < d.patterns.size(); ++pos) {
+        const AlphaNode& p = alphas[d.patterns[pos]];
+        const ConstTest* first = p.const_tests.empty() ? nullptr : &p.const_tests[0];
+        if (first == nullptr || first->pred != Predicate::Eq) {
+          d.unbucketed.push_back(pos);
+          continue;
+        }
+        // NaN equals nothing, not even itself: the pattern never passes.
+        if (first->value.is_number() && std::isnan(first->value.number())) continue;
+        auto sb = std::find_if(d.slots.begin(), d.slots.end(),
+                               [&](const auto& b) { return b.slot == first->slot; });
+        if (sb == d.slots.end()) sb = d.slots.insert(d.slots.end(), {first->slot, {}});
+        sb->buckets[first->value].push_back(pos);
+      }
+    }
+  }
+};
+
+CompiledNetwork::CompiledNetwork(const ops5::Program& program, const NetworkOptions& options)
+    : nodes_(program.frozen() ? std::make_unique<const Nodes>(program, options)
+                              : throw std::invalid_argument("Rete requires a frozen Program")) {}
+
+CompiledNetwork::~CompiledNetwork() = default;
+
+const ops5::Program& CompiledNetwork::program() const noexcept { return nodes_->program; }
+
+NetworkStats CompiledNetwork::stats() const noexcept {
+  NetworkStats stats;
+  stats.alpha_patterns = nodes_->alphas.size();
+  stats.alpha_memories = nodes_->alphas.size();
+  for (const JoinNode& j : nodes_->joins) ++(j.negated ? stats.negative_nodes : stats.join_nodes);
+  for (const StoreNode& s : nodes_->stores) {
+    if (s.kind == BetaKind::Memory) ++stats.beta_memories;
+    if (s.kind == BetaKind::Production) ++stats.production_nodes;
+  }
+  --stats.beta_memories;  // the dummy top store
+  return stats;
+}
+
+NetworkTopology CompiledNetwork::topology() const {
+  const Nodes& c = *nodes_;
+  NetworkTopology topo;
+  topo.alphas.resize(c.alphas.size());
+  for (std::uint32_t id = 0; id < c.alphas.size(); ++id) {
+    const AlphaNode& p = c.alphas[id];
+    NetworkTopology::AlphaNode& out = topo.alphas[id];
+    out.id = id;
+    out.cls = p.cls;
+    out.const_tests = static_cast<std::uint32_t>(p.const_tests.size());
+    out.intra_tests = static_cast<std::uint32_t>(p.intra_tests.size());
+    out.disj_tests = static_cast<std::uint32_t>(p.disj_tests.size());
+  }
+  topo.joins.resize(c.joins.size());
+  for (std::uint32_t id = 0; id < c.joins.size(); ++id) {
+    const JoinNode& j = c.joins[id];
+    NetworkTopology::JoinNode& out = topo.joins[id];
+    out.id = id;
+    out.alpha = j.alpha;
+    out.depth = j.depth;
+    out.tests = static_cast<std::uint32_t>(j.tests.size());
+    out.indexed = j.index_test >= 0;
+    out.negated = j.negated;
+  }
+  // Each CE compiles into one node and its node's alpha pattern, so the
+  // paths name every node's users.
+  topo.productions = c.paths;
+  for (const auto& path : c.paths) {
+    for (const std::uint32_t node : path.nodes) {
+      topo.joins[node].users.push_back(path.production);
+      topo.alphas[c.joins[node].alpha].users.push_back(path.production);
+    }
+  }
+  const auto sort_unique = [](std::vector<std::uint32_t>& v) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+  };
+  for (auto& a : topo.alphas) sort_unique(a.users);
+  for (auto& j : topo.joins) sort_unique(j.users);
+  return topo;
+}
+
+const ops5::BindingAnalysis& CompiledNetwork::bindings(const ops5::Production& p) const {
+  const auto productions = nodes_->program.productions();
+  if (p.id() >= productions.size() || &productions[p.id()] != &p) {
+    throw std::out_of_range("production is not in the compiled program");
+  }
+  return nodes_->bindings[p.id()];
+}
+
+// ---------------------------------------------------------------------------
+// Impl: one engine's match state
 // ---------------------------------------------------------------------------
 
 struct Network::Impl {
-  const ops5::Program& program;
+  std::shared_ptr<const CompiledNetwork> compiled;
+  const CompiledNetwork::Nodes& c;
   MatchListener& listener;
   util::WorkCounters& counters;
   util::CostModel costs;
-  NetworkOptions options;
+  bool record_chunks;
 
-  // Ownership pools (stable addresses). Nodes are created at compile time
-  // and never released, so their pools are append-only arenas iterated in
-  // creation order; tokens, records, and join results churn at match time
-  // and recycle through their pools' free lists with their lists' capacity
-  // intact.
-  util::Pool<AlphaPattern> patterns;
-  util::Pool<AlphaMemory> alpha_memories;
-  util::Pool<BetaNode> beta_nodes;
-  util::Pool<JoinNode> join_nodes;
-
+  // Tokens, records and join results churn at match time and recycle
+  // through their pools' free lists with their lists' capacity intact.
   util::Pool<Token> tokens;
   util::Pool<NegJoinResult> join_results;
   util::Pool<WmeRecord> records;
 
   // Index-bucket pools: emptied buckets keep their heap blocks and are handed
-  // back out when an index gains a fresh key (or is rebuilt after a relink).
+  // back out when an index gains a fresh key.
   std::vector<std::vector<RightEntry>> right_bucket_pool;
   std::vector<std::vector<Token*>> left_bucket_pool;
 
-  /// Hashed alpha dispatch for one WME class (Doorenbos' hashed alpha
-  /// network). `patterns` is the class's dispatch list in compile order.
-  /// A pattern whose first constant test is an equality can only pass for
-  /// WMEs carrying that (slot, value), so it sits in that bucket;
-  /// every other pattern is unbucketed and visited by every WME of the
-  /// class. A pattern whose first test equals NaN can never pass and sits
-  /// nowhere. Positions are ascending within every list.
-  struct ClassDispatch {
-    std::vector<AlphaPattern*> patterns;
-    std::vector<std::uint32_t> unbucketed;
-    struct SlotBuckets {
-      SlotIndex slot = 0;
-      std::unordered_map<Value, std::vector<std::uint32_t>, ops5::ValueHash> buckets;
-    };
-    std::vector<SlotBuckets> slots;
-  };
-  std::vector<ClassDispatch> dispatch;
+  // The state arrays, indexed by the compiled ids.
+  std::vector<std::vector<AmItem>> alpha_items;  ///< by alpha id
+  std::vector<RightIndex> right_indexes;  ///< at an alpha's first_right_index + ordinal
+  std::vector<std::vector<Token*>> store_tokens;  ///< by store id
+  std::vector<LeftIndex> left_indexes;  ///< at a store's first_left_index + ordinal
+  std::vector<Links> links;             ///< by join id
+
   /// The pattern positions an add visits; kept to reuse its capacity.
   std::vector<std::uint32_t> visit;
 
@@ -361,7 +731,6 @@ struct Network::Impl {
     return wme_index.find_slot(wme_hash(w), [w](const WmeRecord& r) { return r.wme == w; });
   }
 
-  BetaNode* dummy_store = nullptr;
   Token* dummy_token = nullptr;
 
   /// Deferred-mutation guard: activations iterate memories and index buckets
@@ -370,13 +739,6 @@ struct Network::Impl {
   /// calling back into add/remove/clear) into an immediate logic_error
   /// instead of silent iterator invalidation.
   bool in_delta = false;
-
-  BindingTable bindings;
-
-  // Topology export: creation-order id counter shared by joins and negative
-  // nodes, plus the per-production beta chain recorded during compile().
-  std::uint32_t next_join_id = 0;
-  std::vector<NetworkTopology::ProductionPath> paths;
 
   std::vector<util::WorkUnits> chunks;
 
@@ -397,9 +759,26 @@ struct Network::Impl {
   std::vector<std::uint64_t> alpha_acts;
   std::vector<std::uint64_t> join_acts;
 
-  Impl(const ops5::Program& prog, MatchListener& lst, util::WorkCounters& ctr,
-       const util::CostModel& cm, const NetworkOptions& opt)
-      : program(prog), listener(lst), counters(ctr), costs(cm), options(opt) {}
+  Impl(std::shared_ptr<const CompiledNetwork> net, MatchListener& lst, util::WorkCounters& ctr,
+       const util::CostModel& cm, bool chunks_on)
+      : compiled(std::move(net)),
+        c(*compiled->nodes_),
+        listener(lst),
+        counters(ctr),
+        costs(cm),
+        record_chunks(chunks_on),
+        alpha_items(c.alphas.size()),
+        right_indexes(c.right_indexes),
+        store_tokens(c.stores.size()),
+        left_indexes(c.left_indexes),
+        links(c.joins.size()),
+        alpha_acts(c.alphas.size(), 0),
+        join_acts(c.joins.size(), 0) {
+    // The dummy top store holds the dummy token for the network's whole life.
+    dummy_token = tokens.acquire();
+    store_tokens[0].push_back(dummy_token);
+    reset_links();
+  }
 
   struct DeltaGuard {
     bool& flag;
@@ -412,17 +791,22 @@ struct Network::Impl {
     DeltaGuard& operator=(const DeltaGuard&) = delete;
   };
 
+  [[nodiscard]] RightIndex& right_index(const JoinNode& j) {
+    return right_indexes[c.alphas[j.alpha].first_right_index + j.right_ord];
+  }
+
   // ------------------------------- allocation -----------------------------
 
-  Token* new_token(Token* parent, const Wme* wme, WmeRecord* wrec, BetaNode* node) {
+  Token* new_token(Token* parent, const Wme* wme, WmeRecord* wrec, std::uint32_t store) {
     Token* t = tokens.acquire();
     t->children.clear();  // clear, don't reassign: keep any spill
     t->join_results.clear();
     t->left_pos.clear();
+    t->left_pos.resize(c.stores[store].left_specs.size());
     t->parent = parent;
     t->wme = wme;
     t->wrec = wrec;
-    t->node = node;
+    t->store = store;
     if (parent != nullptr) {
       t->pos_in_parent = static_cast<std::uint32_t>(parent->children.size());
       parent->children.push_back(t);
@@ -431,6 +815,9 @@ struct Network::Impl {
       t->pos_in_wrec = static_cast<std::uint32_t>(wrec->tokens.size());
       wrec->tokens.push_back(t);
     }
+    std::vector<Token*>& members = store_tokens[store];
+    t->pos_in_node = static_cast<std::uint32_t>(members.size());
+    members.push_back(t);
     ++counters.tokens_created;
     counters.match_cost += costs.token_op;
 #if PSMSYS_OBS
@@ -474,8 +861,8 @@ struct Network::Impl {
   WmeRecord* make_record(const Wme& w) {
     const std::span<const Value> vals = w.slots();
     // Match tests read slots unchecked, up to the class's arity.
-    if (w.class_index() < program.class_count() &&
-        vals.size() != program.wme_class(w.class_index()).arity()) {
+    if (w.class_index() < c.program.class_count() &&
+        vals.size() != c.program.wme_class(w.class_index()).arity()) {
       throw std::logic_error("WME arity differs from its class");
     }
     WmeRecord* rec = records.acquire();
@@ -524,7 +911,7 @@ struct Network::Impl {
 
   // ------------------------------- matching -------------------------------
 
-  [[nodiscard]] bool alpha_passes(const AlphaPattern& p, const WmeRecord& w) {
+  [[nodiscard]] bool alpha_passes(const AlphaNode& p, const WmeRecord& w) {
     for (const auto& t : p.const_tests) {
       ++counters.alpha_tests;
       counters.match_cost += costs.alpha_test;
@@ -568,38 +955,23 @@ struct Network::Impl {
 
   // ------------------------- hashed join memories -------------------------
 
-  [[nodiscard]] static const Value& token_key(const JoinNode& j, const Token* t) {
-    const JoinTest& test = j.tests[static_cast<std::size_t>(j.index_test)];
-    return rec_slot(*wme_up(t, test.levels_up), test.token_slot);
-  }
-
-  [[nodiscard]] static const Value& wme_key(const JoinNode& j, const WmeRecord& w) {
-    const JoinTest& test = j.tests[static_cast<std::size_t>(j.index_test)];
-    return rec_slot(w, test.wme_slot);
-  }
-
-  [[nodiscard]] static const Value& neg_left_key(const BetaNode& neg, const Token* t) {
-    const JoinTest& key = neg.tests[static_cast<std::size_t>(neg.index_test)];
-    return rec_slot(*wme_up(t, key.levels_up), key.token_slot);
-  }
-
   /// Physical upkeep of a store's shared left indexes (uncharged: the
   /// per-successor join_test charges are levied by the caller per *linked*
   /// indexed child, preserving the cost model's per-successor accounting).
-  void index_token(BetaNode& store, Token* t) {
+  void index_token(const StoreNode& store, Token* t) {
     for (std::uint32_t ord = 0; ord < store.left_specs.size(); ++ord) {
-      const BetaNode::LeftSpec& spec = store.left_specs[ord];
-      auto& bucket = bucket_of(store.left_indexes[ord], left_bucket_pool,
+      const StoreNode::LeftSpec& spec = store.left_specs[ord];
+      auto& bucket = bucket_of(left_indexes[store.first_left_index + ord], left_bucket_pool,
                                rec_slot(*wme_up(t, spec.levels_up), spec.token_slot));
       t->left_pos[ord] = static_cast<std::uint32_t>(bucket.size());
       bucket.push_back(t);
     }
   }
 
-  void unindex_token(BetaNode& store, Token* t) {
+  void unindex_token(const StoreNode& store, Token* t) {
     for (std::uint32_t ord = 0; ord < store.left_specs.size(); ++ord) {
-      const BetaNode::LeftSpec& spec = store.left_specs[ord];
-      swap_erase(store.left_indexes[ord].at(
+      const StoreNode::LeftSpec& spec = store.left_specs[ord];
+      swap_erase(left_indexes[store.first_left_index + ord].at(
                      rec_slot(*wme_up(t, spec.levels_up), spec.token_slot)),
                  t->left_pos[ord],
                  [ord](Token* moved, std::uint32_t p) { moved->left_pos[ord] = p; });
@@ -609,92 +981,75 @@ struct Network::Impl {
   // ------------------------- unlink transitions ---------------------------
   //
   // Pure flag flips: the shared indexes are always maintained, so a link
-  // transition costs O(successors) pointer writes — oscillating a memory
+  // transition costs O(successors) flag writes — oscillating a memory
   // between empty and nonempty (streaming retraction churn) never rebuilds
   // anything.
 
-  /// amem just went empty -> nonempty: successor joins resume left
-  /// activations (negatives never left-unlink).
-  static void left_relink_successors(AlphaMemory& am) {
-    for (JoinNode* j : am.join_successors) j->left_linked = true;
+  /// `am` just went empty -> nonempty (relink) or nonempty -> empty:
+  /// successor joins resume or stop left activations (negatives never
+  /// left-unlink).
+  void set_left_links(const AlphaNode& am, bool linked) {
+    for (const std::uint32_t j : am.join_successors) links[j].left = linked;
   }
 
-  /// amem just went nonempty -> empty: successor joins stop left activations.
-  static void left_unlink_successors(AlphaMemory& am) {
-    for (JoinNode* j : am.join_successors) j->left_linked = false;
-  }
-
-  /// `store` just gained its first token: child joins (and the store itself,
-  /// when negative) resume right activations.
-  static void right_relink_children(BetaNode& store) {
-    for (JoinNode* j : store.join_children) j->right_linked = true;
-    if (store.kind == BetaKind::Negative) store.right_linked = true;
-  }
-
-  /// `store` just lost its last token: child joins (and the store itself,
-  /// when negative) stop right activations.
-  static void right_unlink_children(BetaNode& store) {
-    for (JoinNode* j : store.join_children) j->right_linked = false;
-    if (store.kind == BetaKind::Negative) store.right_linked = false;
+  /// `store` just gained its first token (relink) or lost its last: child
+  /// joins, and the store itself when negative, resume or stop right
+  /// activations.
+  void set_right_links(const StoreNode& store, bool linked) {
+    for (const std::uint32_t j : store.join_children) links[j].right = linked;
+    if (store.kind == BetaKind::Negative) links[store.join].right = linked;
   }
 
   // ------------------------------ activation ------------------------------
 
-  void left_activate(BetaNode& node, Token* parent, const Wme* wme, WmeRecord* wrec) {
+  void left_activate(std::uint32_t s, Token* parent, const Wme* wme, WmeRecord* wrec) {
+    const StoreNode& node = c.stores[s];
     switch (node.kind) {
       case BetaKind::Memory: {
-        Token* t = new_token(parent, wme, wrec, &node);
-        t->left_pos.resize(node.left_specs.size());
-        t->pos_in_node = static_cast<std::uint32_t>(node.tokens.size());
-        node.tokens.push_back(t);
-        if (node.tokens.size() == 1) right_relink_children(node);
+        Token* t = new_token(parent, wme, wrec, s);
+        if (store_tokens[s].size() == 1) set_right_links(node, true);
         index_token(node, t);
-        for (JoinNode* j : node.join_children) {
-          if (j->index_test >= 0 && j->left_linked) {
+        for (const std::uint32_t j : node.join_children) {
+          if (c.joins[j].index_test >= 0 && links[j].left) {
             counters.match_cost += costs.join_test;  // per-successor index upkeep
           }
         }
-        for (JoinNode* j : node.join_children) {
-          if (j->left_linked) join_left_activate(*j, t);
+        for (const std::uint32_t j : node.join_children) {
+          if (links[j].left) join_left_activate(j, t);
         }
         break;
       }
       case BetaKind::Negative: {
 #if PSMSYS_OBS
-        ++join_acts[node.topo_id];
+        ++join_acts[node.join];
 #endif
-        Token* t = new_token(parent, wme, wrec, &node);
-        t->pos_in_node = static_cast<std::uint32_t>(node.tokens.size());
-        node.tokens.push_back(t);
-        if (node.tokens.size() == 1) right_relink_children(node);
+        const JoinNode& neg = c.joins[node.join];
+        Token* t = new_token(parent, wme, wrec, s);
+        if (store_tokens[s].size() == 1) set_right_links(node, true);
         // Compute blockers against the negative CE's alpha memory. Indexed
         // candidates come straight from the shared right-index bucket — no
         // snapshot copy: propagation cannot mutate the bucket (see the
         // in_delta guard).
-        if (node.index_test >= 0) {
+        if (neg.index_test >= 0) {
           counters.match_cost += costs.join_test;
-          auto& left_bucket = bucket_of(node.left_index, left_bucket_pool, neg_left_key(node, t));
-          t->left_pos.assign(1, static_cast<std::uint32_t>(left_bucket.size()));
-          left_bucket.push_back(t);
-          const RightIndex& right = node.amem->right_indexes[node.right_ord];
-          const auto it = right.find(neg_left_key(node, t));
+          index_token(node, t);
+          const RightIndex& right = right_index(neg);
+          const auto it = right.find(token_key(neg, t));
           if (it != right.end()) {
             for (const RightEntry& e : it->second) {
-              if (join_passes(node.tests, t, *e.rec)) new_jr(t, e.rec);
+              if (join_passes(neg.tests, t, *e.rec)) new_jr(t, e.rec);
             }
           }
         } else {
-          for (const AmItem& e : node.amem->items) {
-            if (join_passes(node.tests, t, *e.rec)) new_jr(t, e.rec);
+          for (const AmItem& e : alpha_items[neg.alpha]) {
+            if (join_passes(neg.tests, t, *e.rec)) new_jr(t, e.rec);
           }
         }
         if (t->join_results.empty()) emit_from_store(node, t);
         break;
       }
       case BetaKind::Production: {
-        Token* t = new_token(parent, wme, wrec, &node);
-        t->pos_in_node = static_cast<std::uint32_t>(node.tokens.size());
-        node.tokens.push_back(t);
+        Token* t = new_token(parent, wme, wrec, s);
         counters.match_cost += costs.conflict_set_op;
         listener.on_activate(*node.production, wmes_of(t));
         break;
@@ -704,77 +1059,83 @@ struct Network::Impl {
 
   /// Propagate a store token downstream (new BM token is handled inside
   /// Memory's case; this is for negative-node unblocking and NEG chains).
-  void emit_from_store(BetaNode& store, Token* t) {
-    for (JoinNode* j : store.join_children) {
-      if (j->left_linked) join_left_activate(*j, t);
+  void emit_from_store(const StoreNode& store, Token* t) {
+    for (const std::uint32_t j : store.join_children) {
+      if (links[j].left) join_left_activate(j, t);
     }
-    for (BetaNode* c : store.left_children) left_activate(*c, t, nullptr, nullptr);
+    for (const std::uint32_t child : store.left_children) {
+      left_activate(child, t, nullptr, nullptr);
+    }
   }
 
-  void join_left_activate(JoinNode& j, Token* t) {
+  void join_left_activate(std::uint32_t id, Token* t) {
 #if PSMSYS_OBS
-    ++join_acts[j.topo_id];
+    ++join_acts[id];
 #endif
+    const JoinNode& j = c.joins[id];
     if (j.index_test >= 0) {
       counters.match_cost += costs.join_test;  // hash lookup
-      const RightIndex& right = j.amem->right_indexes[j.right_ord];
+      const RightIndex& right = right_index(j);
       const auto it = right.find(token_key(j, t));
       if (it == right.end()) return;
       for (const RightEntry& e : it->second) {
         if (join_passes(j.tests, t, *e.rec)) {
-          for (BetaNode* c : j.children) left_activate(*c, t, e.rec->wme, e.rec);
+          for (const std::uint32_t child : j.children) left_activate(child, t, e.rec->wme, e.rec);
         }
       }
       return;
     }
-    for (const AmItem& e : j.amem->items) {
+    for (const AmItem& e : alpha_items[j.alpha]) {
       if (join_passes(j.tests, t, *e.rec)) {
-        for (BetaNode* c : j.children) left_activate(*c, t, e.rec->wme, e.rec);
+        for (const std::uint32_t child : j.children) left_activate(child, t, e.rec->wme, e.rec);
       }
     }
   }
 
-  void join_right_activate(JoinNode& j, WmeRecord& w) {
+  void join_right_activate(std::uint32_t id, WmeRecord& w) {
 #if PSMSYS_OBS
-    ++join_acts[j.topo_id];
+    ++join_acts[id];
 #endif
+    const JoinNode& j = c.joins[id];
+    const StoreNode& parent = c.stores[j.store];
     if (j.index_test >= 0) {
       counters.match_cost += costs.join_test;  // hash lookup
-      const LeftIndex& left = j.parent->left_indexes[j.left_ord];
+      const LeftIndex& left = left_indexes[parent.first_left_index + j.left_ord];
       const auto it = left.find(wme_key(j, w));
       if (it == left.end()) return;
       for (Token* t : it->second) {
         if (join_passes(j.tests, t, w)) {
-          for (BetaNode* c : j.children) left_activate(*c, t, w.wme, &w);
+          for (const std::uint32_t child : j.children) left_activate(child, t, w.wme, &w);
         }
       }
       return;
     }
-    for (Token* t : j.parent->tokens) {
+    for (Token* t : store_tokens[j.store]) {
       // A negative store's blocked tokens are not in the active set.
-      if (j.parent->kind == BetaKind::Negative && !t->join_results.empty()) continue;
+      if (parent.kind == BetaKind::Negative && !t->join_results.empty()) continue;
       if (join_passes(j.tests, t, w)) {
-        for (BetaNode* c : j.children) left_activate(*c, t, w.wme, &w);
+        for (const std::uint32_t child : j.children) left_activate(child, t, w.wme, &w);
       }
     }
   }
 
-  void negative_right_activate(BetaNode& neg, WmeRecord& w) {
+  void negative_right_activate(std::uint32_t id, WmeRecord& w) {
 #if PSMSYS_OBS
-    ++join_acts[neg.topo_id];
+    ++join_acts[id];
 #endif
+    const JoinNode& neg = c.joins[id];
     if (neg.index_test >= 0) {
       counters.match_cost += costs.join_test;
-      const JoinTest& key = neg.tests[static_cast<std::size_t>(neg.index_test)];
-      const auto it = neg.left_index.find(rec_slot(w, key.wme_slot));
-      if (it == neg.left_index.end()) return;
+      const LeftIndex& left = left_indexes[c.stores[neg.store].first_left_index];
+      const auto it = left.find(wme_key(neg, w));
+      if (it == left.end()) return;
       for (Token* t : it->second) negative_block(neg, t, w);
       return;
     }
-    for (Token* t : neg.tokens) negative_block(neg, t, w);
+    for (Token* t : store_tokens[neg.store]) negative_block(neg, t, w);
   }
 
-  void negative_block(BetaNode& neg, Token* t, WmeRecord& w) {
+  void negative_block(const JoinNode& neg, Token* t, WmeRecord& w) {
     if (join_passes(neg.tests, t, w)) {
       if (t->join_results.empty()) delete_descendents(t);  // now blocked
       new_jr(t, &w);
@@ -798,11 +1159,11 @@ struct Network::Impl {
 
   void delete_token_and_descendents(Token* t) {
     delete_descendents(t);
-    BetaNode& node = *t->node;
+    const StoreNode& node = c.stores[t->store];
     if (node.kind == BetaKind::Memory) {
       unindex_token(node, t);
-      for (JoinNode* j : node.join_children) {
-        if (j->index_test >= 0 && j->left_linked) {
+      for (const std::uint32_t j : node.join_children) {
+        if (c.joins[j].index_test >= 0 && links[j].left) {
           counters.match_cost += costs.join_test;  // per-successor index upkeep
         }
       }
@@ -818,15 +1179,15 @@ struct Network::Impl {
         free_jr(jr);
       }
       t->join_results.clear();
-      if (node.index_test >= 0) {
+      if (c.joins[node.join].index_test >= 0) {
         counters.match_cost += costs.join_test;
-        swap_erase(node.left_index.at(neg_left_key(node, t)), t->left_pos[0],
-                   [](Token* moved, std::uint32_t p) { moved->left_pos[0] = p; });
+        unindex_token(node, t);
       }
     }
-    swap_erase(node.tokens, t->pos_in_node,
+    std::vector<Token*>& members = store_tokens[t->store];
+    swap_erase(members, t->pos_in_node,
                [](Token* moved, std::uint32_t p) { moved->pos_in_node = p; });
-    if (node.tokens.empty()) right_unlink_children(node);
+    if (members.empty()) set_right_links(node, false);
     if (t->wrec != nullptr) {
       swap_erase(t->wrec->tokens, t->pos_in_wrec,
                  [](Token* moved, std::uint32_t p) { moved->pos_in_wrec = p; });
@@ -845,7 +1206,17 @@ struct Network::Impl {
   void charge_skipped(std::uint32_t n) {
     counters.alpha_tests += n;
     counters.match_cost += costs.alpha_test * n;
-    if (options.record_chunks) chunks.insert(chunks.end(), n, costs.alpha_test);
+    if (record_chunks) chunks.insert(chunks.end(), n, costs.alpha_test);
+  }
+
+  /// The per-successor right-index upkeep charges of a memory's linked
+  /// indexed successors, on both an add and a remove.
+  void charge_right_upkeep(const AlphaNode& am) {
+    for (const auto* successors : {&am.join_successors, &am.negative_successors}) {
+      for (const std::uint32_t j : *successors) {
+        if (c.joins[j].index_test >= 0 && links[j].right) counters.match_cost += costs.join_test;
+      }
+    }
   }
 
   void add_wme(const Wme& w) {
@@ -857,8 +1228,8 @@ struct Network::Impl {
     if (wme_index[at] != nullptr) throw std::logic_error("WME added twice to Rete network");
     WmeRecord* rec = make_record(w);
     wme_index.fill(at, rec);
-    if (w.class_index() >= dispatch.size()) return;
-    const ClassDispatch& d = dispatch[w.class_index()];
+    if (w.class_index() >= c.dispatch.size()) return;
+    const ClassDispatch& d = c.dispatch[w.class_index()];
     visit.assign(d.unbucketed.begin(), d.unbucketed.end());
     for (const ClassDispatch::SlotBuckets& sb : d.slots) {
       const auto it = sb.buckets.find(rec_slot(*rec, sb.slot));
@@ -871,50 +1242,40 @@ struct Network::Impl {
     for (const std::uint32_t pos : visit) {
       charge_skipped(pos - next);
       next = pos + 1;
-      AlphaPattern* p = d.patterns[pos];
+      const std::uint32_t a = d.patterns[pos];
+      const AlphaNode& am = c.alphas[a];
       const util::WorkUnits before = counters.match_cost;
-      if (alpha_passes(*p, *rec)) {
+      if (alpha_passes(am, *rec)) {
         ++counters.alpha_activations;
 #if PSMSYS_OBS
-        ++alpha_acts[p->topo_id];
+        ++alpha_acts[a];
 #endif
         counters.match_cost += costs.alpha_mem_insert;
-        AlphaMemory& am = *p->memory;
-        const bool was_empty = am.items.empty();
+        std::vector<AmItem>& items = alpha_items[a];
         const auto am_slot = static_cast<std::uint32_t>(rec->alpha_mems.size());
         const auto right_base = static_cast<std::uint32_t>(rec->right_pos.size());
-        rec->alpha_mems.push_back(
-            {&am, static_cast<std::uint32_t>(am.items.size()), right_base});
-        am.items.push_back({rec, am_slot});
+        rec->alpha_mems.push_back({a, static_cast<std::uint32_t>(items.size()), right_base});
+        items.push_back({rec, am_slot});
         rec->right_pos.resize(right_base + am.index_slots.size());
-        if (was_empty) left_relink_successors(am);
+        if (items.size() == 1) set_left_links(am, true);
         // Physical upkeep of the shared right indexes (uncharged), then the
         // per-successor upkeep charges for linked indexed successors.
         for (std::uint32_t ord = 0; ord < am.index_slots.size(); ++ord) {
-          auto& bucket = bucket_of(am.right_indexes[ord], right_bucket_pool,
+          auto& bucket = bucket_of(right_indexes[am.first_right_index + ord], right_bucket_pool,
                                    rec_slot(*rec, am.index_slots[ord]));
           const std::uint32_t ps = right_base + ord;
           rec->right_pos[ps] = static_cast<std::uint32_t>(bucket.size());
           bucket.push_back({rec, ps});
         }
-        for (const JoinNode* j : am.join_successors) {
-          if (j->index_test >= 0 && j->right_linked) {
-            counters.match_cost += costs.join_test;
-          }
+        charge_right_upkeep(am);
+        for (const std::uint32_t neg : am.negative_successors) {
+          if (links[neg].right) negative_right_activate(neg, *rec);
         }
-        for (const BetaNode* neg : am.negative_successors) {
-          if (neg->index_test >= 0 && neg->right_linked) {
-            counters.match_cost += costs.join_test;
-          }
-        }
-        for (BetaNode* neg : am.negative_successors) {
-          if (neg->right_linked) negative_right_activate(*neg, *rec);
-        }
-        for (JoinNode* j : am.join_successors) {
-          if (j->right_linked) join_right_activate(*j, *rec);
+        for (const std::uint32_t j : am.join_successors) {
+          if (links[j].right) join_right_activate(j, *rec);
         }
       }
-      if (options.record_chunks) chunks.push_back(counters.match_cost - before);
+      if (record_chunks) chunks.push_back(counters.match_cost - before);
     }
     charge_skipped(static_cast<std::uint32_t>(d.patterns.size()) - next);
   }
@@ -928,28 +1289,21 @@ struct Network::Impl {
     const util::WorkUnits before = counters.match_cost;
     for (const WmeRecord::AmRef& ref : rec->alpha_mems) {
       counters.match_cost += costs.alpha_mem_insert;
-      AlphaMemory& am = *ref.am;
-      swap_erase(am.items, ref.item_pos, [](const AmItem& moved, std::uint32_t p) {
+      const AlphaNode& am = c.alphas[ref.alpha];
+      std::vector<AmItem>& items = alpha_items[ref.alpha];
+      swap_erase(items, ref.item_pos, [](const AmItem& moved, std::uint32_t p) {
         moved.rec->alpha_mems[moved.am_slot].item_pos = p;
       });
       for (std::uint32_t ord = 0; ord < am.index_slots.size(); ++ord) {
-        swap_erase(am.right_indexes[ord].at(rec_slot(*rec, am.index_slots[ord])),
+        swap_erase(right_indexes[am.first_right_index + ord].at(
+                       rec_slot(*rec, am.index_slots[ord])),
                    rec->right_pos[ref.right_base + ord],
                    [](const RightEntry& moved, std::uint32_t p) {
                      moved.rec->right_pos[moved.pos_slot] = p;
                    });
       }
-      for (const JoinNode* j : am.join_successors) {
-        if (j->index_test >= 0 && j->right_linked) {
-          counters.match_cost += costs.join_test;
-        }
-      }
-      for (const BetaNode* neg : am.negative_successors) {
-        if (neg->index_test >= 0 && neg->right_linked) {
-          counters.match_cost += costs.join_test;
-        }
-      }
-      if (am.items.empty()) left_unlink_successors(am);
+      charge_right_upkeep(am);
+      if (items.empty()) set_left_links(am, false);
     }
     rec->alpha_mems.clear();
     rec->right_pos.clear();
@@ -963,14 +1317,14 @@ struct Network::Impl {
       swap_erase(owner->join_results, jr->pos_in_owner,
                  [](NegJoinResult* moved, std::uint32_t p) { moved->pos_in_owner = p; });
       free_jr(jr);
-      if (owner->join_results.empty()) emit_from_store(*owner->node, owner);  // unblocked
+      if (owner->join_results.empty()) emit_from_store(c.stores[owner->store], owner);  // unblocked
     }
 
     // Propagation never adds or removes a WME (the delta guard), so `at`
     // still names the record's slot.
     wme_index.erase(at);
     recycle_record(rec);
-    if (options.record_chunks) chunks.push_back(counters.match_cost - before);
+    if (record_chunks) chunks.push_back(counters.match_cost - before);
   }
 
   void clear() {
@@ -979,8 +1333,8 @@ struct Network::Impl {
     // engine resets its conflict set alongside). Buckets, tokens, records,
     // and join results all return to their pools with capacity intact. The
     // dummy token is charged like the others, as it always was, but stays.
-    for (auto& node : beta_nodes) {
-      for (Token* t : node.tokens) {
+    for (std::vector<Token*>& members : store_tokens) {
+      for (Token* t : members) {
         for (NegJoinResult* jr : t->join_results) join_results.release(jr);
         t->join_results.clear();
         if (t == dummy_token) {
@@ -989,17 +1343,14 @@ struct Network::Impl {
           free_token(t);
         }
       }
-      node.tokens.clear();
-      release_index(node.left_index);
-      for (auto& li : node.left_indexes) release_index(li);
+      members.clear();
     }
-    for (auto& am : alpha_memories) {
-      am.items.clear();
-      for (auto& ri : am.right_indexes) release_index(ri);
-    }
+    for (LeftIndex& index : left_indexes) release_index(index);
+    for (std::vector<AmItem>& items : alpha_items) items.clear();
+    for (RightIndex& index : right_indexes) release_index(index);
     wme_index.for_each([this](WmeRecord& rec) { recycle_record(&rec); });
     wme_index.clear();
-    dummy_store->tokens.push_back(dummy_token);
+    store_tokens[0].push_back(dummy_token);
     dummy_token->pos_in_node = 0;
     dummy_token->children.clear();
     chunks.clear();
@@ -1012,304 +1363,14 @@ struct Network::Impl {
 #endif
   }
 
-  // ------------------------------- compilation ----------------------------
-
-  AlphaPattern* build_or_share_alpha(ClassIndex cls, std::vector<ConstTest> const_tests,
-                                     std::vector<IntraTest> intra_tests,
-                                     std::vector<DisjTest> disj_tests) {
-    // Canonical order for sharing.
-    std::sort(const_tests.begin(), const_tests.end(), [](const ConstTest& a, const ConstTest& b) {
-      if (a.slot != b.slot) return a.slot < b.slot;
-      return static_cast<int>(a.pred) < static_cast<int>(b.pred);
-    });
-    std::sort(intra_tests.begin(), intra_tests.end(), [](const IntraTest& a, const IntraTest& b) {
-      if (a.slot != b.slot) return a.slot < b.slot;
-      return a.other_slot < b.other_slot;
-    });
-    std::sort(disj_tests.begin(), disj_tests.end(),
-              [](const DisjTest& a, const DisjTest& b) { return a.slot < b.slot; });
-    if (options.node_sharing) {
-      for (AlphaPattern& p : patterns) {
-        if (p.cls == cls && p.const_tests == const_tests && p.intra_tests == intra_tests &&
-            p.disj_tests == disj_tests) {
-          return &p;
-        }
-      }
-    }
-    AlphaPattern& p = *patterns.acquire();
-    p.cls = cls;
-    p.const_tests = std::move(const_tests);
-    p.intra_tests = std::move(intra_tests);
-    p.disj_tests = std::move(disj_tests);
-    p.memory = alpha_memories.acquire();
-    p.topo_id = static_cast<std::uint32_t>(patterns.constructed() - 1);
-    dispatch[cls].patterns.push_back(&p);
-    return &p;
-  }
-
-  /// Post-compile pass: bucket each class's patterns by their first
-  /// constant test.
-  void finalize_dispatch() {
-    for (ClassDispatch& d : dispatch) {
-      for (std::uint32_t pos = 0; pos < d.patterns.size(); ++pos) {
-        const AlphaPattern& p = *d.patterns[pos];
-        const ConstTest* first = p.const_tests.empty() ? nullptr : &p.const_tests[0];
-        if (first == nullptr || first->pred != Predicate::Eq) {
-          d.unbucketed.push_back(pos);
-          continue;
-        }
-        // NaN equals nothing, not even itself: the pattern never passes.
-        if (first->value.is_number() && std::isnan(first->value.number())) continue;
-        auto sb = std::find_if(d.slots.begin(), d.slots.end(),
-                               [&](const auto& b) { return b.slot == first->slot; });
-        if (sb == d.slots.end()) sb = d.slots.insert(d.slots.end(), {first->slot, {}});
-        sb->buckets[first->value].push_back(pos);
-      }
-    }
-  }
-
-  BetaNode* build_or_share_memory(JoinNode& parent) {
-    // Shared or not, a join has at most one memory child.
-    for (BetaNode* c : parent.children) {
-      if (c->kind == BetaKind::Memory) return c;
-    }
-    BetaNode& bm = *beta_nodes.acquire();
-    bm.kind = BetaKind::Memory;
-    parent.children.push_back(&bm);
-    return &bm;
-  }
-
-  JoinNode* build_or_share_join(BetaNode& store, const AlphaPattern& alpha,
-                                std::vector<JoinTest> tests, std::uint32_t depth) {
-    AlphaMemory& amem = *alpha.memory;
-    if (options.node_sharing) {
-      for (JoinNode* j : store.join_children) {
-        if (j->amem == &amem && j->tests == tests) return j;
-      }
-    }
-    JoinNode& j = *join_nodes.acquire();
-    j.parent = &store;
-    j.amem = &amem;
-    j.tests = std::move(tests);
-    j.topo_id = next_join_id++;
-    j.topo_alpha = alpha.topo_id;
-    j.topo_depth = depth;
-    if (options.indexed_joins && store.kind == BetaKind::Memory) {
-      for (std::size_t i = 0; i < j.tests.size(); ++i) {
-        if (j.tests[i].pred == Predicate::Eq) {
-          j.index_test = static_cast<int>(i);
-          break;
-        }
-      }
-    }
-    store.join_children.push_back(&j);
-    amem.join_successors.push_back(&j);
-    return &j;
-  }
-
-  BetaNode* build_negative(JoinNode* join_parent, BetaNode* store_parent,
-                           const AlphaPattern& alpha, std::vector<JoinTest> tests,
-                           std::uint32_t depth) {
-    AlphaMemory& amem = *alpha.memory;
-    if (options.node_sharing) {
-      const auto match = [&](BetaNode* c) {
-        return c->kind == BetaKind::Negative && c->amem == &amem && c->tests == tests;
-      };
-      if (join_parent != nullptr) {
-        for (BetaNode* c : join_parent->children) {
-          if (match(c)) return c;
-        }
-      } else {
-        for (BetaNode* c : store_parent->left_children) {
-          if (match(c)) return c;
-        }
-      }
-    }
-    BetaNode& neg = *beta_nodes.acquire();
-    neg.kind = BetaKind::Negative;
-    neg.amem = &amem;
-    neg.tests = std::move(tests);
-    neg.topo_id = next_join_id++;
-    neg.topo_alpha = alpha.topo_id;
-    neg.topo_depth = depth;
-    if (options.indexed_joins) {
-      for (std::size_t i = 0; i < neg.tests.size(); ++i) {
-        if (neg.tests[i].pred == Predicate::Eq) {
-          neg.index_test = static_cast<int>(i);
-          break;
-        }
-      }
-    }
-    if (join_parent != nullptr) {
-      join_parent->children.push_back(&neg);
-    } else {
-      store_parent->left_children.push_back(&neg);
-    }
-    amem.negative_successors.push_back(&neg);
-    return &neg;
-  }
-
-  void compile(const ops5::Production& production, NetworkStats& stats) {
-    if (options.shared_bindings == nullptr || !options.shared_bindings->contains(&production)) {
-      bindings.emplace(&production, ops5::analyze_bindings(production));
-    }
-
-    struct BoundVar {
-      std::uint32_t depth;  // chain depth of the token carrying the binding
-      SlotIndex slot;
-    };
-    std::unordered_map<ops5::VariableId, BoundVar> bound;
-
-    BetaNode* current_store = dummy_store;
-    JoinNode* pending_join = nullptr;
-    std::uint32_t chain_depth = 0;
-    NetworkTopology::ProductionPath& path = paths.emplace_back();
-    path.production = production.id();
-
-    for (const auto& ce : production.lhs()) {
-      // Split this CE's tests into alpha-level and join-level tests.
-      std::vector<ConstTest> const_tests;
-      std::vector<IntraTest> intra_tests;
-      std::vector<DisjTest> disj_tests;
-      std::unordered_map<ops5::VariableId, SlotIndex> ce_local;
-      struct PendingJoinTest {
-        SlotIndex wme_slot;
-        Predicate pred;
-        std::uint32_t binding_depth;
-        SlotIndex token_slot;
-      };
-      std::vector<PendingJoinTest> join_tests_raw;
-
-      for (const auto& test : ce.tests) {
-        if (test.is_disjunction()) {
-          disj_tests.push_back({test.slot, test.disjunction});
-          continue;
-        }
-        if (!test.is_variable) {
-          const_tests.push_back({test.slot, test.pred, test.constant});
-          continue;
-        }
-        if (const auto it = bound.find(test.var); it != bound.end()) {
-          join_tests_raw.push_back({test.slot, test.pred, it->second.depth, it->second.slot});
-        } else if (const auto lc = ce_local.find(test.var); lc != ce_local.end()) {
-          intra_tests.push_back({test.slot, test.pred, lc->second});
-        } else {
-          ce_local.emplace(test.var, test.slot);  // binding occurrence
-        }
-      }
-
-      AlphaPattern* alpha = build_or_share_alpha(ce.cls, std::move(const_tests),
-                                                 std::move(intra_tests), std::move(disj_tests));
-      alpha->users.push_back(production.id());
-
-      if (!ce.negated) {
-        if (pending_join != nullptr) {
-          current_store = build_or_share_memory(*pending_join);
-          ++chain_depth;
-          pending_join = nullptr;
-        }
-        // Candidate tokens at this join have depth == chain_depth.
-        std::vector<JoinTest> tests;
-        tests.reserve(join_tests_raw.size());
-        for (const auto& r : join_tests_raw) {
-          tests.push_back({r.wme_slot, r.pred, chain_depth - r.binding_depth, r.token_slot});
-        }
-        pending_join = build_or_share_join(*current_store, *alpha, std::move(tests), chain_depth);
-        pending_join->users.push_back(production.id());
-        path.nodes.push_back(pending_join->topo_id);
-        // This CE's wme lands in the next token-creating node: depth+1.
-        for (const auto& [var, slot] : ce_local) {
-          bound.emplace(var, BoundVar{chain_depth + 1, slot});
-        }
-      } else {
-        // Negative node tokens have depth chain_depth + 1.
-        std::vector<JoinTest> tests;
-        tests.reserve(join_tests_raw.size());
-        for (const auto& r : join_tests_raw) {
-          tests.push_back({r.wme_slot, r.pred, chain_depth + 1 - r.binding_depth, r.token_slot});
-        }
-        BetaNode* neg = build_negative(pending_join, current_store, *alpha, std::move(tests),
-                                       chain_depth);
-        neg->users.push_back(production.id());
-        path.nodes.push_back(neg->topo_id);
-        pending_join = nullptr;
-        current_store = neg;
-        ++chain_depth;
-      }
-    }
-
-    BetaNode& pnode = *beta_nodes.acquire();
-    pnode.kind = BetaKind::Production;
-    pnode.production = &production;
-    if (pending_join != nullptr) {
-      pending_join->children.push_back(&pnode);
-    } else {
-      current_store->left_children.push_back(&pnode);
-    }
-    ++stats.production_nodes;
-  }
-
-  /// Post-compile pass (sharing can extend successor lists mid-compile, so
-  /// the shared-index layout is only stable once all productions are in):
-  /// dedupes each alpha memory's indexed successors by WME key slot and each
-  /// store's indexed join children by (levels_up, token_slot) key spec, hands
-  /// every successor the ordinal of its shared index, then sets the initial
-  /// link flags.
-  void finalize_links() {
-    for (auto& am : alpha_memories) {
-      const auto slot_ord = [&am](SlotIndex slot) {
-        for (std::uint32_t k = 0; k < am.index_slots.size(); ++k) {
-          if (am.index_slots[k] == slot) return k;
-        }
-        am.index_slots.push_back(slot);
-        return static_cast<std::uint32_t>(am.index_slots.size() - 1);
-      };
-      for (JoinNode* j : am.join_successors) {
-        if (j->index_test >= 0) {
-          j->right_ord = slot_ord(j->tests[static_cast<std::size_t>(j->index_test)].wme_slot);
-        }
-      }
-      for (BetaNode* neg : am.negative_successors) {
-        if (neg->index_test >= 0) {
-          neg->right_ord =
-              slot_ord(neg->tests[static_cast<std::size_t>(neg->index_test)].wme_slot);
-        }
-      }
-      am.right_indexes.resize(am.index_slots.size());
-    }
-    for (auto& node : beta_nodes) {
-      for (JoinNode* j : node.join_children) {
-        if (j->index_test < 0) continue;
-        const JoinTest& test = j->tests[static_cast<std::size_t>(j->index_test)];
-        std::uint32_t k = 0;
-        for (; k < node.left_specs.size(); ++k) {
-          if (node.left_specs[k].levels_up == test.levels_up &&
-              node.left_specs[k].token_slot == test.token_slot) {
-            break;
-          }
-        }
-        if (k == node.left_specs.size()) {
-          node.left_specs.push_back({test.levels_up, test.token_slot});
-        }
-        j->left_ord = k;
-      }
-      node.left_indexes.resize(node.left_specs.size());
-    }
-    reset_links();
-  }
-
   /// Link flags for the current (empty or post-clear) memory contents. The
   /// dummy store always holds the dummy token, so depth-0 joins stay
   /// right-linked for the network's whole life.
   void reset_links() {
-    for (auto& j : join_nodes) {
-      j.right_linked = !j.parent->tokens.empty();
-      j.left_linked = !j.amem->items.empty();
-    }
-    for (auto& node : beta_nodes) {
-      if (node.kind == BetaKind::Negative) {
-        node.right_linked = !node.tokens.empty();
-      }
+    for (std::uint32_t id = 0; id < c.joins.size(); ++id) {
+      const JoinNode& j = c.joins[id];
+      links[id].right = !store_tokens[j.store].empty();
+      if (!j.negated) links[id].left = !alpha_items[j.alpha].empty();
     }
   }
 
@@ -1319,15 +1380,24 @@ struct Network::Impl {
     std::vector<std::string> out;
     const auto fail = [&out](std::string msg) { out.push_back(std::move(msg)); };
 
+    // The state arrays are laid out by the compiled node counts.
+    if (alpha_items.size() != c.alphas.size() || right_indexes.size() != c.right_indexes ||
+        store_tokens.size() != c.stores.size() || left_indexes.size() != c.left_indexes ||
+        links.size() != c.joins.size() || alpha_acts.size() != c.alphas.size() ||
+        join_acts.size() != c.joins.size()) {
+      fail("match state arrays desync from the compiled node counts");
+      return out;
+    }
+
     // Token trees, position back-pointers, and join-result cross-links.
-    std::size_t node_idx = 0;
     std::uint64_t total_tokens = 0;
-    for (const auto& node : beta_nodes) {
-      const std::string where = "beta node " + std::to_string(node_idx);
-      for (std::uint32_t i = 0; i < node.tokens.size(); ++i) {
-        const Token* t = node.tokens[i];
+    for (std::uint32_t s = 0; s < c.stores.size(); ++s) {
+      const std::string where = "beta node " + std::to_string(s);
+      const std::vector<Token*>& members = store_tokens[s];
+      for (std::uint32_t i = 0; i < members.size(); ++i) {
+        const Token* t = members[i];
         ++total_tokens;
-        if (t->pos_in_node != i || t->node != &node) fail(where + ": token position desync");
+        if (t->pos_in_node != i || t->store != s) fail(where + ": token position desync");
         if ((t->wme == nullptr) != (t->wrec == nullptr)) fail(where + ": wme/wrec pairing");
         if (t->wrec != nullptr) {
           if (t->wrec->wme != t->wme) fail(where + ": token wrec names wrong WME");
@@ -1341,12 +1411,12 @@ struct Network::Impl {
              t->parent->children[t->pos_in_parent] != t)) {
           fail(where + ": token parent position desync");
         }
-        for (std::uint32_t c = 0; c < t->children.size(); ++c) {
-          if (t->children[c]->parent != t || t->children[c]->pos_in_parent != c) {
+        for (std::uint32_t ch = 0; ch < t->children.size(); ++ch) {
+          if (t->children[ch]->parent != t || t->children[ch]->pos_in_parent != ch) {
             fail(where + ": child back-pointer desync");
           }
         }
-        if (node.kind != BetaKind::Negative && !t->join_results.empty()) {
+        if (c.stores[s].kind != BetaKind::Negative && !t->join_results.empty()) {
           fail(where + ": join results on non-negative token");
         }
         for (std::uint32_t r = 0; r < t->join_results.size(); ++r) {
@@ -1358,7 +1428,6 @@ struct Network::Impl {
           }
         }
       }
-      ++node_idx;
     }
 
     // Record values and alpha-memory membership.
@@ -1368,23 +1437,21 @@ struct Network::Impl {
       if (rec->vals != rec->wme->slots().data()) fail("record values desync from its WME");
       for (std::uint32_t i = 0; i < rec->alpha_mems.size(); ++i) {
         const WmeRecord::AmRef& ref = rec->alpha_mems[i];
-        if (ref.item_pos >= ref.am->items.size() || ref.am->items[ref.item_pos].rec != rec ||
-            ref.am->items[ref.item_pos].am_slot != i) {
+        if (ref.alpha >= alpha_items.size() || ref.item_pos >= alpha_items[ref.alpha].size() ||
+            alpha_items[ref.alpha][ref.item_pos].rec != rec ||
+            alpha_items[ref.alpha][ref.item_pos].am_slot != i) {
           fail("alpha-memory item position desync");
         }
       }
     });
 
     // Shared-index mirrors: always maintained, independent of link state.
-    std::size_t am_idx = 0;
-    for (const auto& am : alpha_memories) {
-      const std::string who = "alpha memory " + std::to_string(am_idx);
-      if (am.right_indexes.size() != am.index_slots.size()) {
-        fail(who + ": shared right index layout desync");
-      }
+    for (std::uint32_t a = 0; a < c.alphas.size(); ++a) {
+      const AlphaNode& am = c.alphas[a];
+      const std::string who = "alpha memory " + std::to_string(a);
       for (std::uint32_t ord = 0; ord < am.index_slots.size(); ++ord) {
         std::size_t entries = 0;
-        for (const auto& [key, bucket] : am.right_indexes[ord]) {
+        for (const auto& [key, bucket] : right_indexes[am.first_right_index + ord]) {
           for (std::uint32_t i = 0; i < bucket.size(); ++i) {
             ++entries;
             const RightEntry& e = bucket[i];
@@ -1396,24 +1463,20 @@ struct Network::Impl {
             }
           }
         }
-        if (entries != am.items.size()) fail(who + ": right index does not mirror items");
+        if (entries != alpha_items[a].size()) fail(who + ": right index does not mirror items");
       }
-      ++am_idx;
     }
-    node_idx = 0;
-    for (const auto& node : beta_nodes) {
-      const std::string who = "beta node " + std::to_string(node_idx);
-      if (node.left_indexes.size() != node.left_specs.size()) {
-        fail(who + ": shared left index layout desync");
-      }
+    for (std::uint32_t s = 0; s < c.stores.size(); ++s) {
+      const StoreNode& node = c.stores[s];
+      const std::string who = "beta node " + std::to_string(s);
       for (std::uint32_t ord = 0; ord < node.left_specs.size(); ++ord) {
-        const BetaNode::LeftSpec& spec = node.left_specs[ord];
+        const StoreNode::LeftSpec& spec = node.left_specs[ord];
         std::size_t entries = 0;
-        for (const auto& [key, bucket] : node.left_indexes[ord]) {
+        for (const auto& [key, bucket] : left_indexes[node.first_left_index + ord]) {
           for (std::uint32_t i = 0; i < bucket.size(); ++i) {
             ++entries;
             Token* t = bucket[i];
-            if (t->node != &node) fail(who + ": left entry from foreign store");
+            if (t->store != s) fail(who + ": left entry from foreign store");
             if (!(rec_slot(*wme_up(t, spec.levels_up), spec.token_slot) == key)) {
               fail(who + ": left entry under wrong key");
             }
@@ -1422,45 +1485,24 @@ struct Network::Impl {
             }
           }
         }
-        if (entries != node.tokens.size()) fail(who + ": left index does not mirror tokens");
+        if (entries != store_tokens[s].size()) fail(who + ": left index does not mirror tokens");
       }
-      if (node.kind == BetaKind::Negative && node.index_test >= 0) {
-        std::size_t entries = 0;
-        for (const auto& [key, bucket] : node.left_index) {
-          for (std::uint32_t i = 0; i < bucket.size(); ++i) {
-            ++entries;
-            Token* t = bucket[i];
-            if (t->node != &node) fail(who + ": negative left entry from foreign store");
-            if (!(neg_left_key(node, t) == key)) {
-              fail(who + ": negative left entry under wrong key");
-            }
-            if (t->left_pos.empty() || t->left_pos[0] != i) {
-              fail(who + ": negative left entry position desync");
-            }
-          }
-        }
-        if (entries != node.tokens.size()) {
-          fail(who + ": negative left index does not mirror tokens");
-        }
-      }
-      ++node_idx;
     }
 
     // Link flags mirror the opposite memory's emptiness.
-    for (const auto& j : join_nodes) {
-      const std::string who = "join " + std::to_string(j.topo_id);
-      if (j.right_linked != !j.parent->tokens.empty()) fail(who + ": right link flag desync");
-      if (j.left_linked != !j.amem->items.empty()) fail(who + ": left link flag desync");
-    }
-    for (const auto& node : beta_nodes) {
-      if (node.kind != BetaKind::Negative) continue;
-      const std::string who = "negative node " + std::to_string(node.topo_id);
-      if (node.right_linked != !node.tokens.empty()) fail(who + ": right link flag desync");
+    for (std::uint32_t id = 0; id < c.joins.size(); ++id) {
+      const JoinNode& j = c.joins[id];
+      const std::string who = (j.negated ? "negative node " : "join ") + std::to_string(id);
+      if (links[id].right != !store_tokens[j.store].empty()) {
+        fail(who + ": right link flag desync");
+      }
+      if (!j.negated && links[id].left != !alpha_items[j.alpha].empty()) {
+        fail(who + ": left link flag desync");
+      }
     }
 
 #if PSMSYS_OBS
-    const bool dummy_alive =
-        !dummy_store->tokens.empty() && dummy_store->tokens.front() == dummy_token;
+    const bool dummy_alive = !store_tokens[0].empty() && store_tokens[0].front() == dummy_token;
     if (live_tokens != total_tokens - (dummy_alive ? 1 : 0)) {
       fail("live token gauge desync");
     }
@@ -1473,39 +1515,26 @@ struct Network::Impl {
 // Public interface
 // ---------------------------------------------------------------------------
 
+namespace {
+
+[[nodiscard]] std::shared_ptr<const CompiledNetwork> require_compiled(
+    std::shared_ptr<const CompiledNetwork> compiled) {
+  if (compiled == nullptr) throw std::invalid_argument("Rete network needs a compiled network");
+  return compiled;
+}
+
+}  // namespace
+
+Network::Network(std::shared_ptr<const CompiledNetwork> compiled, MatchListener& listener,
+                 util::WorkCounters& counters, const util::CostModel& costs, bool record_chunks)
+    : impl_(std::make_unique<Impl>(require_compiled(std::move(compiled)), listener, counters,
+                                   costs, record_chunks)) {}
+
 Network::Network(const ops5::Program& program, MatchListener& listener,
                  util::WorkCounters& counters, const util::CostModel& costs,
                  const NetworkOptions& options)
-    : impl_(std::make_unique<Impl>(program, listener, counters, costs, options)) {
-  if (!program.frozen()) throw std::invalid_argument("Rete requires a frozen Program");
-  impl_->dispatch.resize(program.class_count());
-
-  // Dummy top store with its dummy token.
-  impl_->dummy_store = impl_->beta_nodes.acquire();
-  impl_->dummy_store->kind = BetaKind::Memory;
-  impl_->dummy_token = impl_->tokens.acquire();
-  impl_->dummy_token->node = impl_->dummy_store;
-  impl_->dummy_store->tokens.push_back(impl_->dummy_token);
-
-  for (const auto& p : program.productions()) impl_->compile(p, stats_);
-
-  stats_.alpha_patterns = impl_->patterns.constructed();
-  stats_.alpha_memories = impl_->alpha_memories.constructed();
-  stats_.join_nodes = impl_->join_nodes.constructed();
-  std::size_t memories = 0;
-  std::size_t negatives = 0;
-  for (const auto& n : impl_->beta_nodes) {
-    if (n.kind == BetaKind::Memory) ++memories;
-    if (n.kind == BetaKind::Negative) ++negatives;
-  }
-  stats_.beta_memories = memories - 1;  // exclude the dummy store
-  stats_.negative_nodes = negatives;
-
-  impl_->alpha_acts.assign(impl_->patterns.constructed(), 0);
-  impl_->join_acts.assign(impl_->next_join_id, 0);
-  impl_->finalize_links();
-  impl_->finalize_dispatch();
-}
+    : Network(std::make_shared<const CompiledNetwork>(program, options), listener, counters,
+              costs) {}
 
 Network::~Network() = default;
 
@@ -1514,6 +1543,8 @@ void Network::add_wme(const ops5::Wme& wme) { impl_->add_wme(wme); }
 void Network::remove_wme(const ops5::Wme& wme) { impl_->remove_wme(wme); }
 
 void Network::clear() { impl_->clear(); }
+
+const CompiledNetwork& Network::compiled() const noexcept { return *impl_->compiled; }
 
 std::vector<util::WorkUnits> Network::take_chunks() {
   return std::exchange(impl_->chunks, {});
@@ -1533,71 +1564,8 @@ NodeActivations Network::node_activations() const {
 #endif
 }
 
-const ops5::BindingAnalysis& Network::bindings(const ops5::Production& p) const {
-  if (const BindingTable* shared = impl_->options.shared_bindings) {
-    if (auto it = shared->find(&p); it != shared->end()) return it->second;
-  }
-  return impl_->bindings.at(&p);
-}
-
 std::vector<std::string> Network::check_invariants() const {
   return impl_->check_invariants();
-}
-
-NetworkTopology Network::topology() const {
-  const auto sorted_unique = [](std::vector<std::uint32_t> v) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-    return v;
-  };
-
-  NetworkTopology topo;
-  topo.alphas.reserve(impl_->patterns.constructed());
-  for (const auto& p : impl_->patterns) {
-    NetworkTopology::AlphaNode a;
-    a.id = p.topo_id;
-    a.cls = p.cls;
-    a.const_tests = static_cast<std::uint32_t>(p.const_tests.size());
-    a.intra_tests = static_cast<std::uint32_t>(p.intra_tests.size());
-    a.disj_tests = static_cast<std::uint32_t>(p.disj_tests.size());
-    a.users = sorted_unique(p.users);
-    topo.alphas.push_back(std::move(a));
-  }
-
-  topo.joins.resize(impl_->next_join_id);
-  for (const auto& j : impl_->join_nodes) {
-    NetworkTopology::JoinNode& out = topo.joins[j.topo_id];
-    out.id = j.topo_id;
-    out.alpha = j.topo_alpha;
-    out.depth = j.topo_depth;
-    out.tests = static_cast<std::uint32_t>(j.tests.size());
-    out.indexed = j.index_test >= 0;
-    out.negated = false;
-    out.users = sorted_unique(j.users);
-  }
-  for (const auto& n : impl_->beta_nodes) {
-    if (n.kind != BetaKind::Negative) continue;
-    NetworkTopology::JoinNode& out = topo.joins[n.topo_id];
-    out.id = n.topo_id;
-    out.alpha = n.topo_alpha;
-    out.depth = n.topo_depth;
-    out.tests = static_cast<std::uint32_t>(n.tests.size());
-    out.indexed = n.index_test >= 0;
-    out.negated = true;
-    out.users = sorted_unique(n.users);
-  }
-
-  topo.productions = impl_->paths;
-  return topo;
-}
-
-BindingTable analyze_all_bindings(const ops5::Program& program) {
-  BindingTable table;
-  table.reserve(program.productions().size());
-  for (const auto& p : program.productions()) {
-    table.emplace(&p, ops5::analyze_bindings(p));
-  }
-  return table;
 }
 
 }  // namespace psmsys::rete

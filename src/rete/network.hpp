@@ -15,6 +15,9 @@
 //     side is empty, so WM traffic through quiescent productions costs
 //     ~nothing; match results and firing logs never depend on link state.
 //
+// The shape is compiled once per rule base into a read-only CompiledNetwork;
+// each Network holds one engine's match state over it.
+//
 // Instrumentation: every elementary operation charges the engine's
 // WorkCounters via the CostModel, and each (WME-change × alpha-pattern)
 // cascade is recorded as one *match chunk*. Chunks are the unit ParaOPS5
@@ -26,7 +29,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ops5/bindings.hpp"
@@ -37,8 +39,8 @@
 
 namespace psmsys::rete {
 
-/// Cumulative per-node activation counts, indexed by the creation-order node
-/// ids NetworkTopology exports (alpha: WMEs passing the pattern on add; join:
+/// Cumulative per-node activation counts, indexed by the node ids
+/// NetworkTopology exports (alpha: WMEs passing the pattern on add; join:
 /// left + right activations, negative nodes included in the join id space).
 /// Counts are lifetime gauges — clear() retains them — so static analyzer
 /// costs can be calibrated against a whole run's measured traffic.
@@ -95,42 +97,65 @@ struct NetworkTopology {
   std::vector<ProductionPath> productions;
 };
 
-/// Per-production binding analyses keyed by production identity — the
-/// compile-time artifact a multi-session server shares across every network
-/// built over one frozen program (the analyses depend only on the production
-/// source, never on working memory).
-using BindingTable = std::unordered_map<const ops5::Production*, ops5::BindingAnalysis>;
-
-/// Analyze every production of a frozen program once, for use as
-/// NetworkOptions::shared_bindings by all networks compiled over it.
-[[nodiscard]] BindingTable analyze_all_bindings(const ops5::Program& program);
-
+/// The two switches that change what the compiled network looks like.
 struct NetworkOptions {
   /// Share alpha memories and beta-level nodes between productions with
   /// common prefixes (standard Rete sharing; disable for the ablation bench).
   bool node_sharing = true;
-  /// Record per-chunk match costs (needed by the match-parallelism model).
-  bool record_chunks = true;
   /// Hash-index join memories on their first equality test (ParaOPS5's
   /// hashed-memory optimization): a join activation probes only candidates
   /// whose key matches instead of scanning the whole opposite memory.
   /// Disable for the ablation bench.
   bool indexed_joins = true;
-  /// Precomputed binding analyses for (a superset of) the program's
-  /// productions. Not owned: the table must outlive the network. When set,
-  /// compilation reuses these entries instead of re-running analyze_bindings
-  /// per production per network — the compile-once half of the serve-time
-  /// split between the shared rule base and per-session match state.
-  const BindingTable* shared_bindings = nullptr;
 };
 
+/// The read-only half of a Rete network, compiled once per rule base: alpha
+/// patterns and their class dispatch buckets, every node's shape under a
+/// dense id, the shared-index layouts, each production's path and binding
+/// analysis. Nothing in it changes after construction, so any number of
+/// Networks on any number of threads match over one CompiledNetwork at once,
+/// as every PSM task process runs the one compiled rule set (Section 5.1).
+class CompiledNetwork {
+ public:
+  /// The program must be frozen and must outlive the compiled network.
+  explicit CompiledNetwork(const ops5::Program& program, const NetworkOptions& options = {});
+  ~CompiledNetwork();
+
+  CompiledNetwork(const CompiledNetwork&) = delete;
+  CompiledNetwork& operator=(const CompiledNetwork&) = delete;
+
+  [[nodiscard]] const ops5::Program& program() const noexcept;
+  [[nodiscard]] NetworkStats stats() const noexcept;
+
+  /// Compile-time network shape with per-node sharing (user) information.
+  /// Deterministic for a fixed frozen program and options.
+  [[nodiscard]] NetworkTopology topology() const;
+
+  /// The binding analysis of one of the program's productions, for RHS
+  /// evaluation.
+  [[nodiscard]] const ops5::BindingAnalysis& bindings(const ops5::Production& p) const;
+
+ private:
+  friend class Network;
+  struct Nodes;
+  const std::unique_ptr<const Nodes> nodes_;
+};
+
+/// One engine's match state over a compiled network: alpha and beta
+/// memories, tokens, hash indexes, link flags and gauges, in arrays indexed
+/// by the compiled node ids.
 class Network final : public Matcher {
  public:
-  /// Compiles the network for all productions in `program`. The program must
-  /// be frozen and must outlive the network. Costs are charged to `counters`.
-  Network(const ops5::Program& program, MatchListener& listener,
+  /// Match state over `compiled`, which the network shares. Costs are
+  /// charged to `counters`; match chunks are recorded only with
+  /// `record_chunks` (the match-parallelism model needs them).
+  Network(std::shared_ptr<const CompiledNetwork> compiled, MatchListener& listener,
           util::WorkCounters& counters, const util::CostModel& costs = {},
-          const NetworkOptions& options = {});
+          bool record_chunks = true);
+  /// Compiles `program` for this network alone. The program must be frozen
+  /// and must outlive the network.
+  Network(const ops5::Program& program, MatchListener& listener, util::WorkCounters& counters,
+          const util::CostModel& costs = {}, const NetworkOptions& options = {});
   ~Network() override;
 
   Network(const Network&) = delete;
@@ -140,7 +165,8 @@ class Network final : public Matcher {
   void remove_wme(const ops5::Wme& wme) override;
   void clear() override;
 
-  [[nodiscard]] NetworkStats stats() const noexcept { return stats_; }
+  /// The shape this network matches over: stats, topology, bindings.
+  [[nodiscard]] const CompiledNetwork& compiled() const noexcept;
 
   /// Match chunks recorded since the last take_chunks() call. Each entry is
   /// the work-unit cost of one independent alpha-pattern cascade.
@@ -159,24 +185,17 @@ class Network final : public Matcher {
   /// Empty when built with PSMSYS_OBS=0.
   [[nodiscard]] NodeActivations node_activations() const;
 
-  /// Binding analysis computed during compilation, exposed for RHS evaluation.
-  [[nodiscard]] const ops5::BindingAnalysis& bindings(const ops5::Production& p) const;
-
-  /// Structural self-check for the differential tests: every position
-  /// back-pointer, index/memory mirror, record value pointer, and link flag is
-  /// validated against the authoritative lists (a link flag must mirror the
+  /// Structural self-check for the differential tests: every state array is
+  /// sized to the compiled node counts, and every position back-pointer,
+  /// index/memory mirror, record value pointer, and link flag is validated
+  /// against the authoritative lists (a link flag must mirror the
   /// non-emptiness of the memory it watches). Returns human-readable
   /// violation descriptions, empty when consistent.
   [[nodiscard]] std::vector<std::string> check_invariants() const override;
 
-  /// Compile-time network shape with per-node sharing (user) information.
-  /// Deterministic for a fixed frozen program and options.
-  [[nodiscard]] NetworkTopology topology() const;
-
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
-  NetworkStats stats_;
 };
 
 }  // namespace psmsys::rete

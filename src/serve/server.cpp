@@ -786,7 +786,7 @@ LoadResult Server::stage_pack(const PackCandidate& candidate) {
   std::shared_ptr<const SharedRuleBase> compiled;
   if (out.accepted) {
     // Candidate engines inherit the live pack's options unless overridden.
-    const ops5::EngineOptions opts =
+    const ops5::EngineConfig opts =
         candidate.engine_options ? *candidate.engine_options : live_rb->engine_options();
     compiled = SharedRuleBase::compile(candidate.program, candidate.externals, opts);
   }

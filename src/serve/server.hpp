@@ -114,7 +114,7 @@ struct PackCandidate {
   const ops5::ExternalRegistry* externals = nullptr;
   /// Engine options for sessions on this pack; unset inherits the options of
   /// the pack that is active when the candidate is staged.
-  std::optional<ops5::EngineOptions> engine_options;
+  std::optional<ops5::EngineConfig> engine_options;
 };
 
 enum class PackState : std::uint8_t {

@@ -80,6 +80,7 @@ Session::TickOutcome Session::run_tick(const SceneJob& job,
       // tick's checkpoint, and earlier ticks' resident WM survives.
       psm::TaskMeasurement m = context_.runner_.attempt(task, attempt, aborted, job.collect);
       out.status = SceneStatus::Completed;
+      out.error.clear();  // the cause of a failure only; a retry just completed
       out.counters = m.counters;
       out.firing_log = std::move(context_.firing_log_);
       out.wm_size = context_.engine().wm_size();

@@ -37,7 +37,7 @@ struct TickReport {
   SceneStatus status = SceneStatus::Completed;
   RejectReason reject = RejectReason::None;
   std::uint32_t attempts = 0;
-  std::string error;
+  std::string error;            ///< last failure cause (non-Completed)
   util::WorkCounters counters;  ///< successful attempt's engine deltas
   std::string firing_log;       ///< tick's session-prefixed watch lines (opt-in)
   std::uint64_t wm_size = 0;      ///< resident WMEs after the tick

@@ -56,7 +56,7 @@ using ops5::Value;
                                                   bool record_cycles) {
   psm::TaskProcessFactory factory;
   factory.make_engine = [phase, &scene, record_cycles] {
-    ops5::EngineOptions options;
+    ops5::EngineConfig options;
     options.record_cycles = record_cycles;
     return phase->make_engine(scene, options);
   };
@@ -282,7 +282,7 @@ Decomposition rtf_decomposition(const Scene& scene, int group_size, bool record_
   auto phase = std::make_shared<const PhaseProgram>(build_rtf_program());
   Decomposition d;
   d.factory.make_engine = [phase, &scene, record_cycles] {
-    ops5::EngineOptions options;
+    ops5::EngineConfig options;
     options.record_cycles = record_cycles;
     return phase->make_engine(scene, options);
   };

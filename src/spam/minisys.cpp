@@ -69,7 +69,7 @@ std::shared_ptr<const ops5::Program> build_minisystem(const MiniSystemConfig& co
 }
 
 psm::TaskMeasurement run_minisystem(const MiniSystemConfig& config) {
-  ops5::EngineOptions options;
+  ops5::EngineConfig options;
   options.record_cycles = true;
   options.max_cycles = static_cast<std::uint64_t>(config.steps) + 16;
   ops5::Engine engine(build_minisystem(config), nullptr, options);

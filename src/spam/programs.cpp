@@ -406,22 +406,29 @@ void intern_domain_symbols(ops5::SymbolTable& symbols) {
   auto registry = std::make_shared<ops5::ExternalRegistry>();
   register_geometry(*registry, program->symbols());
   program->freeze();
-  return PhaseProgram{program, registry};
+  return PhaseProgram{program, registry, std::make_shared<const rete::CompiledNetwork>(*program)};
+}
+
+/// The phase's one bundle, built on first use.
+template <std::string (*Source)()>
+[[nodiscard]] const PhaseProgram& phase_bundle() {
+  static const PhaseProgram phase = build_phase(Source());
+  return phase;
 }
 
 }  // namespace
 
 std::unique_ptr<ops5::Engine> PhaseProgram::make_engine(const Scene& scene,
-                                                        ops5::EngineOptions options) const {
-  auto engine = std::make_unique<ops5::Engine>(program, externals.get(), options);
+                                                        ops5::EngineConfig options) const {
+  auto engine = std::make_unique<ops5::Engine>(program, network, externals.get(), options);
   // Engines never mutate the scene; externals read polygons only.
   engine->set_user_data(const_cast<Scene*>(&scene));
   return engine;
 }
 
-PhaseProgram build_rtf_program() { return build_phase(rtf_source()); }
-PhaseProgram build_lcc_program() { return build_phase(lcc_source()); }
-PhaseProgram build_fa_program() { return build_phase(fa_source()); }
-PhaseProgram build_model_program() { return build_phase(model_source()); }
+PhaseProgram build_rtf_program() { return phase_bundle<rtf_source>(); }
+PhaseProgram build_lcc_program() { return phase_bundle<lcc_source>(); }
+PhaseProgram build_fa_program() { return phase_bundle<fa_source>(); }
+PhaseProgram build_model_program() { return phase_bundle<model_source>(); }
 
 }  // namespace psmsys::spam

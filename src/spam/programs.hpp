@@ -20,16 +20,17 @@
 
 namespace psmsys::spam {
 
-/// A parsed phase program together with its external-function registry.
-/// Engines built from it must set_user_data(&scene) so externals can reach
-/// the polygons.
+/// A parsed phase program together with its external-function registry and
+/// its one compiled Rete network. Engines built from it must
+/// set_user_data(&scene) so externals can reach the polygons.
 struct PhaseProgram {
   std::shared_ptr<const ops5::Program> program;
   std::shared_ptr<const ops5::ExternalRegistry> externals;
+  std::shared_ptr<const rete::CompiledNetwork> network;  ///< compiled from `program`
 
-  /// Convenience: construct a ready engine bound to `scene`.
+  /// Convenience: construct a ready engine over `network`, bound to `scene`.
   [[nodiscard]] std::unique_ptr<ops5::Engine> make_engine(const Scene& scene,
-                                                          ops5::EngineOptions options = {}) const;
+                                                          ops5::EngineConfig options = {}) const;
 };
 
 /// OPS5 source text of each phase (exposed for tests and documentation).
@@ -38,6 +39,8 @@ struct PhaseProgram {
 [[nodiscard]] std::string fa_source();
 [[nodiscard]] std::string model_source();
 
+/// Each phase's one bundle, parsed and compiled on first use; every call
+/// returns the same program, registry and network.
 [[nodiscard]] PhaseProgram build_rtf_program();
 [[nodiscard]] PhaseProgram build_lcc_program();
 [[nodiscard]] PhaseProgram build_fa_program();

@@ -3,7 +3,7 @@
 // A chunked object pool: the one allocator behind every object a Rete
 // network, a conflict set and a working memory create and discard while they
 // match (tokens, negative join results, WME records, instantiation records,
-// working-memory slots), and behind the Rete's compile-time nodes.
+// working-memory slots).
 //
 // Elements live in fixed-size chunks, so their addresses never move. A
 // released element goes on a LIFO free list *without* being destroyed: it
@@ -70,8 +70,7 @@ class Pool {
   [[nodiscard]] std::size_t constructed() const noexcept { return constructed_; }
 
   /// Iteration visits every constructed element, live or free, in
-  /// construction order. Pools that never release (the Rete's nodes) use it
-  /// as an append-only arena.
+  /// construction order.
   template <typename P, typename E>
   class Iter {
    public:

@@ -136,6 +136,21 @@ TEST_F(DecompositionTest, CycleRecordingOptIn) {
   EXPECT_EQ(without[0].cost(), with[0].cost());
 }
 
+// Every task process of a decomposition matches over its phase's one
+// compiled network; building one compiles nothing.
+TEST_F(DecompositionTest, TaskProcessesShareTheCompiledNetwork) {
+  for (const Decomposition& d :
+       {lcc_decomposition(3, scene_, best_), rtf_decomposition(scene_, 3)}) {
+    const auto first = d.factory.make_engine();
+    const auto second = d.factory.make_engine();
+    EXPECT_EQ(&first->network().compiled(), &second->network().compiled());
+  }
+  EXPECT_EQ(&lcc_decomposition(2, scene_, best_).factory.make_engine()->network().compiled(),
+            build_lcc_program().network.get());
+  EXPECT_EQ(&rtf_decomposition(scene_, 3).factory.make_engine()->network().compiled(),
+            build_rtf_program().network.get());
+}
+
 TEST_F(DecompositionTest, RtfDecompositionGroups) {
   const auto d = rtf_decomposition(scene_, 2);
   EXPECT_EQ(d.tasks.size(), (scene_.size() + 1) / 2);

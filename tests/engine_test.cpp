@@ -13,6 +13,7 @@
 
 #include "ops5/engine.hpp"
 #include "ops5/parser.hpp"
+#include "serve/rulebase.hpp"
 #include "spam/decomposition.hpp"
 #include "spam/phases.hpp"
 #include "spam/scene_generator.hpp"
@@ -148,7 +149,7 @@ TEST(Engine, MaxCyclesGuard) {
 (literalize item n)
 (p spin (item ^n <v>) --> (modify 1 ^n (compute <v> + 1)))
 )");
-  EngineOptions options;
+  EngineConfig options;
   options.max_cycles = 50;
   Engine engine(program, nullptr, options);
   engine.make_wme("item", {{"n", Value(0.0)}});
@@ -193,7 +194,7 @@ TEST(Engine, RecencyOrderUnderLex) {
 }
 
 TEST(Engine, StrategySelectable) {
-  EngineOptions options;
+  EngineConfig options;
   options.strategy = Strategy::Mea;
   const auto program = parse_shared(R"(
 (literalize goal g)
@@ -335,7 +336,7 @@ TEST(Engine, CountersTrackFiringsAndActions) {
 }
 
 TEST(Engine, CycleRecordsWhenEnabled) {
-  EngineOptions options;
+  EngineConfig options;
   options.record_cycles = true;
   const auto program = parse_shared(R"(
 (literalize item n)
@@ -1047,6 +1048,32 @@ TEST(EngineAllocations, WholeLifetimeAllocatesInChunks) {
   EXPECT_EQ(firings, 19966U);
   EXPECT_LE(run_allocations, 164722U / 4);
   EXPECT_LE(t_frees, 112900U / 4);
+}
+
+// Building an engine over a rule base's compiled network allocates its match
+// state only: the network is compiled once, by the rule base or the phase
+// bundle. When each engine compiled its own network, an LCC engine from
+// SharedRuleBase::make_engine() made 5,434 allocations at construction and
+// one from PhaseProgram::make_engine 6,808, both exactly repeatable; the
+// bound is a tenth of each.
+TEST(EngineAllocations, ConstructionOverASharedCompileAllocatesATenth) {
+  const spam::Scene scene({});
+  const spam::PhaseProgram phase = spam::build_lcc_program();
+  const auto rulebase = serve::SharedRuleBase::compile(phase.program, phase.externals.get());
+
+  t_allocations = 0;
+  t_count_allocations = true;
+  std::unique_ptr<Engine> session = rulebase->make_engine();
+  t_count_allocations = false;
+  const std::size_t session_allocations = t_allocations;
+
+  t_allocations = 0;
+  t_count_allocations = true;
+  std::unique_ptr<Engine> phase_engine = phase.make_engine(scene);
+  t_count_allocations = false;
+
+  EXPECT_LE(session_allocations, 5434U / 10);
+  EXPECT_LE(t_allocations, 6808U / 10);
 }
 
 }  // namespace

@@ -215,6 +215,33 @@ TEST(ParserErrors, BadComputeOperator) {
                ParseError);
 }
 
+// Rule-pack source is untrusted: an expression nested 100,000 calls deep, or
+// a compute form with 100,000 operators (each nests the tree one level
+// deeper), overflowed the stack instead of raising a ParseError.
+TEST(ParserErrors, ExpressionDepthIsBounded) {
+  const auto program_with = [](const std::string& expr) {
+    return "(literalize c v)\n(p deep (c ^v <x>) --> (make c ^v " + expr + "))";
+  };
+  const auto nested_calls = [](std::size_t calls) {
+    std::string expr;
+    for (std::size_t i = 0; i < calls; ++i) expr += "(f ";
+    return expr + "1" + std::string(calls, ')');
+  };
+  const auto compute_chain = [](std::size_t operators) {
+    std::string expr = "(compute 1";
+    for (std::size_t i = 0; i < operators; ++i) expr += " + 1";
+    return expr + ")";
+  };
+  EXPECT_THROW((void)parse_program(program_with(nested_calls(100'000))), ParseError);
+  EXPECT_THROW((void)parse_program(program_with(compute_chain(100'000))), ParseError);
+  // Just inside the bound of 256 levels: 255 calls around a constant, and a
+  // compute form whose 254 operators put its first operand on level 256.
+  EXPECT_NO_THROW((void)parse_program(program_with(nested_calls(255))));
+  EXPECT_NO_THROW((void)parse_program(program_with(compute_chain(254))));
+  EXPECT_THROW((void)parse_program(program_with(nested_calls(256))), ParseError);
+  EXPECT_THROW((void)parse_program(program_with(compute_chain(255))), ParseError);
+}
+
 TEST(ParserErrors, ReportsLineNumber) {
   try {
     parse_program("(literalize r a)\n\n(p x (r ^zzz 1) --> (halt))");

@@ -20,6 +20,25 @@ TEST(PhasePrograms, AllPhasesBuild) {
   EXPECT_GE(build_model_program().program->productions().size(), 2u);
 }
 
+// Each phase is parsed and compiled once: every call returns the phase's one
+// bundle, and every engine made from it matches over the bundle's compiled
+// network.
+TEST(PhasePrograms, EachPhaseIsCompiledOnce) {
+  const Scene scene({});
+  for (const auto build :
+       {&build_rtf_program, &build_lcc_program, &build_fa_program, &build_model_program}) {
+    const PhaseProgram phase = build();
+    const PhaseProgram again = build();
+    ASSERT_NE(phase.network, nullptr);
+    EXPECT_EQ(again.program, phase.program);
+    EXPECT_EQ(again.externals, phase.externals);
+    EXPECT_EQ(again.network, phase.network);
+    EXPECT_EQ(&phase.network->program(), phase.program.get());
+    EXPECT_EQ(&phase.make_engine(scene)->network().compiled(), phase.network.get());
+    EXPECT_EQ(&again.make_engine(scene)->network().compiled(), phase.network.get());
+  }
+}
+
 TEST(PhasePrograms, LccHasFiveProductionsPerConstraint) {
   // One production per (constraint, level 1..4) plus one relation rule.
   const auto program = build_lcc_program().program;

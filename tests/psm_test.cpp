@@ -228,6 +228,21 @@ TEST_F(PsmTaskTest, ThreadedFiringsConserved) {
   EXPECT_EQ(seq_firings, par_firings);
 }
 
+TEST_F(PsmTaskTest, TaskProcessesShareOneCompiledNetwork) {
+  // Each task process builds its engine on its own thread over the
+  // decomposition's one compiled network, and all of them match at once.
+  const rete::CompiledNetwork* shared = &decomposition_.factory.make_engine()->network().compiled();
+  std::mutex mu;
+  std::set<const rete::CompiledNetwork*> seen;
+  const auto collect = [&](std::size_t, ops5::Engine& engine) {
+    const std::lock_guard<std::mutex> lock(mu);
+    seen.insert(&engine.network().compiled());
+  };
+  const auto result = run(decomposition_.factory, decomposition_.tasks, strict_opts(4, collect));
+  EXPECT_EQ(result.measurements().size(), decomposition_.tasks.size());
+  EXPECT_EQ(seen, std::set<const rete::CompiledNetwork*>{shared});
+}
+
 TEST_F(PsmTaskTest, ThreadedRejectsBadInput) {
   EXPECT_THROW((void)run(decomposition_.factory, decomposition_.tasks, strict_opts(0)),
                std::invalid_argument);

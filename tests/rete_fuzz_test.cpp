@@ -16,6 +16,11 @@
 // at the end must leave an empty network — zero live tokens, clean
 // invariants — that still matches correctly when the trace is replayed into
 // it.
+//
+// The shared-compile axis runs two networks over one CompiledNetwork, each
+// driven by its own trace against its own oracle, interleaved step by step:
+// the compiled half is read-only, so neither network may see the other's
+// match state.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +30,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ops5/parser.hpp"
@@ -129,13 +135,17 @@ std::string random_program_source(util::Rng& rng, Family family) {
 }
 
 /// The oracle and the Rete network plus their listeners, driven in lockstep.
+/// The network compiles `p` itself unless given a shared compile of it.
 struct Harness {
-  explicit Harness(const Program& p) : program(p) {
+  explicit Harness(const Program& p, std::shared_ptr<const CompiledNetwork> compiled = nullptr)
+      : program(p) {
     names = {"naive", "rete"};
     for (int i = 0; i < 2; ++i) listeners.push_back(std::make_unique<Listener>(p));
     counters.resize(2);
     matchers.push_back(std::make_unique<NaiveMatcher>(p, *listeners[0], counters[0]));
-    auto network = std::make_unique<Network>(p, *listeners[1], counters[1]);
+    auto network = compiled != nullptr
+                       ? std::make_unique<Network>(std::move(compiled), *listeners[1], counters[1])
+                       : std::make_unique<Network>(p, *listeners[1], counters[1]);
     rete = network.get();
     matchers.push_back(std::move(network));
   }
@@ -185,40 +195,33 @@ TraceConfig config_for(int seed) {
   return cfg;
 }
 
-class ReteFuzzTest : public ::testing::TestWithParam<int> {};
+/// A random add/retract/modify WME trace over classes `a` and `b`: the WMEs
+/// it made, and those still live.
+struct Trace {
+  Trace(const Program& p, const TraceConfig& c, const util::Rng& r)
+      : program(p), cfg(c), rng(r) {}
 
-TEST_P(ReteFuzzTest, DifferentialTraceWithInvariants) {
-  const int seed = GetParam();
-  const TraceConfig cfg = config_for(seed);
-  util::Rng rng(static_cast<std::uint64_t>(seed) * 48271 + 11);
-  const std::string src = random_program_source(rng, cfg.family);
-  SCOPED_TRACE(src);
-  const Program p = ops5::parse_program(src);
-  Harness h(p);
-
-  std::vector<std::unique_ptr<Wme>> owned;
-  std::vector<const Wme*> live;
-  ops5::TimeTag tag = 1;
-
-  const auto make_wme = [&]() -> const Wme& {
+  const Wme& make_wme() {
     const auto cls = static_cast<ops5::ClassIndex>(rng.next_below(2));
     std::vector<Value> slots{Value(static_cast<double>(rng.next_int(0, 2))),
                              Value(static_cast<double>(rng.next_int(0, 4))),
                              Value(static_cast<double>(rng.next_int(0, 2)))};
-    const auto cls_sym = *p.symbols().find(cls == 0 ? "a" : "b");
+    const auto cls_sym = *program.symbols().find(cls == 0 ? "a" : "b");
     owned.push_back(std::make_unique<Wme>(cls, cls_sym, std::move(slots), tag++));
     live.push_back(owned.back().get());
     return *owned.back();
-  };
-  const auto retract_random = [&]() -> const Wme& {
+  }
+
+  const Wme& retract_random() {
     const auto idx = rng.next_below(live.size());
     const Wme* w = live[idx];
     live[idx] = live.back();
     live.pop_back();
     return *w;
-  };
+  }
 
-  for (int step = 0; step < 110; ++step) {
+  /// One operation of the trace, applied to every matcher of `h`.
+  void step(Harness& h) {
     const bool warm = live.size() >= 4;
     if (warm && rng.next_bool(cfg.modify_bias)) {
       // Modify = retract + re-assert with mutated slots (OPS5 semantics).
@@ -229,27 +232,55 @@ TEST_P(ReteFuzzTest, DifferentialTraceWithInvariants) {
     } else {
       h.add(make_wme());
     }
+  }
+
+  /// Full retraction must drain the network completely: empty support, zero
+  /// live tokens, and clean structural invariants (which also means every
+  /// non-dummy-fed node has unlinked again).
+  void drain(Harness& h) {
+    while (!live.empty()) h.remove(retract_random());
+    h.check_step(-1);
+    if (::testing::Test::HasFatalFailure()) return;
+    for (std::size_t i = 0; i < h.matchers.size(); ++i) {
+      EXPECT_TRUE(h.listeners[i]->empty()) << h.names[i] << " support not empty after drain";
+    }
+    EXPECT_EQ(h.rete->live_tokens(), 0u) << "rete leaked live tokens after full retraction";
+    h.check_invariants(-1);
+  }
+
+  const Program& program;
+  TraceConfig cfg;
+  util::Rng rng;
+  std::vector<std::unique_ptr<Wme>> owned;
+  std::vector<const Wme*> live;
+  ops5::TimeTag tag = 1;
+};
+
+class ReteFuzzTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ReteFuzzTest, DifferentialTraceWithInvariants) {
+  const int seed = GetParam();
+  const TraceConfig cfg = config_for(seed);
+  util::Rng rng(static_cast<std::uint64_t>(seed) * 48271 + 11);
+  const std::string src = random_program_source(rng, cfg.family);
+  SCOPED_TRACE(src);
+  const Program p = ops5::parse_program(src);
+  Harness h(p);
+  Trace trace(p, cfg, rng);
+
+  for (int step = 0; step < 110; ++step) {
+    trace.step(h);
     h.check_step(step);
     if (step % 10 == 0) h.check_invariants(step);
     if (::testing::Test::HasFatalFailure()) return;
   }
   h.check_invariants(110);
-
-  // Full retraction must drain the network completely: empty support, zero
-  // live tokens, and clean structural invariants (which also means every
-  // non-dummy-fed node has unlinked again).
-  while (!live.empty()) h.remove(retract_random());
-  h.check_step(-1);
+  trace.drain(h);
   if (::testing::Test::HasFatalFailure()) return;
-  for (std::size_t i = 0; i < h.matchers.size(); ++i) {
-    EXPECT_TRUE(h.listeners[i]->empty()) << h.names[i] << " support not empty after drain";
-  }
-  EXPECT_EQ(h.rete->live_tokens(), 0u) << "rete leaked live tokens after full retraction";
-  h.check_invariants(-1);
 
   // The drained network must still match: replay fresh traffic and re-verify.
   for (int step = 0; step < 20; ++step) {
-    h.add(make_wme());
+    h.add(trace.make_wme());
     h.check_step(1000 + step);
     if (::testing::Test::HasFatalFailure()) return;
   }
@@ -258,6 +289,38 @@ TEST_P(ReteFuzzTest, DifferentialTraceWithInvariants) {
 
 // 54 seeded traces, 18 per stress family (seed % 3 picks the family).
 INSTANTIATE_TEST_SUITE_P(SeededTraces, ReteFuzzTest, ::testing::Range(0, 54));
+
+class ReteFuzzSharedCompile : public ::testing::TestWithParam<int> {};
+
+TEST_P(ReteFuzzSharedCompile, InterleavedTracesOverOneCompile) {
+  const int seed = GetParam();
+  const TraceConfig cfg = config_for(seed);
+  util::Rng rng(static_cast<std::uint64_t>(seed) * 48271 + 11);
+  const std::string src = random_program_source(rng, cfg.family);
+  SCOPED_TRACE(src);
+  const Program p = ops5::parse_program(src);
+  const auto compiled = std::make_shared<const CompiledNetwork>(p);
+  Harness first(p, compiled);
+  Harness second(p, compiled);
+  ASSERT_EQ(&first.rete->compiled(), compiled.get());
+  ASSERT_EQ(&second.rete->compiled(), compiled.get());
+  Trace first_trace(p, cfg, rng);
+  Trace second_trace(p, cfg, util::Rng(static_cast<std::uint64_t>(seed) * 69621 + 5));
+
+  for (int step = 0; step < 110; ++step) {
+    for (auto [h, trace] : {std::pair{&first, &first_trace}, std::pair{&second, &second_trace}}) {
+      trace->step(*h);
+      h->check_step(step);
+      h->check_invariants(step);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  first_trace.drain(first);
+  second_trace.drain(second);
+}
+
+// 18 seeded pairs of traces, 6 per stress family.
+INSTANTIATE_TEST_SUITE_P(SeededTraces, ReteFuzzSharedCompile, ::testing::Range(0, 18));
 
 // clear() must reset to the post-construction state: empty, invariant-clean,
 // and immediately reusable with results identical to a fresh network.

@@ -93,6 +93,25 @@ TEST(ReteStatic, ReportCountsAndSharing) {
   }
 }
 
+// The report derives its unshared counts from the production paths (one
+// alpha pattern and one join or negative node per CE) instead of compiling a
+// second, unshared network. On every phase base they equal that compile:
+// RTF 31, LCC 457, FA 16, MODEL 8.
+TEST(ReteStatic, UnsharedCountsEqualAnUnsharedCompile) {
+  std::vector<std::size_t> unshared;
+  for (const auto build : {&spam::build_rtf_program, &spam::build_lcc_program,
+                           &spam::build_fa_program, &spam::build_model_program}) {
+    const auto program = build().program;
+    const ReteStaticReport report = analyze_rete(*program);
+    const rete::NetworkStats stats =
+        rete::CompiledNetwork(*program, {.node_sharing = false}).stats();
+    EXPECT_EQ(report.alpha_nodes_unshared, stats.alpha_patterns);
+    EXPECT_EQ(report.join_nodes_unshared, stats.join_nodes + stats.negative_nodes);
+    unshared.push_back(report.alpha_nodes_unshared);
+  }
+  EXPECT_EQ(unshared, (std::vector<std::size_t>{31, 457, 16, 8}));
+}
+
 TEST(ReteStatic, PerProductionCostsArePositiveAndHeuristicMatches) {
   const auto program = join_program();
   const ReteStaticReport report = analyze_rete(*program);
@@ -240,7 +259,7 @@ TEST(ReteStaticCalibration, MapsMeasuredActivationsOntoProductions) {
   ASSERT_EQ(acts.alpha.size(), report.alpha_nodes);
   ASSERT_EQ(acts.join.size(), report.join_nodes);
 
-  report.calibrate(net.topology(), acts.alpha, acts.join);
+  report.calibrate(net.compiled().topology(), acts.alpha, acts.join);
   ASSERT_EQ(report.calibration.size(), report.production_count);
 
   double static_share = 0.0, measured_share = 0.0, measured_total = 0.0;
@@ -275,7 +294,7 @@ TEST(ReteStaticCalibration, JsonAppendsTableOnlyAfterCalibrate) {
   (void)engine.run();
   const auto& net = engine.network();
   const rete::NodeActivations acts = net.node_activations();
-  report.calibrate(net.topology(), acts.alpha, acts.join);
+  report.calibrate(net.compiled().topology(), acts.alpha, acts.join);
 
   const auto doc = report.to_json();
   const auto* table = doc.find("calibration");
@@ -304,7 +323,7 @@ TEST(ReteStaticCalibration, AllZeroActivationsYieldZeroSharesNotNan) {
   rete::Network net(*program, listener, counters);
   const std::vector<std::uint64_t> zero_alpha(report.alpha_nodes, 0);
   const std::vector<std::uint64_t> zero_join(report.join_nodes, 0);
-  report.calibrate(net.topology(), zero_alpha, zero_join);
+  report.calibrate(net.compiled().topology(), zero_alpha, zero_join);
 
   ASSERT_EQ(report.calibration.size(), report.production_count);
   for (const auto& row : report.calibration) {
@@ -332,7 +351,7 @@ TEST(ReteStaticCalibration, SingleProductionNetworkHasZeroCorrelation) {
   (void)engine.run();
   const auto& net = engine.network();
   const rete::NodeActivations acts = net.node_activations();
-  report.calibrate(net.topology(), acts.alpha, acts.join);
+  report.calibrate(net.compiled().topology(), acts.alpha, acts.join);
 
   ASSERT_EQ(report.calibration.size(), 1u);
   // One row: both shares are the whole distribution, and Pearson over a
@@ -433,7 +452,7 @@ TEST(ReteStaticUnlinking, GaugesSurviveUnlinking) {
 
   // Every production that reached the conflict set has a fully-activated
   // path even under unlinking: elision only ever skips provable no-ops.
-  const rete::NetworkTopology topo = run.network.topology();
+  const rete::NetworkTopology topo = run.network.compiled().topology();
   for (const auto& path : topo.productions) {
     if (!run.listener.activated().count(path.production)) continue;
     for (const auto node : path.nodes) {
@@ -600,7 +619,7 @@ TEST(ReteStaticUnlinking, ZeroActivationPathsMatchStaticQuiescenceVerdicts) {
   const auto& net = engine.network();
   EXPECT_TRUE(net.check_invariants().empty());
   const rete::NodeActivations acts = net.node_activations();
-  const rete::NetworkTopology topo = net.topology();
+  const rete::NetworkTopology topo = net.compiled().topology();
   const auto prods = program->productions();
   for (const auto& path : topo.productions) {
     const auto name = program->symbols().name(prods[path.production].name());

@@ -225,7 +225,7 @@ TEST(ReteNetwork, DisjunctionSharedAcrossProductions) {
   RecordingListener listener(p);
   util::WorkCounters counters;
   const Network net(p, listener, counters);
-  EXPECT_EQ(net.stats().alpha_patterns, 1u);
+  EXPECT_EQ(net.compiled().stats().alpha_patterns, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -381,9 +381,9 @@ TEST(ReteSharing, AlphaPatternsSharedAcrossProductions) {
   const Network shared(p, listener, counters, {}, {.node_sharing = true});
   const Network unshared(p, listener, counters, {}, {.node_sharing = false});
   // Both productions test only ^class linear at the alpha level.
-  EXPECT_EQ(shared.stats().alpha_patterns, 1u);
-  EXPECT_EQ(unshared.stats().alpha_patterns, 2u);
-  EXPECT_EQ(shared.stats().production_nodes, 2u);
+  EXPECT_EQ(shared.compiled().stats().alpha_patterns, 1u);
+  EXPECT_EQ(unshared.compiled().stats().alpha_patterns, 2u);
+  EXPECT_EQ(shared.compiled().stats().production_nodes, 2u);
 }
 
 TEST(ReteSharing, CommonPrefixSharesJoins) {
@@ -405,8 +405,8 @@ TEST(ReteSharing, CommonPrefixSharesJoins) {
   util::WorkCounters counters;
   const Network shared(p, listener, counters, {}, {.node_sharing = true});
   const Network unshared(p, listener, counters, {}, {.node_sharing = false});
-  EXPECT_LT(shared.stats().join_nodes, unshared.stats().join_nodes);
-  EXPECT_EQ(shared.stats().production_nodes, 2u);
+  EXPECT_LT(shared.compiled().stats().join_nodes, unshared.compiled().stats().join_nodes);
+  EXPECT_EQ(shared.compiled().stats().production_nodes, 2u);
 }
 
 TEST(ReteSharing, SharedAndUnsharedAgreeOnMatches) {
@@ -539,7 +539,7 @@ TEST(ReteAlphaDispatch, BucketsChargeLikeTheLinearScan) {
   util::WorkCounters counters;
   const util::CostModel costs;
   Network net(p, listener, counters, costs);
-  ASSERT_EQ(net.stats().alpha_patterns, 10u);
+  ASSERT_EQ(net.compiled().stats().alpha_patterns, 10u);
   WmeFactory wmes(p);
   const Value a = wmes.sym("a");
   const Value b = wmes.sym("b");

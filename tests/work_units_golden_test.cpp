@@ -119,8 +119,8 @@ Value symbol(const ops5::Engine& engine, std::string_view name) {
   return Value(*engine.program().symbols().find(name));
 }
 
-ops5::EngineOptions recording() {
-  ops5::EngineOptions options;
+ops5::EngineConfig recording() {
+  ops5::EngineConfig options;
   options.record_cycles = true;
   return options;
 }
