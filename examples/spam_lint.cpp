@@ -492,10 +492,8 @@ struct PhaseDefaults {
     }
   }
 
-  analysis::AdmissionOptions options;
-  options.strict = opt.strict;
-  const analysis::AnalysisPipeline pipeline(options);
-  const analysis::AdmissionVerdict verdict = pipeline.admit(&live, candidate);
+  const analysis::AdmissionVerdict verdict =
+      analysis::AnalysisPipeline(opt.strict).admit(&live, candidate);
 
   for (const auto& section : verdict.sections) {
     std::cout << section.analyzer << ": "

@@ -7,6 +7,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "analysis/footprint.hpp"
 #include "analysis/lint.hpp"
 #include "analysis/value_domain.hpp"
 
@@ -20,6 +21,14 @@ using ops5::Symbol;
 using ops5::Value;
 
 namespace {
+
+/// AN010: a cost ratio past kCostWarnRatio warns, past kCostRejectRatio it is
+/// an error; a beta bound that grows past kBetaRejectRatio is an error.
+constexpr double kCostWarnRatio = 2.0;
+constexpr double kCostRejectRatio = 8.0;
+constexpr double kBetaRejectRatio = 8.0;
+/// Findings kept per section; the counts stay exact.
+constexpr std::size_t kMaxFindings = 64;
 
 [[nodiscard]] std::string class_name(const Program& program, ClassIndex cls) {
   return program.symbols().name(program.wme_class(cls).name());
@@ -81,7 +90,9 @@ namespace {
   return AdmissionDecision::Pass;
 }
 
-void finalize_section(VerdictSection& s, const AdmissionOptions& options) {
+/// Exact error and warning counts, then the findings cap. The decision is
+/// made in AnalysisPipeline::admit, which knows `strict`.
+void finalize_section(VerdictSection& s) {
   s.errors = 0;
   s.warnings = 0;
   for (const auto& f : s.findings) {
@@ -91,11 +102,10 @@ void finalize_section(VerdictSection& s, const AdmissionOptions& options) {
       ++s.warnings;
     }
   }
-  if (s.findings.size() > options.max_findings) {
-    s.findings.resize(options.max_findings);
+  if (s.findings.size() > kMaxFindings) {
+    s.findings.resize(kMaxFindings);
     s.details.emplace_back("findings_truncated", obs::json::Value(true));
   }
-  s.decision = section_decision(s.errors, s.warnings, options.strict);
 }
 
 void add_finding(VerdictSection& s, Code code, Severity severity,
@@ -112,8 +122,7 @@ void add_finding(VerdictSection& s, Code code, Severity severity,
 // Section: lint
 // ---------------------------------------------------------------------------
 
-[[nodiscard]] VerdictSection lint_section(const PackInput& pack,
-                                          const AdmissionOptions& options) {
+[[nodiscard]] VerdictSection lint_section(const PackInput& pack) {
   VerdictSection s;
   s.analyzer = "lint";
   LintOptions lint;
@@ -133,7 +142,7 @@ void add_finding(VerdictSection& s, Code code, Severity severity,
   s.details.emplace_back("productions",
                          obs::json::Value(pack.program->productions().size()));
   s.details.emplace_back("diagnostics", obs::json::Value(diags.size()));
-  finalize_section(s, options);
+  finalize_section(s);
   return s;
 }
 
@@ -141,8 +150,7 @@ void add_finding(VerdictSection& s, Code code, Severity severity,
 // Section: rete_static
 // ---------------------------------------------------------------------------
 
-[[nodiscard]] VerdictSection rete_section(const ReteStaticReport& report,
-                                          const AdmissionOptions& options) {
+[[nodiscard]] VerdictSection rete_section(const ReteStaticReport& report) {
   VerdictSection s;
   s.analyzer = "rete_static";
   double total_cost = 0.0;
@@ -156,7 +164,7 @@ void add_finding(VerdictSection& s, Code code, Severity severity,
   s.details.emplace_back("join_sharing",
                          obs::json::Value(round6(report.join_sharing())));
   s.details.emplace_back("total_cost", obs::json::Value(round6(total_cost)));
-  finalize_section(s, options);
+  finalize_section(s);
   return s;
 }
 
@@ -164,8 +172,7 @@ void add_finding(VerdictSection& s, Code code, Severity severity,
 // Section: value_domains (abstract interpretation, AN014–AN017)
 // ---------------------------------------------------------------------------
 
-[[nodiscard]] VerdictSection value_domains_section(const PackInput& pack,
-                                                   const AdmissionOptions& options) {
+[[nodiscard]] VerdictSection value_domains_section(const PackInput& pack) {
   VerdictSection s;
   s.analyzer = "value_domains";
   ValueDomainOptions vd;
@@ -184,7 +191,7 @@ void add_finding(VerdictSection& s, Code code, Severity severity,
   }
   s.details.emplace_back("converged", obs::json::Value(report.converged));
   s.details.emplace_back("iterations", obs::json::Value(report.iterations));
-  finalize_section(s, options);
+  finalize_section(s);
   return s;
 }
 
@@ -206,13 +213,12 @@ void add_finding(VerdictSection& s, Code code, Severity severity,
 }
 
 [[nodiscard]] VerdictSection interference_section(const PackInput& live,
-                                                  const PackInput& candidate,
-                                                  const AdmissionOptions& options) {
+                                                  const PackInput& candidate) {
   VerdictSection s;
   s.analyzer = "interference";
   if (live.spec == nullptr || live.spec->empty()) {
     s.details.emplace_back("certificate", obs::json::Value("none"));
-    finalize_section(s, options);
+    finalize_section(s);
     return s;
   }
 
@@ -228,7 +234,7 @@ void add_finding(VerdictSection& s, Code code, Severity severity,
     s.details.emplace_back("certificate", obs::json::Value("unbindable"));
     s.details.emplace_back("live_conflicts",
                            obs::json::Value(live_report.conflicts.size()));
-    finalize_section(s, options);
+    finalize_section(s);
     return s;
   }
 
@@ -269,7 +275,7 @@ void add_finding(VerdictSection& s, Code code, Severity severity,
   s.details.emplace_back("candidate_conflicts",
                          obs::json::Value(cand_report.conflicts.size()));
   s.details.emplace_back("new_conflicts", obs::json::Value(new_conflicts));
-  finalize_section(s, options);
+  finalize_section(s);
   return s;
 }
 
@@ -280,8 +286,7 @@ void add_finding(VerdictSection& s, Code code, Severity severity,
 [[nodiscard]] VerdictSection diff_section(const PackInput& live,
                                           const PackInput& candidate,
                                           const ReteStaticReport& live_rete,
-                                          const ReteStaticReport& cand_rete,
-                                          const AdmissionOptions& options) {
+                                          const ReteStaticReport& cand_rete) {
   VerdictSection s;
   s.analyzer = "semantic_diff";
   const Program& lp = *live.program;
@@ -360,46 +365,21 @@ void add_finding(VerdictSection& s, Code code, Severity severity,
   for (const auto& p : live_rete.productions) live_costs.emplace(p.name, &p);
   for (const auto& p : cand_rete.productions) cand_costs.emplace(p.name, &p);
 
-  // Rescale measured work onto static cost units over the productions that
-  // have both, so measured_costs can stand in for the live static estimate.
-  std::map<std::string, double> measured;
-  for (const auto& [name, m] : options.measured_costs) measured[name] = m;
-  double static_sum = 0.0;
-  double measured_sum = 0.0;
-  for (const auto& [name, rep] : live_costs) {
-    const auto it = measured.find(name);
-    if (it != measured.end() && it->second > 0.0) {
-      static_sum += rep->match_cost;
-      measured_sum += it->second;
-    }
-  }
-  const double scale = measured_sum > 0.0 ? static_sum / measured_sum : 0.0;
-
   for (const auto& [name, lrep] : live_costs) {
     const auto it = cand_costs.find(name);
     if (it == cand_costs.end()) continue;
     const ProductionReport& crep = *it->second;
-    double live_cost = lrep->match_cost;
-    bool empirical = false;
-    if (const auto m = measured.find(name);
-        m != measured.end() && m->second > 0.0 && scale > 0.0) {
-      live_cost = m->second * scale;
-      empirical = true;
-    }
-    if (live_cost > 0.0) {
-      const double ratio = crep.match_cost / live_cost;
-      if (ratio > options.cost_warn_ratio) {
-        const Severity sev = ratio > options.cost_reject_ratio
-                                 ? Severity::Error
-                                 : Severity::Warning;
+    if (lrep->match_cost > 0.0) {
+      const double ratio = crep.match_cost / lrep->match_cost;
+      if (ratio > kCostWarnRatio) {
+        const Severity sev = ratio > kCostRejectRatio ? Severity::Error : Severity::Warning;
         add_finding(s, Code::CostRegression, sev, name,
-                    "static match cost regression: " + fmt2(live_cost) +
-                        (empirical ? " (measured-calibrated)" : "") + " -> " +
+                    "static match cost regression: " + fmt2(lrep->match_cost) + " -> " +
                         fmt2(crep.match_cost) + " (x" + fmt2(ratio) + ")");
       }
     }
     if (lrep->beta_bound > 0.0 &&
-        crep.beta_bound / lrep->beta_bound > options.beta_reject_ratio) {
+        crep.beta_bound / lrep->beta_bound > kBetaRejectRatio) {
       add_finding(s, Code::CostRegression, Severity::Error, name,
                   "worst-case beta growth regression: bound " +
                       fmt2(lrep->beta_bound) + " -> " + fmt2(crep.beta_bound) +
@@ -474,7 +454,7 @@ void add_finding(VerdictSection& s, Code code, Severity severity,
   s.details.emplace_back("total_cost_live", obs::json::Value(round6(live_total)));
   s.details.emplace_back("total_cost_candidate",
                          obs::json::Value(round6(cand_total)));
-  finalize_section(s, options);
+  finalize_section(s);
   return s;
 }
 
@@ -521,17 +501,6 @@ void render_sets(const Program& program, ClassIndex cls,
   }
 }
 
-/// Class of the 1-based matchable (positive) CE `index`, or nullopt.
-[[nodiscard]] std::optional<ClassIndex> positive_ce_class(
-    const Production& production, std::uint32_t index) {
-  std::uint32_t seen = 0;
-  for (const auto& ce : production.lhs()) {
-    if (ce.negated) continue;
-    if (++seen == index) return ce.cls;
-  }
-  return std::nullopt;
-}
-
 }  // namespace
 
 std::string production_fingerprint(const Program& program,
@@ -575,8 +544,8 @@ std::string production_fingerprint(const Program& program,
     } else if (const auto* mod = std::get_if<ops5::ModifyAction>(&action)) {
       out += "(modify ";
       out += std::to_string(mod->ce_index);
-      if (const auto cls = positive_ce_class(production, mod->ce_index)) {
-        render_sets(program, *cls, mod->sets, out);
+      if (const ops5::ConditionElement* ce = positive_ce(production, mod->ce_index)) {
+        render_sets(program, ce->cls, mod->sets, out);
       }
       out += ')';
     } else if (const auto* rm = std::get_if<ops5::RemoveAction>(&action)) {
@@ -679,7 +648,6 @@ std::optional<DecompositionSpec> rebind_spec(
 
   DecompositionSpec out;
   out.program = std::move(target);
-  out.pure_externals = spec.pure_externals;
   out.tasks.reserve(spec.tasks.size());
 
   for (const ClassIndex cls : spec.base_classes) {
@@ -820,18 +788,18 @@ AdmissionVerdict AnalysisPipeline::admit(const PackInput* live,
   verdict.candidate = label_of(candidate);
   if (live != nullptr) verdict.live = label_of(*live);
 
-  verdict.sections.push_back(lint_section(candidate, options_));
-  const ReteStaticReport cand_rete = analyze_rete(*candidate.program, options_.rete);
-  verdict.sections.push_back(rete_section(cand_rete, options_));
-  verdict.sections.push_back(value_domains_section(candidate, options_));
+  verdict.sections.push_back(lint_section(candidate));
+  const ReteStaticReport cand_rete = analyze_rete(*candidate.program);
+  verdict.sections.push_back(rete_section(cand_rete));
+  verdict.sections.push_back(value_domains_section(candidate));
   if (live != nullptr) {
-    const ReteStaticReport live_rete = analyze_rete(*live->program, options_.rete);
-    verdict.sections.push_back(interference_section(*live, candidate, options_));
-    verdict.sections.push_back(
-        diff_section(*live, candidate, live_rete, cand_rete, options_));
+    const ReteStaticReport live_rete = analyze_rete(*live->program);
+    verdict.sections.push_back(interference_section(*live, candidate));
+    verdict.sections.push_back(diff_section(*live, candidate, live_rete, cand_rete));
   }
 
-  for (const auto& s : verdict.sections) {
+  for (auto& s : verdict.sections) {
+    s.decision = section_decision(s.errors, s.warnings, strict_);
     verdict.decision = std::max(verdict.decision, s.decision);
   }
   return verdict;

@@ -1,6 +1,6 @@
 #pragma once
 
-// Static admission pipeline for versioned rule packs (ISSUE 7 tentpole).
+// Static admission pipeline for versioned rule packs.
 //
 // AnalysisPipeline bundles every analyzer in src/analysis — the linter
 // (AN001–AN009), the rete_static cost model, the value-domain abstract
@@ -12,12 +12,14 @@
 //
 // The centerpiece is the cross-version semantic diff: added / removed /
 // modified productions (by canonical structural fingerprint), per-production
-// static cost deltas and worst-case beta-growth regressions beyond
-// configurable bounds, output-class schema changes, and topology/sharing
-// churn — surfaced as lint rules AN010–AN013:
+// static cost deltas and worst-case beta-growth regressions, output-class
+// schema changes, and topology/sharing churn — surfaced as lint rules
+// AN010–AN013:
 //
-//   AN010 warning/error  static match cost or beta bound regressed past the
-//                        configured ratio (error past the reject ratio)
+//   AN010 warning/error  a production's static match cost grew past 2x the
+//                        live pack's (an error past 8x), its worst-case beta
+//                        bound grew past 8x (error), or its beta-growth
+//                        degree rose (warning)
 //   AN011 error          the candidate adds a task-interference conflict the
 //                        live pack's certificate did not have
 //   AN012 error          the live independence certificate cannot be
@@ -30,6 +32,11 @@
 // candidate program first, and any name that fails to resolve is itself an
 // AN012 — a certificate that cannot even be restated is not in force.
 //
+// The gate has one policy: the ratios above, and at most 64 findings kept
+// per section (the counts stay exact, and the section's details carry
+// "findings_truncated": true). `strict` (spam_lint --strict) also rejects
+// on warnings.
+//
 // src/serve wires this in as the hot-reload gate (Server::load_pack); the
 // spam_lint --gate CLI and CI run the same pipeline offline.
 
@@ -37,7 +44,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "analysis/diagnostics.hpp"
@@ -64,28 +70,6 @@ struct PackInput {
   /// The independence certificate in force for the live pack (ignored on the
   /// candidate side). Must outlive the admit() call.
   const DecompositionSpec* spec = nullptr;
-};
-
-struct AdmissionOptions {
-  /// Cost-model knobs applied to both sides' rete_static passes.
-  ReteStaticOptions rete;
-  /// AN010 fires as a warning when candidate_cost / live_cost exceeds
-  /// cost_warn_ratio, as an error beyond cost_reject_ratio.
-  double cost_warn_ratio = 2.0;
-  double cost_reject_ratio = 8.0;
-  /// AN010 error when the estimated beta bound grows by more than this
-  /// factor; a mere beta_degree increase is a warning.
-  double beta_reject_ratio = 8.0;
-  /// Measured per-production work (e.g. summed node activations from a
-  /// calibrated run; see ReteStaticReport::calibrate). When present, the
-  /// live side of AN010 ratios uses measured values rescaled to static
-  /// units, making the thresholds empirical instead of purely modeled.
-  std::vector<std::pair<std::string, double>> measured_costs;
-  /// Findings kept per section; the rest are dropped and the section's
-  /// details carry "findings_truncated": true. Counts stay exact.
-  std::size_t max_findings = 64;
-  /// Treat warnings as rejecting.
-  bool strict = false;
 };
 
 enum class AdmissionDecision : std::uint8_t { Pass, Warn, Reject };
@@ -145,8 +129,8 @@ struct AdmissionVerdict {
 
 class AnalysisPipeline {
  public:
-  explicit AnalysisPipeline(AdmissionOptions options = {})
-      : options_(std::move(options)) {}
+  /// `strict` treats warnings as rejecting.
+  explicit AnalysisPipeline(bool strict = false) : strict_(strict) {}
 
   /// Judge `candidate`, optionally against `live` (nullptr = boot-time
   /// candidate-only check: lint + rete_static, no cross-version sections).
@@ -154,7 +138,7 @@ class AnalysisPipeline {
                                        const PackInput& candidate) const;
 
  private:
-  AdmissionOptions options_;
+  bool strict_ = false;
 };
 
 }  // namespace psmsys::analysis

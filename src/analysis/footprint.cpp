@@ -1,26 +1,19 @@
 #include "analysis/footprint.hpp"
 
 #include <algorithm>
-#include <set>
 
 namespace psmsys::analysis {
 
 namespace {
 
-using ops5::Action;
-using ops5::BindAction;
-using ops5::ClassIndex;
 using ops5::ConditionElement;
 using ops5::Expr;
-using ops5::HaltAction;
 using ops5::MakeAction;
 using ops5::ModifyAction;
-using ops5::Predicate;
 using ops5::Production;
 using ops5::RemoveAction;
 using ops5::SlotIndex;
 using ops5::VariableId;
-using ops5::WriteAction;
 
 void sort_unique(std::vector<SlotIndex>& slots) {
   std::sort(slots.begin(), slots.end());
@@ -28,31 +21,6 @@ void sort_unique(std::vector<SlotIndex>& slots) {
 }
 
 }  // namespace
-
-std::string_view access_kind_name(AccessKind k) noexcept {
-  switch (k) {
-    case AccessKind::Read: return "read";
-    case AccessKind::NegatedRead: return "negated-read";
-    case AccessKind::Make: return "make";
-    case AccessKind::Modify: return "modify";
-    case AccessKind::Remove: return "remove";
-  }
-  return "unknown";
-}
-
-bool ProductionFootprint::writes_class(ClassIndex cls) const noexcept {
-  for (const auto& a : accesses) {
-    if (a.cls == cls && is_write(a.kind)) return true;
-  }
-  return false;
-}
-
-bool ProductionFootprint::reads_class(ClassIndex cls) const noexcept {
-  for (const auto& a : accesses) {
-    if (a.cls == cls && !is_write(a.kind)) return true;
-  }
-  return false;
-}
 
 void collect_expr_variables(const Expr& expr, std::vector<VariableId>& out) {
   if (const auto* var = std::get_if<ops5::VarRef>(&expr.node)) {
@@ -71,51 +39,21 @@ const ConditionElement* positive_ce(const Production& production, std::uint32_t 
   return nullptr;
 }
 
-ProductionFootprint footprint_of(const ops5::Program& program, const Production& production) {
-  (void)program;  // layouts already baked into CE/action slot indices
+ProductionFootprint footprint_of(const Production& production) {
   ProductionFootprint fp;
   fp.production = &production;
 
-  // --- LHS: reads + the binding map (first equality occurrence in a
-  // positive CE binds; everything else tests).
   std::uint32_t ce_index = 0;
   for (const auto& ce : production.lhs()) {
     ClassAccess access;
     access.cls = ce.cls;
     access.kind = ce.negated ? AccessKind::NegatedRead : AccessKind::Read;
     access.position = ce_index;
-    for (const auto& test : ce.tests) {
-      access.slots.push_back(test.slot);
-      if (!ce.negated && test.is_variable && test.pred == Predicate::Eq &&
-          !fp.bindings.contains(test.var)) {
-        fp.bindings.emplace(test.var, VarBinding{ce_index, ce.cls, test.slot});
-      }
-    }
+    for (const auto& test : ce.tests) access.slots.push_back(test.slot);
     sort_unique(access.slots);
     fp.accesses.push_back(std::move(access));
     ++ce_index;
   }
-
-  // --- RHS: writes + may-bind flow. Bind actions extend the flow origins
-  // transitively: after (bind <y> (compute <x> + 1)), <y> carries <x>'s
-  // binding sites.
-  std::unordered_map<VariableId, std::vector<VarBinding>> origins;
-  for (const auto& [var, site] : fp.bindings) origins[var] = {site};
-
-  const auto flow_into = [&](std::uint32_t action, ClassIndex to_cls, SlotIndex to_slot,
-                             const Expr& expr) {
-    std::vector<VariableId> vars;
-    collect_expr_variables(expr, vars);
-    std::set<std::pair<ClassIndex, SlotIndex>> seen;
-    for (const VariableId v : vars) {
-      const auto it = origins.find(v);
-      if (it == origins.end()) continue;
-      for (const auto& site : it->second) {
-        if (!seen.insert({site.cls, site.slot}).second) continue;
-        fp.flows.push_back(VarFlow{v, site.cls, site.slot, to_cls, to_slot, action});
-      }
-    }
-  };
 
   std::uint32_t action_index = 0;
   for (const auto& action : production.rhs()) {
@@ -124,10 +62,7 @@ ProductionFootprint footprint_of(const ops5::Program& program, const Production&
       access.cls = make->cls;
       access.kind = AccessKind::Make;
       access.position = action_index;
-      for (const auto& [slot, expr] : make->sets) {
-        access.slots.push_back(slot);
-        flow_into(action_index, make->cls, slot, expr);
-      }
+      for (const auto& [slot, expr] : make->sets) access.slots.push_back(slot);
       sort_unique(access.slots);
       fp.accesses.push_back(std::move(access));
     } else if (const auto* mod = std::get_if<ModifyAction>(&action)) {
@@ -137,10 +72,7 @@ ProductionFootprint footprint_of(const ops5::Program& program, const Production&
         access.cls = target->cls;
         access.kind = AccessKind::Modify;
         access.position = action_index;
-        for (const auto& [slot, expr] : mod->sets) {
-          access.slots.push_back(slot);
-          flow_into(action_index, target->cls, slot, expr);
-        }
+        for (const auto& [slot, expr] : mod->sets) access.slots.push_back(slot);
         sort_unique(access.slots);
         fp.accesses.push_back(std::move(access));
       }
@@ -149,16 +81,6 @@ ProductionFootprint footprint_of(const ops5::Program& program, const Production&
       if (target != nullptr) {
         fp.accesses.push_back(ClassAccess{target->cls, AccessKind::Remove, action_index, {}});
       }
-    } else if (const auto* bind = std::get_if<BindAction>(&action)) {
-      std::vector<VariableId> vars;
-      collect_expr_variables(bind->expr, vars);
-      std::vector<VarBinding> merged;
-      for (const VariableId v : vars) {
-        const auto it = origins.find(v);
-        if (it == origins.end()) continue;
-        merged.insert(merged.end(), it->second.begin(), it->second.end());
-      }
-      origins[bind->var] = std::move(merged);
     }
     ++action_index;
   }
@@ -169,7 +91,7 @@ ProductionFootprint footprint_of(const ops5::Program& program, const Production&
 std::vector<ProductionFootprint> program_footprints(const ops5::Program& program) {
   std::vector<ProductionFootprint> out;
   out.reserve(program.productions().size());
-  for (const auto& p : program.productions()) out.push_back(footprint_of(program, p));
+  for (const auto& p : program.productions()) out.push_back(footprint_of(p));
   return out;
 }
 

@@ -1,15 +1,13 @@
 #pragma once
 
-// Read/write-set extraction: per-production footprints over (class, attribute)
-// pairs, plus a non-throwing binding map and the may-bind variable flow from
-// LHS binding sites into RHS writes. This is the shared substrate of the
-// linter (lint.hpp) and the task-interference checker (interference.hpp) —
-// unlike ops5::analyze_bindings it never throws on malformed productions,
-// because the linter's whole job is to describe them.
+// Read/write-set extraction: per-production footprints, the classes and
+// slots each production reads (positive or negated CEs) and writes
+// (make/modify/remove). rete_static derives class traffic and the production
+// dependency graph from them. Unlike ops5::analyze_bindings, extraction never
+// throws on malformed productions, so the linter can share the two helpers
+// at the bottom (positive_ce, collect_expr_variables).
 
 #include <cstdint>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "ops5/production.hpp"
@@ -23,8 +21,6 @@ enum class AccessKind : std::uint8_t {
   Modify,
   Remove,
 };
-
-[[nodiscard]] std::string_view access_kind_name(AccessKind k) noexcept;
 
 [[nodiscard]] constexpr bool is_write(AccessKind k) noexcept {
   return k == AccessKind::Make || k == AccessKind::Modify || k == AccessKind::Remove;
@@ -40,40 +36,15 @@ struct ClassAccess {
   std::vector<ops5::SlotIndex> slots;
 };
 
-/// Where a variable binds: its first equality occurrence in a positive CE
-/// (the engine's binding rule, bindings.hpp).
-struct VarBinding {
-  std::uint32_t ce = 0;  ///< LHS index of the binding CE
-  ops5::ClassIndex cls = 0;
-  ops5::SlotIndex slot = 0;
-};
-
-/// May-bind flow: a value read at (from_cls, from_slot) can reach the write
-/// of (to_cls, to_slot) through variable `var` (directly or via bind-action
-/// chains).
-struct VarFlow {
-  ops5::VariableId var = 0;
-  ops5::ClassIndex from_cls = 0;
-  ops5::SlotIndex from_slot = 0;
-  ops5::ClassIndex to_cls = 0;
-  ops5::SlotIndex to_slot = 0;
-  std::uint32_t action = 0;  ///< RHS action index of the write
-};
-
 struct ProductionFootprint {
   const ops5::Production* production = nullptr;
   std::vector<ClassAccess> accesses;
-  std::unordered_map<ops5::VariableId, VarBinding> bindings;
-  std::vector<VarFlow> flows;
-
-  [[nodiscard]] bool writes_class(ops5::ClassIndex cls) const noexcept;
-  [[nodiscard]] bool reads_class(ops5::ClassIndex cls) const noexcept;
 };
 
-/// Extract the footprint of one production. `program` supplies class layouts
-/// (modify targets resolve through the production's positive CEs).
-[[nodiscard]] ProductionFootprint footprint_of(const ops5::Program& program,
-                                               const ops5::Production& production);
+/// Extract the footprint of one production. Modify and remove targets
+/// resolve through the production's positive CEs; an out-of-range index
+/// contributes no access.
+[[nodiscard]] ProductionFootprint footprint_of(const ops5::Production& production);
 
 [[nodiscard]] std::vector<ProductionFootprint> program_footprints(const ops5::Program& program);
 

@@ -5,8 +5,6 @@
 #include <set>
 #include <unordered_map>
 
-#include "analysis/footprint.hpp"
-
 namespace psmsys::analysis {
 
 namespace {
@@ -250,8 +248,9 @@ class Checker {
     const auto& call = std::get<ops5::CallExpr>(expr.node);
     const auto op_it = ops_.find(call.function);
     if (op_it == ops_.end() || call.args.size() != 2) {
-      // External function: Top under the pure_externals assumption (the
-      // value is unknown but deterministic in its arguments).
+      // External function: Top under the pure-externals assumption (see
+      // DecompositionSpec; the value is unknown but deterministic in its
+      // arguments).
       return AbstractVal::top();
     }
     const AbstractVal a = eval_expr(call.args[0], env);

@@ -27,8 +27,9 @@
 //
 // Guarded idempotent makes are forgiven: a make whose written class also
 // appears as a negated CE keyed by the written slots produces at most one
-// WME per key with content that is a pure function of the key (given
-// pure_externals), so it is confluent across schedules.
+// WME per key with content that is a pure function of the key (given pure
+// external functions, see DecompositionSpec), so it is confluent across
+// schedules.
 //
 // Independence is exactly the property that makes PR 1's per-attempt
 // undo-log rollback sufficient for retry determinism: if no task reads
@@ -130,9 +131,8 @@ struct DecompositionSpec {
   std::vector<ops5::ClassIndex> scratch_classes;
   std::vector<DataFact> facts;
   std::vector<TaskSpec> tasks;
-  /// Documented assumption: external functions are pure (SPAM's geometry
-  /// externals are functions of the immutable scene + their arguments).
-  bool pure_externals = true;
+  // Assumed, not checked: external functions are pure (SPAM's geometry
+  // externals are functions of the immutable scene and their arguments).
 
   [[nodiscard]] bool empty() const noexcept { return program == nullptr || tasks.empty(); }
 };

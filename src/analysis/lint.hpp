@@ -14,7 +14,8 @@
 //   AN006 error    variable's first occurrence uses a non-equality predicate
 //   AN007 warning  same attribute assigned twice in one make/modify
 //
-// Two whole-program rules ride on the production dependency graph (ISSUE 5):
+// Two whole-program rules use the linter's own class-reader map and
+// liveness fixpoint (not rete_static's dependency graph):
 //
 //   AN008 warning  dead production: nothing it writes is read by any other
 //                  production or declared a phase output, and it has no

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 #include <stdexcept>
 #include <utility>
 
 #include "analysis/footprint.hpp"
+#include "rete/network.hpp"
 
 namespace psmsys::analysis {
 
@@ -126,165 +126,10 @@ struct CostResult {
   return activity;
 }
 
-}  // namespace
-
-double ReteStaticReport::alpha_sharing() const noexcept {
-  if (alpha_nodes == 0 || alpha_nodes_unshared == 0) return 0.0;
-  return static_cast<double>(alpha_nodes_unshared) / static_cast<double>(alpha_nodes);
-}
-
-double ReteStaticReport::join_sharing() const noexcept {
-  if (join_nodes == 0 || join_nodes_unshared == 0) return 0.0;
-  return static_cast<double>(join_nodes_unshared) / static_cast<double>(join_nodes);
-}
-
-std::vector<double> ReteStaticReport::cost_vector() const {
-  std::uint32_t max_id = 0;
-  for (const auto& p : productions) max_id = std::max(max_id, p.id);
-  std::vector<double> costs(productions.empty() ? 0 : max_id + 1, 0.0);
-  for (const auto& p : productions) costs[p.id] = p.match_cost;
-  return costs;
-}
-
-void ReteStaticReport::calibrate(const rete::NetworkTopology& topo,
-                                 std::span<const std::uint64_t> alpha_activations,
-                                 std::span<const std::uint64_t> join_activations) {
-  calibration.clear();
-  calibration.reserve(productions.size());
-  const auto act = [](std::span<const std::uint64_t> v, std::size_t i) {
-    return i < v.size() ? static_cast<double>(v[i]) : 0.0;
-  };
-  double static_total = 0.0;
-  double measured_total = 0.0;
-  for (const auto& p : productions) {
-    CalibrationRow row;
-    row.id = p.id;
-    row.name = p.name;
-    row.static_cost = p.match_cost;
-    for (const auto& path : topo.productions) {
-      if (path.production != p.id) continue;
-      for (const std::uint32_t node : path.nodes) {
-        row.measured += act(join_activations, node);
-        if (node < topo.joins.size()) {
-          row.measured += act(alpha_activations, topo.joins[node].alpha);
-        }
-      }
-    }
-    static_total += row.static_cost;
-    measured_total += row.measured;
-    calibration.push_back(std::move(row));
-  }
-  for (auto& row : calibration) {
-    if (static_total > 0.0) row.static_share = row.static_cost / static_total;
-    if (measured_total > 0.0) row.measured_share = row.measured / measured_total;
-  }
-}
-
-double ReteStaticReport::calibration_correlation() const noexcept {
-  const std::size_t n = calibration.size();
-  if (n < 2) return 0.0;
-  double mx = 0.0;
-  double my = 0.0;
-  for (const auto& r : calibration) {
-    mx += r.static_share;
-    my += r.measured_share;
-  }
-  mx /= static_cast<double>(n);
-  my /= static_cast<double>(n);
-  double sxy = 0.0;
-  double sxx = 0.0;
-  double syy = 0.0;
-  for (const auto& r : calibration) {
-    const double dx = r.static_share - mx;
-    const double dy = r.measured_share - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx <= 0.0 || syy <= 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
-obs::json::Value ReteStaticReport::to_json() const {
-  using obs::json::Array;
-  using obs::json::Object;
-  using obs::json::Value;
-
-  Array alphas_json;
-  for (const auto& a : alphas) {
-    alphas_json.push_back(Value(Object{{"id", Value(a.id)},
-                                       {"class", Value(a.cls)},
-                                       {"tests", Value(a.tests)},
-                                       {"users", Value(a.users)},
-                                       {"selectivity", Value(rounded(a.selectivity))},
-                                       {"traffic", Value(a.traffic)}}));
-  }
-  Array joins_json;
-  for (const auto& j : joins) {
-    joins_json.push_back(Value(Object{{"id", Value(j.id)},
-                                      {"alpha", Value(j.alpha)},
-                                      {"depth", Value(j.depth)},
-                                      {"tests", Value(j.tests)},
-                                      {"indexed", Value(j.indexed)},
-                                      {"negated", Value(j.negated)},
-                                      {"users", Value(j.users)},
-                                      {"selectivity", Value(rounded(j.selectivity))},
-                                      {"left_bound", Value(rounded(j.left_bound))}}));
-  }
-  Array costs_json;
-  for (const auto& p : productions) {
-    costs_json.push_back(Value(Object{{"id", Value(p.id)},
-                                      {"name", Value(p.name)},
-                                      {"cost", Value(rounded(p.match_cost))},
-                                      {"heuristic", Value(p.heuristic_cost)},
-                                      {"beta_degree", Value(p.beta_degree)},
-                                      {"beta_bound", Value(rounded(p.beta_bound))}}));
-  }
-  Array edges_json;
-  for (const auto& e : edges) {
-    edges_json.push_back(Value(Object{{"from", Value(e.from)},
-                                      {"to", Value(e.to)},
-                                      {"class", Value(e.class_name)},
-                                      {"negated", Value(e.negated)}}));
-  }
-
-  Object out{{"schema", Value("rete-static-v1")},
-             {"program", Value(program)},
-             {"productions", Value(production_count)},
-             {"alpha_nodes", Value(alpha_nodes)},
-             {"alpha_nodes_unshared", Value(alpha_nodes_unshared)},
-             {"join_nodes", Value(join_nodes)},
-             {"join_nodes_unshared", Value(join_nodes_unshared)},
-             {"beta_memories", Value(beta_memories)},
-             {"alpha_sharing", Value(rounded(alpha_sharing()))},
-             {"join_sharing", Value(rounded(join_sharing()))},
-             {"nominal_wm", Value(nominal_wm)},
-             {"fanin_exponent", Value(fanin_exponent)},
-             {"alphas", Value(std::move(alphas_json))},
-             {"joins", Value(std::move(joins_json))},
-             {"costs", Value(std::move(costs_json))},
-             {"edges", Value(std::move(edges_json))}};
-  if (!calibration.empty()) {
-    Array cal_json;
-    for (const auto& r : calibration) {
-      cal_json.push_back(
-          Value(Object{{"id", Value(r.id)},
-                       {"name", Value(r.name)},
-                       {"static_cost", Value(rounded(r.static_cost))},
-                       {"measured", Value(rounded(r.measured))},
-                       {"static_share", Value(rounded(r.static_share))},
-                       {"measured_share", Value(rounded(r.measured_share))}}));
-    }
-    out.emplace_back("calibration", Value(std::move(cal_json)));
-    out.emplace_back("calibration_correlation",
-                     Value(rounded(calibration_correlation())));
-  }
-  return Value(std::move(out));
-}
-
-std::vector<DependencyEdge> dependency_edges(const Program& program) {
-  const auto fps = program_footprints(program);
-
+/// RHS-writes -> LHS-reads edges, ordered by (from, to, cls, negated) and
+/// deduplicated.
+[[nodiscard]] std::vector<DependencyEdge> dependency_edges(
+    const Program& program, const std::vector<ProductionFootprint>& fps) {
   struct Reader {
     std::uint32_t production;
     bool negated;
@@ -333,6 +178,79 @@ std::vector<DependencyEdge> dependency_edges(const Program& program) {
                           }),
               edges.end());
   return edges;
+}
+
+}  // namespace
+
+double ReteStaticReport::alpha_sharing() const noexcept {
+  if (alpha_nodes == 0 || alpha_nodes_unshared == 0) return 0.0;
+  return static_cast<double>(alpha_nodes_unshared) / static_cast<double>(alpha_nodes);
+}
+
+double ReteStaticReport::join_sharing() const noexcept {
+  if (join_nodes == 0 || join_nodes_unshared == 0) return 0.0;
+  return static_cast<double>(join_nodes_unshared) / static_cast<double>(join_nodes);
+}
+
+obs::json::Value ReteStaticReport::to_json() const {
+  using obs::json::Array;
+  using obs::json::Object;
+  using obs::json::Value;
+
+  Array alphas_json;
+  for (const auto& a : alphas) {
+    alphas_json.push_back(Value(Object{{"id", Value(a.id)},
+                                       {"class", Value(a.cls)},
+                                       {"tests", Value(a.tests)},
+                                       {"users", Value(a.users)},
+                                       {"selectivity", Value(rounded(a.selectivity))},
+                                       {"traffic", Value(a.traffic)}}));
+  }
+  Array joins_json;
+  for (const auto& j : joins) {
+    joins_json.push_back(Value(Object{{"id", Value(j.id)},
+                                      {"alpha", Value(j.alpha)},
+                                      {"depth", Value(j.depth)},
+                                      {"tests", Value(j.tests)},
+                                      {"indexed", Value(j.indexed)},
+                                      {"negated", Value(j.negated)},
+                                      {"users", Value(j.users)},
+                                      {"selectivity", Value(rounded(j.selectivity))},
+                                      {"left_bound", Value(rounded(j.left_bound))}}));
+  }
+  Array costs_json;
+  for (const auto& p : productions) {
+    costs_json.push_back(Value(Object{{"id", Value(p.id)},
+                                      {"name", Value(p.name)},
+                                      {"cost", Value(rounded(p.match_cost))},
+                                      {"heuristic", Value(p.heuristic_cost)},
+                                      {"beta_degree", Value(p.beta_degree)},
+                                      {"beta_bound", Value(rounded(p.beta_bound))}}));
+  }
+  Array edges_json;
+  for (const auto& e : edges) {
+    edges_json.push_back(Value(Object{{"from", Value(e.from)},
+                                      {"to", Value(e.to)},
+                                      {"class", Value(e.class_name)},
+                                      {"negated", Value(e.negated)}}));
+  }
+
+  return Value(Object{{"schema", Value("rete-static-v1")},
+                      {"program", Value(program)},
+                      {"productions", Value(production_count)},
+                      {"alpha_nodes", Value(alpha_nodes)},
+                      {"alpha_nodes_unshared", Value(alpha_nodes_unshared)},
+                      {"join_nodes", Value(join_nodes)},
+                      {"join_nodes_unshared", Value(join_nodes_unshared)},
+                      {"beta_memories", Value(beta_memories)},
+                      {"alpha_sharing", Value(rounded(alpha_sharing()))},
+                      {"join_sharing", Value(rounded(join_sharing()))},
+                      {"nominal_wm", Value(nominal_wm)},
+                      {"fanin_exponent", Value(fanin_exponent)},
+                      {"alphas", Value(std::move(alphas_json))},
+                      {"joins", Value(std::move(joins_json))},
+                      {"costs", Value(std::move(costs_json))},
+                      {"edges", Value(std::move(edges_json))}});
 }
 
 ReteStaticReport analyze_rete(const Program& program, const ReteStaticOptions& options) {
@@ -417,7 +335,7 @@ ReteStaticReport analyze_rete(const Program& program, const ReteStaticOptions& o
   std::sort(report.productions.begin(), report.productions.end(),
             [](const ProductionReport& a, const ProductionReport& b) { return a.id < b.id; });
 
-  report.edges = dependency_edges(program);
+  report.edges = dependency_edges(program, fps);
   return report;
 }
 

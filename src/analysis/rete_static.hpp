@@ -16,8 +16,9 @@
 //     write each class, a static proxy for WME traffic per class;
 //   - per-production static match-cost estimates combining the three;
 //   - the production dependency graph (RHS-writes -> LHS-reads edges over
-//     footprint.hpp), which also powers the AN008/AN009 whole-program lint
-//     rules in lint.hpp.
+//     the class accesses of footprint.hpp). It feeds the report's `edges`
+//     and the admission diff's edge churn; the AN008/AN009 lint rules keep
+//     their own reader map and liveness fixpoint (lint.cpp).
 //
 // The report is deterministic for a fixed frozen program: node ids are Rete
 // creation-order indices, every list is ordered by id, and to_json() emits
@@ -25,13 +26,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "obs/json.hpp"
 #include "ops5/production.hpp"
-#include "rete/network.hpp"
 
 namespace psmsys::analysis {
 
@@ -91,19 +90,6 @@ struct DependencyEdge {
   bool negated = false;  ///< the read side is a negated CE
 };
 
-/// Static cost vs measured per-node activations for one production (ROADMAP
-/// item 2 stretch goal: calibrating the analyzer against real traffic).
-/// Shares are each production's fraction of the rule-base total, so the two
-/// columns are directly comparable even though their units differ.
-struct CalibrationRow {
-  std::uint32_t id = 0;
-  std::string name;
-  double static_cost = 0.0;    ///< the analyzer's match_cost estimate
-  double measured = 0.0;       ///< summed activations over the production's path
-  double static_share = 0.0;
-  double measured_share = 0.0;
-};
-
 struct ReteStaticReport {
   std::string program;                 ///< program name tag (caller-supplied)
   std::size_t production_count = 0;
@@ -119,41 +105,18 @@ struct ReteStaticReport {
   std::vector<JoinNodeReport> joins;        ///< ordered by id
   std::vector<ProductionReport> productions;///< ordered by production id
   std::vector<DependencyEdge> edges;        ///< ordered by (from, to, cls)
-  std::vector<CalibrationRow> calibration;  ///< empty until calibrate() runs
 
   /// Alpha sharing factor: unshared / shared node counts (1.0 = no sharing
   /// benefit). 0 for an empty program.
   [[nodiscard]] double alpha_sharing() const noexcept;
   [[nodiscard]] double join_sharing() const noexcept;
 
-  /// Per-production match-cost estimates, indexed by production id.
-  [[nodiscard]] std::vector<double> cost_vector() const;
-
-  /// Join measured per-node activation counts (rete::Network::
-  /// node_activations(), same topology id space as `topo`) onto the report's
-  /// productions: each production is charged every node on its compiled path
-  /// (shared nodes charged to every user, matching the static-cost
-  /// convention). Fills `calibration`, ordered by production id.
-  void calibrate(const rete::NetworkTopology& topo,
-                 std::span<const std::uint64_t> alpha_activations,
-                 std::span<const std::uint64_t> join_activations);
-
-  /// Pearson correlation between static and measured cost shares across
-  /// calibration rows; 0 when fewer than two rows or degenerate variance.
-  [[nodiscard]] double calibration_correlation() const noexcept;
-
-  /// Deterministic JSON rendering of the whole report. The calibration table
-  /// (keys "calibration" and "calibration_correlation") is appended only when
-  /// calibrate() ran, so pre-existing golden files are byte-stable.
+  /// Deterministic JSON rendering of the whole report.
   [[nodiscard]] obs::json::Value to_json() const;
 };
 
 /// Run the full pass. The program must be frozen.
 [[nodiscard]] ReteStaticReport analyze_rete(const ops5::Program& program,
                                             const ReteStaticOptions& options = {});
-
-/// The dependency graph alone (footprints only, no network build); also the
-/// substrate of lint rules AN008/AN009.
-[[nodiscard]] std::vector<DependencyEdge> dependency_edges(const ops5::Program& program);
 
 }  // namespace psmsys::analysis

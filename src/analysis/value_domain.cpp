@@ -5,6 +5,8 @@
 #include <utility>
 #include <variant>
 
+#include "analysis/footprint.hpp"
+
 namespace psmsys::analysis {
 
 namespace {
@@ -412,6 +414,11 @@ std::string ValueDomain::render(const ops5::SymbolTable& symbols) const {
 
 namespace {
 
+/// Const-set size cap before a domain overflows to its interval hull / Any.
+constexpr std::size_t kMaxConstants = 8;
+/// Fixpoint round cap: a backstop only, since the lattice is finite.
+constexpr std::size_t kMaxIterations = 64;
+
 struct State {
   std::vector<std::vector<ValueDomain>> domains;  // [class][slot]
   std::vector<std::uint8_t> reachable;            // per class
@@ -438,15 +445,6 @@ struct State {
     for (ClassIndex c = 0; c < n; ++c) seed(c);
   }
   return st;
-}
-
-[[nodiscard]] const ConditionElement* positive_ce(const Production& p, std::uint32_t index1) {
-  std::uint32_t seen = 0;
-  for (const auto& ce : p.lhs()) {
-    if (ce.negated) continue;
-    if (++seen == index1) return &ce;
-  }
-  return nullptr;
 }
 
 /// Slot domain at a CE, narrowed by the CE's own constant tests on that slot
@@ -581,7 +579,7 @@ struct Env {
 
 /// One monotone transfer round: apply every fireable production's writes.
 /// Returns true when any domain or reachability bit grew.
-bool transfer_round(const Program& program, const ValueDomainOptions& options, State& st) {
+bool transfer_round(const Program& program, State& st) {
   bool changed = false;
   for (const auto& p : program.productions()) {
     if (production_infeasible(p, st)) continue;
@@ -597,12 +595,12 @@ bool transfer_round(const Program& program, const ValueDomainOptions& options, S
         std::vector<std::uint8_t> written(slots.size(), 0);
         for (const auto& [slot, expr] : mk->sets) {
           if (slot >= slots.size()) continue;
-          changed |= slots[slot].join_with(eval_expr(expr, env), options.max_constants);
+          changed |= slots[slot].join_with(eval_expr(expr, env), kMaxConstants);
           written[slot] = 1;
         }
         const ValueDomain nil_only = ValueDomain::of(Value());
         for (std::size_t s = 0; s < slots.size(); ++s) {
-          if (!written[s]) changed |= slots[s].join_with(nil_only, options.max_constants);
+          if (!written[s]) changed |= slots[s].join_with(nil_only, kMaxConstants);
         }
       } else if (const auto* mod = std::get_if<ops5::ModifyAction>(&action)) {
         const ConditionElement* ce = positive_ce(p, mod->ce_index);
@@ -610,7 +608,7 @@ bool transfer_round(const Program& program, const ValueDomainOptions& options, S
         auto& slots = st.domains[ce->cls];
         for (const auto& [slot, expr] : mod->sets) {
           if (slot >= slots.size()) continue;
-          changed |= slots[slot].join_with(eval_expr(expr, env), options.max_constants);
+          changed |= slots[slot].join_with(eval_expr(expr, env), kMaxConstants);
         }
       } else if (const auto* bind = std::get_if<ops5::BindAction>(&action)) {
         if (bind->var < env.bound.size()) {
@@ -653,8 +651,8 @@ ValueDomainReport analyze_value_domains(const Program& program,
 
   bool changed = true;
   std::size_t iter = 0;
-  while (changed && iter < options.max_iterations) {
-    changed = transfer_round(program, options, st);
+  while (changed && iter < kMaxIterations) {
+    changed = transfer_round(program, st);
     ++iter;
   }
   report.iterations = iter;

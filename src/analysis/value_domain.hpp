@@ -13,9 +13,10 @@
 //              x  numeric part  (Bottom | const set | interval | Any)
 //
 // Constants only enter from program literals, const sets overflow to the
-// interval hull (numbers) or Any (symbols) past `max_constants`, and every
+// interval hull (numbers) or Any (symbols) past eight constants, and every
 // join is monotone — so the ascending chains are finite and the fixpoint
-// terminates without widening.
+// terminates without widening. A 64-round cap backs that up; a report that
+// hits it is marked unconverged and carries no diagnostics.
 //
 // The analysis feeds the lint diagnostics AN014 (attribute type mismatch),
 // AN015 (always-false condition), AN016 (infeasible join) and AN017
@@ -118,11 +119,6 @@ struct ValueDomainOptions {
   /// Classes the control process extracts after quiescence. Unset disables
   /// AN017 — a write nobody in the rule base reads may still be the output.
   std::optional<std::vector<ops5::ClassIndex>> output_classes;
-  /// Const-set size cap before overflow to interval hull / Any.
-  std::size_t max_constants = 8;
-  /// Fixpoint round cap (backstop only; the lattice is finite). If hit, the
-  /// report is marked unconverged and carries no diagnostics.
-  std::size_t max_iterations = 64;
 };
 
 struct ValueDomainReport {

@@ -263,18 +263,7 @@ std::vector<std::string> validate_serve_rollup(const json::Value& doc) {
   }
   if (const auto* engine = c.require(doc, "$", "engine", json::Type::Object)) {
     for (const auto& [k, v] : engine->as_object()) {
-      // Scalars for counters; arrays of numbers for the per-node Rete
-      // activation gauges (alpha/join_node_activations).
-      if (v.is_array()) {
-        for (const json::Value& e : v.as_array()) {
-          if (!e.is_number()) {
-            c.fail("$.engine." + k, "array metric entries must be numbers");
-            break;
-          }
-        }
-      } else if (!v.is_number()) {
-        c.fail("$.engine." + k, "metric values must be numbers or number arrays");
-      }
+      if (!v.is_number()) c.fail("$.engine." + k, "metric values must be numbers");
     }
   }
 

@@ -92,9 +92,8 @@ inline constexpr int kBenchSchemaVersion = 1;
 //       "count": int, "p50_ns": int, "p90_ns": int, "p99_ns": int,
 //       "mean_ns": int, "max_ns": int
 //     },
-//     "engine": { ... }               // obs::RunMetrics flat object; values
-//                                     // are numbers or arrays of numbers
-//                                     // (per-node activation gauges)
+//     "engine": { ... }               // obs::RunMetrics flat object; every
+//                                     // value is a number
 //   }
 //
 // Invariants checked beyond shape: submitted == admitted + rejected.* and

@@ -23,20 +23,6 @@ void RunMetrics::add_counters(const util::WorkCounters& c) noexcept {
   rhs_cost_wu += c.rhs_cost;
 }
 
-namespace {
-void add_vec(std::vector<std::uint64_t>& into,
-             std::span<const std::uint64_t> from) {
-  if (into.size() < from.size()) into.resize(from.size(), 0);
-  for (std::size_t i = 0; i < from.size(); ++i) into[i] += from[i];
-}
-}  // namespace
-
-void RunMetrics::add_node_activations(std::span<const std::uint64_t> alpha,
-                                      std::span<const std::uint64_t> join) {
-  add_vec(alpha_node_activations, alpha);
-  add_vec(join_node_activations, join);
-}
-
 json::Value RunMetrics::to_json() const {
   json::Object o;
   const auto put = [&o](const char* key, std::uint64_t v) {
@@ -61,16 +47,6 @@ json::Value RunMetrics::to_json() const {
   o.emplace_back("match_fraction", json::Value(match_fraction()));
   put("peak_conflict_set", peak_conflict_set);
   put("peak_live_tokens", peak_live_tokens);
-  const auto put_vec = [&o](const char* key,
-                            const std::vector<std::uint64_t>& v) {
-    if (v.empty()) return;
-    json::Array a;
-    a.reserve(v.size());
-    for (std::uint64_t x : v) a.emplace_back(x);
-    o.emplace_back(key, json::Value(std::move(a)));
-  };
-  put_vec("alpha_node_activations", alpha_node_activations);
-  put_vec("join_node_activations", join_node_activations);
   put("retries", retries);
   put("requeues", requeues);
   put("quarantined", quarantined);
@@ -108,19 +84,6 @@ RunMetrics metrics_delta(const RunMetrics& after,
   // Gauges are peaks, not monotonic counters: the delta keeps the later peak.
   d.peak_conflict_set = after.peak_conflict_set;
   d.peak_live_tokens = after.peak_live_tokens;
-  // Per-node activations are monotonic; element-wise saturating difference.
-  d.alpha_node_activations = after.alpha_node_activations;
-  for (std::size_t i = 0;
-       i < d.alpha_node_activations.size() && i < before.alpha_node_activations.size(); ++i) {
-    d.alpha_node_activations[i] =
-        sub_sat(d.alpha_node_activations[i], before.alpha_node_activations[i]);
-  }
-  d.join_node_activations = after.join_node_activations;
-  for (std::size_t i = 0;
-       i < d.join_node_activations.size() && i < before.join_node_activations.size(); ++i) {
-    d.join_node_activations[i] =
-        sub_sat(d.join_node_activations[i], before.join_node_activations[i]);
-  }
   d.retries = sub_sat(after.retries, before.retries);
   d.requeues = sub_sat(after.requeues, before.requeues);
   d.quarantined = sub_sat(after.quarantined, before.quarantined);

@@ -6,11 +6,12 @@
 // It aggregates the engine's WorkCounters across all completed tasks and adds
 // the executor-level quantities the paper's tables need: wall time, retry /
 // requeue accounting, and the peak conflict-set and live-token gauges that
-// only the instrumented engine can observe.
+// only the instrumented engine can observe. Per-node Rete activation gauges
+// are not aggregated here: they stay on each engine's network, read live
+// through rete::Network::node_activations().
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "obs/json.hpp"
 #include "util/counters.hpp"
@@ -43,13 +44,6 @@ struct RunMetrics {
   std::uint64_t peak_conflict_set = 0;  ///< max conflict-set size seen
   std::uint64_t peak_live_tokens = 0;   ///< max simultaneously-live rete tokens
 
-  // --- per-node Rete activation counters (PSMSYS_OBS gauges), indexed by the
-  //     NetworkTopology node ids; empty unless harvested from a matcher that
-  //     exports them. Only meaningful when every contribution comes from
-  //     networks compiled over the same program (same id space). ---
-  std::vector<std::uint64_t> alpha_node_activations;
-  std::vector<std::uint64_t> join_node_activations;
-
   // --- executor accounting ---
   std::uint64_t retries = 0;
   std::uint64_t requeues = 0;
@@ -71,16 +65,8 @@ struct RunMetrics {
   /// Fold one task's counters into the aggregate.
   void add_counters(const util::WorkCounters& c) noexcept;
 
-  /// Element-wise accumulate per-node activation vectors (resizing to the
-  /// longer of the two). Callers must only mix vectors from networks sharing
-  /// one topology id space.
-  void add_node_activations(std::span<const std::uint64_t> alpha,
-                            std::span<const std::uint64_t> join);
-
-  /// Flat JSON object, one key per field (plus derived total_cost_wu and
-  /// match_fraction). Key order matches declaration order above. The per-node
-  /// activation arrays are emitted only when non-empty, so documents from
-  /// builds or paths without them are byte-stable.
+  /// Flat JSON object, one number per field (plus derived total_cost_wu and
+  /// match_fraction). Key order matches declaration order above.
   [[nodiscard]] json::Value to_json() const;
 };
 

@@ -306,16 +306,17 @@ class Parser {
         lex_.take();
         break;
       }
-      if (k == TokKind::Negation) {
-        lex_.take();
-        expect(TokKind::LParen, "'(' after negation");
-        lhs.push_back(parse_ce(/*negated=*/true));
-      } else if (k == TokKind::LParen) {
-        lex_.take();
-        lhs.push_back(parse_ce(/*negated=*/false));
-      } else {
+      if (k != TokKind::Negation && k != TokKind::LParen) {
         throw ParseError("expected condition element or -->", lex_.line());
       }
+      if (lhs.size() == kMaxConditionElements) {
+        throw ParseError("production has more than " + std::to_string(kMaxConditionElements) +
+                             " condition elements",
+                         lex_.peek().line, lex_.peek().col);
+      }
+      lex_.take();
+      if (k == TokKind::Negation) expect(TokKind::LParen, "'(' after negation");
+      lhs.push_back(parse_ce(/*negated=*/k == TokKind::Negation));
     }
     current_lhs_ = lhs;  // modify/remove resolve attribute names against the LHS
     std::vector<Action> rhs;
@@ -481,6 +482,12 @@ class Parser {
     lex_.take();
     return w;
   }
+
+  /// A production has at most this many condition elements (the phase
+  /// programs use 5). Matching recurses once per CE, a left activation
+  /// walking the production's joins, and retraction once per token level,
+  /// so hostile source is rejected here instead of overflowing the stack.
+  static constexpr std::size_t kMaxConditionElements = 256;
 
   /// An expression is at most this many levels deep: a constant or a
   /// variable is one level, and each parenthesized form (a call or a

@@ -752,10 +752,9 @@ struct Network::Impl {
   std::uint64_t peak_live_tokens = 0;
 
   // Per-node activation counters (PSMSYS_OBS only), indexed by the topology
-  // ids. Lifetime gauges like the peak above: clear() retains them so a whole
-  // run's measured traffic can calibrate the static cost model. Activations
-  // skipped at unlinked nodes are not counted — quiescent productions
-  // legitimately read zero.
+  // ids. Lifetime gauges like the peak above: clear() retains them so they
+  // show a whole run's traffic per node. Activations skipped at unlinked
+  // nodes are not counted — quiescent productions legitimately read zero.
   std::vector<std::uint64_t> alpha_acts;
   std::vector<std::uint64_t> join_acts;
 

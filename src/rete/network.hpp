@@ -42,8 +42,8 @@ namespace psmsys::rete {
 /// Cumulative per-node activation counts, indexed by the node ids
 /// NetworkTopology exports (alpha: WMEs passing the pattern on add; join:
 /// left + right activations, negative nodes included in the join id space).
-/// Counts are lifetime gauges — clear() retains them — so static analyzer
-/// costs can be calibrated against a whole run's measured traffic.
+/// Counts are lifetime gauges — clear() retains them — so they show a whole
+/// run's traffic per node.
 struct NodeActivations {
   std::vector<std::uint64_t> alpha;
   std::vector<std::uint64_t> join;

@@ -24,7 +24,6 @@ struct StreamState {
   SceneId id = 0;
   std::string label;
   bool oneshot = false;
-  std::size_t tick_capacity = 16;
   std::chrono::steady_clock::time_point opened;
 
   struct PendingTick {
@@ -47,6 +46,12 @@ struct StreamState {
 };
 
 namespace {
+
+/// Ticks a stream may hold queued behind the one its worker runs; the next
+/// is shed with RejectReason::QueueFull (DESIGN §16.2).
+constexpr std::size_t kStreamTickCapacity = 16;
+/// How often the watchdog scans the busy slots (DESIGN §14.4).
+constexpr std::chrono::milliseconds kWatchdogPoll{1};
 
 std::int64_t ns_between(std::chrono::steady_clock::time_point a,
                         std::chrono::steady_clock::time_point b) {
@@ -223,7 +228,6 @@ SubmitResult Server::submit(SceneJob job) {
   auto stream = std::make_shared<StreamState>();
   stream->oneshot = true;
   stream->label = job.label;
-  stream->tick_capacity = 1;
   const auto now = std::chrono::steady_clock::now();
   stream->opened = now;
   {
@@ -264,7 +268,6 @@ StreamHandle Server::open_stream(std::string label) {
   handle.server_ = this;
   auto stream = std::make_shared<StreamState>();
   stream->label = std::move(label);
-  stream->tick_capacity = std::max<std::size_t>(1, options_.stream_tick_capacity);
   stream->opened = std::chrono::steady_clock::now();
   handle.report_ = stream->close_promise.get_future();
   {
@@ -316,7 +319,7 @@ SubmitTickResult Server::stream_tick(const std::shared_ptr<StreamState>& stream,
       result.rejected = RejectReason::StreamClosed;
     } else if (shed_draining) {
       result.rejected = RejectReason::Draining;
-    } else if (stream->ticks.size() >= stream->tick_capacity) {
+    } else if (stream->ticks.size() >= kStreamTickCapacity) {
       result.rejected = RejectReason::QueueFull;
     } else {
       std::promise<TickReport> promise;
@@ -609,7 +612,7 @@ void Server::run_stream(std::size_t index, WorkerSlot& slot,
 
 void Server::watchdog_loop() {
   while (!watchdog_stop_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(options_.watchdog_poll);
+    std::this_thread::sleep_for(kWatchdogPoll);
     const auto now = std::chrono::steady_clock::now();
     const util::MutexLock lock(mu_);
     for (const auto& slot : slots_) {
@@ -653,15 +656,6 @@ ServerStats Server::drain() {
     const util::MutexLock lock(mu_);
     stopped_ = true;
     final_wall_ns_ = ns_between(start_, std::chrono::steady_clock::now());
-    // Harvest per-node Rete activation gauges from the contexts still bound
-    // to the active pack (only those share one network topology / id space;
-    // a context left behind on a retired pack would skew the calibration).
-    // Workers are joined, so the worker-owned contexts are safe to read.
-    for (std::size_t i = 0; i < contexts_.size(); ++i) {
-      if (context_pack_ids_[i] != active_pack_id_) continue;
-      const rete::NodeActivations acts = contexts_[i]->engine().network().node_activations();
-      engine_.add_node_activations(acts.alpha, acts.join);
-    }
   });
   return stats();
 }
@@ -778,9 +772,8 @@ LoadResult Server::stage_pack(const PackCandidate& candidate) {
   cand_input.seed_classes = options_.admission_seeds;
   cand_input.output_classes = options_.admission_outputs;
 
-  const analysis::AnalysisPipeline pipeline(options_.admission);
   LoadResult out;
-  out.verdict = pipeline.admit(&live_input, cand_input);
+  out.verdict = analysis::AnalysisPipeline().admit(&live_input, cand_input);
   out.accepted = out.verdict.accepted();
 
   std::shared_ptr<const SharedRuleBase> compiled;

@@ -75,18 +75,13 @@ struct ServerOptions {
   SessionOptions session;
   /// Wall-clock budget per scene — per TICK for streams, since a stream is
   /// only busy while a tick runs — before the watchdog aborts it (0 = off).
+  /// The watchdog checks every millisecond.
   std::chrono::milliseconds watchdog_budget{0};
-  std::chrono::milliseconds watchdog_poll{1};
 
-  /// Bounded per-stream tick queue (ticks submitted but not yet executed);
-  /// a full queue sheds the tick with RejectReason::QueueFull.
-  std::size_t stream_tick_capacity = 16;
-
-  /// Admission gate configuration for stage_pack()/load_pack().
-  analysis::AdmissionOptions admission;
-  /// The live independence certificate the gate re-establishes against every
-  /// candidate (nullptr disables the interference section). Must outlive the
-  /// server.
+  /// The live independence certificate that stage_pack()/load_pack()'s
+  /// admission gate (always the default, non-strict one) re-establishes
+  /// against every candidate (nullptr disables the interference section).
+  /// Must outlive the server.
   const analysis::DecompositionSpec* admission_spec = nullptr;
   /// Seed / output class names for the gate's linter (see analysis::PackInput).
   std::optional<std::vector<std::string>> admission_seeds;
@@ -365,7 +360,7 @@ class Server {
   util::Mutex sink_mu_;  ///< serializes trace_sink lines across sessions
   std::vector<std::unique_ptr<WorkerSlot>> slots_;
   std::vector<std::unique_ptr<EngineContext>> contexts_;  ///< worker-owned
-  std::vector<std::uint64_t> context_pack_ids_;  ///< worker-owned; read at drain
+  std::vector<std::uint64_t> context_pack_ids_;  ///< worker-owned
   std::vector<std::thread> threads_;
   std::thread watchdog_;
   std::atomic<bool> watchdog_stop_{false};

@@ -16,13 +16,7 @@ using ops5::Engine;
 using ops5::SlotIndex;
 using ops5::Value;
 
-[[nodiscard]] Value sym_value(const Engine& engine, std::string_view name) {
-  const auto sym = engine.program().symbols().find(name);
-  if (!sym) throw std::logic_error("symbol not in program: " + std::string(name));
-  return Value(*sym);
-}
-
-// --- Spec-building helpers (mirror the runtime seeding/injection exactly).
+// --- Spec-building helpers: class, slot and symbol lookups by name.
 
 [[nodiscard]] ClassIndex spec_class(const ops5::Program& program, std::string_view name) {
   const auto sym = program.symbols().find(name);
@@ -68,25 +62,20 @@ using ops5::Value;
   return factory;
 }
 
-void push_task(std::vector<psm::Task>& tasks, std::string label,
-               std::function<void(Engine&)> inject) {
-  psm::Task t;
-  t.id = tasks.size();
-  t.label = std::move(label);
-  t.inject = std::move(inject);
-  tasks.push_back(std::move(t));
-}
-
-/// Record the static mirror of the task the runtime just pushed: one
-/// injected WME of `cls` with the given slot values.
-void push_task_spec(analysis::DecompositionSpec& spec, const std::vector<psm::Task>& tasks,
-                    ClassIndex cls,
-                    std::vector<std::pair<SlotIndex, Value>> slots) {
-  analysis::TaskSpec ts;
-  ts.task_id = tasks.back().id;
-  ts.label = tasks.back().label;
-  ts.wmes.push_back(analysis::TaskWmeSpec{cls, std::move(slots)});
-  spec.tasks.push_back(std::move(ts));
+/// Append a task that injects one WME of `cls`, built once: the task's
+/// TaskSpec holds it, and the runtime injection replays the same class and
+/// slot values, so the spec the interference checker certifies and the
+/// execution cannot drift.
+void push_task(Decomposition& d, std::string label, ClassIndex cls,
+               std::vector<std::pair<SlotIndex, Value>> slots) {
+  psm::Task& task = d.tasks.emplace_back();
+  task.id = d.tasks.size() - 1;
+  task.label = label;
+  task.inject = [cls, slots](Engine& e) { e.make_wme(cls, slots); };
+  analysis::TaskSpec& spec = d.spec.tasks.emplace_back();
+  spec.task_id = task.id;
+  spec.label = std::move(label);
+  spec.wmes.push_back(analysis::TaskWmeSpec{cls, std::move(slots)});
 }
 
 /// Class roles + scene facts of the LCC rule base. Base classes are seeded
@@ -209,39 +198,24 @@ Decomposition lcc_decomposition(int level, const Scene& scene,
     case 4:
       for (std::size_t i = 0; i < kRegionClassCount; ++i) {
         const auto cls = static_cast<RegionClass>(i);
-        push_task(d.tasks, "L4 " + std::string(class_name(cls)), [cls, num](Engine& e) {
-          e.make_wme("lcc-task", {{"level", Value(4.0)},
-                                  {"subject-class", sym_value(e, class_name(cls))}});
-        });
-        push_task_spec(d.spec, d.tasks, task_cls,
-                       {{s_level, Value(4.0)},
-                        {s_subject_class, spec_sym(*phase->program, class_name(cls))}});
+        push_task(d, "L4 " + std::string(class_name(cls)), task_cls,
+                  {{s_level, Value(4.0)},
+                   {s_subject_class, spec_sym(*phase->program, class_name(cls))}});
       }
       break;
 
     case 3:
       for (const auto& f : *fragments) {
-        push_task(d.tasks, "L3 subj=" + std::to_string(f.id), [id = f.id, num](Engine& e) {
-          e.make_wme("lcc-task", {{"level", Value(3.0)}, {"subject", num(id)}});
-        });
-        push_task_spec(d.spec, d.tasks, task_cls,
-                       {{s_level, Value(3.0)}, {s_subject, num(f.id)}});
+        push_task(d, "L3 subj=" + std::to_string(f.id), task_cls,
+                  {{s_level, Value(3.0)}, {s_subject, num(f.id)}});
       }
       break;
 
     case 2:
       for (const auto& f : *fragments) {
         for (const Constraint* c : constraints_for(f.cls)) {
-          push_task(d.tasks, "L2 subj=" + std::to_string(f.id) + " k=" + c->name,
-                    [id = f.id, k = c->id, num](Engine& e) {
-                      e.make_wme("lcc-task", {{"level", Value(2.0)},
-                                              {"subject", num(id)},
-                                              {"constraint", num(k)}});
-                    });
-          push_task_spec(d.spec, d.tasks, task_cls,
-                         {{s_level, Value(2.0)},
-                          {s_subject, num(f.id)},
-                          {s_constraint, num(c->id)}});
+          push_task(d, "L2 subj=" + std::to_string(f.id) + " k=" + c->name, task_cls,
+                    {{s_level, Value(2.0)}, {s_subject, num(f.id)}, {s_constraint, num(c->id)}});
         }
       }
       break;
@@ -251,20 +225,14 @@ Decomposition lcc_decomposition(int level, const Scene& scene,
         for (const Constraint* c : constraints_for(f.cls)) {
           for (const auto& other : *fragments) {
             if (other.id == f.id || other.cls != c->object) continue;
-            push_task(d.tasks,
+            push_task(d,
                       "L1 subj=" + std::to_string(f.id) + " k=" + std::to_string(c->id) +
                           " obj=" + std::to_string(other.id),
-                      [id = f.id, k = c->id, obj = other.id, num](Engine& e) {
-                        e.make_wme("lcc-task", {{"level", Value(1.0)},
-                                                {"subject", num(id)},
-                                                {"constraint", num(k)},
-                                                {"object", num(obj)}});
-                      });
-            push_task_spec(d.spec, d.tasks, task_cls,
-                           {{s_level, Value(1.0)},
-                            {s_subject, num(f.id)},
-                            {s_constraint, num(c->id)},
-                            {s_object, num(other.id)}});
+                      task_cls,
+                      {{s_level, Value(1.0)},
+                       {s_subject, num(f.id)},
+                       {s_constraint, num(c->id)},
+                       {s_object, num(other.id)}});
           }
         }
       }
@@ -297,10 +265,8 @@ Decomposition rtf_decomposition(const Scene& scene, int group_size, bool record_
   const std::size_t groups =
       (scene.size() + static_cast<std::size_t>(group_size) - 1) / group_size;
   for (std::size_t g = 0; g < groups; ++g) {
-    push_task(d.tasks, "RTF group " + std::to_string(g), [g](Engine& e) {
-      e.make_wme("rtf-task", {{"group", Value(static_cast<double>(g))}});
-    });
-    push_task_spec(d.spec, d.tasks, task_cls, {{s_group, Value(static_cast<double>(g))}});
+    push_task(d, "RTF group " + std::to_string(g), task_cls,
+              {{s_group, Value(static_cast<double>(g))}});
   }
   return d;
 }

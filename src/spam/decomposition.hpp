@@ -27,7 +27,10 @@ namespace psmsys::spam {
 /// tasks inject the per-task WMEs. `spec` is the matching static description
 /// (rule base, class roles, scene-derived data facts, task injections) that
 /// analysis::check_interference certifies independent — the machine-checked
-/// form of Section 5.1's "tasks are independent OPS5 runs".
+/// form of Section 5.1's "tasks are independent OPS5 runs". Task `i`'s
+/// inject replays `spec.tasks[i].wmes`, whose class, slot and symbol indices
+/// are those of the phase program (and of any program parsed from the same
+/// source).
 struct Decomposition {
   psm::TaskProcessFactory factory;
   std::vector<psm::Task> tasks;

@@ -3,6 +3,7 @@
 // production fingerprints, verdict schema validation, and the golden
 // byte-deterministic verdicts over the SF/DC/MOFF LCC certificates.
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -24,7 +25,6 @@ namespace {
 
 using namespace psmsys;
 using analysis::AdmissionDecision;
-using analysis::AdmissionOptions;
 using analysis::AdmissionVerdict;
 using analysis::AnalysisPipeline;
 using analysis::PackInput;
@@ -255,35 +255,91 @@ TEST(Admission, CostRegressionBeyondRejectRatioIsAn010Error) {
   EXPECT_TRUE(has_code(verdict, "AN010"));
 }
 
-TEST(Admission, CostRegressionRespectsConfiguredRatios) {
+// The same rule guarded against re-making its output: one negated CE adds
+// cost (x2.41) without raising the beta-growth degree.
+constexpr const char* kGuardedRule = R"(
+(literalize item k v)
+(literalize out k)
+(p hot (item ^k <k> ^v 1) -(out ^k <k>) --> (make out ^k <k>))
+)";
+
+TEST(Admission, CostRegressionBetweenWarnAndRejectRatiosIsAn010Warning) {
   PackInput live, candidate;
   live.program = parse(kCheapRule);
-  candidate.program = parse(kHotRule);
-  AdmissionOptions options;
-  options.cost_warn_ratio = 1e9;  // nothing is ever a warning...
-  options.cost_reject_ratio = 1e9;
-  options.beta_reject_ratio = 1e9;
-  const AnalysisPipeline pipeline(options);
-  const AdmissionVerdict verdict = pipeline.admit(&live, candidate);
+  candidate.program = parse(kGuardedRule);
+  const AdmissionVerdict verdict = AnalysisPipeline().admit(&live, candidate);
 
-  // ...so the only AN010 left is the beta_degree growth warning.
-  EXPECT_TRUE(verdict.accepted());
+  EXPECT_EQ(verdict.decision, AdmissionDecision::Warn);
+  EXPECT_EQ(verdict.errors(), 0u);
+  const auto& diff = section(verdict, "semantic_diff");
+  ASSERT_EQ(diff.findings.size(), 1u);
+  EXPECT_EQ(diff.findings[0].code, "AN010");
+  EXPECT_EQ(diff.findings[0].severity, "warning");
+  EXPECT_EQ(diff.findings[0].message,
+            "static match cost regression: 5.00 -> 12.07 (x2.41)");
 }
 
-TEST(Admission, MeasuredCostsRescaleTheLiveSide) {
+// A second join raises the beta-growth degree from 1 to 2 while the cost
+// and the beta bound stay within their ratios: only the degree warns.
+TEST(Admission, BetaDegreeGrowthAloneIsAn010Warning) {
   PackInput live, candidate;
   live.program = parse(kCheapRule);
-  candidate.program = parse(kCheapRule);
-  AdmissionOptions options;
-  // Identical packs, but the calibrated measurement says `hot` is tiny
-  // relative to its static estimate — the unchanged static cost then shows
-  // up as a large measured-calibrated ratio. With one production the rescale
-  // normalizes it away (scale = static/measured), so identical packs must
-  // still pass: the rescale is share-based, not absolute.
-  options.measured_costs = {{"hot", 5.0}};
-  const AnalysisPipeline pipeline(options);
-  const AdmissionVerdict verdict = pipeline.admit(&live, candidate);
-  EXPECT_TRUE(verdict.accepted());
+  candidate.program = parse(R"(
+(literalize item k v)
+(literalize out k)
+(p hot (item ^k <k> ^v 1) (item ^k <k>) --> (make out ^k <k>))
+)");
+  const AdmissionVerdict verdict = AnalysisPipeline().admit(&live, candidate);
+
+  EXPECT_EQ(verdict.decision, AdmissionDecision::Warn);
+  const auto& diff = section(verdict, "semantic_diff");
+  ASSERT_EQ(diff.findings.size(), 1u);
+  EXPECT_EQ(diff.findings[0].code, "AN010");
+  EXPECT_EQ(diff.findings[0].severity, "warning");
+  EXPECT_EQ(diff.findings[0].message, "beta growth degree increased: O(N^1) -> O(N^2)");
+}
+
+TEST(Admission, StrictTurnsAWarningIntoAReject) {
+  PackInput live, candidate;
+  live.program = parse(kCheapRule);
+  candidate.program = parse(kGuardedRule);
+  const AdmissionVerdict verdict = AnalysisPipeline(/*strict=*/true).admit(&live, candidate);
+
+  EXPECT_EQ(verdict.decision, AdmissionDecision::Reject);
+  EXPECT_FALSE(verdict.accepted());
+  EXPECT_EQ(verdict.errors(), 0u);
+  EXPECT_EQ(verdict.warnings(), 1u);
+  EXPECT_EQ(section(verdict, "semantic_diff").decision, AdmissionDecision::Reject);
+}
+
+TEST(Admission, SectionKeepsSixtyFourFindingsWithExactCounts) {
+  // The candidate drops 70 classes: the two declared outputs are AN013
+  // errors, the other 68 AN013 warnings.
+  std::string live_source = "(literalize ping n)\n";
+  for (int i = 0; i < 70; ++i) live_source += "(literalize c" + std::to_string(i) + " a)\n";
+  live_source += "(p r (ping ^n <n>) --> (halt))\n";
+  PackInput live, candidate;
+  live.program = parse(live_source);
+  live.output_classes = std::vector<std::string>{"c0", "c1"};
+  candidate.program = parse(R"(
+(literalize ping n)
+(p r (ping ^n <n>) --> (halt))
+)");
+  const AdmissionVerdict verdict = AnalysisPipeline().admit(&live, candidate);
+
+  const auto& diff = section(verdict, "semantic_diff");
+  EXPECT_EQ(diff.findings.size(), 64u);
+  EXPECT_EQ(diff.errors, 2u);
+  EXPECT_EQ(diff.warnings, 68u);
+  EXPECT_EQ(diff.decision, AdmissionDecision::Reject);
+  const auto truncated = [](const analysis::VerdictSection& s) {
+    return std::any_of(s.details.begin(), s.details.end(), [](const auto& kv) {
+      return kv.first == "findings_truncated" && kv.second.as_bool();
+    });
+  };
+  EXPECT_TRUE(truncated(diff));
+  // Sections under the cap carry no truncation flag.
+  EXPECT_FALSE(truncated(section(verdict, "lint")));
 }
 
 // ---------------------------------------------------------------------------

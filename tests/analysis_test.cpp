@@ -236,7 +236,7 @@ TEST(Lint, CleanProductionHasNoFindings) {
 // Footprints
 // ---------------------------------------------------------------------------
 
-TEST(Footprint, ReadsWritesAndBindings) {
+TEST(Footprint, ReadsAndWrites) {
   const Program p = parse(R"(
 (p prod
    (thing ^a <x> ^b 7)
@@ -245,7 +245,7 @@ TEST(Footprint, ReadsWritesAndBindings) {
    (make out ^v <x>)
    (modify 1 ^c 9))
 )");
-  const auto fp = footprint_of(p, p.productions()[0]);
+  const auto fp = footprint_of(p.productions()[0]);
   ASSERT_EQ(fp.accesses.size(), 4u);
   EXPECT_EQ(fp.accesses[0].kind, AccessKind::Read);
   EXPECT_EQ(fp.accesses[0].cls, cls_of(p, "thing"));
@@ -253,31 +253,6 @@ TEST(Footprint, ReadsWritesAndBindings) {
   EXPECT_EQ(fp.accesses[2].kind, AccessKind::Make);
   EXPECT_EQ(fp.accesses[3].kind, AccessKind::Modify);
   EXPECT_EQ(fp.accesses[3].cls, cls_of(p, "thing"));  // index counts positive CEs
-
-  EXPECT_TRUE(fp.writes_class(cls_of(p, "out")));
-  EXPECT_TRUE(fp.reads_class(cls_of(p, "out")));  // the negation
-  EXPECT_FALSE(fp.writes_class(cls_of(p, "widget")));
-
-  ASSERT_EQ(fp.bindings.size(), 1u);
-  const auto& [var, site] = *fp.bindings.begin();
-  EXPECT_EQ(site.cls, cls_of(p, "thing"));
-  EXPECT_EQ(site.slot, slot_of(p, "thing", "a"));
-}
-
-TEST(Footprint, BindActionFlowsTransitively) {
-  const Program p = parse(R"(
-(p flow
-   (thing ^a <x>)
-   -->
-   (bind <y> (compute <x> + 1))
-   (make out ^v <y>))
-)");
-  const auto fp = footprint_of(p, p.productions()[0]);
-  ASSERT_EQ(fp.flows.size(), 1u);
-  EXPECT_EQ(fp.flows[0].from_cls, cls_of(p, "thing"));
-  EXPECT_EQ(fp.flows[0].from_slot, slot_of(p, "thing", "a"));
-  EXPECT_EQ(fp.flows[0].to_cls, cls_of(p, "out"));
-  EXPECT_EQ(fp.flows[0].to_slot, slot_of(p, "out", "v"));
 }
 
 TEST(Footprint, PositiveCeIndexSkipsNegations) {

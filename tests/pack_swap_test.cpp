@@ -2,7 +2,7 @@
 // admission gate in front of stage_pack, atomic activation with dequeue-time
 // pack binding (in-flight scenes finish byte-identical on their old pack),
 // rejection keeping the live pack serving, rollback, the admin channel, and
-// the extended serve rollup (packs registry + per-node activation gauges).
+// the extended serve rollup (packs registry).
 //
 // Runs under the TSan CI job: swaps race the worker pool by design.
 
@@ -401,34 +401,6 @@ TEST(PackSwap, AdminChannel) {
   EXPECT_NE(gs.server->admin_talk("stats").find("serve_rollup"), std::string::npos);
   EXPECT_NE(gs.server->admin_talk("drain").find("drained"), std::string::npos);
 }
-
-// ---------------------------------------------------------------------------
-// Per-node activation gauges flow into the drained rollup
-// ---------------------------------------------------------------------------
-
-#if PSMSYS_OBS
-TEST(PackSwap, DrainHarvestsNodeActivationsFromActivePack) {
-  GatedServer gs(2);
-  for (int i = 0; i < 6; ++i) {
-    auto r = gs.server->submit(job_scene(2));
-    ASSERT_EQ(r.report.get().status, SceneStatus::Completed);
-  }
-  const ServerStats stats = gs.server->drain();
-  ASSERT_FALSE(stats.engine.alpha_node_activations.empty());
-  ASSERT_FALSE(stats.engine.join_node_activations.empty());
-  std::uint64_t total = 0;
-  for (const auto v : stats.engine.alpha_node_activations) total += v;
-  EXPECT_GT(total, 0u);
-
-  // The arrays survive the JSON round trip and the schema validator.
-  const auto doc = stats.to_json();
-  EXPECT_TRUE(obs::validate_serve_rollup(doc).empty());
-  const auto* engine = doc.find("engine");
-  ASSERT_NE(engine, nullptr);
-  ASSERT_NE(engine->find("alpha_node_activations"), nullptr);
-  EXPECT_TRUE(engine->find("alpha_node_activations")->is_array());
-}
-#endif
 
 }  // namespace
 }  // namespace psmsys::serve

@@ -242,6 +242,29 @@ TEST(ParserErrors, ExpressionDepthIsBounded) {
   EXPECT_THROW((void)parse_program(program_with(compute_chain(255))), ParseError);
 }
 
+// A production's LHS is bounded at 256 condition elements: matching recurses
+// once per CE, and a production of 100,000 CEs used to parse and compile,
+// then overflow the stack on its first matching WME.
+TEST(ParserErrors, ConditionElementCountIsBounded) {
+  const auto program_with = [](std::size_t positive, const std::string& tail) {
+    std::string source = "(literalize c i v)\n(p long";
+    for (std::size_t k = 0; k < positive; ++k) source += " (c ^i " + std::to_string(k) + " ^v <x>)";
+    return source + tail + " --> (halt))";
+  };
+  EXPECT_THROW((void)parse_program(program_with(100'000, "")), ParseError);
+  EXPECT_NO_THROW((void)parse_program(program_with(256, "")));
+  EXPECT_NO_THROW((void)parse_program(program_with(255, " -(c ^v <x>)")));
+  // The first CE past the bound is the error, negated or not.
+  try {
+    (void)parse_program(program_with(256, " -(c ^v <x>)"));
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 2);
+    EXPECT_NE(std::string(e.what()).find("more than 256 condition elements"), std::string::npos);
+  }
+  EXPECT_THROW((void)parse_program(program_with(257, "")), ParseError);
+}
+
 TEST(ParserErrors, ReportsLineNumber) {
   try {
     parse_program("(literalize r a)\n\n(p x (r ^zzz 1) --> (halt))");

@@ -138,10 +138,12 @@ TEST(ReteStatic, PerProductionCostsArePositiveAndHeuristicMatches) {
 TEST(ReteStatic, CostVectorIsIndexedByProductionId) {
   const auto program = join_program();
   const ReteStaticReport report = analyze_rete(*program);
-  const auto costs = report.cost_vector();
-  ASSERT_EQ(costs.size(), 6u);
-  for (const auto& p : report.productions) {
-    EXPECT_DOUBLE_EQ(costs[p.id], p.match_cost);
+  const auto prods = program->productions();
+  ASSERT_EQ(report.productions.size(), 6u);
+  for (std::size_t i = 0; i < report.productions.size(); ++i) {
+    EXPECT_EQ(report.productions[i].id, i);
+    EXPECT_EQ(report.productions[i].name, program->symbols().name(prods[i].name()));
+    EXPECT_GT(report.productions[i].match_cost, 0.0);
   }
 }
 
@@ -160,7 +162,7 @@ TEST(ReteStatic, TrafficWeightsWrittenClassesHigher) {
 
 TEST(ReteStatic, DependencyEdgesFollowWritesToReads) {
   const auto program = join_program();
-  const auto edges = dependency_edges(*program);
+  const auto edges = analyze_rete(*program).edges;
   ASSERT_FALSE(edges.empty());
 
   const auto id_of = [&](std::string_view name) -> std::uint32_t {
@@ -233,13 +235,12 @@ TEST(ReteStatic, GoldenJsonReport) {
 }
 
 // ---------------------------------------------------------------------------
-// Calibration: static costs vs measured per-node activations
+// Measured per-node activations vs the static report
 // ---------------------------------------------------------------------------
 
 TEST(ReteStaticCalibration, MapsMeasuredActivationsOntoProductions) {
   const auto program = join_program();
-  ReteStaticReport report = analyze_rete(*program);
-  EXPECT_TRUE(report.calibration.empty());
+  const ReteStaticReport report = analyze_rete(*program);
 
   // Drive real traffic through a serial engine; its matcher IS the compiled
   // rete::Network, so topology ids and the activation gauges line up with the
@@ -259,118 +260,28 @@ TEST(ReteStaticCalibration, MapsMeasuredActivationsOntoProductions) {
   ASSERT_EQ(acts.alpha.size(), report.alpha_nodes);
   ASSERT_EQ(acts.join.size(), report.join_nodes);
 
-  report.calibrate(net.compiled().topology(), acts.alpha, acts.join);
-  ASSERT_EQ(report.calibration.size(), report.production_count);
-
-  double static_share = 0.0, measured_share = 0.0, measured_total = 0.0;
-  for (std::size_t i = 0; i < report.calibration.size(); ++i) {
-    const CalibrationRow& row = report.calibration[i];
-    EXPECT_EQ(row.id, i);  // ordered by production id
-    EXPECT_EQ(row.name, report.productions[i].name);
-    EXPECT_DOUBLE_EQ(row.static_cost, report.productions[i].match_cost);
-    EXPECT_GE(row.measured, 0.0);
-    static_share += row.static_share;
-    measured_share += row.measured_share;
-    measured_total += row.measured;
+  // Each production path maps measured join activations onto the report row
+  // of the same production id.
+  const rete::NetworkTopology topo = net.compiled().topology();
+  ASSERT_EQ(topo.productions.size(), report.production_count);
+  std::uint64_t measured_total = 0;
+  for (const auto& path : topo.productions) {
+    ASSERT_LT(path.production, report.productions.size());
+    EXPECT_EQ(report.productions[path.production].id, path.production);
+    for (const auto node : path.nodes) {
+      ASSERT_LT(node, acts.join.size());
+      EXPECT_LT(topo.joins[node].alpha, acts.alpha.size());
+      measured_total += acts.join[node];
+    }
   }
-  EXPECT_NEAR(static_share, 1.0, 1e-9);
-  EXPECT_NEAR(measured_share, 1.0, 1e-9);
-  EXPECT_GT(measured_total, 0.0);  // the run really charged nodes
-
-  const double r = report.calibration_correlation();
-  EXPECT_GE(r, -1.0);
-  EXPECT_LE(r, 1.0);
-  EXPECT_NE(r, 0.0);  // six productions with distinct shares: not degenerate
-}
-
-TEST(ReteStaticCalibration, JsonAppendsTableOnlyAfterCalibrate) {
-  const auto program = join_program();
-  ReteStaticReport report = analyze_rete(*program);
-  EXPECT_EQ(report.to_json().find("calibration"), nullptr);
-
-  ops5::Engine engine(program, nullptr);
-  engine.make_wme("item", {{"k", ops5::Value(0.0)}, {"v", ops5::Value(1.0)}});
-  engine.make_wme("item", {{"k", ops5::Value(1.0)}, {"v", ops5::Value(1.0)}});
-  (void)engine.run();
-  const auto& net = engine.network();
-  const rete::NodeActivations acts = net.node_activations();
-  report.calibrate(net.compiled().topology(), acts.alpha, acts.join);
-
-  const auto doc = report.to_json();
-  const auto* table = doc.find("calibration");
-  ASSERT_NE(table, nullptr);
-  ASSERT_TRUE(table->is_array());
-  EXPECT_EQ(table->as_array().size(), report.production_count);
-  ASSERT_NE(doc.find("calibration_correlation"), nullptr);
-
-  // Byte-determinism holds for the calibrated rendering too.
-  EXPECT_EQ(doc.dump(2), report.to_json().dump(2));
-}
-
-// Degenerate inputs must stay well-defined: the shares and the Pearson
-// correlation guard their zero denominators, and the JSON rendering must
-// never leak a NaN (which would not even parse back).
-TEST(ReteStaticCalibration, AllZeroActivationsYieldZeroSharesNotNan) {
-  const auto program = join_program();
-  ReteStaticReport report = analyze_rete(*program);
-
-  // Compile the same network the analyzer saw, but drive no traffic at all.
-  struct Drop final : rete::MatchListener {
-    void on_activate(const ops5::Production&, std::span<const ops5::Wme* const>) override {}
-    void on_deactivate(const ops5::Production&, std::span<const ops5::Wme* const>) override {}
-  } listener;
-  util::WorkCounters counters;
-  rete::Network net(*program, listener, counters);
-  const std::vector<std::uint64_t> zero_alpha(report.alpha_nodes, 0);
-  const std::vector<std::uint64_t> zero_join(report.join_nodes, 0);
-  report.calibrate(net.compiled().topology(), zero_alpha, zero_join);
-
-  ASSERT_EQ(report.calibration.size(), report.production_count);
-  for (const auto& row : report.calibration) {
-    EXPECT_EQ(row.measured, 0.0);
-    EXPECT_EQ(row.measured_share, 0.0);  // guarded division, not 0/0
-    EXPECT_GE(row.static_share, 0.0);
-  }
-  EXPECT_EQ(report.calibration_correlation(), 0.0);  // zero variance side
-
-  const std::string text = report.to_json().dump(2);
-  EXPECT_EQ(text.find("nan"), std::string::npos);
-  EXPECT_EQ(text.find("inf"), std::string::npos);
-}
-
-TEST(ReteStaticCalibration, SingleProductionNetworkHasZeroCorrelation) {
-  const auto program = std::make_shared<const Program>(parse_program(R"(
-(literalize item k v)
-(p only (item ^k 0) --> (make item ^k 1))
-)"));
-  ReteStaticReport report = analyze_rete(*program);
-  ASSERT_EQ(report.production_count, 1u);
-
-  ops5::Engine engine(program, nullptr);
-  engine.make_wme("item", {{"k", ops5::Value(0.0)}});
-  (void)engine.run();
-  const auto& net = engine.network();
-  const rete::NodeActivations acts = net.node_activations();
-  report.calibrate(net.compiled().topology(), acts.alpha, acts.join);
-
-  ASSERT_EQ(report.calibration.size(), 1u);
-  // One row: both shares are the whole distribution, and Pearson over a
-  // single point is undefined — pinned to 0, not NaN.
-  EXPECT_DOUBLE_EQ(report.calibration[0].static_share, 1.0);
-  EXPECT_DOUBLE_EQ(report.calibration[0].measured_share, 1.0);
-  EXPECT_EQ(report.calibration_correlation(), 0.0);
-
-  const std::string text = report.to_json().dump(2);
-  EXPECT_EQ(text.find("nan"), std::string::npos);
-  EXPECT_EQ(text.find("inf"), std::string::npos);
+  EXPECT_GT(measured_total, 0u);  // the run really charged nodes
 }
 
 // ---------------------------------------------------------------------------
 // Gauge survival across the hot-path rewrite: the activation and live-token
-// gauges the analyzer calibrates against must stay meaningful under node
-// unlinking, and unlinked-node activations must drop to zero only for
-// match-quiescent productions (cross-checked against the static verdicts
-// below).
+// gauges must stay meaningful under node unlinking, and unlinked-node
+// activations must drop to zero only for match-quiescent productions
+// (cross-checked against the static verdicts below).
 // ---------------------------------------------------------------------------
 
 /// Ordered firing log plus per-production activation totals.

@@ -149,6 +149,35 @@ TEST(ReteNetwork, RemovalRetractsDownstreamMatches) {
   EXPECT_EQ(listener.deactivations(), 1);
 }
 
+// The parser bounds a production at 256 CEs. At the bound, with the WMEs
+// arriving last CE first, the final add (the first CE's WME) left-activates
+// all 255 joins below it, one recursion level each; retracting that WME
+// unwinds the whole token chain.
+TEST(ReteNetwork, ProductionAtTheParserBoundMatchesAndRetracts) {
+  std::string source = "(literalize c i v)\n(p long";
+  for (int k = 0; k < 256; ++k) source += " (c ^i " + std::to_string(k) + " ^v <x>)";
+  const Program p = ops5::parse_program(source + " --> (halt))");
+  ASSERT_EQ(p.productions()[0].lhs().size(), 256u);
+  RecordingListener listener(p);
+  util::WorkCounters counters;
+  Network net(p, listener, counters);
+  WmeFactory wmes(p);
+
+  const Wme* first_ce = nullptr;
+  for (int k = 255; k >= 0; --k) {
+    const Wme& wme = wmes.make("c", {Value(static_cast<double>(k)), Value(1.0)});
+    net.add_wme(wme);
+    first_ce = &wme;
+  }
+  EXPECT_EQ(listener.matches().size(), 1u);
+  EXPECT_TRUE(net.check_invariants().empty());
+
+  net.remove_wme(*first_ce);
+  EXPECT_TRUE(listener.matches().empty());
+  EXPECT_EQ(listener.deactivations(), 1);
+  EXPECT_TRUE(net.check_invariants().empty());
+}
+
 TEST(ReteNetwork, CrossProductMatches) {
   const Program p = two_ce_program();
   RecordingListener listener(p);

@@ -3,8 +3,8 @@
 // memory between ticks, per-tick checkpoint recovery, terminal failures),
 // recycled-context byte identity after stream close, byte-identical stream
 // firing logs across a mid-stream pack swap, the stream-vs-batch
-// differential, drain force-close, the watchdog's per-tick budget, and the
-// "streams" rollup section + validator invariants.
+// differential, drain force-close, tick-queue shedding, the watchdog's
+// per-tick budget, and the "streams" rollup section + validator invariants.
 //
 // Runs under the TSan CI job: stream handles race the worker pool by design.
 
@@ -530,11 +530,60 @@ TEST(ServeStream, DrainForceClosesOpenStreamsAfterQueuedTicks) {
   EXPECT_FALSE(late.admitted());
 }
 
+TEST(ServeStream, FullTickQueueShedsTheNextTick) {
+  ServerOptions options;
+  options.workers = 1;
+  Server server(stream_rulebase(), options);
+
+  StreamHandle stream = server.open_stream("backlog");
+  ASSERT_TRUE(stream.admitted());
+
+  // The first tick holds the stream's worker until released, so the ticks
+  // after it wait in the stream's queue.
+  std::promise<void> started;
+  std::promise<void> release;
+  SceneJob hold;
+  hold.label = "hold";
+  hold.inject = [&started, released = release.get_future().share()](ops5::Engine& engine) {
+    started.set_value();
+    released.wait();
+    engine.make_wme("cursor", {{"n", ops5::Value(0.0)}});
+  };
+  auto first = stream.tick(std::move(hold));
+  ASSERT_TRUE(first.admitted());
+  started.get_future().wait();
+
+  // Sixteen ticks fit in the queue; the seventeenth is shed.
+  std::vector<std::future<TickReport>> queued;
+  for (std::size_t item = 0; item < 16; ++item) {
+    spam::StreamTickSpec spec;
+    spec.arrivals = {item};
+    auto tick = stream.tick(delta_tick(spec));
+    EXPECT_TRUE(tick.admitted()) << "tick " << item + 1;  // no ASSERT: release below
+    if (tick.admitted()) queued.push_back(std::move(tick.report));
+  }
+  spam::StreamTickSpec spec;
+  spec.arrivals = {16};
+  const auto shed = stream.tick(delta_tick(spec));
+  EXPECT_EQ(shed.rejected, RejectReason::QueueFull);
+
+  release.set_value();
+  EXPECT_EQ(first.report.get().status, SceneStatus::Completed);
+  for (auto& report : queued) EXPECT_EQ(report.get().status, SceneStatus::Completed);
+  const StreamReport report = stream.close().get();
+  EXPECT_EQ(report.status, SceneStatus::Completed);
+  EXPECT_EQ(report.ticks_completed, 17u);
+
+  const ServerStats stats = server.drain();
+  expect_accounting(stats);
+  EXPECT_EQ(stats.streams.ticks, 18u);
+  EXPECT_EQ(stats.streams.ticks_shed, 1u);
+}
+
 TEST(ServeStream, WatchdogBudgetCoversTicksNotIdleStreams) {
   ServerOptions options;
   options.workers = 1;
   options.watchdog_budget = std::chrono::milliseconds(50);
-  options.watchdog_poll = std::chrono::milliseconds(1);
   Server server(stream_rulebase(), options);
 
   StreamHandle stream = server.open_stream("patient");
@@ -625,6 +674,16 @@ TEST(ServeStreamRollup, MixedOneShotAndStreamDrainValidates) {
   broken = stats;
   broken.streams.completed += 1;
   EXPECT_FALSE(obs::validate_serve_rollup(broken.to_json()).empty());
+
+  // Every engine metric is a number: an array there does not validate.
+  obs::json::Value with_array = doc;
+  obs::json::Object* engine = nullptr;
+  for (auto& [key, value] : with_array.as_object()) {
+    if (key == "engine") engine = &value.as_object();
+  }
+  ASSERT_NE(engine, nullptr);
+  engine->emplace_back("per_node", obs::json::Value(obs::json::Array{obs::json::Value(1)}));
+  EXPECT_FALSE(obs::validate_serve_rollup(with_array).empty());
 }
 
 TEST(ServeStreamRollup, ZeroAdmittedDrainWithPackScenesIsRejected) {

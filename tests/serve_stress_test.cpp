@@ -49,7 +49,6 @@ TEST(ServeStress, OverloadWithFaultStormKeepsExactAccounting) {
   options.session.max_attempts = 2;
   options.session.injector = &injector;
   options.watchdog_budget = std::chrono::milliseconds(250);
-  options.watchdog_poll = std::chrono::milliseconds(2);
   Server server(rb, options);
 
   // Several client threads hammer the server concurrently; every ~40th

@@ -504,7 +504,6 @@ TEST(ServeRunaway, WatchdogAbortsWallClockRunaway) {
   options.workers = 1;
   options.session.capture_firing_log = true;
   options.watchdog_budget = std::chrono::milliseconds(25);
-  options.watchdog_poll = std::chrono::milliseconds(1);
   Server server(tiny_rulebase(), options);
 
   auto runaway = server.submit(runaway_scene());  // no cycle deadline: wall only
