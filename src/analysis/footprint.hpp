@@ -1,7 +1,7 @@
 #pragma once
 
-// Read/write-set extraction: per-production footprints, the classes and
-// slots each production reads (positive or negated CEs) and writes
+// Read/write-set extraction: per-production footprints, the classes each
+// production reads (positive or negated CEs) and writes
 // (make/modify/remove). rete_static derives class traffic and the production
 // dependency graph from them. Unlike ops5::analyze_bindings, extraction never
 // throws on malformed productions, so the linter can share the two helpers
@@ -26,14 +26,11 @@ enum class AccessKind : std::uint8_t {
   return k == AccessKind::Make || k == AccessKind::Modify || k == AccessKind::Remove;
 }
 
-/// One class touched by a production: the slots tested (reads) or assigned
-/// (writes), sorted and deduplicated. `position` is the LHS CE index for
-/// reads and the RHS action index for writes.
+/// One class touched by a production, once per CE (reads) and once per
+/// make/modify/remove (writes), in LHS then RHS order.
 struct ClassAccess {
   ops5::ClassIndex cls = 0;
   AccessKind kind = AccessKind::Read;
-  std::uint32_t position = 0;
-  std::vector<ops5::SlotIndex> slots;
 };
 
 struct ProductionFootprint {

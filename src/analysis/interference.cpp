@@ -194,7 +194,6 @@ class Checker {
   explicit Checker(const DecompositionSpec& spec)
       : spec_(spec), prog_(*spec.program) {
     for (const ClassIndex c : spec_.base_classes) base_.insert(c);
-    for (const ClassIndex c : spec_.scratch_classes) scratch_.insert(c);
     for (const auto& rc : spec_.result_classes) {
       result_keys_[rc.cls] = rc.key_slots;
     }
@@ -997,7 +996,6 @@ class Checker {
   const DecompositionSpec& spec_;
   const Program& prog_;
   std::set<ClassIndex> base_;
-  std::set<ClassIndex> scratch_;
   std::map<ClassIndex, std::vector<SlotIndex>> result_keys_;
   std::map<std::pair<ClassIndex, SlotIndex>, std::vector<const DataFact*>> facts_;
   std::unordered_map<Symbol, char> ops_;

@@ -267,17 +267,14 @@ std::vector<std::string> validate_serve_rollup(const json::Value& doc) {
     }
   }
 
-  // Hot-reload registry: optional for forward compatibility with rollups
-  // produced before versioned packs existed; strict when present.
+  // Hot-reload registry.
   double packs_completed = 0.0;
   double packs_loaded = 0.0;
   double packs_active_id = 0.0;
-  bool have_packs = false;
   bool active_id_found = false;
   std::size_t per_pack_count = 0;
   bool any_pack_scenes = false;
-  if (const auto* packs = c.optional(doc, "$", "packs", json::Type::Object)) {
-    have_packs = true;
+  if (const auto* packs = c.require(doc, "$", "packs", json::Type::Object)) {
     const std::string w = "$.packs";
     // The registry always holds at least the boot pack, and exactly one pack
     // is active — so loaded and active are 1-based, not 0-based.
@@ -351,18 +348,15 @@ std::vector<std::string> validate_serve_rollup(const json::Value& doc) {
   // Unconditional (not gated on a clean shape): this is the cross-check that
   // catches a rollup claiming zero admitted scenes over a non-empty registry
   // with non-zero per-pack scene counts.
-  if (have_packs && admitted == 0.0 && any_pack_scenes) {
+  if (admitted == 0.0 && any_pack_scenes) {
     c.fail("$.packs", "zero admitted scenes but non-zero per-pack scene counts");
   }
 
-  // Streaming sessions: optional for forward compatibility with rollups
-  // produced before streams existed; strict when present.
-  bool have_streams = false;
+  // Streaming sessions.
   double st_opened = 0.0, st_completed = 0.0, st_quarantined = 0.0, st_aborted = 0.0;
   double st_drained = 0.0, st_ticks = 0.0, st_ticks_completed = 0.0;
   double st_ticks_failed = 0.0, st_ticks_shed = 0.0;
-  if (const auto* streams = c.optional(doc, "$", "streams", json::Type::Object)) {
-    have_streams = true;
+  if (const auto* streams = c.require(doc, "$", "streams", json::Type::Object)) {
     const std::string w = "$.streams";
     const auto scounter = [&](const char* key) -> double {
       const json::Value* v = c.require(*streams, w, key, json::Type::Number);
@@ -402,27 +396,24 @@ std::vector<std::string> validate_serve_rollup(const json::Value& doc) {
       c.fail("$", "admitted != completed + quarantined + aborted "
                   "(lost or double-counted scenes)");
     }
-    if (have_packs && packs_completed != completed) {
+    if (packs_completed != completed) {
       c.fail("$.packs", "per-pack scenes_completed do not sum to completed "
                         "(scenes mis-attributed across a swap)");
     }
-    if (have_streams) {
-      if (st_opened != st_completed + st_quarantined + st_aborted) {
-        c.fail("$.streams", "opened != completed + quarantined + aborted "
-                            "(lost or double-counted streams)");
-      }
-      if (st_drained > st_completed) {
-        c.fail("$.streams", "drained exceeds completed");
-      }
-      if (st_ticks != st_ticks_completed + st_ticks_failed + st_ticks_shed) {
-        c.fail("$.streams", "ticks != ticks_completed + ticks_failed + ticks_shed "
-                            "(lost or double-counted ticks)");
-      }
-      // A stream is one scene: each stream bin is bounded by its scene bin.
-      if (st_completed > completed || st_quarantined > quarantined ||
-          st_aborted > aborted) {
-        c.fail("$.streams", "stream bins exceed their scene-level counterparts");
-      }
+    if (st_opened != st_completed + st_quarantined + st_aborted) {
+      c.fail("$.streams", "opened != completed + quarantined + aborted "
+                          "(lost or double-counted streams)");
+    }
+    if (st_drained > st_completed) {
+      c.fail("$.streams", "drained exceeds completed");
+    }
+    if (st_ticks != st_ticks_completed + st_ticks_failed + st_ticks_shed) {
+      c.fail("$.streams", "ticks != ticks_completed + ticks_failed + ticks_shed "
+                          "(lost or double-counted ticks)");
+    }
+    // A stream is one scene: each stream bin is bounded by its scene bin.
+    if (st_completed > completed || st_quarantined > quarantined || st_aborted > aborted) {
+      c.fail("$.streams", "stream bins exceed their scene-level counterparts");
     }
   }
   return violations;

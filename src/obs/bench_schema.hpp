@@ -98,13 +98,13 @@ inline constexpr int kBenchSchemaVersion = 1;
 //
 // Invariants checked beyond shape: submitted == admitted + rejected.* and
 // admitted == completed + quarantined + aborted (exactly-once accounting —
-// the graceful-drain "no lost or double-counted scenes" contract). When
-// "packs" is present: completed equals the sum of per-pack scenes_completed,
-// loaded equals the per_pack length, exactly one pack is active, the active
-// id names that pack — and, unconditionally, a rollup with zero admitted
-// scenes must carry all-zero per-pack scene counts (a drain that served
-// nothing cannot have attributed scenes to any pack). When "streams" is
-// present: opened == completed + quarantined + aborted, drained <= completed,
+// the graceful-drain "no lost or double-counted scenes" contract). Both
+// "packs" and "streams" are required. Packs: completed equals the sum of
+// per-pack scenes_completed, loaded equals the per_pack length, exactly one
+// pack is active, the active id names that pack — and, unconditionally, a
+// rollup with zero admitted scenes must carry all-zero per-pack scene counts
+// (a drain that served nothing cannot have attributed scenes to any pack).
+// Streams: opened == completed + quarantined + aborted, drained <= completed,
 // ticks == ticks_completed + ticks_failed + ticks_shed, and every stream bin
 // is bounded by its scene-level counterpart (a stream is one scene).
 // ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ Engine::Engine(std::shared_ptr<const Program> program,
     : program_(std::move(program)),
       externals_(externals),
       options_(std::move(options)),
-      network_(network_of(program_, std::move(network)), *this, counters_, options_.costs,
+      network_(network_of(program_, std::move(network)), *this, counters_,
                options_.record_cycles) {
   class_wm_.resize(program_->class_count());
   match_mark_ = counters_.match_cost;
@@ -218,7 +218,7 @@ Value Engine::eval(const Expr& expr, const BindingAnalysis& bindings) {
 Value Engine::call_function(Symbol function, std::span<const Value> args) {
   if (externals_ != nullptr) {
     if (const ExternalFn* fn = externals_->find(function)) {
-      ExternalContext ctx(counters_, options_.costs, user_data_);
+      ExternalContext ctx(counters_, user_data_);
       return (*fn)(args, ctx);
     }
   }
@@ -264,7 +264,7 @@ void Engine::fire(const Production& production) {
   ++counters_.firings;
 
   for (const auto& action : production.rhs()) {
-    counters_.rhs_cost += options_.costs.rhs_action;
+    counters_.rhs_cost += util::cost::kRhsAction;
     std::visit(
         [&](const auto& a) {
           using T = std::decay_t<decltype(a)>;
@@ -363,7 +363,7 @@ bool Engine::step() {
 
   // Resolve: the ordered conflict set selects in O(log n); charge that.
   const util::WorkUnits resolve_cost =
-      options_.costs.resolve_per_inst *
+      util::cost::kResolvePerInst *
       static_cast<util::WorkUnits>(1 + std::bit_width(conflict_set_.size() + 1));
   counters_.resolve_cost += resolve_cost;
   const Instantiation* winner = conflict_set_.select();

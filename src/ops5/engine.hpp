@@ -36,7 +36,6 @@ struct EngineConfig {
   /// Record per-cycle match chunks and cost splits (needed by the
   /// match-parallelism model; adds memory proportional to cycles).
   bool record_cycles = false;
-  util::CostModel costs;
 };
 
 /// Per recognize-act cycle: the independently-schedulable match chunk costs

@@ -23,13 +23,12 @@ namespace psmsys::ops5 {
 /// domain store (e.g. the SPAM scene holding region polygons).
 class ExternalContext {
  public:
-  ExternalContext(util::WorkCounters& counters, const util::CostModel& costs,
-                  void* user_data) noexcept
-      : counters_(counters), costs_(costs), user_data_(user_data) {}
+  ExternalContext(util::WorkCounters& counters, void* user_data) noexcept
+      : counters_(counters), user_data_(user_data) {}
 
   /// Charge `flops` elementary geometry operations to RHS cost.
   void charge_flops(std::uint64_t flops) noexcept {
-    counters_.rhs_cost += flops * costs_.geometry_flop;
+    counters_.rhs_cost += flops * util::cost::kGeometryFlop;
   }
 
   [[nodiscard]] void* user_data() const noexcept { return user_data_; }
@@ -41,7 +40,6 @@ class ExternalContext {
 
  private:
   util::WorkCounters& counters_;
-  const util::CostModel& costs_;
   void* user_data_;
 };
 

@@ -38,7 +38,6 @@ struct NaiveMatcher::Impl {
   const ops5::Program& program;
   MatchListener& listener;
   util::WorkCounters& counters;
-  util::CostModel costs;
 
   /// Live WMEs grouped by class.
   std::vector<std::vector<const Wme*>> wm_by_class;
@@ -46,16 +45,15 @@ struct NaiveMatcher::Impl {
   /// Current match set (mirror of what has been reported to the listener).
   std::unordered_set<MatchKey, MatchKeyHash> current;
 
-  Impl(const ops5::Program& prog, MatchListener& lst, util::WorkCounters& ctr,
-       const util::CostModel& cm)
-      : program(prog), listener(lst), counters(ctr), costs(cm) {
+  Impl(const ops5::Program& prog, MatchListener& lst, util::WorkCounters& ctr)
+      : program(prog), listener(lst), counters(ctr) {
     wm_by_class.resize(program.class_count());
   }
 
   [[nodiscard]] bool test_passes(const ops5::AttrTest& test, const Wme& w,
                                  const std::unordered_map<VariableId, Value>& env) {
     ++counters.alpha_tests;
-    counters.match_cost += costs.alpha_test;
+    counters.match_cost += util::cost::kAlphaTest;
     if (!test.is_variable) {
       return ops5::constant_test_passes(test, w.slot(test.slot));
     }
@@ -69,13 +67,13 @@ struct NaiveMatcher::Impl {
   [[nodiscard]] bool ce_matches(const ops5::ConditionElement& ce, const Wme& w,
                                 std::unordered_map<VariableId, Value>& env, bool bind) {
     ++counters.join_probes;
-    counters.match_cost += costs.join_probe;
+    counters.match_cost += util::cost::kJoinProbe;
     std::unordered_map<VariableId, Value> local;
     for (const auto& test : ce.tests) {
       if (test.is_variable && !env.contains(test.var)) {
         // Within-CE repeated variables must agree.
         ++counters.alpha_tests;
-        counters.match_cost += costs.alpha_test;
+        counters.match_cost += util::cost::kAlphaTest;
         const auto it = local.find(test.var);
         if (it == local.end()) {
           local.emplace(test.var, w.slot(test.slot));
@@ -98,7 +96,7 @@ struct NaiveMatcher::Impl {
     const auto lhs = production.lhs();
     if (ce_pos == lhs.size()) {
       out.insert(MatchKey{production.id(), partial});
-      counters.match_cost += costs.conflict_set_op;
+      counters.match_cost += util::cost::kConflictSetOp;
       return;
     }
     const auto& ce = lhs[ce_pos];
@@ -143,8 +141,8 @@ struct NaiveMatcher::Impl {
 };
 
 NaiveMatcher::NaiveMatcher(const ops5::Program& program, MatchListener& listener,
-                           util::WorkCounters& counters, const util::CostModel& costs)
-    : impl_(std::make_unique<Impl>(program, listener, counters, costs)) {
+                           util::WorkCounters& counters)
+    : impl_(std::make_unique<Impl>(program, listener, counters)) {
   if (!program.frozen()) throw std::invalid_argument("NaiveMatcher requires a frozen Program");
 }
 

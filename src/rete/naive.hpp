@@ -23,7 +23,7 @@ namespace psmsys::rete {
 class NaiveMatcher final : public Matcher {
  public:
   NaiveMatcher(const ops5::Program& program, MatchListener& listener,
-               util::WorkCounters& counters, const util::CostModel& costs = {});
+               util::WorkCounters& counters);
   ~NaiveMatcher() override;
 
   void add_wme(const ops5::Wme& wme) override;

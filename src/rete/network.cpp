@@ -699,7 +699,6 @@ struct Network::Impl {
   const CompiledNetwork::Nodes& c;
   MatchListener& listener;
   util::WorkCounters& counters;
-  util::CostModel costs;
   bool record_chunks;
 
   // Tokens, records and join results churn at match time and recycle
@@ -759,12 +758,11 @@ struct Network::Impl {
   std::vector<std::uint64_t> join_acts;
 
   Impl(std::shared_ptr<const CompiledNetwork> net, MatchListener& lst, util::WorkCounters& ctr,
-       const util::CostModel& cm, bool chunks_on)
+       bool chunks_on)
       : compiled(std::move(net)),
         c(*compiled->nodes_),
         listener(lst),
         counters(ctr),
-        costs(cm),
         record_chunks(chunks_on),
         alpha_items(c.alphas.size()),
         right_indexes(c.right_indexes),
@@ -818,7 +816,7 @@ struct Network::Impl {
     t->pos_in_node = static_cast<std::uint32_t>(members.size());
     members.push_back(t);
     ++counters.tokens_created;
-    counters.match_cost += costs.token_op;
+    counters.match_cost += util::cost::kTokenOp;
 #if PSMSYS_OBS
     if (++live_tokens > peak_live_tokens) peak_live_tokens = live_tokens;
 #endif
@@ -827,7 +825,7 @@ struct Network::Impl {
 
   void charge_token_free() {
     ++counters.tokens_deleted;
-    counters.match_cost += costs.token_op;
+    counters.match_cost += util::cost::kTokenOp;
 #if PSMSYS_OBS
     --live_tokens;
 #endif
@@ -848,12 +846,12 @@ struct Network::Impl {
     owner->join_results.push_back(jr);
     jr->pos_in_wrec = static_cast<std::uint32_t>(wrec->neg_results.size());
     wrec->neg_results.push_back(jr);
-    counters.match_cost += costs.negative_op;
+    counters.match_cost += util::cost::kNegativeOp;
     return jr;
   }
 
   void free_jr(NegJoinResult* jr) {
-    counters.match_cost += costs.negative_op;
+    counters.match_cost += util::cost::kNegativeOp;
     join_results.release(jr);
   }
 
@@ -913,17 +911,17 @@ struct Network::Impl {
   [[nodiscard]] bool alpha_passes(const AlphaNode& p, const WmeRecord& w) {
     for (const auto& t : p.const_tests) {
       ++counters.alpha_tests;
-      counters.match_cost += costs.alpha_test;
+      counters.match_cost += util::cost::kAlphaTest;
       if (!apply_predicate(t.pred, rec_slot(w, t.slot), t.value)) return false;
     }
     for (const auto& t : p.intra_tests) {
       ++counters.alpha_tests;
-      counters.match_cost += costs.alpha_test;
+      counters.match_cost += util::cost::kAlphaTest;
       if (!apply_predicate(t.pred, rec_slot(w, t.slot), rec_slot(w, t.other_slot))) return false;
     }
     for (const auto& t : p.disj_tests) {
       ++counters.alpha_tests;
-      counters.match_cost += costs.alpha_test * static_cast<util::WorkUnits>(t.values.size());
+      counters.match_cost += util::cost::kAlphaTest * static_cast<util::WorkUnits>(t.values.size());
       bool any = false;
       for (const auto& v : t.values) {
         if (rec_slot(w, t.slot) == v) {
@@ -939,8 +937,8 @@ struct Network::Impl {
   [[nodiscard]] bool join_passes(std::span<const JoinTest> tests, const Token* t,
                                  const WmeRecord& w) {
     ++counters.join_probes;
-    counters.match_cost += costs.join_probe +
-                           costs.join_test * static_cast<util::WorkUnits>(tests.size());
+    counters.match_cost += util::cost::kJoinProbe +
+                           util::cost::kJoinTest * static_cast<util::WorkUnits>(tests.size());
     for (const auto& test : tests) {
       const WmeRecord* bound = wme_up(t, test.levels_up);
       assert(bound != nullptr);
@@ -1010,7 +1008,7 @@ struct Network::Impl {
         index_token(node, t);
         for (const std::uint32_t j : node.join_children) {
           if (c.joins[j].index_test >= 0 && links[j].left) {
-            counters.match_cost += costs.join_test;  // per-successor index upkeep
+            counters.match_cost += util::cost::kJoinTest;  // per-successor index upkeep
           }
         }
         for (const std::uint32_t j : node.join_children) {
@@ -1030,7 +1028,7 @@ struct Network::Impl {
         // snapshot copy: propagation cannot mutate the bucket (see the
         // in_delta guard).
         if (neg.index_test >= 0) {
-          counters.match_cost += costs.join_test;
+          counters.match_cost += util::cost::kJoinTest;
           index_token(node, t);
           const RightIndex& right = right_index(neg);
           const auto it = right.find(token_key(neg, t));
@@ -1049,7 +1047,7 @@ struct Network::Impl {
       }
       case BetaKind::Production: {
         Token* t = new_token(parent, wme, wrec, s);
-        counters.match_cost += costs.conflict_set_op;
+        counters.match_cost += util::cost::kConflictSetOp;
         listener.on_activate(*node.production, wmes_of(t));
         break;
       }
@@ -1073,7 +1071,7 @@ struct Network::Impl {
 #endif
     const JoinNode& j = c.joins[id];
     if (j.index_test >= 0) {
-      counters.match_cost += costs.join_test;  // hash lookup
+      counters.match_cost += util::cost::kJoinTest;  // hash lookup
       const RightIndex& right = right_index(j);
       const auto it = right.find(token_key(j, t));
       if (it == right.end()) return;
@@ -1098,7 +1096,7 @@ struct Network::Impl {
     const JoinNode& j = c.joins[id];
     const StoreNode& parent = c.stores[j.store];
     if (j.index_test >= 0) {
-      counters.match_cost += costs.join_test;  // hash lookup
+      counters.match_cost += util::cost::kJoinTest;  // hash lookup
       const LeftIndex& left = left_indexes[parent.first_left_index + j.left_ord];
       const auto it = left.find(wme_key(j, w));
       if (it == left.end()) return;
@@ -1124,7 +1122,7 @@ struct Network::Impl {
 #endif
     const JoinNode& neg = c.joins[id];
     if (neg.index_test >= 0) {
-      counters.match_cost += costs.join_test;
+      counters.match_cost += util::cost::kJoinTest;
       const LeftIndex& left = left_indexes[c.stores[neg.store].first_left_index];
       const auto it = left.find(wme_key(neg, w));
       if (it == left.end()) return;
@@ -1163,12 +1161,12 @@ struct Network::Impl {
       unindex_token(node, t);
       for (const std::uint32_t j : node.join_children) {
         if (c.joins[j].index_test >= 0 && links[j].left) {
-          counters.match_cost += costs.join_test;  // per-successor index upkeep
+          counters.match_cost += util::cost::kJoinTest;  // per-successor index upkeep
         }
       }
     }
     if (node.kind == BetaKind::Production) {
-      counters.match_cost += costs.conflict_set_op;
+      counters.match_cost += util::cost::kConflictSetOp;
       listener.on_deactivate(*node.production, wmes_of(t));
     }
     if (node.kind == BetaKind::Negative) {
@@ -1179,7 +1177,7 @@ struct Network::Impl {
       }
       t->join_results.clear();
       if (c.joins[node.join].index_test >= 0) {
-        counters.match_cost += costs.join_test;
+        counters.match_cost += util::cost::kJoinTest;
         unindex_token(node, t);
       }
     }
@@ -1204,8 +1202,8 @@ struct Network::Impl {
   /// chunk of that cost per pattern in its dispatch position.
   void charge_skipped(std::uint32_t n) {
     counters.alpha_tests += n;
-    counters.match_cost += costs.alpha_test * n;
-    if (record_chunks) chunks.insert(chunks.end(), n, costs.alpha_test);
+    counters.match_cost += util::cost::kAlphaTest * n;
+    if (record_chunks) chunks.insert(chunks.end(), n, util::cost::kAlphaTest);
   }
 
   /// The per-successor right-index upkeep charges of a memory's linked
@@ -1213,7 +1211,9 @@ struct Network::Impl {
   void charge_right_upkeep(const AlphaNode& am) {
     for (const auto* successors : {&am.join_successors, &am.negative_successors}) {
       for (const std::uint32_t j : *successors) {
-        if (c.joins[j].index_test >= 0 && links[j].right) counters.match_cost += costs.join_test;
+        if (c.joins[j].index_test >= 0 && links[j].right) {
+          counters.match_cost += util::cost::kJoinTest;
+        }
       }
     }
   }
@@ -1249,7 +1249,7 @@ struct Network::Impl {
 #if PSMSYS_OBS
         ++alpha_acts[a];
 #endif
-        counters.match_cost += costs.alpha_mem_insert;
+        counters.match_cost += util::cost::kAlphaMemInsert;
         std::vector<AmItem>& items = alpha_items[a];
         const auto am_slot = static_cast<std::uint32_t>(rec->alpha_mems.size());
         const auto right_base = static_cast<std::uint32_t>(rec->right_pos.size());
@@ -1287,7 +1287,7 @@ struct Network::Impl {
 
     const util::WorkUnits before = counters.match_cost;
     for (const WmeRecord::AmRef& ref : rec->alpha_mems) {
-      counters.match_cost += costs.alpha_mem_insert;
+      counters.match_cost += util::cost::kAlphaMemInsert;
       const AlphaNode& am = c.alphas[ref.alpha];
       std::vector<AmItem>& items = alpha_items[ref.alpha];
       swap_erase(items, ref.item_pos, [](const AmItem& moved, std::uint32_t p) {
@@ -1525,15 +1525,13 @@ namespace {
 }  // namespace
 
 Network::Network(std::shared_ptr<const CompiledNetwork> compiled, MatchListener& listener,
-                 util::WorkCounters& counters, const util::CostModel& costs, bool record_chunks)
+                 util::WorkCounters& counters, bool record_chunks)
     : impl_(std::make_unique<Impl>(require_compiled(std::move(compiled)), listener, counters,
-                                   costs, record_chunks)) {}
+                                   record_chunks)) {}
 
 Network::Network(const ops5::Program& program, MatchListener& listener,
-                 util::WorkCounters& counters, const util::CostModel& costs,
-                 const NetworkOptions& options)
-    : Network(std::make_shared<const CompiledNetwork>(program, options), listener, counters,
-              costs) {}
+                 util::WorkCounters& counters, const NetworkOptions& options)
+    : Network(std::make_shared<const CompiledNetwork>(program, options), listener, counters) {}
 
 Network::~Network() = default;
 

@@ -19,11 +19,11 @@
 // each Network holds one engine's match state over it.
 //
 // Instrumentation: every elementary operation charges the engine's
-// WorkCounters via the CostModel, and each (WME-change × alpha-pattern)
-// cascade is recorded as one *match chunk*. Chunks are the unit ParaOPS5
-// distributes over dedicated match processes (its subtasks "execute only
-// about 100 instructions"), so the psm match-parallelism model bin-packs
-// exactly these chunk costs.
+// WorkCounters at the util::cost weights, and each (WME-change ×
+// alpha-pattern) cascade is recorded as one *match chunk*. Chunks are the
+// unit ParaOPS5 distributes over dedicated match processes (its subtasks
+// "execute only about 100 instructions"), so the psm match-parallelism model
+// bin-packs exactly these chunk costs.
 
 #include <cstdint>
 #include <memory>
@@ -150,12 +150,11 @@ class Network final : public Matcher {
   /// charged to `counters`; match chunks are recorded only with
   /// `record_chunks` (the match-parallelism model needs them).
   Network(std::shared_ptr<const CompiledNetwork> compiled, MatchListener& listener,
-          util::WorkCounters& counters, const util::CostModel& costs = {},
-          bool record_chunks = true);
+          util::WorkCounters& counters, bool record_chunks = true);
   /// Compiles `program` for this network alone. The program must be frozen
   /// and must outlive the network.
   Network(const ops5::Program& program, MatchListener& listener, util::WorkCounters& counters,
-          const util::CostModel& costs = {}, const NetworkOptions& options = {});
+          const NetworkOptions& options = {});
   ~Network() override;
 
   Network(const Network&) = delete;

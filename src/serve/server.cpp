@@ -18,8 +18,8 @@ namespace psmsys::serve {
 /// the degenerate form — a single pre-enqueued tick with closed already set —
 /// so the worker-side protocol below is the only execution path.
 ///
-/// Lock ordering: a thread holding the server's mu_ may acquire mu (submit
-/// does, building the one-shot before publication); never the reverse.
+/// Lock ordering: a thread holding the server's mu_ may acquire mu
+/// (stream_tick does, to queue and count a tick at once); never the reverse.
 struct StreamState {
   SceneId id = 0;
   std::string label;
@@ -50,8 +50,6 @@ namespace {
 /// Ticks a stream may hold queued behind the one its worker runs; the next
 /// is shed with RejectReason::QueueFull (DESIGN §16.2).
 constexpr std::size_t kStreamTickCapacity = 16;
-/// How often the watchdog scans the busy slots (DESIGN §14.4).
-constexpr std::chrono::milliseconds kWatchdogPoll{1};
 
 std::int64_t ns_between(std::chrono::steady_clock::time_point a,
                         std::chrono::steady_clock::time_point b) {
@@ -60,15 +58,6 @@ std::int64_t ns_between(std::chrono::steady_clock::time_point a,
 
 std::string pack_label(const std::string& name, const std::string& version) {
   return version.empty() ? name : name + "@" + version;
-}
-
-/// Registry identity of a candidate: explicit name/version win, then the
-/// program's `(pack ...)` metadata, then a plain default.
-void resolve_identity(const PackCandidate& candidate, std::string& name,
-                      std::string& version) {
-  name = candidate.name.empty() ? candidate.program->pack_name() : candidate.name;
-  version = candidate.version.empty() ? candidate.program->pack_version() : candidate.version;
-  if (name.empty()) name = "pack";
 }
 
 }  // namespace
@@ -191,31 +180,23 @@ Server::Server(std::shared_ptr<const SharedRuleBase> rulebase, ServerOptions opt
     boot.workers_on = options_.workers;
     active_pack_id_ = boot.id;
     packs_.push_back(std::move(boot));
+    books_.engine.task_processes = options_.workers;
   }
 
-  slots_.reserve(options_.workers);
   contexts_.reserve(options_.workers);
   context_pack_ids_.assign(options_.workers, 1);
   for (std::size_t i = 0; i < options_.workers; ++i) {
-    slots_.push_back(std::make_unique<WorkerSlot>());
     // Built serially before any thread starts: engine compilation over the
     // shared artifacts plus one base_init per context, exactly once.
     contexts_.push_back(
         std::make_unique<EngineContext>(rulebase_, options_.base_init, session_wrapped_));
   }
 
-  {
-    const util::MutexLock lock(mu_);
-    engine_.task_processes = options_.workers;
-  }
   start_ = std::chrono::steady_clock::now();
 
   threads_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i) {
     threads_.emplace_back([this, i] { worker_loop(i); });
-  }
-  if (options_.watchdog_budget.count() > 0) {
-    watchdog_ = std::thread([this] { watchdog_loop(); });
   }
 }
 
@@ -241,21 +222,8 @@ SubmitResult Server::submit(SceneJob job) {
   {
     const util::MutexLock lock(mu_);
     result.scene = stream->id = next_scene_++;
-    if (stopped_) {
-      result.rejected = RejectReason::Stopped;
-      ++rejected_draining_;
-      return result;
-    }
-    if (draining_) {
-      result.rejected = RejectReason::Draining;
-      ++rejected_draining_;
-      return result;
-    }
-    if (queue_.size() >= options_.queue_capacity) {
-      result.rejected = RejectReason::QueueFull;
-      ++rejected_queue_full_;
-      return result;
-    }
+    result.rejected = shed_locked();
+    if (result.rejected != RejectReason::None) return result;
     result.report = stream->scene_promise.get_future();
     queue_.push_back(std::move(stream));
   }
@@ -273,17 +241,9 @@ StreamHandle Server::open_stream(std::string label) {
   {
     const util::MutexLock lock(mu_);
     handle.id_ = stream->id = next_scene_++;
-    if (stopped_) {
-      handle.rejected_ = RejectReason::Stopped;
-      ++rejected_draining_;
-    } else if (draining_) {
-      handle.rejected_ = RejectReason::Draining;
-      ++rejected_draining_;
-    } else if (queue_.size() >= options_.queue_capacity) {
-      handle.rejected_ = RejectReason::QueueFull;
-      ++rejected_queue_full_;
-    } else {
-      ++streams_opened_;
+    handle.rejected_ = shed_locked();
+    if (handle.rejected_ == RejectReason::None) {
+      ++books_.streams.opened;
       std::erase_if(stream_registry_,
                     [](const std::weak_ptr<StreamState>& w) { return w.expired(); });
       stream_registry_.push_back(stream);
@@ -307,17 +267,16 @@ StreamHandle Server::open_stream(std::string label) {
 
 SubmitTickResult Server::stream_tick(const std::shared_ptr<StreamState>& stream, SceneJob job) {
   SubmitTickResult result;
-  bool shed_draining = false;
   {
+    // The tick is counted in the same critical section that queues it: the
+    // worker books its outcome under mu_, so no rollup can see the outcome
+    // of a tick that `ticks` does not count yet.
     const util::MutexLock lock(mu_);
-    shed_draining = draining_ || stopped_;
-  }
-  {
-    const util::MutexLock lock(stream->mu);
+    const util::MutexLock stream_lock(stream->mu);
     result.tick = stream->next_seq++;
     if (stream->dead || stream->closed || stream->force_close) {
       result.rejected = RejectReason::StreamClosed;
-    } else if (shed_draining) {
+    } else if (draining_ || stopped_) {
       result.rejected = RejectReason::Draining;
     } else if (stream->ticks.size() >= kStreamTickCapacity) {
       result.rejected = RejectReason::QueueFull;
@@ -330,11 +289,8 @@ SubmitTickResult Server::stream_tick(const std::shared_ptr<StreamState>& stream,
       t.promise = std::move(promise);
       t.enqueued = std::chrono::steady_clock::now();
     }
-  }
-  {
-    const util::MutexLock lock(mu_);
-    ++ticks_;
-    if (result.rejected != RejectReason::None) ++ticks_shed_;
+    ++books_.streams.ticks;
+    if (result.rejected != RejectReason::None) ++books_.streams.ticks_shed;
   }
   stream->cv.notify_all();
   return result;
@@ -363,7 +319,6 @@ std::future<StreamReport> StreamHandle::close() {
 }
 
 void Server::worker_loop(std::size_t index) {
-  WorkerSlot& slot = *slots_[index];
   for (;;) {
     std::shared_ptr<StreamState> stream;
     std::uint64_t my_pack = 0;
@@ -402,12 +357,12 @@ void Server::worker_loop(std::size_t index) {
       context_pack_ids_[index] = my_pack;
     }
 
-    run_stream(index, slot, stream, my_pack);
+    run_stream(index, stream, my_pack);
   }
 }
 
-void Server::run_stream(std::size_t index, WorkerSlot& slot,
-                        const std::shared_ptr<StreamState>& stream, std::uint64_t pack_id) {
+void Server::run_stream(std::size_t index, const std::shared_ptr<StreamState>& stream,
+                        std::uint64_t pack_id) {
   const auto dequeued = std::chrono::steady_clock::now();
   Session session(stream->id, *contexts_[index]);
   session.begin();
@@ -445,23 +400,19 @@ void Server::run_stream(std::size_t index, WorkerSlot& slot,
     }
     if (!have_tick) break;
 
-    // The watchdog budget covers a tick, not the stream: the slot is busy
-    // only while a tick executes, so an idle open stream never trips it.
+    // The wall-clock budget covers a tick and its retries, not the stream:
+    // it starts with the tick, so an idle open stream never trips it. The
+    // session polls it between cycle slices; without a budget the tick runs
+    // unsliced.
     const auto tick_start = std::chrono::steady_clock::now();
-    {
-      const util::MutexLock lock(mu_);
-      slot.scene = stream->id;
-      slot.busy_since = tick_start;
-      slot.busy = true;
-      slot.abort.store(false, std::memory_order_relaxed);
+    std::function<bool()> over_budget;
+    if (options_.watchdog_budget.count() > 0) {
+      over_budget = [deadline = tick_start + options_.watchdog_budget] {
+        return std::chrono::steady_clock::now() > deadline;
+      };
     }
-    Session::TickOutcome out = session.run_tick(
-        tick.job, [&slot] { return slot.abort.load(std::memory_order_relaxed); });
+    Session::TickOutcome out = session.run_tick(tick.job, over_budget);
     const auto tick_done = std::chrono::steady_clock::now();
-    {
-      const util::MutexLock lock(mu_);
-      slot.busy = false;
-    }
 
     ++rollup.ticks;
     if (out.attempts > 1) rollup.tick_retries += out.attempts - 1;
@@ -560,43 +511,45 @@ void Server::run_stream(std::size_t index, WorkerSlot& slot,
 
   {
     const util::MutexLock lock(mu_);
-    retries_ += rollup.tick_retries;
+    ServerStats& b = books_;
+    b.retries += rollup.tick_retries;
     // A stream is one scene in the top-level bins: opened streams were
     // admitted, and the stream's terminal status is its scene status — so
     // submitted == admitted + rejected and admitted == completed +
     // quarantined + aborted hold across both submission flavors.
     switch (rollup.status) {
       case SceneStatus::Completed:
-        ++completed_;
+        ++b.completed;
         latencies_ns_.push_back(stream->oneshot ? scene.latency_ns : rollup.open_ns);
-        engine_.add_counters(stream_counters);
-        ++engine_.tasks;
+        b.engine.add_counters(stream_counters);
+        ++b.engine.tasks;
         if (PackRecord* rec = find_pack_locked(pack_id)) ++rec->scenes_completed;
         break;
       case SceneStatus::Quarantined:
-        ++quarantined_;
-        ++engine_.quarantined;
+        ++b.quarantined;
+        ++b.engine.quarantined;
         break;
       case SceneStatus::Aborted:
-        ++aborted_;
+        ++b.aborted;
         break;
       case SceneStatus::Rejected:
         break;  // unreachable: enqueued streams are never Rejected
     }
     if (!stream->oneshot) {
+      StreamStats& st = b.streams;
       switch (rollup.status) {
-        case SceneStatus::Completed: ++streams_completed_; break;
-        case SceneStatus::Quarantined: ++streams_quarantined_; break;
-        case SceneStatus::Aborted: ++streams_aborted_; break;
+        case SceneStatus::Completed: ++st.completed; break;
+        case SceneStatus::Quarantined: ++st.quarantined; break;
+        case SceneStatus::Aborted: ++st.aborted; break;
         case SceneStatus::Rejected: break;
       }
-      if (drained_by_server) ++streams_drained_;
-      ticks_completed_ += rollup.ticks_completed;
-      ticks_failed_ += rollup.ticks - rollup.ticks_completed;
-      ticks_shed_ += abandoned.size();
-      tick_retries_ += rollup.tick_retries;
-      wmes_streamed_ += rollup.wmes_streamed;
-      peak_resident_wm_ = std::max(peak_resident_wm_, rollup.peak_wm);
+      if (drained_by_server) ++st.drained;
+      st.ticks_completed += rollup.ticks_completed;
+      st.ticks_failed += rollup.ticks - rollup.ticks_completed;
+      st.ticks_shed += abandoned.size();
+      st.tick_retries += rollup.tick_retries;
+      st.wmes_streamed += rollup.wmes_streamed;
+      st.peak_resident_wm = std::max(st.peak_resident_wm, rollup.peak_wm);
       tick_latencies_ns_.insert(tick_latencies_ns_.end(), tick_latencies.begin(),
                                 tick_latencies.end());
     }
@@ -607,22 +560,6 @@ void Server::run_stream(std::size_t index, WorkerSlot& slot,
     stream->scene_promise.set_value(std::move(scene));
   } else {
     stream->close_promise.set_value(std::move(rollup));
-  }
-}
-
-void Server::watchdog_loop() {
-  while (!watchdog_stop_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(kWatchdogPoll);
-    const auto now = std::chrono::steady_clock::now();
-    const util::MutexLock lock(mu_);
-    for (const auto& slot : slots_) {
-      if (slot->busy && now - slot->busy_since > options_.watchdog_budget) {
-        // The scene observes this between cycle slices, throws TaskAborted,
-        // and rolls back; start/finish transitions happen under mu_, so the
-        // flag can never hit a scene other than the one scanned here.
-        slot->abort.store(true, std::memory_order_relaxed);
-      }
-    }
   }
 }
 
@@ -651,8 +588,6 @@ ServerStats Server::drain() {
     for (auto& t : threads_) {
       if (t.joinable()) t.join();
     }
-    watchdog_stop_.store(true, std::memory_order_relaxed);
-    if (watchdog_.joinable()) watchdog_.join();
     const util::MutexLock lock(mu_);
     stopped_ = true;
     final_wall_ns_ = ns_between(start_, std::chrono::steady_clock::now());
@@ -665,48 +600,35 @@ ServerStats Server::stats() const {
   return stats_locked();
 }
 
+RejectReason Server::shed_locked() {
+  if (stopped_ || draining_) {
+    ++books_.rejected_draining;
+    return stopped_ ? RejectReason::Stopped : RejectReason::Draining;
+  }
+  if (queue_.size() >= options_.queue_capacity) {
+    ++books_.rejected_queue_full;
+    return RejectReason::QueueFull;
+  }
+  return RejectReason::None;
+}
+
 ServerStats Server::stats_locked() const {
-  ServerStats s;
+  ServerStats s = books_;
   s.workers = options_.workers;
-  s.rejected_queue_full = rejected_queue_full_;
-  s.rejected_draining = rejected_draining_;
   s.submitted = next_scene_;
-  s.admitted = next_scene_ - rejected_queue_full_ - rejected_draining_;
-  s.completed = completed_;
-  s.quarantined = quarantined_;
-  s.aborted = aborted_;
-  s.retries = retries_;
+  s.admitted = next_scene_ - s.rejected_queue_full - s.rejected_draining;
   s.wall_ns =
       final_wall_ns_ >= 0 ? final_wall_ns_ : ns_between(start_, std::chrono::steady_clock::now());
-  s.scenes_per_sec = s.wall_ns > 0 ? static_cast<double>(s.completed) /
-                                         (static_cast<double>(s.wall_ns) * 1e-9)
-                                   : 0.0;
+  const double wall_s = static_cast<double>(s.wall_ns) * 1e-9;
+  s.scenes_per_sec = s.wall_ns > 0 ? static_cast<double>(s.completed) / wall_s : 0.0;
   s.latency = obs::summarize_latency_ns(latencies_ns_);
-  s.engine = engine_;
-  s.engine.retries = retries_;
+  s.engine.retries = s.retries;
   s.engine.wall_ns = s.wall_ns;
-
-  s.streams.opened = streams_opened_;
-  s.streams.completed = streams_completed_;
-  s.streams.quarantined = streams_quarantined_;
-  s.streams.aborted = streams_aborted_;
-  s.streams.drained = streams_drained_;
-  s.streams.ticks = ticks_;
-  s.streams.ticks_completed = ticks_completed_;
-  s.streams.ticks_failed = ticks_failed_;
-  s.streams.ticks_shed = ticks_shed_;
-  s.streams.tick_retries = tick_retries_;
-  s.streams.wmes_streamed = wmes_streamed_;
-  s.streams.peak_resident_wm = peak_resident_wm_;
   s.streams.tick_latency = obs::summarize_latency_ns(tick_latencies_ns_);
-  s.streams.ticks_per_sec = s.wall_ns > 0 ? static_cast<double>(s.streams.ticks_completed) /
-                                                (static_cast<double>(s.wall_ns) * 1e-9)
-                                          : 0.0;
+  s.streams.ticks_per_sec =
+      s.wall_ns > 0 ? static_cast<double>(s.streams.ticks_completed) / wall_s : 0.0;
 
   s.packs_loaded = packs_.size();
-  s.packs_rejected = packs_rejected_;
-  s.pack_swaps = pack_swaps_;
-  s.pack_rollbacks = pack_rollbacks_;
   s.active_pack = active_pack_id_;
   s.packs.reserve(packs_.size());
   for (const auto& rec : packs_) {
@@ -756,8 +678,9 @@ LoadResult Server::stage_pack(const PackCandidate& candidate) {
     live_version = live->version;
   }
 
-  std::string cand_name, cand_version;
-  resolve_identity(candidate, cand_name, cand_version);
+  std::string cand_name = candidate.program->pack_name();
+  std::string cand_version = candidate.program->pack_version();
+  if (cand_name.empty()) cand_name = "pack";
 
   analysis::PackInput live_input;
   live_input.label = pack_label(live_name, live_version);
@@ -778,10 +701,9 @@ LoadResult Server::stage_pack(const PackCandidate& candidate) {
 
   std::shared_ptr<const SharedRuleBase> compiled;
   if (out.accepted) {
-    // Candidate engines inherit the live pack's options unless overridden.
-    const ops5::EngineConfig opts =
-        candidate.engine_options ? *candidate.engine_options : live_rb->engine_options();
-    compiled = SharedRuleBase::compile(candidate.program, candidate.externals, opts);
+    // Candidate engines inherit the live pack's options.
+    compiled = SharedRuleBase::compile(candidate.program, candidate.externals,
+                                       live_rb->engine_options());
   }
 
   {
@@ -796,7 +718,7 @@ LoadResult Server::stage_pack(const PackCandidate& candidate) {
     rec.verdict_json = out.verdict.to_json().dump(2);
     rec.rulebase = std::move(compiled);
     out.pack = rec.id;
-    if (!out.accepted) ++packs_rejected_;
+    if (!out.accepted) ++books_.packs_rejected;
     packs_.push_back(std::move(rec));
   }
   return out;
@@ -822,9 +744,9 @@ bool Server::activate_locked(std::uint64_t pack, bool is_rollback, std::string* 
   rollback_pack_id_ = active_pack_id_;
   active_pack_id_ = pack;
   if (is_rollback) {
-    ++pack_rollbacks_;
+    ++books_.pack_rollbacks;
   } else {
-    ++pack_swaps_;
+    ++books_.pack_swaps;
   }
   return true;
 }

@@ -9,9 +9,9 @@
 //    without bound: a full queue (or a draining/stopped server) sheds the
 //    scene with a typed RejectReason instead.
 //  * Runaway containment — per-session cycle deadlines (deterministic,
-//    retry-then-quarantine) plus a wall-clock watchdog thread that aborts
-//    sessions stuck past their host-time budget; both paths roll the
-//    session's engine back to base working memory.
+//    retry-then-quarantine) plus a wall-clock budget per tick, which the
+//    tick checks against its own start time between cycle slices (no
+//    watchdog thread); both paths roll the session's engine back.
 //  * Fault isolation — every scene executes under the undo log and is
 //    always rolled back after collection, so faulted/poisoned scenes cannot
 //    perturb healthy ones (their firing logs stay byte-identical).
@@ -38,7 +38,6 @@
 // Mutex discipline is machine-checked: all shared state is GUARDED_BY(mu_)
 // via clang -Wthread-safety over the annotated util::Mutex wrapper.
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -73,9 +72,11 @@ struct ServerOptions {
   std::function<void(ops5::Engine&)> base_init;
   /// Per-session execution policy (deadlines, retries, capture, injection).
   SessionOptions session;
-  /// Wall-clock budget per scene — per TICK for streams, since a stream is
-  /// only busy while a tick runs — before the watchdog aborts it (0 = off).
-  /// The watchdog checks every millisecond.
+  /// Wall-clock budget per scene — per TICK for streams, so an idle open
+  /// stream never trips it (0 = off). It starts when the tick starts and
+  /// covers the tick's retries; the tick compares the clock with it every 64
+  /// cycles and, once over, rolls back and ends Aborted. With no budget a
+  /// tick runs unsliced.
   std::chrono::milliseconds watchdog_budget{0};
 
   /// The live independence certificate that stage_pack()/load_pack()'s
@@ -98,18 +99,13 @@ struct SubmitResult {
   [[nodiscard]] bool admitted() const noexcept { return rejected == RejectReason::None; }
 };
 
-/// A candidate rule pack for hot-reload.
+/// A candidate rule pack for hot-reload. Its identity is the program's
+/// `(pack name version)` metadata ("pack" when absent), and its sessions run
+/// with the engine options of the pack active when it is staged.
 struct PackCandidate {
-  /// Display identity; when empty, taken from the program's `(pack ...)`
-  /// metadata, falling back to "pack".
-  std::string name;
-  std::string version;
   std::shared_ptr<const ops5::Program> program;  ///< frozen
   /// Must outlive the server (nullptr = no externals).
   const ops5::ExternalRegistry* externals = nullptr;
-  /// Engine options for sessions on this pack; unset inherits the options of
-  /// the pack that is active when the candidate is staged.
-  std::optional<ops5::EngineConfig> engine_options;
 };
 
 enum class PackState : std::uint8_t {
@@ -150,7 +146,7 @@ struct StreamStats {
   std::uint64_t opened = 0;  ///< streams admitted via open_stream()
   std::uint64_t completed = 0;
   std::uint64_t quarantined = 0;  ///< a tick exhausted its attempts
-  std::uint64_t aborted = 0;      ///< a tick hit the wall-clock watchdog
+  std::uint64_t aborted = 0;      ///< a tick ran past its wall-clock budget
   std::uint64_t drained = 0;      ///< completed by a server drain force-close
   std::uint64_t ticks = 0;        ///< tick submissions (admitted + shed)
   std::uint64_t ticks_completed = 0;
@@ -215,8 +211,8 @@ class Server {
   [[nodiscard]] StreamHandle open_stream(std::string label = {});
 
   /// Graceful shutdown: stop admitting, execute everything already admitted,
-  /// join workers and watchdog, return the final rollup. Idempotent and
-  /// thread-safe; later submits shed with RejectReason::Stopped.
+  /// join the workers, return the final rollup. Idempotent and thread-safe;
+  /// later submits shed with RejectReason::Stopped.
   ServerStats drain();
 
   /// Point-in-time rollup (wall = elapsed so far until drained).
@@ -263,15 +259,6 @@ class Server {
  private:
   friend class StreamHandle;
 
-  /// Watchdog view of one worker, guarded by mu_ except the abort flag,
-  /// which the session's cancel predicate reads lock-free mid-scene.
-  struct WorkerSlot {
-    SceneId scene = 0;
-    std::chrono::steady_clock::time_point busy_since{};
-    bool busy = false;
-    std::atomic<bool> abort{false};
-  };
-
   /// One registry entry. rulebase is null exactly for rejected packs.
   struct PackRecord {
     std::uint64_t id = 0;
@@ -289,12 +276,14 @@ class Server {
   void worker_loop(std::size_t index);
   /// Serve one dequeued stream to its terminal state on worker `index`
   /// (also the one-shot path: submit() enqueues a one-tick closed stream).
-  void run_stream(std::size_t index, WorkerSlot& slot,
-                  const std::shared_ptr<StreamState>& stream, std::uint64_t pack_id);
+  void run_stream(std::size_t index, const std::shared_ptr<StreamState>& stream,
+                  std::uint64_t pack_id);
   /// StreamHandle backends (handles must not outlive the server).
   SubmitTickResult stream_tick(const std::shared_ptr<StreamState>& stream, SceneJob job);
   void stream_close(const std::shared_ptr<StreamState>& stream);
-  void watchdog_loop();
+  /// Why a new scene or stream is shed right now (None = admit it); counts
+  /// the rejection in the books.
+  [[nodiscard]] RejectReason shed_locked() PSMSYS_REQUIRES(mu_);
   [[nodiscard]] ServerStats stats_locked() const PSMSYS_REQUIRES(mu_);
   [[nodiscard]] PackRecord* find_pack_locked(std::uint64_t id) PSMSYS_REQUIRES(mu_);
   [[nodiscard]] const PackRecord* find_pack_locked(std::uint64_t id) const
@@ -321,49 +310,25 @@ class Server {
   bool stopped_ PSMSYS_GUARDED_BY(mu_) = false;
   SceneId next_scene_ PSMSYS_GUARDED_BY(mu_) = 0;
 
-  // Accounting (guarded by mu_).
-  std::uint64_t rejected_queue_full_ PSMSYS_GUARDED_BY(mu_) = 0;
-  std::uint64_t rejected_draining_ PSMSYS_GUARDED_BY(mu_) = 0;
-  std::uint64_t completed_ PSMSYS_GUARDED_BY(mu_) = 0;
-  std::uint64_t quarantined_ PSMSYS_GUARDED_BY(mu_) = 0;
-  std::uint64_t aborted_ PSMSYS_GUARDED_BY(mu_) = 0;
-  std::uint64_t retries_ PSMSYS_GUARDED_BY(mu_) = 0;
+  /// The counters of the rollup, updated in place; stats_locked() fills in
+  /// the derived fields (submitted, admitted, wall, rates, latencies, packs).
+  /// Stream counters cover real streams only — one-shot wrappers report in
+  /// the scene bins.
+  ServerStats books_ PSMSYS_GUARDED_BY(mu_);
   std::vector<std::int64_t> latencies_ns_ PSMSYS_GUARDED_BY(mu_);
-  obs::RunMetrics engine_ PSMSYS_GUARDED_BY(mu_);
-  std::int64_t final_wall_ns_ PSMSYS_GUARDED_BY(mu_) = -1;
-
-  // Streaming accounting (guarded by mu_; real streams only — one-shot
-  // wrappers report through the scene bins above).
-  std::uint64_t streams_opened_ PSMSYS_GUARDED_BY(mu_) = 0;
-  std::uint64_t streams_completed_ PSMSYS_GUARDED_BY(mu_) = 0;
-  std::uint64_t streams_quarantined_ PSMSYS_GUARDED_BY(mu_) = 0;
-  std::uint64_t streams_aborted_ PSMSYS_GUARDED_BY(mu_) = 0;
-  std::uint64_t streams_drained_ PSMSYS_GUARDED_BY(mu_) = 0;
-  std::uint64_t ticks_ PSMSYS_GUARDED_BY(mu_) = 0;
-  std::uint64_t ticks_completed_ PSMSYS_GUARDED_BY(mu_) = 0;
-  std::uint64_t ticks_failed_ PSMSYS_GUARDED_BY(mu_) = 0;
-  std::uint64_t ticks_shed_ PSMSYS_GUARDED_BY(mu_) = 0;
-  std::uint64_t tick_retries_ PSMSYS_GUARDED_BY(mu_) = 0;
-  std::uint64_t wmes_streamed_ PSMSYS_GUARDED_BY(mu_) = 0;
-  std::uint64_t peak_resident_wm_ PSMSYS_GUARDED_BY(mu_) = 0;
   std::vector<std::int64_t> tick_latencies_ns_ PSMSYS_GUARDED_BY(mu_);
+  std::int64_t final_wall_ns_ PSMSYS_GUARDED_BY(mu_) = -1;
 
   // Pack registry (guarded by mu_). Exactly one record is Active.
   std::vector<PackRecord> packs_ PSMSYS_GUARDED_BY(mu_);
   std::uint64_t active_pack_id_ PSMSYS_GUARDED_BY(mu_) = 0;
   std::uint64_t rollback_pack_id_ PSMSYS_GUARDED_BY(mu_) = 0;  ///< 0 = none
   std::uint64_t next_pack_id_ PSMSYS_GUARDED_BY(mu_) = 1;
-  std::uint64_t pack_swaps_ PSMSYS_GUARDED_BY(mu_) = 0;
-  std::uint64_t pack_rollbacks_ PSMSYS_GUARDED_BY(mu_) = 0;
-  std::uint64_t packs_rejected_ PSMSYS_GUARDED_BY(mu_) = 0;
 
   util::Mutex sink_mu_;  ///< serializes trace_sink lines across sessions
-  std::vector<std::unique_ptr<WorkerSlot>> slots_;
   std::vector<std::unique_ptr<EngineContext>> contexts_;  ///< worker-owned
   std::vector<std::uint64_t> context_pack_ids_;  ///< worker-owned
   std::vector<std::thread> threads_;
-  std::thread watchdog_;
-  std::atomic<bool> watchdog_stop_{false};
   std::once_flag drain_once_;
 };
 

@@ -28,7 +28,7 @@ const char* to_string(RejectReason reason) noexcept {
   return "?";
 }
 
-/// Cycles between watchdog-abort polls while a scene runs.
+/// Cycles between polls of the wall-clock budget while a scene runs.
 constexpr std::uint64_t kAbortCheckEvery = 64;
 
 EngineContext::EngineContext(std::shared_ptr<const SharedRuleBase> rulebase,
@@ -87,7 +87,7 @@ Session::TickOutcome Session::run_tick(const SceneJob& job,
       out.live_tokens = context_.engine().network().live_tokens();
       break;
     } catch (const psm::TaskAborted&) {
-      // Watchdog wall-clock abort: terminal, no retry — the budget that
+      // Wall-clock budget abort: terminal, no retry — the budget that
       // tripped is host time, so a retry would just burn it again.
       out.status = SceneStatus::Aborted;
       out.error = "aborted by watchdog";

@@ -47,7 +47,7 @@ enum class SceneStatus : std::uint8_t {
   Completed,    ///< quiesced within its deadline; results collected
   Rejected,     ///< shed at admission (see RejectReason); never executed
   Quarantined,  ///< failed/overran max_attempts times; rolled back each time
-  Aborted,      ///< watchdog wall-clock abort; rolled back
+  Aborted,      ///< ran past its wall-clock budget; rolled back
 };
 
 /// Why admission shed a scene or a stream tick (SceneStatus::Rejected).
@@ -83,7 +83,7 @@ struct SessionOptions {
   /// Recognize-act cycles of the first attempt (0 = unlimited). The
   /// deterministic runaway bound: a scene that exceeds it is rolled back and
   /// retried with the deadline doubled, then quarantined after max_attempts.
-  /// The wall-clock watchdog's abort is polled every 64 cycles.
+  /// The caller's wall-clock budget is polled every 64 cycles.
   std::uint64_t cycle_deadline = 0;
   std::size_t max_attempts = 2;  ///< attempts before quarantine (min 1)
   /// Capture each scene's watch-level-1 firing log into SceneReport
@@ -139,7 +139,7 @@ class Session {
   /// Execute the scene: one tick between begin() and finish(). The context
   /// is back at its base working memory when this returns, whatever the
   /// outcome. `aborted` (may be empty) is polled between cycle slices for
-  /// the wall-clock watchdog.
+  /// the wall-clock budget.
   [[nodiscard]] SceneReport run(const SceneJob& job, const std::function<bool()>& aborted);
 
   /// What one tick produced (the session-level slice of TickReport).

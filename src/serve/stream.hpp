@@ -10,7 +10,8 @@
 // back only when the stream closes, so a recycled context is bit-identical
 // to fresh. One-shot submission is the degenerate case: Server::submit() is
 // a thin wrapper over a one-tick, pre-closed stream, so admission, shedding,
-// deadlines, pack binding, and the watchdog have exactly one code path.
+// deadlines, pack binding, and the wall-clock budget have exactly one code
+// path.
 
 #include <cstdint>
 #include <future>

@@ -15,19 +15,20 @@ namespace psmsys::util {
 
 /// Cost charged per elementary operation (in work units). These are relative
 /// weights, not host cycles; they make match cost dominated by join activity
-/// (as in real Rete) and RHS cost dominated by external geometry.
-struct CostModel {
-  WorkUnits alpha_test = 2;           ///< one constant test in the alpha net
-  WorkUnits alpha_mem_insert = 2;     ///< insertion/removal in an alpha memory
-  WorkUnits join_probe = 4;           ///< one token×WME consistency probe
-  WorkUnits join_test = 1;            ///< one variable-binding equality test
-  WorkUnits token_op = 4;             ///< beta-memory token create/delete
-  WorkUnits negative_op = 3;          ///< negative-node bookkeeping
-  WorkUnits conflict_set_op = 4;      ///< conflict-set insert/remove
-  WorkUnits resolve_per_inst = 2;     ///< conflict resolution, per instantiation
-  WorkUnits rhs_action = 8;           ///< one make/remove/modify
-  WorkUnits geometry_flop = 1;        ///< one geometry arithmetic op (external call)
-};
+/// (as in real Rete) and RHS cost dominated by external geometry. Every
+/// golden and reproduced table is priced with them (DESIGN.md §6).
+namespace cost {
+inline constexpr WorkUnits kAlphaTest = 2;       ///< one constant test in the alpha net
+inline constexpr WorkUnits kAlphaMemInsert = 2;  ///< insertion/removal in an alpha memory
+inline constexpr WorkUnits kJoinProbe = 4;       ///< one token×WME consistency probe
+inline constexpr WorkUnits kJoinTest = 1;        ///< one variable-binding equality test
+inline constexpr WorkUnits kTokenOp = 4;         ///< beta-memory token create/delete
+inline constexpr WorkUnits kNegativeOp = 3;      ///< negative-node bookkeeping
+inline constexpr WorkUnits kConflictSetOp = 4;   ///< conflict-set insert/remove
+inline constexpr WorkUnits kResolvePerInst = 2;  ///< conflict resolution, per instantiation
+inline constexpr WorkUnits kRhsAction = 8;       ///< one make/remove/modify
+inline constexpr WorkUnits kGeometryFlop = 1;    ///< one geometry arithmetic op (external call)
+}  // namespace cost
 
 /// Aggregated work counters for one engine run (or one task).
 struct WorkCounters {

@@ -407,8 +407,8 @@ TEST(ReteSharing, AlphaPatternsSharedAcrossProductions) {
   const Program p = ops5::parse_program(src);
   RecordingListener listener(p);
   util::WorkCounters counters;
-  const Network shared(p, listener, counters, {}, {.node_sharing = true});
-  const Network unshared(p, listener, counters, {}, {.node_sharing = false});
+  const Network shared(p, listener, counters, {.node_sharing = true});
+  const Network unshared(p, listener, counters, {.node_sharing = false});
   // Both productions test only ^class linear at the alpha level.
   EXPECT_EQ(shared.compiled().stats().alpha_patterns, 1u);
   EXPECT_EQ(unshared.compiled().stats().alpha_patterns, 2u);
@@ -432,8 +432,8 @@ TEST(ReteSharing, CommonPrefixSharesJoins) {
   const Program p = ops5::parse_program(src);
   RecordingListener listener(p);
   util::WorkCounters counters;
-  const Network shared(p, listener, counters, {}, {.node_sharing = true});
-  const Network unshared(p, listener, counters, {}, {.node_sharing = false});
+  const Network shared(p, listener, counters, {.node_sharing = true});
+  const Network unshared(p, listener, counters, {.node_sharing = false});
   EXPECT_LT(shared.compiled().stats().join_nodes, unshared.compiled().stats().join_nodes);
   EXPECT_EQ(shared.compiled().stats().production_nodes, 2u);
 }
@@ -444,8 +444,8 @@ TEST(ReteSharing, SharedAndUnsharedAgreeOnMatches) {
   RecordingListener unshared_listener(p);
   util::WorkCounters c1;
   util::WorkCounters c2;
-  Network shared(p, shared_listener, c1, {}, {.node_sharing = true});
-  Network unshared(p, unshared_listener, c2, {}, {.node_sharing = false});
+  Network shared(p, shared_listener, c1, {.node_sharing = true});
+  Network unshared(p, unshared_listener, c2, {.node_sharing = false});
   WmeFactory wmes(p);
 
   const Wme& r = wmes.make("region", {Value(1.0), wmes.sym("linear")});
@@ -566,8 +566,7 @@ TEST(ReteAlphaDispatch, BucketsChargeLikeTheLinearScan) {
   const Program p = dispatch_program();
   RecordingListener listener(p);
   util::WorkCounters counters;
-  const util::CostModel costs;
-  Network net(p, listener, counters, costs);
+  Network net(p, listener, counters);
   ASSERT_EQ(net.compiled().stats().alpha_patterns, 10u);
   WmeFactory wmes(p);
   const Value a = wmes.sym("a");
@@ -590,7 +589,9 @@ TEST(ReteAlphaDispatch, BucketsChargeLikeTheLinearScan) {
     net.add_wme(wmes.make("obj", add.slots));
     const auto chunks = net.take_chunks();
     ASSERT_EQ(chunks.size(), 10u);  // one chunk per pattern per add
-    for (const std::size_t pos : add.fail_first) EXPECT_EQ(chunks[pos], costs.alpha_test) << pos;
+    for (const std::size_t pos : add.fail_first) {
+      EXPECT_EQ(chunks[pos], util::cost::kAlphaTest) << pos;
+    }
   }
   // Per add, the tests the linear scan evaluates: (1,1,1,1,1,1,1,1,2,2),
   // (1 x 10), (1 x 9, then 2 for ne-then-eq), (1 x 8, 2, 2).

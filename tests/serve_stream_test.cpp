@@ -360,16 +360,18 @@ TEST(ServeStream, MidStreamPackSwapLeavesTheStreamOnItsPack) {
     if (t == 0) ASSERT_EQ(tick.report.get().status, SceneStatus::Completed);
     if (t == 1) {
       // Identical rules under a new version: the gate passes it, activation
-      // repoints NEW dequeues only.
+      // repoints NEW dequeues only. The identity comes from the source.
       PackCandidate candidate;
-      candidate.name = "stream-pack";
-      candidate.version = "2";
-      candidate.program =
-          std::make_shared<const ops5::Program>(ops5::parse_program(kStreamSrc));
+      candidate.program = std::make_shared<const ops5::Program>(
+          ops5::parse_program(std::string("(pack stream-pack 2)\n") + kStreamSrc));
       const LoadResult swapped = server.load_pack(candidate);
       ASSERT_TRUE(swapped.accepted);
       ASSERT_TRUE(swapped.activated);
       ASSERT_NE(server.active_pack(), boot_pack);
+      const std::vector<PackInfo> packs = server.packs();
+      ASSERT_EQ(packs.size(), 2u);
+      EXPECT_EQ(packs[1].name, "stream-pack");
+      EXPECT_EQ(packs[1].version, "2");
     }
   }
   const StreamReport report = stream.close().get();

@@ -1,5 +1,5 @@
 // Serve soak/stress: sustained overload against a bounded queue with a
-// fault storm, cycle deadlines, and the wall-clock watchdog all active at
+// fault storm, cycle deadlines, and the wall-clock budget all active at
 // once. Slow by design (runs seconds); registered under the `slow` ctest
 // label so `ctest -LE slow` stays snappy. The assertions are the same
 // robustness invariants as serve_test, held under far more contention:
@@ -10,6 +10,7 @@
 #include <atomic>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -139,6 +140,43 @@ TEST(ServeStress, RepeatedServerLifecyclesOverOneRuleBase) {
       EXPECT_TRUE(seen.insert(report.scene).second);
     }
     EXPECT_EQ(seen.size(), 48u);
+  }
+}
+
+TEST(ServeStress, TicksRacingADrainStillBalanceTheBooks) {
+  // A client ticks a stream as fast as it can while the server drains. The
+  // drained rollup must count every tick whose outcome it books: when the
+  // tick was queued and counted in two separate critical sections, a worker
+  // could book a tick that `ticks` did not count yet, and about one drain in
+  // 1,400 broke ticks == ticks_completed + ticks_failed + ticks_shed.
+  auto program = std::make_shared<const ops5::Program>(ops5::parse_program(kStressSrc));
+  const auto rb = SharedRuleBase::compile(program);
+  for (int trial = 0; trial < 5000; ++trial) {
+    ServerOptions options;
+    options.workers = 1;
+    Server server(rb, options);
+    StreamHandle stream = server.open_stream("racing");
+    ASSERT_TRUE(stream.admitted());
+    std::atomic<int> admitted{0};
+    std::thread client([&stream, &admitted] {
+      for (std::uint64_t i = 0;; ++i) {
+        SceneJob job;
+        job.inject = [i](ops5::Engine& engine) {
+          engine.make_wme("job", {{"n", ops5::Value(static_cast<double>(i))}});
+        };
+        const SubmitTickResult tick = stream.tick(std::move(job));
+        if (tick.admitted()) {
+          ++admitted;
+        } else if (tick.rejected != RejectReason::QueueFull) {
+          return;  // draining, or the drain closed the stream
+        }
+      }
+    });
+    while (admitted.load() < 4) std::this_thread::yield();
+    const ServerStats stats = server.drain();
+    client.join();
+    const std::vector<std::string> violations = obs::validate_serve_rollup(stats.to_json());
+    ASSERT_TRUE(violations.empty()) << "trial " << trial << ": " << violations.front();
   }
 }
 

@@ -1,5 +1,5 @@
 // Multi-session interpretation server: shared compiled rule base, admission
-// control with backpressure, per-session deadlines + watchdog aborts,
+// control with backpressure, per-session deadlines + wall-clock budget aborts,
 // quarantine of poisoned scenes, fault isolation (byte-identical firing logs
 // for healthy sessions), and graceful drain with exactly-once accounting.
 //
@@ -10,14 +10,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <future>
 #include <latch>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 #include "obs/bench_schema.hpp"
@@ -77,7 +82,7 @@ SceneJob result_scene(std::uint64_t id, std::atomic<std::uint64_t>* sum = nullpt
   return job;
 }
 
-/// Livelocks until a deadline or the watchdog cuts it off.
+/// Livelocks until a deadline or the wall-clock budget cuts it off.
 SceneJob runaway_scene() {
   SceneJob job;
   job.label = "runaway";
@@ -456,7 +461,7 @@ TEST(SharedAttempt, FaultPlanGivesSameOutcomesThroughRunAndSession) {
 }
 
 // ---------------------------------------------------------------------------
-// Runaway containment: cycle deadline (deterministic) and watchdog (wall)
+// Runaway containment: cycle deadline (deterministic) and wall-clock budget
 // ---------------------------------------------------------------------------
 
 TEST(ServeRunaway, CycleDeadlineQuarantinesAndNextSceneIsUnperturbed) {
@@ -521,6 +526,81 @@ TEST(ServeRunaway, WatchdogAbortsWallClockRunaway) {
   expect_accounting(stats);
   EXPECT_EQ(stats.aborted, 1u);
   EXPECT_EQ(stats.completed, 1u);
+}
+
+/// Scene 0's first attempt crashes under this plan and its retry runs.
+psm::FaultConfig first_attempt_of_scene_0_fails() {
+  psm::FaultConfig config;
+  config.transient_rate = 0.5;
+  for (config.seed = 1;; ++config.seed) {
+    const psm::FaultInjector probe(config);
+    if (probe.fails(0, 1) && !probe.fails(0, 2)) return config;
+  }
+}
+
+TEST(ServeRunaway, WallClockBudgetAlsoBoundsARetry) {
+  const psm::FaultInjector injector(first_attempt_of_scene_0_fails());
+  ServerOptions options;
+  options.workers = 1;
+  options.session.injector = &injector;
+  options.session.max_attempts = 3;
+  options.watchdog_budget = std::chrono::milliseconds(25);
+  Server server(tiny_rulebase(), options);
+
+  auto runaway = server.submit(runaway_scene());  // scene 0; the retry spins
+  const ServerStats stats = server.drain();
+
+  const SceneReport bad = runaway.report.get();
+  EXPECT_EQ(bad.status, SceneStatus::Aborted);
+  EXPECT_EQ(bad.attempts, 2u);  // the retry ran out of budget; no third try
+  expect_accounting(stats);
+  EXPECT_EQ(stats.aborted, 1u);
+  EXPECT_EQ(stats.retries, 1u);
+}
+
+TEST(ServeRunaway, WallClockBudgetStartsWithTheTickNotTheAttempt) {
+  // The crashed first attempt spends twice the budget injecting; the retry
+  // would finish in a few cycles, but the tick's budget is already gone.
+  const psm::FaultInjector injector(first_attempt_of_scene_0_fails());
+  ServerOptions options;
+  options.workers = 1;
+  options.session.injector = &injector;
+  options.watchdog_budget = std::chrono::milliseconds(20);
+  Server server(tiny_rulebase(), options);
+
+  SceneJob slow_first = counting_scene(3);
+  auto injections = std::make_shared<int>(0);
+  slow_first.inject = [injections, inject = slow_first.inject](ops5::Engine& engine) {
+    if ((*injections)++ == 0) std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    inject(engine);
+  };
+  auto scene = server.submit(std::move(slow_first));
+  (void)server.drain();
+
+  const SceneReport report = scene.report.get();
+  EXPECT_EQ(report.status, SceneStatus::Aborted);
+  EXPECT_EQ(report.attempts, 2u);
+  EXPECT_EQ(*injections, 2);
+}
+
+/// Threads of this process, or nullopt where /proc/self/task is unreadable.
+std::optional<std::size_t> thread_count() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return std::nullopt;
+  return static_cast<std::size_t>(std::distance(it, std::filesystem::directory_iterator()));
+}
+
+TEST(ServeRunaway, WallClockBudgetNeedsNoThreadOfItsOwn) {
+  const std::optional<std::size_t> before = thread_count();
+  if (!before) GTEST_SKIP() << "/proc/self/task is not readable";
+  ServerOptions options;
+  options.workers = 2;
+  options.watchdog_budget = std::chrono::milliseconds(25);
+  Server server(tiny_rulebase(), options);
+  // The workers and nothing else: each tick times its own budget.
+  EXPECT_EQ(thread_count(), *before + 2);
+  (void)server.drain();
 }
 
 // ---------------------------------------------------------------------------
@@ -617,6 +697,23 @@ TEST(ServeRollup, DrainedStatsValidateAgainstServeSchema) {
   ServerStats broken = stats;
   broken.completed += 1;  // a double-counted scene must not validate
   EXPECT_FALSE(obs::validate_serve_rollup(broken.to_json()).empty());
+}
+
+TEST(ServeRollup, PacksAndStreamsSectionsAreRequired) {
+  // ServerStats::to_json always writes both sections, so a rollup without
+  // one was not written by a server.
+  Server server(tiny_rulebase(), {});
+  (void)server.submit(counting_scene(1));
+  const obs::json::Value doc = server.drain().to_json();
+  ASSERT_TRUE(obs::validate_serve_rollup(doc).empty());
+  for (const std::string section : {"packs", "streams"}) {
+    obs::json::Value without = doc;
+    std::erase_if(without.as_object(),
+                  [&section](const auto& entry) { return entry.first == section; });
+    const std::vector<std::string> violations = obs::validate_serve_rollup(without);
+    ASSERT_EQ(violations.size(), 1u) << section;
+    EXPECT_EQ(violations[0], "$: missing required key \"" + section + "\"");
+  }
 }
 
 }  // namespace
