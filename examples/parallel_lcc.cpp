@@ -60,11 +60,8 @@ int main() {
             << "results\n\n";
 
   // --- Encore-scale speedup projection from the measured task costs ---
-  // simulate_tlp shares RunOptions with the real run: one object configures
-  // both the measured execution and its virtual-time replay.
   const auto costs = psm::task_costs(baseline);
-  psm::RunOptions sim;
-  sim.task_processes = 1;
+  psm::TlpConfig sim;
   const auto base_makespan = psm::simulate_tlp(costs, sim).makespan;
   util::Table curve({"task processes", "speedup", "utilization"});
   for (const std::size_t p : {1u, 2u, 4u, 8u, 14u}) {

@@ -251,11 +251,9 @@ int main(int argc, char** argv) {
       .match_processes = options.match};  // defaults for the other knobs
   const auto costs = options.match > 0 ? psm::task_costs(measurements, &match_model)
                                        : psm::task_costs(measurements);
-  // The projection replays the measured costs through the same RunOptions
-  // struct the executor uses (satellite of the unified API).
-  psm::RunOptions one;
-  one.task_processes = 1;
-  const auto baseline = psm::simulate_tlp(psm::task_costs(measurements), one).makespan;
+  // The projection replays the measured costs in virtual time.
+  const auto baseline =
+      psm::simulate_tlp(psm::task_costs(measurements), psm::TlpConfig{}).makespan;
 
   obs::json::Object projection;
   if (options.svm) {
@@ -268,9 +266,7 @@ int main(int argc, char** argv) {
     projection.emplace_back("speedup", obs::json::Value(s));
     projection.emplace_back("remote_faults", obs::json::Value(r.remote_faults));
   } else {
-    psm::RunOptions cfg;
-    cfg.task_processes = options.procs;
-    cfg.policy = options.policy;
+    const psm::TlpConfig cfg{.task_processes = options.procs, .policy = options.policy};
     const auto r = psm::simulate_tlp(costs, cfg);
     const double s = psm::speedup(baseline, r.makespan);
     std::cout << options.procs << " task processes x " << options.match

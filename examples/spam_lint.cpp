@@ -325,28 +325,9 @@ struct LintTally {
 }
 
 [[nodiscard]] bool lint_phases(const Options& opt, LintTally& tally) {
-  struct Phase {
-    const char* name;
-    std::string source;
-    std::vector<std::string> seeds;
-    std::vector<std::string> outputs;  ///< what the control process extracts
-  };
-  const std::vector<Phase> phases = {
-      {"rtf", spam::rtf_source(), {"region", "rtf-task"}, {"fragment"}},
-      // relation WMEs are write-only inside LCC by design: they record the
-      // named spatial relations for downstream interpretation, so they are
-      // phase outputs even though only contexts/consistency are re-seeded.
-      {"lcc",
-       spam::lcc_source(),
-       {"fragment", "constraint", "support", "lcc-task"},
-       {"context", "consistency", "relation"}},
-      {"fa", spam::fa_source(), {"fragment", "context", "fa-task"},
-       {"functional-area", "fa-size"}},
-      {"model", spam::model_source(), {"functional-area", "model-task"}, {"model"}},
-  };
   bool ok = true;
-  for (const auto& phase : phases) {
-    ok = lint_source(phase.name, phase.source, phase.seeds, phase.outputs, opt, tally) && ok;
+  for (const spam::PhaseSpec& phase : spam::phase_specs()) {
+    ok = lint_source(phase.name, phase.source(), phase.seeds, phase.outputs, opt, tally) && ok;
   }
   return ok;
 }
@@ -391,26 +372,6 @@ struct LintTally {
 // --gate: the static admission pipeline, offline
 // ---------------------------------------------------------------------------
 
-struct PhaseDefaults {
-  const char* name;
-  std::string (*source)();
-  std::vector<std::string> seeds;
-  std::vector<std::string> outputs;
-};
-
-[[nodiscard]] const std::vector<PhaseDefaults>& phase_defaults() {
-  static const std::vector<PhaseDefaults> phases = {
-      {"rtf", spam::rtf_source, {"region", "rtf-task"}, {"fragment"}},
-      {"lcc",
-       spam::lcc_source,
-       {"fragment", "constraint", "support", "lcc-task"},
-       {"context", "consistency", "relation"}},
-      {"fa", spam::fa_source, {"fragment", "context", "fa-task"}, {"functional-area", "fa-size"}},
-      {"model", spam::model_source, {"functional-area", "model-task"}, {"model"}},
-  };
-  return phases;
-}
-
 /// One side of the gate: `@rtf|@lcc|@fa|@model` loads a built-in phase base
 /// (with its canonical seed/output classes unless the CLI overrides them), a
 /// plain argument is read as an OPS5 source file.
@@ -419,14 +380,11 @@ struct PhaseDefaults {
   std::string source;
   if (!ref.empty() && ref[0] == '@') {
     const std::string phase = ref.substr(1);
-    for (const auto& p : phase_defaults()) {
-      if (phase == p.name) {
-        source = p.source();
-        out.label = phase;
-        if (opt.seeds.empty()) out.seed_classes = p.seeds;
-        if (opt.outputs.empty()) out.output_classes = p.outputs;
-        break;
-      }
+    if (const spam::PhaseSpec* p = spam::phase_spec(phase)) {
+      source = p->source();
+      out.label = phase;
+      if (opt.seeds.empty()) out.seed_classes = p->seeds;
+      if (opt.outputs.empty()) out.output_classes = p->outputs;
     }
     if (source.empty()) {
       std::cerr << ref << ": unknown built-in phase (try @rtf/@lcc/@fa/@model)\n";
@@ -540,11 +498,9 @@ int main(int argc, char** argv) {
   }
 
   if (!opt->dump_phase.empty()) {
-    for (const auto& p : phase_defaults()) {
-      if (opt->dump_phase == p.name) {
-        std::cout << p.source();
-        return 0;
-      }
+    if (const spam::PhaseSpec* p = spam::phase_spec(opt->dump_phase)) {
+      std::cout << p->source();
+      return 0;
     }
     std::cerr << opt->dump_phase << ": unknown built-in phase\n";
     return 2;

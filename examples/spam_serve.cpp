@@ -50,6 +50,7 @@
 #include "serve/server.hpp"
 #include "spam/decomposition.hpp"
 #include "spam/phases.hpp"
+#include "spam/programs.hpp"
 #include "spam/scene_generator.hpp"
 #include "spam/stream_schedule.hpp"
 #include "util/table.hpp"
@@ -232,8 +233,9 @@ int main(int argc, char** argv) {
   // The hot-reload gate re-establishes this decomposition's independence
   // certificate over every candidate pack (AN011/AN012 on regression).
   server_options.admission_spec = &decomposition.spec;
-  server_options.admission_seeds = {{"fragment", "constraint", "support", "lcc-task"}};
-  server_options.admission_outputs = {{"context", "consistency", "relation"}};
+  const spam::PhaseSpec& lcc = *spam::phase_spec("lcc");
+  server_options.admission_seeds = lcc.seeds;
+  server_options.admission_outputs = lcc.outputs;
   serve::Server server(rulebase, server_options);
 
   // Closed-loop clients: each submits its slice of rounds x tasks, waiting

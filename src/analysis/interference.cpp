@@ -1,7 +1,6 @@
 #include "analysis/interference.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 #include <unordered_map>
 
@@ -200,14 +199,6 @@ class Checker {
     for (const auto& fact : spec_.facts) {
       facts_[{fact.cls, fact.guard_slot}].push_back(&fact);
     }
-    const auto op = [&](std::string_view name, char tag) {
-      if (const auto sym = prog_.symbols().find(name)) ops_[*sym] = tag;
-    };
-    op("+", '+');
-    op("-", '-');
-    op("*", '*');
-    op("//", '/');
-    op("mod", '%');
   }
 
   InterferenceReport run() {
@@ -245,8 +236,8 @@ class Checker {
       return it != env.end() ? it->second : AbstractVal::top();
     }
     const auto& call = std::get<ops5::CallExpr>(expr.node);
-    const auto op_it = ops_.find(call.function);
-    if (op_it == ops_.end() || call.args.size() != 2) {
+    const std::optional<ops5::ArithOp> op = ops5::arith_op(prog_.symbols().name(call.function));
+    if (!op || call.args.size() != 2) {
       // External function: Top under the pure-externals assumption (see
       // DecompositionSpec; the value is unknown but deterministic in its
       // arguments).
@@ -254,10 +245,10 @@ class Checker {
     }
     const AbstractVal a = eval_expr(call.args[0], env);
     const AbstractVal b = eval_expr(call.args[1], env);
-    return eval_arith(op_it->second, a, b);
+    return eval_arith(*op, a, b);
   }
 
-  [[nodiscard]] static AbstractVal eval_arith(char op, const AbstractVal& a,
+  [[nodiscard]] static AbstractVal eval_arith(ops5::ArithOp op, const AbstractVal& a,
                                               const AbstractVal& b) {
     if (a.is_bottom() || b.is_bottom()) return AbstractVal::bottom();
     if (!a.is_finite() || !b.is_finite()) return AbstractVal::top();
@@ -268,20 +259,8 @@ class Checker {
     for (const Value& x : a.values()) {
       for (const Value& y : b.values()) {
         if (!x.is_number() || !y.is_number()) return AbstractVal::top();
-        const double xa = x.number();
-        const double ya = y.number();
-        switch (op) {
-          case '+': out.emplace_back(xa + ya); break;
-          case '-': out.emplace_back(xa - ya); break;
-          case '*': out.emplace_back(xa * ya); break;
-          case '/':
-            if (ya != 0.0) out.emplace_back(std::trunc(xa / ya));
-            break;  // division by zero aborts the firing; no value flows
-          case '%':
-            if (ya != 0.0) out.emplace_back(xa - ya * std::floor(xa / ya));
-            break;
-          default: return AbstractVal::top();
-        }
+        // A zero divisor aborts the firing: no value flows.
+        if (const auto v = ops5::apply_arith(op, x.number(), y.number())) out.emplace_back(*v);
       }
     }
     return AbstractVal::finite(std::move(out));
@@ -998,7 +977,6 @@ class Checker {
   std::set<ClassIndex> base_;
   std::map<ClassIndex, std::vector<SlotIndex>> result_keys_;
   std::map<std::pair<ClassIndex, SlotIndex>, std::vector<const DataFact*>> facts_;
-  std::unordered_map<Symbol, char> ops_;
 
   std::set<ClassIndex> injected_classes_;
   std::map<SlotKey, AbstractVal> injection_join_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -222,30 +221,16 @@ Value Engine::call_function(Symbol function, std::span<const Value> args) {
       return (*fn)(args, ctx);
     }
   }
-  // Arithmetic builtins used by (compute ...) are always available.
+  // The arithmetic of (compute ...) is always available.
   const std::string& name = program_->symbols().name(function);
-  const auto binary = [&](auto op) {
-    if (args.size() != 2 || !args[0].is_number() || !args[1].is_number()) {
-      throw std::logic_error("builtin " + name + " needs two numeric arguments");
-    }
-    return Value(op(args[0].number(), args[1].number()));
-  };
-  if (name == "+") return binary([](double a, double b) { return a + b; });
-  if (name == "-") return binary([](double a, double b) { return a - b; });
-  if (name == "*") return binary([](double a, double b) { return a * b; });
-  if (name == "//") {
-    return binary([](double a, double b) {
-      if (b == 0.0) throw std::domain_error("division by zero in //");
-      return std::trunc(a / b);
-    });
+  const std::optional<ArithOp> op = arith_op(name);
+  if (!op) throw std::logic_error("unknown external function: " + name);
+  if (args.size() != 2 || !args[0].is_number() || !args[1].is_number()) {
+    throw std::logic_error("builtin " + name + " needs two numeric arguments");
   }
-  if (name == "mod") {
-    return binary([](double a, double b) {
-      if (b == 0.0) throw std::domain_error("division by zero in mod");
-      return a - b * std::floor(a / b);
-    });
-  }
-  throw std::logic_error("unknown external function: " + name);
+  const std::optional<double> result = apply_arith(*op, args[0].number(), args[1].number());
+  if (!result) throw std::domain_error("division by zero in " + name);
+  return Value(*result);
 }
 
 void Engine::fire(const Production& production) {

@@ -1,8 +1,5 @@
 #include "ops5/external.hpp"
 
-#include <cmath>
-#include <stdexcept>
-
 namespace psmsys::ops5 {
 
 void ExternalRegistry::register_function(SymbolTable& symbols, std::string_view name,
@@ -14,51 +11,6 @@ void ExternalRegistry::register_function(SymbolTable& symbols, std::string_view 
 const ExternalFn* ExternalRegistry::find(Symbol name) const noexcept {
   const auto it = functions_.find(index_of(name));
   return it != functions_.end() ? &it->second : nullptr;
-}
-
-namespace {
-
-[[nodiscard]] double need_number(const Value& v, const char* fn) {
-  if (!v.is_number()) {
-    throw std::invalid_argument(std::string("external function ") + fn + " needs numeric args");
-  }
-  return v.number();
-}
-
-void register_binary(ExternalRegistry& registry, SymbolTable& symbols, std::string_view name,
-                     double (*op)(double, double)) {
-  const std::string fn_name(name);
-  registry.register_function(symbols, name,
-                             [op, fn_name](std::span<const Value> args, ExternalContext&) {
-                               if (args.size() != 2) {
-                                 throw std::invalid_argument("builtin " + fn_name +
-                                                             " needs 2 arguments");
-                               }
-                               return Value(op(need_number(args[0], fn_name.c_str()),
-                                               need_number(args[1], fn_name.c_str())));
-                             });
-}
-
-}  // namespace
-
-void register_builtins(ExternalRegistry& registry, SymbolTable& symbols) {
-  register_binary(registry, symbols, "+", [](double a, double b) { return a + b; });
-  register_binary(registry, symbols, "-", [](double a, double b) { return a - b; });
-  register_binary(registry, symbols, "*", [](double a, double b) { return a * b; });
-  register_binary(registry, symbols, "//", [](double a, double b) {
-    if (b == 0.0) throw std::domain_error("division by zero in //");
-    return std::trunc(a / b);
-  });
-  register_binary(registry, symbols, "mod", [](double a, double b) {
-    if (b == 0.0) throw std::domain_error("division by zero in mod");
-    return a - b * std::floor(a / b);
-  });
-  registry.register_function(symbols, "abs", [](std::span<const Value> args, ExternalContext&) {
-    if (args.size() != 1) throw std::invalid_argument("abs needs 1 argument");
-    return Value(std::abs(need_number(args[0], "abs")));
-  });
-  register_binary(registry, symbols, "min", [](double a, double b) { return std::min(a, b); });
-  register_binary(registry, symbols, "max", [](double a, double b) { return std::max(a, b); });
 }
 
 }  // namespace psmsys::ops5

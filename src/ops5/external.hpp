@@ -57,8 +57,4 @@ class ExternalRegistry {
   std::unordered_map<std::uint32_t, ExternalFn> functions_;
 };
 
-/// Register the arithmetic builtins used by `(compute ...)`:
-/// + - * // mod abs min max. `//` is integer-style division (truncates).
-void register_builtins(ExternalRegistry& registry, SymbolTable& symbols);
-
 }  // namespace psmsys::ops5

@@ -564,8 +564,7 @@ class Parser {
       } else {
         throw ParseError("expected arithmetic operator in compute", op.line);
       }
-      if (op_name != "+" && op_name != "-" && op_name != "*" && op_name != "//" &&
-          op_name != "mod") {
+      if (!arith_op(op_name)) {
         throw ParseError("unknown compute operator: " + op_name, op.line);
       }
       check_depth(root + height, op);

@@ -1,5 +1,6 @@
 #include "ops5/production.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace psmsys::ops5 {
@@ -100,6 +101,30 @@ void Program::set_pack(std::string name, std::string version) {
 void Program::freeze() {
   frozen_ = true;
   symbols_.freeze();
+}
+
+std::optional<ArithOp> arith_op(std::string_view name) noexcept {
+  if (name == "+") return ArithOp::Add;
+  if (name == "-") return ArithOp::Sub;
+  if (name == "*") return ArithOp::Mul;
+  if (name == "//") return ArithOp::Div;
+  if (name == "mod") return ArithOp::Mod;
+  return std::nullopt;
+}
+
+std::optional<double> apply_arith(ArithOp op, double a, double b) noexcept {
+  switch (op) {
+    case ArithOp::Add: return a + b;
+    case ArithOp::Sub: return a - b;
+    case ArithOp::Mul: return a * b;
+    case ArithOp::Div:
+      if (b == 0.0) return std::nullopt;
+      return std::trunc(a / b);
+    case ArithOp::Mod:
+      if (b == 0.0) return std::nullopt;
+      return a - b * std::floor(a / b);
+  }
+  return std::nullopt;
 }
 
 }  // namespace psmsys::ops5

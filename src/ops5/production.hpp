@@ -75,6 +75,19 @@ struct CallExpr {
   std::vector<Expr> args;
 };
 
+/// The arithmetic operators of `(compute ...)`. The parser makes each one a
+/// CallExpr of the operator's symbol; the engine (unless an external of that
+/// name is registered) and the interference checker evaluate it here.
+enum class ArithOp : std::uint8_t { Add, Sub, Mul, Div, Mod };
+
+/// The operator spelled `name` (`+ - * // mod`), or nullopt.
+[[nodiscard]] std::optional<ArithOp> arith_op(std::string_view name) noexcept;
+
+/// `a op b`, or nullopt for `//` or `mod` by zero. `//` truncates toward
+/// zero (`-7 // 2` is -3) and `mod` takes the divisor's sign (`-7 mod 3`
+/// is 2).
+[[nodiscard]] std::optional<double> apply_arith(ArithOp op, double a, double b) noexcept;
+
 struct VarRef {
   VariableId var = 0;
 };

@@ -68,11 +68,6 @@ obs::RunMetrics metrics_from(const RunReport& report, std::size_t task_processes
   return m;
 }
 
-TlpSimResult simulate_tlp(std::span<const util::WorkUnits> task_costs,
-                          const RunOptions& options) {
-  return simulate_tlp(task_costs, options.tlp());
-}
-
 RunResult run(const TaskProcessFactory& factory, std::vector<Task> tasks,
               const RunOptions& options) {
   const std::size_t task_processes = options.task_processes;

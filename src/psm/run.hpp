@@ -12,9 +12,6 @@
 // gauges), and the host wall-clock. Attaching an obs::Tracer yields a Chrome
 // trace_event timeline: one always-recorded span per task attempt on the
 // executing worker's lane, plus sampled per-cycle engine spans.
-//
-// simulate_tlp(costs, options) adopts the same options struct, so a measured
-// run and its virtual-time replay are configured by one object.
 
 #include <chrono>
 #include <cstddef>
@@ -112,7 +109,7 @@ struct RunReport {
   }
 };
 
-/// Options for psm::run (and, via the overload below, simulate_tlp).
+/// Options for psm::run.
 struct RunOptions {
   std::size_t task_processes = 1;
 
@@ -136,15 +133,6 @@ struct RunOptions {
   /// spans (see obs::Tracer::set_sample_every). Null = no tracing. Not
   /// owned; must outlive the run.
   obs::Tracer* tracer = nullptr;
-
-  // --- virtual-time replay (simulate_tlp overload) ---
-  SchedulePolicy policy = SchedulePolicy::Fifo;
-  util::WorkUnits queue_overhead_per_task = 40;
-
-  /// The TlpConfig this options object denotes.
-  [[nodiscard]] TlpConfig tlp() const noexcept {
-    return TlpConfig{task_processes, queue_overhead_per_task, policy};
-  }
 };
 
 /// Everything a run produced: the per-task report, the aggregated metrics
@@ -178,11 +166,5 @@ struct RunResult {
 /// live engines).
 [[nodiscard]] obs::RunMetrics metrics_from(const RunReport& report,
                                            std::size_t task_processes);
-
-/// Virtual-time replay configured by the same options object as the real
-/// run: schedules measured task costs over options.task_processes processes
-/// under options.policy / options.queue_overhead_per_task.
-[[nodiscard]] TlpSimResult simulate_tlp(std::span<const util::WorkUnits> task_costs,
-                                        const RunOptions& options);
 
 }  // namespace psmsys::psm

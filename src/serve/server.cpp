@@ -15,8 +15,9 @@ namespace psmsys::serve {
 /// Shared state of one admitted stream: the handoff surface between the
 /// client's StreamHandle (enqueues ticks, closes) and the worker the stream
 /// is pinned to (dequeues ticks, resolves reports). One-shot submit() builds
-/// the degenerate form — a single pre-enqueued tick with closed already set —
-/// so the worker-side protocol below is the only execution path.
+/// the degenerate form — a single pre-enqueued tick with closed already set,
+/// whose promise the client waits on — so the worker-side protocol below is
+/// the only execution path.
 ///
 /// Lock ordering: a thread holding the server's mu_ may acquire mu
 /// (stream_tick does, to queue and count a tick at once); never the reverse.
@@ -29,7 +30,7 @@ struct StreamState {
   struct PendingTick {
     std::uint64_t seq = 0;
     SceneJob job;
-    std::promise<TickReport> promise;  ///< unused for the one-shot wrapper
+    std::promise<SceneReport> promise;
     std::chrono::steady_clock::time_point enqueued;
   };
 
@@ -42,7 +43,6 @@ struct StreamState {
   bool dead PSMSYS_GUARDED_BY(mu) = false;         ///< worker finished it
 
   std::promise<StreamReport> close_promise;  ///< resolved at terminal state
-  std::promise<SceneReport> scene_promise;   ///< one-shot wrapper only
 };
 
 namespace {
@@ -169,17 +169,14 @@ Server::Server(std::shared_ptr<const SharedRuleBase> rulebase, ServerOptions opt
   // registered ungated (verdict_json empty) and immediately Active.
   {
     const util::MutexLock lock(mu_);
-    PackRecord boot;
-    boot.id = next_pack_id_++;
-    boot.name = rulebase_->program().pack_name().empty() ? "boot"
-                                                         : rulebase_->program().pack_name();
-    boot.version = rulebase_->program().pack_version();
-    boot.state = PackState::Active;
-    boot.gated = false;
+    PackRecord& boot = packs_.emplace_back();
+    boot.info.id = active_pack_id_ = 1;
+    boot.info.name = rulebase_->program().pack_name().empty() ? "boot"
+                                                              : rulebase_->program().pack_name();
+    boot.info.version = rulebase_->program().pack_version();
+    boot.info.state = PackState::Active;
+    boot.info.workers_on = options_.workers;
     boot.rulebase = rulebase_;
-    boot.workers_on = options_.workers;
-    active_pack_id_ = boot.id;
-    packs_.push_back(std::move(boot));
     books_.engine.task_processes = options_.workers;
   }
 
@@ -211,12 +208,14 @@ SubmitResult Server::submit(SceneJob job) {
   stream->label = job.label;
   const auto now = std::chrono::steady_clock::now();
   stream->opened = now;
+  std::future<SceneReport> report;
   {
     const util::MutexLock lock(stream->mu);
     StreamState::PendingTick& t = stream->ticks.emplace_back();
     t.seq = stream->next_seq++;
     t.job = std::move(job);
     t.enqueued = now;
+    report = t.promise.get_future();
     stream->closed = true;
   }
   {
@@ -224,7 +223,7 @@ SubmitResult Server::submit(SceneJob job) {
     result.scene = stream->id = next_scene_++;
     result.rejected = shed_locked();
     if (result.rejected != RejectReason::None) return result;
-    result.report = stream->scene_promise.get_future();
+    result.report = std::move(report);
     queue_.push_back(std::move(stream));
   }
   work_cv_.notify_one();
@@ -265,8 +264,9 @@ StreamHandle Server::open_stream(std::string label) {
   return handle;
 }
 
-SubmitTickResult Server::stream_tick(const std::shared_ptr<StreamState>& stream, SceneJob job) {
-  SubmitTickResult result;
+SubmitResult Server::stream_tick(const std::shared_ptr<StreamState>& stream, SceneJob job) {
+  SubmitResult result;
+  result.scene = stream->id;
   {
     // The tick is counted in the same critical section that queues it: the
     // worker books its outcome under mu_, so no rollup can see the outcome
@@ -281,12 +281,10 @@ SubmitTickResult Server::stream_tick(const std::shared_ptr<StreamState>& stream,
     } else if (stream->ticks.size() >= kStreamTickCapacity) {
       result.rejected = RejectReason::QueueFull;
     } else {
-      std::promise<TickReport> promise;
-      result.report = promise.get_future();
       StreamState::PendingTick& t = stream->ticks.emplace_back();
       t.seq = result.tick;
       t.job = std::move(job);
-      t.promise = std::move(promise);
+      result.report = t.promise.get_future();
       t.enqueued = std::chrono::steady_clock::now();
     }
     ++books_.streams.ticks;
@@ -304,9 +302,10 @@ void Server::stream_close(const std::shared_ptr<StreamState>& stream) {
   stream->cv.notify_all();
 }
 
-SubmitTickResult StreamHandle::tick(SceneJob job) {
+SubmitResult StreamHandle::tick(SceneJob job) {
   if (server_ == nullptr || state_ == nullptr) {
-    SubmitTickResult result;
+    SubmitResult result;
+    result.scene = id_;
     result.rejected = rejected_ == RejectReason::None ? RejectReason::Stopped : rejected_;
     return result;
   }
@@ -341,10 +340,10 @@ void Server::worker_loop(std::size_t index) {
       rebind = context_pack_ids_[index] != my_pack;
       if (rebind) {
         if (PackRecord* old = find_pack_locked(context_pack_ids_[index])) {
-          --old->workers_on;
+          --old->info.workers_on;
         }
         PackRecord* next = find_pack_locked(my_pack);
-        ++next->workers_on;
+        ++next->info.workers_on;
         my_rulebase = next->rulebase;
       }
     }
@@ -372,10 +371,10 @@ void Server::run_stream(std::size_t index, const std::shared_ptr<StreamState>& s
   rollup.stream = stream->id;
   rollup.label = stream->label;
   rollup.pack = pack_id;
-  SceneReport scene;  // one-shot flavor of the same terminal state
-  scene.scene = stream->id;
-  scene.label = stream->label;
-  std::chrono::steady_clock::time_point oneshot_enqueued = dequeued;
+  // A one-shot scene's tick and report wait for the close and the books
+  // below, so its future resolves only once stats() counts the scene.
+  std::optional<StreamState::PendingTick> oneshot;
+  SceneReport oneshot_report;
 
   util::WorkCounters stream_counters;  // sum over completed ticks
   std::vector<std::int64_t> tick_latencies;
@@ -411,51 +410,37 @@ void Server::run_stream(std::size_t index, const std::shared_ptr<StreamState>& s
         return std::chrono::steady_clock::now() > deadline;
       };
     }
-    Session::TickOutcome out = session.run_tick(tick.job, over_budget);
+    SceneReport report = session.run_tick(tick.job, over_budget);
     const auto tick_done = std::chrono::steady_clock::now();
+    report.tick = tick.seq;
 
     ++rollup.ticks;
-    if (out.attempts > 1) rollup.tick_retries += out.attempts - 1;
-    const bool ok = out.status == SceneStatus::Completed;
+    if (report.attempts > 1) rollup.tick_retries += report.attempts - 1;
+    const bool ok = report.status == SceneStatus::Completed;
     if (ok) {
       ++rollup.ticks_completed;
-      stream_counters += out.counters;
-      rollup.wmes_streamed += out.counters.wmes_added;
-      rollup.peak_wm = std::max(rollup.peak_wm, out.wm_size);
-      rollup.firing_log += out.firing_log;
+      stream_counters += report.counters;
+      rollup.wmes_streamed += report.counters.wmes_added;
+      rollup.peak_wm = std::max(rollup.peak_wm, report.wm_size);
+      rollup.firing_log += report.firing_log;
       tick_latencies.push_back(ns_between(tick.enqueued, tick_done));
     } else {
       // Terminal tick failure kills the stream: the failed tick is already
       // rolled back to its checkpoint, and close-time rollback below returns
       // the context to base. Isolation would otherwise be unprovable — a
       // quarantined tick's partial state must not feed later ticks.
-      rollup.status = out.status;
-      rollup.error = out.error;
+      rollup.status = report.status;
+      rollup.error = report.error;
     }
 
     if (stream->oneshot) {
-      oneshot_enqueued = tick.enqueued;
-      scene.status = out.status;
-      scene.attempts = out.attempts;
-      scene.error = std::move(out.error);
-      scene.counters = out.counters;
-      scene.firing_log = std::move(out.firing_log);
+      oneshot = std::move(tick);
+      oneshot_report = std::move(report);
     } else {
-      TickReport tr;
-      tr.stream = stream->id;
-      tr.tick = tick.seq;
-      tr.label = tick.job.label;
-      tr.status = out.status;
-      tr.attempts = out.attempts;
-      tr.error = std::move(out.error);
-      tr.counters = out.counters;
-      tr.firing_log = std::move(out.firing_log);
-      tr.wm_size = out.wm_size;
-      tr.live_tokens = out.live_tokens;
-      tr.queued_ns = ns_between(tick.enqueued, tick_start);
-      tr.service_ns = ns_between(tick_start, tick_done);
-      tr.latency_ns = ns_between(tick.enqueued, tick_done);
-      tick.promise.set_value(std::move(tr));
+      report.queued_ns = ns_between(tick.enqueued, tick_start);
+      report.service_ns = ns_between(tick_start, tick_done);
+      report.latency_ns = ns_between(tick.enqueued, tick_done);
+      tick.promise.set_value(std::move(report));
     }
     if (!ok) break;
   }
@@ -467,8 +452,8 @@ void Server::run_stream(std::size_t index, const std::shared_ptr<StreamState>& s
     obs::json::Object args;
     args.emplace_back("status",
                       obs::json::Value(std::string(to_string(rollup.status))));
-    args.emplace_back("attempts", obs::json::Value(
-                                      static_cast<std::uint64_t>(scene.attempts)));
+    // Every tick's attempts: one per tick plus its retries.
+    args.emplace_back("attempts", obs::json::Value(rollup.ticks + rollup.tick_retries));
     if (!stream->oneshot) {
       args.emplace_back("ticks", obs::json::Value(rollup.ticks));
     }
@@ -490,23 +475,23 @@ void Server::run_stream(std::size_t index, const std::shared_ptr<StreamState>& s
     abandoned.swap(stream->ticks);
   }
   for (StreamState::PendingTick& t : abandoned) {
-    TickReport tr;
-    tr.stream = stream->id;
-    tr.tick = t.seq;
-    tr.label = t.job.label;
-    tr.status = SceneStatus::Rejected;
-    tr.reject = RejectReason::StreamClosed;
-    tr.error = "stream terminated before this tick ran";
-    t.promise.set_value(std::move(tr));
+    SceneReport report;
+    report.scene = stream->id;
+    report.tick = t.seq;
+    report.label = t.job.label;
+    report.status = SceneStatus::Rejected;
+    report.reject = RejectReason::StreamClosed;
+    report.error = "stream terminated before this tick ran";
+    t.promise.set_value(std::move(report));
   }
 
   const auto finished = std::chrono::steady_clock::now();
   rollup.open_ns = ns_between(stream->opened, finished);
   rollup.drained = drained_by_server;
   if (stream->oneshot) {
-    scene.queued_ns = ns_between(oneshot_enqueued, dequeued);
-    scene.service_ns = ns_between(dequeued, finished);
-    scene.latency_ns = ns_between(oneshot_enqueued, finished);
+    oneshot_report.queued_ns = ns_between(oneshot->enqueued, dequeued);
+    oneshot_report.service_ns = ns_between(dequeued, finished);
+    oneshot_report.latency_ns = ns_between(oneshot->enqueued, finished);
   }
 
   {
@@ -520,10 +505,10 @@ void Server::run_stream(std::size_t index, const std::shared_ptr<StreamState>& s
     switch (rollup.status) {
       case SceneStatus::Completed:
         ++b.completed;
-        latencies_ns_.push_back(stream->oneshot ? scene.latency_ns : rollup.open_ns);
+        latencies_ns_.push_back(stream->oneshot ? oneshot_report.latency_ns : rollup.open_ns);
         b.engine.add_counters(stream_counters);
         ++b.engine.tasks;
-        if (PackRecord* rec = find_pack_locked(pack_id)) ++rec->scenes_completed;
+        if (PackRecord* rec = find_pack_locked(pack_id)) ++rec->info.scenes_completed;
         break;
       case SceneStatus::Quarantined:
         ++b.quarantined;
@@ -557,7 +542,7 @@ void Server::run_stream(std::size_t index, const std::shared_ptr<StreamState>& s
 
   // Resolve the terminal future exactly once, outside the lock.
   if (stream->oneshot) {
-    stream->scene_promise.set_value(std::move(scene));
+    oneshot->promise.set_value(std::move(oneshot_report));
   } else {
     stream->close_promise.set_value(std::move(rollup));
   }
@@ -631,33 +616,16 @@ ServerStats Server::stats_locked() const {
   s.packs_loaded = packs_.size();
   s.active_pack = active_pack_id_;
   s.packs.reserve(packs_.size());
-  for (const auto& rec : packs_) {
-    PackInfo info;
-    info.id = rec.id;
-    info.name = rec.name;
-    info.version = rec.version;
-    info.state = rec.state;
-    info.decision = rec.decision;
-    info.gated = rec.gated;
-    info.scenes_completed = rec.scenes_completed;
-    info.workers_on = rec.workers_on;
-    s.packs.push_back(std::move(info));
-  }
+  for (const PackRecord& rec : packs_) s.packs.push_back(rec.info);
   return s;
 }
 
 Server::PackRecord* Server::find_pack_locked(std::uint64_t id) {
-  for (auto& rec : packs_) {
-    if (rec.id == id) return &rec;
-  }
-  return nullptr;
+  return id >= 1 && id <= packs_.size() ? &packs_[id - 1] : nullptr;
 }
 
 const Server::PackRecord* Server::find_pack_locked(std::uint64_t id) const {
-  for (const auto& rec : packs_) {
-    if (rec.id == id) return &rec;
-  }
-  return nullptr;
+  return id >= 1 && id <= packs_.size() ? &packs_[id - 1] : nullptr;
 }
 
 LoadResult Server::stage_pack(const PackCandidate& candidate) {
@@ -669,13 +637,12 @@ LoadResult Server::stage_pack(const PackCandidate& candidate) {
   // WITHOUT it — the gate is pure static analysis over immutable programs,
   // and workers must keep serving while a candidate is judged.
   std::shared_ptr<const SharedRuleBase> live_rb;
-  std::string live_name, live_version;
+  std::string live_label;
   {
     const util::MutexLock lock(mu_);
     const PackRecord* live = find_pack_locked(active_pack_id_);
     live_rb = live->rulebase;
-    live_name = live->name;
-    live_version = live->version;
+    live_label = pack_label(live->info.name, live->info.version);
   }
 
   std::string cand_name = candidate.program->pack_name();
@@ -683,7 +650,7 @@ LoadResult Server::stage_pack(const PackCandidate& candidate) {
   if (cand_name.empty()) cand_name = "pack";
 
   analysis::PackInput live_input;
-  live_input.label = pack_label(live_name, live_version);
+  live_input.label = std::move(live_label);
   live_input.program = live_rb->program_ptr();
   live_input.seed_classes = options_.admission_seeds;
   live_input.output_classes = options_.admission_outputs;
@@ -706,20 +673,19 @@ LoadResult Server::stage_pack(const PackCandidate& candidate) {
                                        live_rb->engine_options());
   }
 
+  std::string verdict_json = out.verdict.to_json().dump(2);
   {
     const util::MutexLock lock(mu_);
-    PackRecord rec;
-    rec.id = next_pack_id_++;
-    rec.name = std::move(cand_name);
-    rec.version = std::move(cand_version);
-    rec.state = out.accepted ? PackState::Staged : PackState::Rejected;
-    rec.decision = out.verdict.decision;
-    rec.gated = true;
-    rec.verdict_json = out.verdict.to_json().dump(2);
+    PackRecord& rec = packs_.emplace_back();
+    rec.info.id = out.pack = packs_.size();
+    rec.info.name = std::move(cand_name);
+    rec.info.version = std::move(cand_version);
+    rec.info.state = out.accepted ? PackState::Staged : PackState::Rejected;
+    rec.info.decision = out.verdict.decision;
+    rec.info.gated = true;
+    rec.verdict_json = std::move(verdict_json);
     rec.rulebase = std::move(compiled);
-    out.pack = rec.id;
     if (!out.accepted) ++books_.packs_rejected;
-    packs_.push_back(std::move(rec));
   }
   return out;
 }
@@ -732,15 +698,14 @@ bool Server::activate_locked(std::uint64_t pack, bool is_rollback, std::string* 
   if (stopped_) return fail("server is stopped");
   PackRecord* next = find_pack_locked(pack);
   if (next == nullptr) return fail("unknown pack id " + std::to_string(pack));
-  if (next->state == PackState::Rejected) {
+  if (next->info.state == PackState::Rejected) {
     return fail("pack " + std::to_string(pack) + " was rejected by the admission gate");
   }
   if (pack == active_pack_id_) {
     return fail("pack " + std::to_string(pack) + " is already active");
   }
-  PackRecord* old = find_pack_locked(active_pack_id_);
-  old->state = PackState::Retired;
-  next->state = PackState::Active;
+  find_pack_locked(active_pack_id_)->info.state = PackState::Retired;
+  next->info.state = PackState::Active;
   rollback_pack_id_ = active_pack_id_;
   active_pack_id_ = pack;
   if (is_rollback) {
@@ -776,7 +741,10 @@ LoadResult Server::load_pack(const PackCandidate& candidate) {
 
 std::vector<PackInfo> Server::packs() const {
   const util::MutexLock lock(mu_);
-  return stats_locked().packs;
+  std::vector<PackInfo> infos;
+  infos.reserve(packs_.size());
+  for (const PackRecord& rec : packs_) infos.push_back(rec.info);
+  return infos;
 }
 
 std::uint64_t Server::active_pack() const {

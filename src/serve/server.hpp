@@ -23,7 +23,8 @@
 //  * Streaming sessions (§16) — open_stream() admits a long-lived scene
 //    whose WM arrives as ticks; the worker holds the stream's working memory
 //    resident between ticks (incremental match per tick, rollback only at
-//    close) and one-shot submit() is a one-tick stream over the same path.
+//    close) and one-shot submit() is a one-tick stream over the same path,
+//    with the same SubmitResult and the same SceneReport per tick.
 //  * Versioned hot-reload (§15) — stage_pack() compiles a candidate rule
 //    pack and runs the static admission pipeline (lint, rete_static,
 //    interference recheck, AN010-AN013 semantic diff) as a gate;
@@ -32,8 +33,10 @@
 //    rollback_pack() re-activates the previously live pack. Workers bind a
 //    scene to the active pack at dequeue time and lazily rebuild their
 //    resident context outside the lock when their generation is stale, so a
-//    swap never blocks the pool. admin_talk() exposes the pack list,
-//    verdicts, swap/rollback, stats, and drain as a tiny console surface.
+//    swap never blocks the pool. Each pack has one registry record (its
+//    PackInfo, verdict and rule base), found by its dense id. admin_talk()
+//    exposes the pack list, verdicts, swap/rollback, stats, and drain as a
+//    tiny console surface.
 //
 // Mutex discipline is machine-checked: all shared state is GUARDED_BY(mu_)
 // via clang -Wthread-safety over the annotated util::Mutex wrapper.
@@ -87,16 +90,6 @@ struct ServerOptions {
   /// Seed / output class names for the gate's linter (see analysis::PackInput).
   std::optional<std::vector<std::string>> admission_seeds;
   std::optional<std::vector<std::string>> admission_outputs;
-};
-
-/// Outcome of submit(). Admitted scenes resolve through `report` exactly
-/// once; shed scenes carry the reason and no future.
-struct SubmitResult {
-  SceneId scene = 0;
-  RejectReason rejected = RejectReason::None;
-  std::future<SceneReport> report;  ///< valid only when admitted()
-
-  [[nodiscard]] bool admitted() const noexcept { return rejected == RejectReason::None; }
 };
 
 /// A candidate rule pack for hot-reload. Its identity is the program's
@@ -259,18 +252,11 @@ class Server {
  private:
   friend class StreamHandle;
 
-  /// One registry entry. rulebase is null exactly for rejected packs.
+  /// One registry entry: the pack's info, its verdict and its rule base.
   struct PackRecord {
-    std::uint64_t id = 0;
-    std::string name;
-    std::string version;
-    PackState state = PackState::Staged;
-    analysis::AdmissionDecision decision = analysis::AdmissionDecision::Pass;
-    bool gated = false;
+    PackInfo info;
     std::string verdict_json;  ///< pretty JSON; empty for the boot pack
-    std::shared_ptr<const SharedRuleBase> rulebase;
-    std::uint64_t scenes_completed = 0;
-    std::uint64_t workers_on = 0;
+    std::shared_ptr<const SharedRuleBase> rulebase;  ///< null exactly for rejected packs
   };
 
   void worker_loop(std::size_t index);
@@ -279,7 +265,7 @@ class Server {
   void run_stream(std::size_t index, const std::shared_ptr<StreamState>& stream,
                   std::uint64_t pack_id);
   /// StreamHandle backends (handles must not outlive the server).
-  SubmitTickResult stream_tick(const std::shared_ptr<StreamState>& stream, SceneJob job);
+  SubmitResult stream_tick(const std::shared_ptr<StreamState>& stream, SceneJob job);
   void stream_close(const std::shared_ptr<StreamState>& stream);
   /// Why a new scene or stream is shed right now (None = admit it); counts
   /// the rejection in the books.
@@ -319,11 +305,11 @@ class Server {
   std::vector<std::int64_t> tick_latencies_ns_ PSMSYS_GUARDED_BY(mu_);
   std::int64_t final_wall_ns_ PSMSYS_GUARDED_BY(mu_) = -1;
 
-  // Pack registry (guarded by mu_). Exactly one record is Active.
+  // Pack registry (guarded by mu_). Exactly one record is Active. Ids are
+  // dense from 1 and records are never removed: pack id i is packs_[i - 1].
   std::vector<PackRecord> packs_ PSMSYS_GUARDED_BY(mu_);
   std::uint64_t active_pack_id_ PSMSYS_GUARDED_BY(mu_) = 0;
   std::uint64_t rollback_pack_id_ PSMSYS_GUARDED_BY(mu_) = 0;  ///< 0 = none
-  std::uint64_t next_pack_id_ PSMSYS_GUARDED_BY(mu_) = 1;
 
   util::Mutex sink_mu_;  ///< serializes trace_sink lines across sessions
   std::vector<std::unique_ptr<EngineContext>> contexts_;  ///< worker-owned

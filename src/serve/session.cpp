@@ -64,10 +64,11 @@ void Session::begin() {
   context_.runner_.begin_stream();
 }
 
-Session::TickOutcome Session::run_tick(const SceneJob& job,
-                                       const std::function<bool()>& aborted) {
+SceneReport Session::run_tick(const SceneJob& job, const std::function<bool()>& aborted) {
   const SessionOptions& options = context_.options_;
-  TickOutcome out;
+  SceneReport out;
+  out.scene = id_;
+  out.label = job.label;
   const psm::Task task{id_, job.label, job.inject};
   psm::AttemptOptions attempt{.cycle_deadline = options.cycle_deadline,
                               .cancel_check_every = kAbortCheckEvery,
@@ -110,32 +111,21 @@ void Session::finish() {
   context_.runner_.end_stream();
   context_.firing_log_.clear();
   context_.prefix_.clear();
-  ++context_.scenes_run_;
 }
 
 SceneReport Session::run(const SceneJob& job, const std::function<bool()>& aborted) {
-  const SessionOptions& options = context_.options_;
-  SceneReport report;
-  report.scene = id_;
-  report.label = job.label;
-
   begin();
   const auto begin_ts = obs::Tracer::Clock::now();
-  TickOutcome out = run_tick(job, aborted);
+  SceneReport report = run_tick(job, aborted);
   const auto end_ts = obs::Tracer::Clock::now();
   finish();
 
-  report.status = out.status;
-  report.attempts = out.attempts;
-  report.error = std::move(out.error);
-  report.counters = out.counters;
-  report.firing_log = std::move(out.firing_log);
-  if (options.tracer != nullptr) {
+  if (obs::Tracer* tracer = context_.options_.tracer) {
     obs::json::Object args;
     args.emplace_back("status", obs::json::Value(std::string(to_string(report.status))));
     args.emplace_back("attempts", obs::json::Value(static_cast<std::uint64_t>(report.attempts)));
-    options.tracer->record_span("scene " + std::to_string(id_), "scene", begin_ts, end_ts,
-                                static_cast<std::uint32_t>(id_), std::move(args));
+    tracer->record_span("scene " + std::to_string(id_), "scene", begin_ts, end_ts,
+                        static_cast<std::uint32_t>(id_), std::move(args));
   }
   return report;
 }

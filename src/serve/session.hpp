@@ -11,6 +11,10 @@
 // log depends only on the rule base, the base WM, and its own injected WMEs —
 // never on which context ran it or what ran before it — and a quarantined or
 // aborted scene provably cannot leak state into later ones.
+//
+// A tick is the unit of reporting: Session::run_tick() fills one SceneReport
+// and the server completes it (tick number, timings), for a stream's tick
+// and for a one-shot scene alike (DESIGN.md §16.2).
 
 #include <cstdint>
 #include <functional>
@@ -62,20 +66,28 @@ enum class RejectReason : std::uint8_t {
 [[nodiscard]] const char* to_string(SceneStatus status) noexcept;
 [[nodiscard]] const char* to_string(RejectReason reason) noexcept;
 
-/// Everything the server (and the submitting client, via its future) learns
-/// about one scene. The queue/latency fields are filled by the server.
+/// Everything a client learns about one tick: a stream's tick or a one-shot
+/// scene, which is a one-tick stream. Session::run_tick() fills the id, the
+/// label and the execution fields; the server sets `tick` and the timings,
+/// which differ by flavour:
+///  * a stream tick is timed from its submit to its start to its done;
+///  * a one-shot scene is timed from admission to dequeue to its terminal
+///    state, the close-time rollback included.
 struct SceneReport {
-  SceneId scene = 0;
+  SceneId scene = 0;       ///< the scene's id (a tick's: its stream's)
+  std::uint64_t tick = 0;  ///< sequence number within the stream (0-based)
   std::string label;
   SceneStatus status = SceneStatus::Completed;
   RejectReason reject = RejectReason::None;
-  std::uint32_t attempts = 0;          ///< execution attempts consumed
-  std::string error;                   ///< last failure cause (non-Completed)
-  util::WorkCounters counters;         ///< successful attempt's engine deltas
-  std::string firing_log;              ///< session-prefixed watch lines (opt-in)
-  std::int64_t queued_ns = 0;          ///< admission -> dequeue
-  std::int64_t service_ns = 0;         ///< dequeue -> terminal state
-  std::int64_t latency_ns = 0;         ///< admission -> terminal state
+  std::uint32_t attempts = 0;     ///< execution attempts consumed
+  std::string error;              ///< last failure cause (non-Completed)
+  util::WorkCounters counters;    ///< successful attempt's engine deltas
+  std::string firing_log;         ///< session-prefixed watch lines (opt-in)
+  std::uint64_t wm_size = 0;      ///< resident WMEs after the tick
+  std::uint64_t live_tokens = 0;  ///< resident beta tokens after the tick
+  std::int64_t queued_ns = 0;     ///< admission -> dequeue; a tick: submit -> start
+  std::int64_t service_ns = 0;    ///< dequeue -> terminal state; a tick: start -> done
+  std::int64_t latency_ns = 0;    ///< admission -> terminal state; a tick: submit -> done
 };
 
 /// Per-session execution policy, shared by every session of a server.
@@ -108,7 +120,6 @@ class EngineContext {
 
   [[nodiscard]] ops5::Engine& engine() noexcept { return runner_.engine(); }
   [[nodiscard]] const SessionOptions& options() const noexcept { return options_; }
-  [[nodiscard]] std::uint64_t scenes_run() const noexcept { return scenes_run_; }
 
  private:
   friend class Session;
@@ -118,7 +129,6 @@ class EngineContext {
   psm::TaskRunner runner_;
   std::string prefix_;       ///< "s<id>| " of the session in flight
   std::string firing_log_;   ///< captured lines of the session in flight
-  std::uint64_t scenes_run_ = 0;
 };
 
 /// The per-scene/per-stream execution: binds a session id to a context for
@@ -142,25 +152,16 @@ class Session {
   /// the wall-clock budget.
   [[nodiscard]] SceneReport run(const SceneJob& job, const std::function<bool()>& aborted);
 
-  /// What one tick produced (the session-level slice of TickReport).
-  struct TickOutcome {
-    SceneStatus status = SceneStatus::Completed;
-    std::uint32_t attempts = 0;
-    std::string error;
-    util::WorkCounters counters;
-    std::string firing_log;
-    std::uint64_t wm_size = 0;      ///< resident WMEs after the tick
-    std::uint64_t live_tokens = 0;  ///< resident beta tokens after the tick
-  };
-
   /// Bind the session to the context and open the stream journal.
   void begin();
 
   /// Execute one tick inside begin()/finish(). On Completed the tick's WM
-  /// effects stay resident; on Quarantined/Aborted the engine is back at the
-  /// tick's checkpoint (earlier ticks' effects survive) and the caller
-  /// should treat the stream as terminally failed.
-  [[nodiscard]] TickOutcome run_tick(const SceneJob& job, const std::function<bool()>& aborted);
+  /// effects stay resident and the report carries the resident gauges; on
+  /// Quarantined/Aborted the engine is back at the tick's checkpoint
+  /// (earlier ticks' effects survive) and the caller should treat the
+  /// stream as terminally failed. The report's tick number and timings are
+  /// left for the caller.
+  [[nodiscard]] SceneReport run_tick(const SceneJob& job, const std::function<bool()>& aborted);
 
   /// Roll every tick's effects back and release the context: base working
   /// memory, timetags, and recency are bit-identical to pre-begin().

@@ -11,7 +11,8 @@
 // to fresh. One-shot submission is the degenerate case: Server::submit() is
 // a thin wrapper over a one-tick, pre-closed stream, so admission, shedding,
 // deadlines, pack binding, and the wall-clock budget have exactly one code
-// path.
+// path, and a tick and a one-shot scene share one report (SceneReport) and
+// one submit result (SubmitResult).
 
 #include <cstdint>
 #include <future>
@@ -19,7 +20,6 @@
 #include <string>
 
 #include "serve/session.hpp"
-#include "util/counters.hpp"
 
 namespace psmsys::serve {
 
@@ -28,35 +28,23 @@ struct StreamState;  // internal (server.cpp); handles hold it by shared_ptr
 
 using StreamId = SceneId;  ///< streams share the scene id space
 
-/// Everything a client learns about one tick of a stream. Mirrors
-/// SceneReport at tick granularity, plus the resident working-set gauges
-/// sampled after the tick quiesced.
-struct TickReport {
-  StreamId stream = 0;
-  std::uint64_t tick = 0;  ///< sequence number within the stream (0-based)
-  std::string label;
-  SceneStatus status = SceneStatus::Completed;
-  RejectReason reject = RejectReason::None;
-  std::uint32_t attempts = 0;
-  std::string error;            ///< last failure cause (non-Completed)
-  util::WorkCounters counters;  ///< successful attempt's engine deltas
-  std::string firing_log;       ///< tick's session-prefixed watch lines (opt-in)
-  std::uint64_t wm_size = 0;      ///< resident WMEs after the tick
-  std::uint64_t live_tokens = 0;  ///< resident beta tokens after the tick (OBS)
-  std::int64_t queued_ns = 0;     ///< tick submit -> tick start
-  std::int64_t service_ns = 0;    ///< tick start -> tick done
-  std::int64_t latency_ns = 0;    ///< tick submit -> tick done
-};
+/// A stream tick's report is a SceneReport: its `scene` is the stream's id
+/// and its timings run from the tick's submit to its start to its done.
+using TickReport = SceneReport;
 
-/// Outcome of StreamHandle::tick(). Admitted ticks resolve through `report`
-/// exactly once; shed ticks carry the reason and no future.
-struct SubmitTickResult {
-  std::uint64_t tick = 0;
+/// Outcome of Server::submit() and StreamHandle::tick(). Admitted work
+/// resolves through `report` exactly once; shed work carries the reason and
+/// no future.
+struct SubmitResult {
+  SceneId scene = 0;       ///< the scene's id (a tick's: its stream's)
+  std::uint64_t tick = 0;  ///< sequence number within the stream (0 for submit())
   RejectReason rejected = RejectReason::None;
-  std::future<TickReport> report;  ///< valid only when admitted()
+  std::future<SceneReport> report;  ///< valid only when admitted()
 
   [[nodiscard]] bool admitted() const noexcept { return rejected == RejectReason::None; }
 };
+
+using SubmitTickResult = SubmitResult;
 
 /// Terminal rollup of one stream, resolved when the stream closes (or the
 /// server drains it, or a tick fails terminally).
@@ -91,7 +79,7 @@ class StreamHandle {
   /// Submit one tick. Sheds (without blocking) when the stream's bounded
   /// tick queue is full, the stream is closed or dead, or the server is
   /// draining.
-  [[nodiscard]] SubmitTickResult tick(SceneJob job);
+  [[nodiscard]] SubmitResult tick(SceneJob job);
 
   /// No more ticks: the worker finishes everything queued, rolls the
   /// stream's working memory back, and resolves the report. Idempotent.

@@ -323,6 +323,29 @@ std::string model_source() {
 )";
 }
 
+const std::vector<PhaseSpec>& phase_specs() {
+  static const std::vector<PhaseSpec> phases = {
+      {"rtf", rtf_source, {"region", "rtf-task"}, {"fragment"}},
+      // relation WMEs are write-only inside LCC by design: they record the
+      // named spatial relations for downstream interpretation, so they are
+      // phase outputs even though only contexts/consistency are re-seeded.
+      {"lcc",
+       lcc_source,
+       {"fragment", "constraint", "support", "lcc-task"},
+       {"context", "consistency", "relation"}},
+      {"fa", fa_source, {"fragment", "context", "fa-task"}, {"functional-area", "fa-size"}},
+      {"model", model_source, {"functional-area", "model-task"}, {"model"}},
+  };
+  return phases;
+}
+
+const PhaseSpec* phase_spec(std::string_view name) {
+  for (const PhaseSpec& phase : phase_specs()) {
+    if (name == phase.name) return &phase;
+  }
+  return nullptr;
+}
+
 // ---------------------------------------------------------------------------
 // External registration and program construction
 // ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "ops5/engine.hpp"
 #include "ops5/external.hpp"
@@ -38,6 +40,22 @@ struct PhaseProgram {
 [[nodiscard]] std::string lcc_source();
 [[nodiscard]] std::string fa_source();
 [[nodiscard]] std::string model_source();
+
+/// One phase as the control process hands it work: its name, its OPS5
+/// source, the classes it is seeded with and the classes it outputs (what
+/// the linter, the value-domain pass and the admission gate assume).
+struct PhaseSpec {
+  const char* name = nullptr;
+  std::string (*source)() = nullptr;
+  std::vector<std::string> seeds;
+  std::vector<std::string> outputs;
+};
+
+/// The four phases in pipeline order: rtf, lcc, fa, model.
+[[nodiscard]] const std::vector<PhaseSpec>& phase_specs();
+
+/// The phase called `name`, or nullptr.
+[[nodiscard]] const PhaseSpec* phase_spec(std::string_view name);
 
 /// Each phase's one bundle, parsed and compiled on first use; every call
 /// returns the same program, registry and network.

@@ -482,8 +482,9 @@ void golden_verdict(const std::string& dataset, const std::string& file) {
   live.label = ds_lower + "-lcc-L3";
   live.program = decomposition.spec.program;
   live.spec = &decomposition.spec;
-  live.seed_classes = {{"fragment", "constraint", "support", "lcc-task"}};
-  live.output_classes = {{"context", "consistency", "relation"}};
+  const spam::PhaseSpec& lcc = *spam::phase_spec("lcc");
+  live.seed_classes = lcc.seeds;
+  live.output_classes = lcc.outputs;
 
   PackInput candidate;
   candidate.label = "lcc";

@@ -7,6 +7,8 @@
 #include <map>
 #include <memory>
 #include <new>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -245,6 +247,38 @@ TEST(Engine, BindActionThreadsThroughActions) {
   EXPECT_EQ(outs[0]->slot(1), Value(25.0));
 }
 
+TEST(Ops5Arith, FloorModTruncatingDivisionAndNoValueForAZeroDivisor) {
+  EXPECT_EQ(arith_op("mod"), ArithOp::Mod);
+  EXPECT_EQ(arith_op("//"), ArithOp::Div);
+  EXPECT_EQ(arith_op("/"), std::nullopt);
+  EXPECT_EQ(arith_op("abs"), std::nullopt);
+  EXPECT_EQ(apply_arith(ArithOp::Mod, -7.0, 3.0), 2.0);
+  EXPECT_EQ(apply_arith(ArithOp::Mod, 7.0, -3.0), -2.0);
+  EXPECT_EQ(apply_arith(ArithOp::Div, -7.0, 2.0), -3.0);
+  EXPECT_EQ(apply_arith(ArithOp::Sub, -7.0, 2.0), -9.0);
+  EXPECT_EQ(apply_arith(ArithOp::Div, 1.0, 0.0), std::nullopt);
+  EXPECT_EQ(apply_arith(ArithOp::Mod, 1.0, 0.0), std::nullopt);
+}
+
+TEST(Engine, ComputeOnNegativesAndAZeroDivisor) {
+  const auto program = parse_shared(R"(
+(literalize in x d)
+(literalize out m q)
+(p arith (in ^x <v> ^d <d>) --> (make out ^m (compute <v> mod 3) ^q (compute <v> // <d>)))
+)");
+  Engine engine(program, nullptr);
+  engine.make_wme("in", {{"x", Value(-7.0)}, {"d", Value(2.0)}});
+  engine.run();
+  const auto outs = engine.wmes_of_class("out");
+  ASSERT_EQ(outs.size(), 1u);
+  EXPECT_EQ(outs[0]->slot(0), Value(2.0));
+  EXPECT_EQ(outs[0]->slot(1), Value(-3.0));
+
+  Engine zero(program, nullptr);
+  zero.make_wme("in", {{"x", Value(1.0)}, {"d", Value(0.0)}});
+  EXPECT_THROW(zero.run(), std::domain_error);
+}
+
 TEST(Engine, ExternalFunctionCall) {
   auto program_value = parse_program(R"(
 (literalize in x)
@@ -260,7 +294,6 @@ TEST(Engine, ExternalFunctionCall) {
 (literalize out y)
 (p ext (in ^x <v>) --> (make out ^y (call square <v>)))
 )");
-  register_builtins(registry, program2.symbols());
   registry.register_function(program2.symbols(), "square",
                              [](std::span<const Value> args, ExternalContext& ctx) {
                                ctx.charge_flops(3);

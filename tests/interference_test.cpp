@@ -128,33 +128,18 @@ TEST(InterferenceCertificate, RtfFactsAreLoadBearing) {
 // Lint of the generated rule bases (satellite b/c)
 // ---------------------------------------------------------------------------
 
-struct PhaseLintCase {
-  const char* phase;
-  std::string source;
-  std::vector<const char*> seeds;
-};
-
-[[nodiscard]] std::vector<PhaseLintCase> phase_cases() {
-  return {
-      {"rtf", rtf_source(), {"region", "rtf-task"}},
-      {"lcc", lcc_source(), {"fragment", "constraint", "support", "lcc-task"}},
-      {"fa", fa_source(), {"fragment", "context", "fa-task"}},
-      {"model", model_source(), {"functional-area", "model-task"}},
-  };
-}
-
 TEST(RuleBaseLint, GeneratedPhasesHaveZeroErrors) {
-  for (const auto& c : phase_cases()) {
-    const ops5::Program p = ops5::parse_program(c.source);
+  for (const PhaseSpec& c : phase_specs()) {
+    const ops5::Program p = ops5::parse_program(c.source());
     analysis::LintOptions options;
     options.seed_classes.emplace();
-    for (const char* seed : c.seeds) {
+    for (const std::string& seed : c.seeds) {
       options.seed_classes->push_back(*p.class_index(*p.symbols().find(seed)));
     }
     const auto diags = analysis::lint_program(p, options);
-    EXPECT_EQ(analysis::count_errors(diags), 0u) << c.phase;
+    EXPECT_EQ(analysis::count_errors(diags), 0u) << c.name;
     for (const auto& d : diags) {
-      SCOPED_TRACE(c.phase);
+      SCOPED_TRACE(c.name);
       EXPECT_EQ(d.severity, analysis::Severity::Warning) << analysis::format_diagnostic(p, d);
     }
   }
@@ -165,10 +150,10 @@ TEST(RuleBaseLint, KnownWarningsArePinned) {
   // bindings kept for LEX specificity (dropping them would reorder conflict
   // resolution). Pin them so new warnings can't creep in silently.
   std::map<std::string, std::set<std::string>> warnings;  // phase -> "CODE production"
-  for (const auto& c : phase_cases()) {
-    const ops5::Program p = ops5::parse_program(c.source);
+  for (const PhaseSpec& c : phase_specs()) {
+    const ops5::Program p = ops5::parse_program(c.source());
     for (const auto& d : analysis::lint_program(p)) {
-      warnings[c.phase].insert(std::string(analysis::code_name(d.code)) + " " +
+      warnings[c.name].insert(std::string(analysis::code_name(d.code)) + " " +
                                p.symbols().name(d.production));
     }
   }

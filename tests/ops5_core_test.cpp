@@ -43,7 +43,7 @@ TEST(SymbolTable, FrozenRejectsNewAllowsExisting) {
 
 TEST(SymbolTable, UnknownIdThrows) {
   SymbolTable t;
-  EXPECT_THROW(t.name(static_cast<Symbol>(999)), std::out_of_range);
+  EXPECT_THROW((void)t.name(static_cast<Symbol>(999)), std::out_of_range);
 }
 
 // ---------------------------------------------------------------------------

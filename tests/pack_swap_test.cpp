@@ -402,5 +402,13 @@ TEST(PackSwap, AdminChannel) {
   EXPECT_NE(gs.server->admin_talk("drain").find("drained"), std::string::npos);
 }
 
+TEST(PackSwap, AdminChannelPackIdZeroIsUnknown) {
+  // Pack ids are dense from 1, so 0 lies below every registered id.
+  GatedServer gs(1);
+  EXPECT_NE(gs.server->admin_talk("pack verdict 0").find("unknown pack id"), std::string::npos);
+  EXPECT_NE(gs.server->admin_talk("pack swap 0").find("unknown pack id"), std::string::npos);
+  EXPECT_EQ(gs.server->active_pack(), 1u);
+}
+
 }  // namespace
 }  // namespace psmsys::serve

@@ -267,7 +267,7 @@ TEST(ParserErrors, ConditionElementCountIsBounded) {
 
 TEST(ParserErrors, ReportsLineNumber) {
   try {
-    parse_program("(literalize r a)\n\n(p x (r ^zzz 1) --> (halt))");
+    (void)parse_program("(literalize r a)\n\n(p x (r ^zzz 1) --> (halt))");
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     EXPECT_EQ(e.line(), 3);
@@ -280,7 +280,7 @@ TEST(ParserErrors, UnterminatedForm) {
 
 TEST(ParserErrors, ReportsColumn) {
   try {
-    parse_program("(literalize r a)\n(p x (r ^zzz 1) --> (halt))");
+    (void)parse_program("(literalize r a)\n(p x (r ^zzz 1) --> (halt))");
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     EXPECT_EQ(e.line(), 2);

@@ -190,7 +190,9 @@ TEST(ReteStatic, DependencyEdgesFollowWritesToReads) {
   // edge from prune, and nobody else writes item.
   EXPECT_TRUE(has_edge(id_of("prune"), id_of("join01"), "item", false));
   for (const auto& e : edges) {
-    if (e.class_name == "item") EXPECT_EQ(e.from, id_of("prune"));
+    if (e.class_name == "item") {
+      EXPECT_EQ(e.from, id_of("prune"));
+    }
   }
   // Edges are sorted by (from, to, cls, negated) with no duplicates.
   for (std::size_t i = 1; i < edges.size(); ++i) {
@@ -552,25 +554,8 @@ TEST(ReteStaticUnlinking, ZeroActivationPathsMatchStaticQuiescenceVerdicts) {
 // ---------------------------------------------------------------------------
 
 TEST(Lint, GeneratedPhasesAreCleanOfWholeProgramFindings) {
-  struct Phase {
-    const char* name;
-    std::string source;
-    std::vector<std::string> seeds;
-    std::vector<std::string> outputs;
-  };
-  // Mirrors the spam_lint --phases configuration (see examples/spam_lint.cpp).
-  const std::vector<Phase> phases = {
-      {"rtf", spam::rtf_source(), {"region", "rtf-task"}, {"fragment"}},
-      {"lcc",
-       spam::lcc_source(),
-       {"fragment", "constraint", "support", "lcc-task"},
-       {"context", "consistency", "relation"}},
-      {"fa", spam::fa_source(), {"fragment", "context", "fa-task"},
-       {"functional-area", "fa-size"}},
-      {"model", spam::model_source(), {"functional-area", "model-task"}, {"model"}},
-  };
-  for (const auto& phase : phases) {
-    const Program p = parse_program(phase.source);
+  for (const spam::PhaseSpec& phase : spam::phase_specs()) {
+    const Program p = parse_program(phase.source());
     LintOptions options;
     options.seed_classes.emplace();
     for (const auto& s : phase.seeds) options.seed_classes->push_back(cls_of(p, s));

@@ -24,7 +24,7 @@ TEST(Scene, IdIndex) {
   EXPECT_NE(scene.find(10), nullptr);
   EXPECT_EQ(scene.find(99), nullptr);
   EXPECT_EQ(scene.at(20).id, 20u);
-  EXPECT_THROW(scene.at(99), std::out_of_range);
+  EXPECT_THROW((void)scene.at(99), std::out_of_range);
 }
 
 TEST(Scene, RejectsDuplicateIds) {

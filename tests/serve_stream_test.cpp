@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "obs/bench_schema.hpp"
+#include "obs/trace.hpp"
 #include "ops5/parser.hpp"
 #include "serve/server.hpp"
 #include "spam/stream_schedule.hpp"
@@ -357,7 +358,9 @@ TEST(ServeStream, MidStreamPackSwapLeavesTheStreamOnItsPack) {
     ASSERT_TRUE(tick.admitted());
     // Wait the first tick out so the stream is pinned to its worker (and
     // its pack) before the swap below races the rest.
-    if (t == 0) ASSERT_EQ(tick.report.get().status, SceneStatus::Completed);
+    if (t == 0) {
+      ASSERT_EQ(tick.report.get().status, SceneStatus::Completed);
+    }
     if (t == 1) {
       // Identical rules under a new version: the gate passes it, activation
       // repoints NEW dequeues only. The identity comes from the source.
@@ -622,6 +625,117 @@ TEST(ServeStream, WatchdogBudgetCoversTicksNotIdleStreams) {
   expect_accounting(stats);
   EXPECT_EQ(stats.aborted, 1u);
   EXPECT_EQ(stats.streams.aborted, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// One report: a one-shot scene is tick 0 of its own scene, reported in the
+// same struct as a stream's tick
+// ---------------------------------------------------------------------------
+
+TEST(ServeReport, OneShotSceneIsTickZeroWithTheGaugesOfAFirstTick) {
+  ServerOptions options;
+  options.workers = 1;
+  Server server(stream_rulebase(), options);
+  spam::StreamTickSpec spec;
+  spec.arrivals = {0, 1, 2};
+
+  // The stream goes first, so the one-shot scene's id is not 0.
+  StreamHandle stream = server.open_stream("first-tick");
+  ASSERT_TRUE(stream.admitted());
+  auto tick = stream.tick(delta_tick(spec, false, true, true));
+  ASSERT_TRUE(tick.admitted());
+  const TickReport first_tick = tick.report.get();
+  ASSERT_EQ(first_tick.status, SceneStatus::Completed);
+  (void)stream.close().get();
+
+  auto submitted = server.submit(delta_tick(spec, false, true, true));
+  ASSERT_TRUE(submitted.admitted());
+  EXPECT_NE(submitted.scene, 0u);
+  EXPECT_EQ(submitted.tick, 0u);
+  const SceneReport scene = submitted.report.get();
+  ASSERT_EQ(scene.status, SceneStatus::Completed);
+  EXPECT_EQ(scene.scene, submitted.scene);
+  EXPECT_EQ(scene.tick, 0u);
+  // Three items, the sentinel and three classifications stay resident
+  // until the close.
+  EXPECT_EQ(first_tick.wm_size, 7u);
+  EXPECT_EQ(scene.wm_size, first_tick.wm_size);
+  EXPECT_EQ(scene.live_tokens, first_tick.live_tokens);
+  (void)server.drain();
+}
+
+TEST(ServeReport, OneShotReportResolvesOnlyOnceTheBooksCountTheScene) {
+  // The client waits on the scene's own tick promise, which the worker
+  // resolves after the close and the books: stats() already counts it. A
+  // thousand resident WMEs make the close long enough that a promise
+  // resolved before it would let the client read the books first.
+  ServerOptions options;
+  options.workers = 2;
+  Server server(stream_rulebase(), options);
+  spam::StreamTickSpec spec;
+  for (std::size_t item = 0; item < 500; ++item) spec.arrivals.push_back(item);
+  constexpr std::uint64_t kScenes = 50;
+  for (std::uint64_t i = 0; i < kScenes; ++i) {
+    auto submitted = server.submit(delta_tick(spec, false, true, true));
+    ASSERT_TRUE(submitted.admitted());
+    ASSERT_EQ(submitted.report.get().status, SceneStatus::Completed);
+    ASSERT_EQ(server.stats().completed, i + 1) << "scene " << i;
+  }
+  (void)server.drain();
+}
+
+TEST(ServeReport, StreamTickSubmitResultAndReportNameTheStream) {
+  Server server(stream_rulebase(), {});
+  // A second stream, so the one under test has a non-zero id.
+  StreamHandle first = server.open_stream("first");
+  StreamHandle stream = server.open_stream("second");
+  ASSERT_TRUE(stream.admitted());
+  ASSERT_NE(stream.id(), 0u);
+  spam::StreamTickSpec spec;
+  for (std::uint64_t t = 0; t < 3; ++t) {
+    spec.arrivals = {static_cast<std::size_t>(t)};
+    auto tick = stream.tick(delta_tick(spec, t == 0));
+    ASSERT_TRUE(tick.admitted());
+    EXPECT_EQ(tick.scene, stream.id());
+    EXPECT_EQ(tick.tick, t);
+    const TickReport report = tick.report.get();
+    EXPECT_EQ(report.scene, stream.id());
+    EXPECT_EQ(report.tick, t);
+  }
+  (void)stream.close().get();
+  (void)first.close().get();
+  const auto late = stream.tick(delta_tick(spec));
+  EXPECT_EQ(late.rejected, RejectReason::StreamClosed);
+  EXPECT_EQ(late.scene, stream.id());
+  (void)server.drain();
+}
+
+TEST(ServeReport, StreamTraceSpanCountsEveryTickAttempt) {
+  obs::Tracer tracer;
+  tracer.set_sample_every(0);
+  ServerOptions options;
+  options.workers = 1;
+  options.session.tracer = &tracer;
+  Server server(stream_rulebase(), options);
+  StreamHandle stream = server.open_stream("traced");
+  spam::StreamTickSpec spec;
+  for (std::size_t t = 0; t < 3; ++t) {
+    spec.arrivals = {t};
+    auto tick = stream.tick(delta_tick(spec, t == 0));
+    ASSERT_TRUE(tick.admitted());
+    ASSERT_EQ(tick.report.get().attempts, 1u);
+  }
+  (void)stream.close().get();
+  (void)server.drain();
+
+  std::vector<std::string> attempts;
+  for (const auto& ev : tracer.events()) {
+    if (ev.category != "scene") continue;
+    for (const auto& [key, value] : ev.args) {
+      if (key == "attempts") attempts.push_back(value.dump());
+    }
+  }
+  EXPECT_EQ(attempts, std::vector<std::string>{"3"});
 }
 
 // ---------------------------------------------------------------------------

@@ -394,7 +394,7 @@ TEST(ServeRefraction, FailedTickCheckpointRollbackReArmsBaseInstantiation) {
   for (int round = 0; round < 2; ++round) {
     Session session(1, context);
     session.begin();
-    const Session::TickOutcome tick = session.run_tick(trigger_scene(1), {});
+    const SceneReport tick = session.run_tick(trigger_scene(1), {});
     session.finish();
     ASSERT_EQ(tick.status, SceneStatus::Completed);
     EXPECT_EQ(tick.attempts, 2u);

@@ -132,7 +132,7 @@ TEST(LptMakespan, KnownPacking) {
 
 TEST(LptMakespan, Empty) {
   EXPECT_EQ(lpt_makespan({}, 4), 0u);
-  EXPECT_THROW(lpt_makespan({}, 0), std::invalid_argument);
+  EXPECT_THROW((void)lpt_makespan({}, 0), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -218,7 +218,7 @@ TEST(MatchModel, MissingCycleRecordsRejected) {
   t.counters.cycles = 5;  // ran five cycles but recorded none
   MatchModel m;
   m.match_processes = 2;
-  EXPECT_THROW(task_cost_with_match(t, m), std::invalid_argument);
+  EXPECT_THROW((void)task_cost_with_match(t, m), std::invalid_argument);
 }
 
 TEST(MatchModel, TaskCostsHelper) {

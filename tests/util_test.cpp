@@ -102,7 +102,7 @@ TEST(Rng, ForkGivesIndependentStreams) {
   Rng base2(123);
   Rng f1b = base2.fork(1);
   Rng f1c = Rng(123).fork(1);
-  f1c.next_u64();  // advance one
+  (void)f1c.next_u64();  // advance one
   Rng f1d = Rng(123).fork(1);
   EXPECT_EQ(f1b.next_u64(), f1d.next_u64());
 }
@@ -192,10 +192,10 @@ TEST(Percentile, InterpolatesLinearly) {
 }
 
 TEST(Percentile, RejectsBadInput) {
-  EXPECT_THROW(percentile({}, 50.0), std::invalid_argument);
+  EXPECT_THROW((void)percentile({}, 50.0), std::invalid_argument);
   const std::vector<double> xs{1.0};
-  EXPECT_THROW(percentile(xs, -1.0), std::invalid_argument);
-  EXPECT_THROW(percentile(xs, 101.0), std::invalid_argument);
+  EXPECT_THROW((void)percentile(xs, -1.0), std::invalid_argument);
+  EXPECT_THROW((void)percentile(xs, 101.0), std::invalid_argument);
 }
 
 TEST(Histogram, BinsAndOverflow) {
