@@ -79,7 +79,7 @@ PSMSYS_BENCH_CASE(svm_degradation, "faults",
 PSMSYS_BENCH_CASE(robust_executor, "faults",
                   "Threaded executor under injected faults (Level 3, 4 processes)") {
   auto& os = ctx.out();
-  const auto config = ctx.quick() ? spam::sf_config() : spam::dc_config();
+  const auto config = spam::dc_config();
   const auto scene = spam::generate_scene(config);
   const auto best = spam::best_fragments(spam::run_rtf(scene, 3).fragments);
   const auto d = spam::lcc_decomposition(3, scene, best);

@@ -21,13 +21,10 @@ namespace psmsys::bench {
 PSMSYS_BENCH_CASE(granularity, "lcc", "Tables 5-7: task granularity by decomposition level") {
   auto& os = ctx.out();
 
-  // Level 1 means thousands of tiny tasks; measuring it dominates the quick
-  // run's wall time, so --quick stops at Level 2.
-  const int min_level = ctx.quick() ? 2 : 1;
-  for (const auto& config : ctx.datasets()) {
+  for (const auto& config : spam::all_datasets()) {
     util::Table table({"Level", "Avg time per task (s)", "Std deviation (s)",
                        "Coeff. of variance", "Number of tasks"});
-    for (int level = 4; level >= min_level; --level) {
+    for (int level = 4; level >= 1; --level) {
       const auto& measured = ctx.lcc(config, level);
       util::RunningStats stats;
       for (const auto& m : measured.tasks) stats.add(util::to_seconds(m.cost()));

@@ -41,7 +41,7 @@ PSMSYS_BENCH_CASE(lcc_baseline, "lcc", "Table 8: LCC baseline (single task proce
   util::Table table({"Dataset", "Total time (s)", "Number of tasks", "Avg time per task (s)",
                      "Prods fired", "RHS actions", "paper: total/tasks/avg"});
 
-  for (const auto& config : ctx.datasets()) {
+  for (const auto& config : spam::all_datasets()) {
     for (const int level : {3, 2}) {
       const auto& measured = ctx.lcc(config, level);
       util::WorkUnits total = 0;

@@ -13,13 +13,13 @@ namespace psmsys::bench {
 PSMSYS_BENCH_CASE(lcc_match, "lcc", "Figure 7: LCC match parallelism (Level 3)") {
   auto& os = ctx.out();
 
-  const auto procs = ctx.trim({1, 2, 3, 4, 6, 8, 13});
+  const std::vector<std::size_t> procs{1, 2, 3, 4, 6, 8, 13};
   std::vector<std::string> headers{"dataset", "limit"};
   for (const std::size_t m : procs) headers.push_back("m=" + std::to_string(m));
   headers.emplace_back("achieved/limit");
   util::Table table(std::move(headers));
 
-  for (const auto& config : ctx.datasets()) {
+  for (const auto& config : spam::all_datasets()) {
     const auto& measured = ctx.lcc(config, 3, /*record_cycles=*/true);
     const double limit = psm::match_speedup_limit(measured.tasks);
 

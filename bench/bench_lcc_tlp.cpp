@@ -14,14 +14,14 @@ namespace psmsys::bench {
 PSMSYS_BENCH_CASE(lcc_tlp, "lcc", "Figure 6: LCC task-level parallelism") {
   auto& os = ctx.out();
 
-  const auto procs = ctx.trim({1, 2, 4, 6, 8, 10, 12, 14});
+  const std::vector<std::size_t> procs{1, 2, 4, 6, 8, 10, 12, 14};
   std::vector<std::string> headers{"dataset", "level"};
   for (const std::size_t p : procs) headers.push_back("p=" + std::to_string(p));
   headers.emplace_back("util@14");
   util::Table table(std::move(headers));
 
   for (const int level : {3, 2}) {
-    for (const auto& config : ctx.datasets()) {
+    for (const auto& config : spam::all_datasets()) {
       const auto& measured = ctx.lcc(config, level);
       const auto costs = psm::task_costs(measured.tasks);
       std::vector<std::string> row{config.name, std::to_string(level)};

@@ -34,11 +34,8 @@ PSMSYS_BENCH_CASE(multiplicative, "multiplicative",
   const auto plain_costs = psm::task_costs(measured.tasks);
   const util::WorkUnits baseline = psm::simulate_tlp(plain_costs, one).makespan;
 
-  const std::vector<std::size_t> task_procs =
-      ctx.quick() ? std::vector<std::size_t>{1, 2, 4, 7}
-                  : std::vector<std::size_t>{1, 2, 3, 4, 5, 6, 7};
-  const std::vector<std::size_t> match_procs =
-      ctx.quick() ? std::vector<std::size_t>{0, 1, 2} : std::vector<std::size_t>{0, 1, 2, 3, 4};
+  const std::vector<std::size_t> task_procs{1, 2, 3, 4, 5, 6, 7};
+  const std::vector<std::size_t> match_procs{0, 1, 2, 3, 4};
   constexpr std::size_t kMachineProcessors = 16;  // Encore Multimax
   constexpr std::size_t kUsable = kMachineProcessors - 2;  // control + OS
 
@@ -112,11 +109,10 @@ PSMSYS_BENCH_CASE(multiplicative, "multiplicative",
   // not gated.
   const auto decomposition = spam::lcc_decomposition(2, *measured.scene, measured.best);
   const unsigned hardware = std::thread::hardware_concurrency();
-  const std::size_t p_max =
-      std::min<std::size_t>(ctx.quick() ? 2 : 4, std::max(1u, hardware));
+  const std::size_t p_max = std::min<std::size_t>(4, std::max(1u, hardware));
   std::vector<std::size_t> m_procs;
   for (std::size_t p = 1; p <= p_max; ++p) m_procs.push_back(p);
-  const int reps = ctx.quick() ? 5 : 9;
+  constexpr int reps = 9;
 
   for (const std::size_t p : m_procs) (void)timed_run(decomposition, p, 1);
   std::vector<std::vector<double>> ratios(m_procs.size());

@@ -21,7 +21,7 @@ PSMSYS_BENCH_CASE(phase_stats, "phases", "Tables 1-3: interpretation phase stati
   auto& os = ctx.out();
   os << "(paper: Lisp OPS5 wall hours; here: engine virtual seconds)\n\n";
 
-  for (const auto& config : ctx.datasets()) {
+  for (const auto& config : spam::all_datasets()) {
     const spam::Scene scene = spam::generate_scene(config);
     const spam::PipelineResult result = spam::run_pipeline(scene);
 

@@ -36,7 +36,7 @@ util::WorkUnits run_with(const spam::Scene& scene, const std::vector<spam::Fragm
 PSMSYS_BENCH_CASE(rete_ablation, "rete", "Rete ablation: node sharing, hashed join memories") {
   auto& os = ctx.out();
 
-  const auto config = ctx.quick() ? spam::sf_config() : spam::dc_config();
+  const auto config = spam::dc_config();
   const auto scene = spam::generate_scene(config);
   const auto best = spam::best_fragments(spam::run_rtf(scene, 3).fragments);
 

@@ -1,9 +1,8 @@
 // Match-core microbench gates for the Rete hot-path rewrite: per-retract
 // cost must stay flat in working-memory size (the O(1) slot/back-pointer
 // retraction), and quiescent productions must cost ~nothing under node
-// unlinking. Unlike bench_rete_micro (a google-benchmark binary for
-// host-time curves), these cases emit BENCH_rete_micro.json and *fail* the
-// harness when a flatness ratio regresses — they are the CI gate.
+// unlinking. These cases emit BENCH_rete_micro.json and *fail* the harness
+// when a flatness ratio regresses — they are the CI gate.
 
 #include <algorithm>
 #include <chrono>
@@ -80,7 +79,7 @@ PSMSYS_BENCH_CASE(retract_heavy, "rete_micro",
       "(p pair (item ^v <x>) (marker ^v <x>) --> (halt))\n");
 
   const std::size_t kChurn = 128;
-  const int reps = ctx.quick() ? 3 : 7;
+  constexpr int reps = 7;
   const std::vector<std::size_t> sizes = {256, 1024, 4096};
 
   util::Table table({"WM size", "wu/op", "host ns/op"});

@@ -72,9 +72,9 @@ PSMSYS_BENCH_CASE(rete_vs_naive, "rete",
   auto& os = ctx.out();
 
   // The LCC program over a dataset's fragment WMEs — a realistic SPAM-sized
-  // match load (quick mode uses the smaller SF scene).
+  // match load.
   const spam::PhaseProgram phase = spam::build_lcc_program();
-  const auto config = ctx.quick() ? spam::sf_config() : spam::dc_config();
+  const auto config = spam::dc_config();
   const auto scene = spam::generate_scene(config);
   const auto best = spam::best_fragments(spam::run_rtf(scene, 3).fragments);
 

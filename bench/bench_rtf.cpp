@@ -13,8 +13,8 @@ namespace psmsys::bench {
 PSMSYS_BENCH_CASE(rtf, "rtf", "Figure 8: RTF phase (task-level and match parallelism)") {
   auto& os = ctx.out();
 
-  const auto task_procs = ctx.trim({1, 2, 4, 6, 8, 10, 12, 14});
-  const auto match_procs = ctx.trim({1, 2, 3, 4, 6, 8, 13});
+  const std::vector<std::size_t> task_procs{1, 2, 4, 6, 8, 10, 12, 14};
+  const std::vector<std::size_t> match_procs{1, 2, 3, 4, 6, 8, 13};
 
   std::vector<std::string> tlp_headers{"dataset", "#tasks"};
   for (const std::size_t p : task_procs) tlp_headers.push_back("p=" + std::to_string(p));
@@ -24,7 +24,7 @@ PSMSYS_BENCH_CASE(rtf, "rtf", "Figure 8: RTF phase (task-level and match paralle
   for (const std::size_t m : match_procs) match_headers.push_back("m=" + std::to_string(m));
   util::Table match_table(std::move(match_headers));
 
-  for (const auto& config : ctx.datasets()) {
+  for (const auto& config : spam::all_datasets()) {
     const auto& measured = ctx.rtf(config, /*record_cycles=*/true);
     const auto costs = psm::task_costs(measured.tasks);
 

@@ -21,7 +21,7 @@ PSMSYS_BENCH_CASE(scheduling_ablation, "scheduling",
   util::Table table({"dataset", "level", "fifo speedup", "lpt speedup", "fifo util",
                      "lpt util", "gain"});
 
-  for (const auto& config : ctx.datasets()) {
+  for (const auto& config : spam::all_datasets()) {
     for (const int level : {3, 2}) {
       const auto& measured = ctx.lcc(config, level);
       const auto costs = psm::task_costs(measured.tasks);

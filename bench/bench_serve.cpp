@@ -90,7 +90,7 @@ PSMSYS_BENCH_CASE(serve_scaling, "serve",
   auto& os = ctx.out();
   const auto rb = serve_rulebase();
   constexpr std::size_t kWorkers = 4;
-  const std::size_t total = ctx.quick() ? 256 : 2048;
+  constexpr std::size_t total = 2048;
 
   util::Table table({"clients", "scenes", "scenes/sec", "p50 us", "p99 us", "max us"});
   std::vector<std::pair<std::size_t, double>> curve;
@@ -126,7 +126,7 @@ PSMSYS_BENCH_CASE(serve_fault_storm, "serve",
   const auto rb = serve_rulebase();
   constexpr std::size_t kWorkers = 4;
   constexpr std::size_t kClients = 16;
-  const std::size_t per_client = ctx.quick() ? 16 : 128;
+  constexpr std::size_t per_client = 128;
 
   util::Table table({"storm", "completed", "quarantined", "retries", "scenes/sec",
                      "vs healthy"});
@@ -163,8 +163,8 @@ PSMSYS_BENCH_CASE(serve_pack_swap, "serve",
   auto& os = ctx.out();
   constexpr std::size_t kWorkers = 4;
   constexpr std::size_t kClients = 16;
-  const std::size_t per_client = ctx.quick() ? 16 : 128;
-  const std::uint64_t total = kClients * per_client;
+  constexpr std::size_t per_client = 128;
+  constexpr std::uint64_t total = kClients * per_client;
 
   // The candidate carries the same rules under a new version tag: the gate
   // runs its full pipeline (semantic diff is empty, so it must accept), and
@@ -180,7 +180,7 @@ PSMSYS_BENCH_CASE(serve_pack_swap, "serve",
 
     std::thread swapper;
     if (swap) {
-      swapper = std::thread([&server, total, &ctx] {
+      swapper = std::thread([&server, &ctx] {
         while (server.stats().completed < total / 2) std::this_thread::yield();
         serve::PackCandidate candidate;
         candidate.program =
@@ -194,7 +194,7 @@ PSMSYS_BENCH_CASE(serve_pack_swap, "serve",
     std::vector<std::thread> pool;
     pool.reserve(kClients);
     for (std::size_t c = 0; c < kClients; ++c) {
-      pool.emplace_back([&server, c, per_client] {
+      pool.emplace_back([&server, c] {
         for (std::size_t i = 0; i < per_client; ++i) {
           auto r = server.submit(counting_scene(c * per_client + i));
           if (r.admitted()) (void)r.report.get();

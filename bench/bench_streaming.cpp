@@ -200,7 +200,7 @@ PSMSYS_BENCH_CASE(streaming_flatness, "streaming",
   auto& os = ctx.out();
 
   spam::StreamScheduleConfig config;
-  config.ticks = ctx.quick() ? 56 : 64;     // acceptance floor: >= 50 ticks
+  config.ticks = 64;                        // acceptance floor: >= 50 ticks
   config.items = config.ticks * 8;          // even pacing: ~8 arrivals/tick
   config.burstiness = 0.0;
   config.retract_fraction = 0.12;
@@ -298,7 +298,7 @@ PSMSYS_BENCH_CASE(streaming_determinism, "streaming",
   auto& os = ctx.out();
 
   spam::StreamScheduleConfig config;
-  config.ticks = ctx.quick() ? 16 : 24;
+  config.ticks = 24;
   config.items = config.ticks * 6;
   config.burstiness = 0.4;
   config.retract_fraction = 0.15;

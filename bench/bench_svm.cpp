@@ -30,9 +30,7 @@ PSMSYS_BENCH_CASE(svm_figure9, "svm", "Figure 9: shared virtual memory across tw
   std::vector<SpeedupPoint> tlp_points;
   std::vector<SpeedupPoint> svm_points;
 
-  std::vector<std::size_t> sweep;
-  for (std::size_t p = 1; p <= 22; ++p) sweep.push_back(p);
-  for (const std::size_t p : ctx.trim(std::move(sweep))) {
+  for (std::size_t p = 1; p <= 22; ++p) {
     psm::TlpConfig cfg;
     cfg.task_processes = p;
     const double tlp = psm::speedup(baseline, psm::simulate_tlp(costs, cfg).makespan);

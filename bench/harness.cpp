@@ -15,7 +15,6 @@
 #include <thread>
 
 #include "obs/bench_schema.hpp"
-#include "obs/obs_config.hpp"
 #include "psm/run.hpp"
 
 namespace psmsys::bench {
@@ -170,22 +169,6 @@ const MeasuredLcc& MeasureCache::rtf(const spam::DatasetConfig& config, bool rec
 // CaseContext
 // ---------------------------------------------------------------------------
 
-std::vector<spam::DatasetConfig> CaseContext::datasets() const {
-  if (quick_) return {spam::sf_config()};
-  return spam::all_datasets();
-}
-
-std::vector<std::size_t> CaseContext::trim(std::vector<std::size_t> procs) const {
-  if (!quick_ || procs.size() <= 2) return procs;
-  std::vector<std::size_t> kept;
-  for (std::size_t i = 0; i < procs.size(); ++i) {
-    const std::size_t p = procs[i];
-    const bool power_of_two = p != 0 && (p & (p - 1)) == 0;
-    if (i == 0 || i + 1 == procs.size() || power_of_two) kept.push_back(p);
-  }
-  return kept;
-}
-
 void CaseContext::metric(const std::string& name, double value) {
   set_member(result_.metrics, name, json::Value(value));
 }
@@ -295,7 +278,6 @@ namespace {
 #endif
   const unsigned threads = std::max(1u, std::thread::hardware_concurrency());
   env.emplace_back("hardware_threads", json::Value(threads));
-  env.emplace_back("obs_enabled", json::Value(obs::kEnabled));
   return env;
 }
 
@@ -309,7 +291,6 @@ struct Options {
   std::vector<std::string> suites;  // empty = all
   std::string out_dir = ".";
   std::string validate_path;
-  bool quick = false;
   bool quiet = false;
   bool list = false;
   bool help = false;
@@ -323,7 +304,6 @@ void print_help(std::ostream& os) {
         "\n"
         "options:\n"
         "  --suite <name>    run only this suite (repeatable; default: all)\n"
-        "  --quick           trimmed sweeps + SF-only datasets (CI mode)\n"
         "  --out <dir>       directory for BENCH_*.json files (default: .)\n"
         "  --list            list suites and cases, then exit\n"
         "  --quiet           suppress narrative output (JSON still written)\n"
@@ -353,8 +333,6 @@ void print_help(std::ostream& os) {
       const char* v = value("--validate");
       if (v == nullptr) return false;
       options.validate_path = v;
-    } else if (arg == "--quick") {
-      options.quick = true;
     } else if (arg == "--quiet") {
       options.quiet = true;
     } else if (arg == "--list") {
@@ -476,7 +454,7 @@ int run_harness(int argc, char** argv) {
       result.id = c.id;
       result.suite = c.suite;
       result.title = c.title;
-      CaseContext ctx(result, cache, out, options.quick);
+      CaseContext ctx(result, cache, out);
       const auto wall_begin = std::chrono::steady_clock::now();
       const std::clock_t cpu_begin = std::clock();
       try {
@@ -501,7 +479,6 @@ int run_harness(int argc, char** argv) {
     json::Object doc;
     doc.emplace_back("schema_version", json::Value(obs::kBenchSchemaVersion));
     doc.emplace_back("suite", json::Value(suite));
-    doc.emplace_back("quick", json::Value(options.quick));
     doc.emplace_back("env", json::Value(env_fingerprint()));
     json::Array cases;
     for (const auto& r : results) cases.push_back(case_to_json(r));

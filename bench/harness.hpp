@@ -5,7 +5,8 @@
 // the same narrative tables the old per-bench mains did AND emits a
 // schema-versioned BENCH_<suite>.json (see src/obs/bench_schema.hpp) with
 // the machine-readable rows, speedup curves, counters and environment
-// fingerprint. `--quick` trims datasets/sweeps for CI.
+// fingerprint. Every case runs at the paper's size: all three datasets and
+// the full processor sweeps.
 //
 // Registering a case:
 //
@@ -130,25 +131,15 @@ struct CaseResult {
   std::int64_t cpu_ns = 0;
 };
 
-/// Handed to each case body: narrative output, quick-mode knobs, the shared
-/// measurement cache, and the JSON accumulators.
+/// Handed to each case body: narrative output, the shared measurement cache,
+/// and the JSON accumulators.
 class CaseContext {
  public:
-  CaseContext(CaseResult& result, MeasureCache& cache, std::ostream& out, bool quick)
-      : result_(result), cache_(cache), out_(out), quick_(quick) {}
-
-  /// True under `--quick`: cases should trim datasets and sweep sizes.
-  [[nodiscard]] bool quick() const noexcept { return quick_; }
+  CaseContext(CaseResult& result, MeasureCache& cache, std::ostream& out)
+      : result_(result), cache_(cache), out_(out) {}
 
   /// Narrative stream (the old printf output); /dev/null under `--quiet`.
   [[nodiscard]] std::ostream& out() noexcept { return out_; }
-
-  /// Datasets to sweep: all three airports, or SF only under `--quick`.
-  [[nodiscard]] std::vector<spam::DatasetConfig> datasets() const;
-
-  /// Trim a processor sweep under `--quick` (keeps first/last and powers of
-  /// two so curves stay recognizable).
-  [[nodiscard]] std::vector<std::size_t> trim(std::vector<std::size_t> procs) const;
 
   /// Memoized measurements shared by every case in this invocation.
   [[nodiscard]] const MeasuredLcc& lcc(const spam::DatasetConfig& config, int level,
@@ -177,7 +168,6 @@ class CaseContext {
   CaseResult& result_;
   MeasureCache& cache_;
   std::ostream& out_;
-  bool quick_;
 };
 
 using CaseFn = void (*)(CaseContext&);

@@ -23,10 +23,11 @@
 // degradation; `--watch` streams the session-id-prefixed firing log; `--json`
 // writes the drained server rollup (schema-validated before exit).
 //
-// `--swap-at N` demonstrates versioned hot-reload (DESIGN.md §15): once N
-// scenes have completed, a candidate copy of the LCC pack is staged through
-// the static admission gate and — when accepted — atomically activated while
-// the workload keeps running; in-flight scenes finish on the old pack.
+// `--swap-at N` demonstrates versioned hot-reload (DESIGN.md §15): before the
+// clients start, a candidate copy of the LCC pack is staged through the
+// static admission gate; when accepted, it is atomically activated once N
+// scenes (under `--stream`, N ticks) have completed, while the workload keeps
+// running; in-flight scenes finish on the old pack.
 // `--swap-rogue` injects an interference regression into the candidate so
 // the gate rejects it (AN011) and the server keeps serving the live pack.
 // `--admin` runs semicolon-separated admin-channel commands (help / stats /
@@ -112,9 +113,10 @@ void print_help() {
       "  --seed <HEX>             fault-injection seed (default 5eed)\n"
       "\n"
       "hot-reload demo:\n"
-      "  --swap-at <N>            after N completed scenes, gate + activate a\n"
-      "                           candidate LCC pack mid-run (old scenes finish\n"
-      "                           on the pack they started with)\n"
+      "  --swap-at <N>            gate a candidate LCC pack before the workload\n"
+      "                           and activate it after N completed scenes\n"
+      "                           (ticks under --stream); old scenes finish on\n"
+      "                           the pack they started with\n"
       "  --swap-rogue             inject an interference regression into the\n"
       "                           candidate: the gate rejects it (AN011) and the\n"
       "                           live pack keeps serving\n"
@@ -238,6 +240,27 @@ int main(int argc, char** argv) {
   server_options.admission_outputs = lcc.outputs;
   serve::Server server(rulebase, server_options);
 
+  // Hot swap: the candidate LCC pack goes through the admission gate and its
+  // compile before the clients start, so the swap itself is only the
+  // activation, made once enough scenes (or ticks) have completed while the
+  // workload keeps running.
+  serve::LoadResult staged;
+  if (options.swap_at > 0) {
+    std::string source = "(pack lcc v2)\n" + spam::lcc_source();
+    if (options.swap_rogue) {
+      source +=
+          "\n(p lcc-rogue\n"
+          "   (lcc-task)\n"
+          "   (fragment ^id <f> ^best yes)\n"
+          "   -->\n"
+          "   (make consistency ^constraint 99 ^subject <f> ^object <f> ^result 1))\n";
+    }
+    serve::PackCandidate candidate;
+    candidate.program = std::make_shared<const ops5::Program>(ops5::parse_program(source));
+    candidate.externals = phase.externals.get();
+    staged = server.stage_pack(candidate);
+  }
+
   // Closed-loop clients: each submits its slice of rounds x tasks, waiting
   // for every report (in-flight <= clients, so the queue never sheds unless
   // --queue is set below --clients). Under --stream the clients are the
@@ -245,6 +268,7 @@ int main(int argc, char** argv) {
   // task list as timed WME-delta ticks.
   const std::size_t total = decomposition.tasks.size() * options.rounds;
   std::atomic<std::uint64_t> completed{0};
+  std::atomic<std::uint64_t> ticks_completed{0};  // --stream: --swap-at's clock
   std::atomic<std::uint64_t> quarantined{0};
   std::atomic<std::uint64_t> aborted{0};
   std::atomic<std::uint64_t> shed{0};
@@ -280,9 +304,14 @@ int main(int argc, char** argv) {
         }
         const auto opened_at = std::chrono::steady_clock::now();
         std::future<serve::TickReport> prev;
+        const auto settle = [&] {
+          if (prev.valid() && prev.get().status == serve::SceneStatus::Completed) {
+            ++ticks_completed;
+          }
+        };
         for (const auto& spec : schedule) {
           std::this_thread::sleep_until(opened_at + std::chrono::milliseconds(spec.at_ms));
-          if (prev.valid()) (void)prev.get();  // closed loop under the pacing
+          settle();  // closed loop under the pacing
           serve::SceneJob job;
           job.label = "tick";
           job.inject = [&decomposition, spec](ops5::Engine& engine) {
@@ -293,7 +322,7 @@ int main(int argc, char** argv) {
           auto t = handle.tick(std::move(job));
           if (t.admitted()) prev = std::move(t.report);
         }
-        if (prev.valid()) (void)prev.get();
+        settle();
         count_status(handle.close().get().status);
       });
     }
@@ -316,35 +345,28 @@ int main(int argc, char** argv) {
       });
     }
   }
-  // Mid-run hot swap: stage a candidate LCC pack through the admission gate
-  // once enough scenes have completed, activate it when accepted, and keep
-  // the workload running throughout.
+  // The swapper activates the staged pack once enough scenes (or ticks) have
+  // completed, or when the workload ends first.
   std::atomic<bool> workload_done{false};
   std::thread swapper;
   if (options.swap_at > 0) {
     swapper = std::thread([&] {
-      while (completed.load() < options.swap_at && !workload_done.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      const auto& progress = options.streams > 0 ? ticks_completed : completed;
+      std::uint64_t at = 0;
+      if (staged.accepted) {
+        while ((at = progress.load()) < options.swap_at && !workload_done.load()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        staged.activated = server.activate_pack(staged.pack);
       }
-      std::string source = "(pack lcc v2)\n" + spam::lcc_source();
-      if (options.swap_rogue) {
-        source +=
-            "\n(p lcc-rogue\n"
-            "   (lcc-task)\n"
-            "   (fragment ^id <f> ^best yes)\n"
-            "   -->\n"
-            "   (make consistency ^constraint 99 ^subject <f> ^object <f> ^result 1))\n";
+      std::cout << "hot swap: pack " << staged.pack << " verdict "
+                << analysis::admission_decision_name(staged.verdict.decision) << " -> ";
+      if (staged.activated) {
+        std::cout << "activated after " << at << (options.streams > 0 ? " ticks" : " scenes")
+                  << " (old scenes finish on their pack)\n";
+      } else {
+        std::cout << "NOT activated; live pack keeps serving\n";
       }
-      serve::PackCandidate candidate;
-      candidate.program =
-          std::make_shared<const ops5::Program>(ops5::parse_program(source));
-      candidate.externals = phase.externals.get();
-      const serve::LoadResult r = server.load_pack(candidate);
-      std::cout << "hot swap: pack " << r.pack << " verdict "
-                << analysis::admission_decision_name(r.verdict.decision) << " -> "
-                << (r.activated ? "activated (old scenes finish on their pack)"
-                                : "NOT activated; live pack keeps serving")
-                << "\n";
     });
   }
 

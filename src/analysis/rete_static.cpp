@@ -92,8 +92,7 @@ struct CostResult {
 /// fan-in) and by the estimated left-memory population at each join.
 [[nodiscard]] CostResult production_cost(const NetworkTopology& topo,
                                          const NetworkTopology::ProductionPath& path,
-                                         const std::vector<double>& activity,
-                                         double nominal_wm) {
+                                         const std::vector<double>& activity) {
   CostResult r;
   double left = 1.0;  // estimated tokens in the current left memory
   for (const std::uint32_t node : path.nodes) {
@@ -109,7 +108,7 @@ struct CostResult {
     r.cost += act * probes * (1.0 + j.tests);
     if (!j.negated) {
       ++r.degree;
-      const double amem = nominal_wm * alpha_selectivity(a);
+      const double amem = kNominalWm * alpha_selectivity(a);
       left = std::max(left * amem * join_selectivity(j), kLeftFloor);
       r.peak_left = std::max(r.peak_left, left);
     }
@@ -117,11 +116,10 @@ struct CostResult {
   return r;
 }
 
-[[nodiscard]] std::vector<double> activity_of(const std::vector<double>& traffic,
-                                              double fanin_exponent) {
+[[nodiscard]] std::vector<double> activity_of(const std::vector<double>& traffic) {
   std::vector<double> activity(traffic.size(), 1.0);
   for (std::size_t i = 0; i < traffic.size(); ++i) {
-    activity[i] = std::pow(traffic[i], fanin_exponent);
+    activity[i] = std::pow(traffic[i], kFaninExponent);
   }
   return activity;
 }
@@ -245,15 +243,15 @@ obs::json::Value ReteStaticReport::to_json() const {
                       {"beta_memories", Value(beta_memories)},
                       {"alpha_sharing", Value(rounded(alpha_sharing()))},
                       {"join_sharing", Value(rounded(join_sharing()))},
-                      {"nominal_wm", Value(nominal_wm)},
-                      {"fanin_exponent", Value(fanin_exponent)},
+                      {"nominal_wm", Value(kNominalWm)},
+                      {"fanin_exponent", Value(kFaninExponent)},
                       {"alphas", Value(std::move(alphas_json))},
                       {"joins", Value(std::move(joins_json))},
                       {"costs", Value(std::move(costs_json))},
                       {"edges", Value(std::move(edges_json))}});
 }
 
-ReteStaticReport analyze_rete(const Program& program, const ReteStaticOptions& options) {
+ReteStaticReport analyze_rete(const Program& program, const ReteStaticOptions&) {
   if (!program.frozen()) throw std::invalid_argument("analyze_rete requires a frozen Program");
 
   const rete::CompiledNetwork network(program);
@@ -265,8 +263,6 @@ ReteStaticReport analyze_rete(const Program& program, const ReteStaticOptions& o
   report.alpha_nodes = stats.alpha_patterns;
   report.join_nodes = stats.join_nodes + stats.negative_nodes;
   report.beta_memories = stats.beta_memories;
-  report.nominal_wm = options.nominal_wm;
-  report.fanin_exponent = options.fanin_exponent;
   // Unshared, every CE compiles into its own alpha pattern and its own join
   // or negative node.
   for (const auto& path : topo.productions) report.alpha_nodes_unshared += path.nodes.size();
@@ -274,7 +270,7 @@ ReteStaticReport analyze_rete(const Program& program, const ReteStaticOptions& o
 
   const auto fps = program_footprints(program);
   const auto traffic = class_traffic(program, fps);
-  const auto activity = activity_of(traffic, options.fanin_exponent);
+  const auto activity = activity_of(traffic);
 
   report.alphas.reserve(topo.alphas.size());
   for (const auto& a : topo.alphas) {
@@ -298,7 +294,7 @@ ReteStaticReport analyze_rete(const Program& program, const ReteStaticOptions& o
       left_bound[node] = std::max(left_bound[node], left);
       if (!j.negated) {
         const auto& a = topo.alphas[j.alpha];
-        left = std::max(left * options.nominal_wm * alpha_selectivity(a) * join_selectivity(j),
+        left = std::max(left * kNominalWm * alpha_selectivity(a) * join_selectivity(j),
                         kLeftFloor);
       }
     }
@@ -322,7 +318,7 @@ ReteStaticReport analyze_rete(const Program& program, const ReteStaticOptions& o
   const auto prods = program.productions();
   report.productions.reserve(topo.productions.size());
   for (const auto& path : topo.productions) {
-    const CostResult r = production_cost(topo, path, activity, options.nominal_wm);
+    const CostResult r = production_cost(topo, path, activity);
     ProductionReport out;
     out.id = path.production;
     out.name = std::string(program.symbols().name(prods[path.production].name()));

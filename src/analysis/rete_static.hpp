@@ -34,16 +34,18 @@
 
 namespace psmsys::analysis {
 
-struct ReteStaticOptions {
-  /// Assumed live WMEs per class for the beta-memory growth bounds. The
-  /// bounds scale polynomially in this, so it is a unit, not a prediction.
-  double nominal_wm = 8.0;
-  /// Exponent applied to class fan-in when weighting per-production cost:
-  /// 0 ignores traffic entirely (the condition-count heuristic's implicit
-  /// assumption), 1 takes the write-site count at face value. The default
-  /// dampens skew: write sites are a proxy for traffic, not a measurement.
-  double fanin_exponent = 0.5;
-};
+/// Assumed live WMEs per class for the beta-memory growth bounds. The bounds
+/// scale polynomially in this, so it is a unit, not a prediction.
+inline constexpr double kNominalWm = 8.0;
+/// Exponent applied to class fan-in when weighting per-production cost: 0
+/// ignores traffic entirely (the condition-count heuristic's implicit
+/// assumption), 1 takes the write-site count at face value. 0.5 dampens skew:
+/// write sites are a proxy for traffic, not a measurement.
+inline constexpr double kFaninExponent = 0.5;
+
+/// The pass has no settings; the empty type keeps analyze_rete's second
+/// argument for callers that pass it.
+struct ReteStaticOptions {};
 
 /// One alpha pattern of the shared network.
 struct AlphaNodeReport {
@@ -65,7 +67,7 @@ struct JoinNodeReport {
   bool negated = false;
   std::uint32_t users = 0;       ///< productions sharing this node
   double selectivity = 1.0;      ///< est. fraction of (token, wme) pairs passing
-  double left_bound = 1.0;       ///< est. tokens in the left memory (nominal_wm)
+  double left_bound = 1.0;       ///< est. tokens in the left memory (kNominalWm)
 };
 
 /// Per-production static match cost and growth bound.
@@ -75,7 +77,7 @@ struct ProductionReport {
   double match_cost = 0.0;         ///< analyzer cost estimate (work units)
   std::uint64_t heuristic_cost = 0;///< condition-count heuristic weight
   std::uint32_t beta_degree = 0;   ///< worst-case beta growth is O(N^degree)
-  double beta_bound = 0.0;         ///< est. peak tokens at N = nominal_wm
+  double beta_bound = 0.0;         ///< est. peak tokens at N = kNominalWm
 };
 
 /// RHS-writes -> LHS-reads edge: production `from` writes class `cls`, which
@@ -98,8 +100,6 @@ struct ReteStaticReport {
   std::size_t join_nodes = 0;          ///< joins + negative nodes, shared
   std::size_t join_nodes_unshared = 0;
   std::size_t beta_memories = 0;
-  double nominal_wm = 8.0;
-  double fanin_exponent = 0.5;
 
   std::vector<AlphaNodeReport> alphas;      ///< ordered by id
   std::vector<JoinNodeReport> joins;        ///< ordered by id
@@ -111,12 +111,13 @@ struct ReteStaticReport {
   [[nodiscard]] double alpha_sharing() const noexcept;
   [[nodiscard]] double join_sharing() const noexcept;
 
-  /// Deterministic JSON rendering of the whole report.
+  /// Deterministic JSON rendering of the whole report (it also records
+  /// kNominalWm and kFaninExponent).
   [[nodiscard]] obs::json::Value to_json() const;
 };
 
 /// Run the full pass. The program must be frozen.
 [[nodiscard]] ReteStaticReport analyze_rete(const ops5::Program& program,
-                                            const ReteStaticOptions& options = {});
+                                            const ReteStaticOptions& = {});
 
 }  // namespace psmsys::analysis

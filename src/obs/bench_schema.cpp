@@ -67,7 +67,6 @@ void check_env(Checker& c, const json::Value& env) {
                                  json::Type::Number)) {
     c.check_int(*ht, w + ".hardware_threads", 1);
   }
-  c.require(env, w, "obs_enabled", json::Type::Bool);
 }
 
 void check_speedups(Checker& c, const json::Value& speedups,
@@ -186,7 +185,6 @@ std::vector<std::string> validate_bench_json(const json::Value& doc) {
     }
   }
   c.require(doc, "$", "suite", json::Type::String);
-  c.require(doc, "$", "quick", json::Type::Bool);
   if (const auto* env = c.require(doc, "$", "env", json::Type::Object)) {
     check_env(c, *env);
   }

@@ -8,10 +8,9 @@
 //   {
 //     "schema_version": 1,
 //     "suite": "<suite name>",
-//     "quick": true|false,
 //     "env": {
 //       "compiler": str, "build_type": str, "os": str, "arch": str,
-//       "hardware_threads": int >= 1, "obs_enabled": bool
+//       "hardware_threads": int >= 1
 //     },
 //     "cases": [
 //       {
@@ -33,7 +32,9 @@
 //   }
 //
 // The validator is deliberately strict about the fields above and silent
-// about unknown extra keys, so documents can grow forward-compatibly.
+// about unknown extra keys, so documents can grow forward-compatibly (and
+// documents from earlier harnesses, which also carried a top-level size flag
+// and "env.obs_enabled", still validate).
 
 #include <string>
 #include <vector>

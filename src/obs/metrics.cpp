@@ -56,44 +56,6 @@ json::Value RunMetrics::to_json() const {
   return json::Value(std::move(o));
 }
 
-namespace {
-std::uint64_t sub_sat(std::uint64_t a, std::uint64_t b) noexcept {
-  return a > b ? a - b : 0;
-}
-}  // namespace
-
-RunMetrics metrics_delta(const RunMetrics& after,
-                         const RunMetrics& before) noexcept {
-  RunMetrics d;
-  d.tasks = sub_sat(after.tasks, before.tasks);
-  d.task_processes = after.task_processes;
-  d.cycles = sub_sat(after.cycles, before.cycles);
-  d.firings = sub_sat(after.firings, before.firings);
-  d.rhs_actions = sub_sat(after.rhs_actions, before.rhs_actions);
-  d.wmes_added = sub_sat(after.wmes_added, before.wmes_added);
-  d.wmes_removed = sub_sat(after.wmes_removed, before.wmes_removed);
-  d.tokens_created = sub_sat(after.tokens_created, before.tokens_created);
-  d.tokens_deleted = sub_sat(after.tokens_deleted, before.tokens_deleted);
-  d.join_probes = sub_sat(after.join_probes, before.join_probes);
-  d.alpha_tests = sub_sat(after.alpha_tests, before.alpha_tests);
-  d.alpha_activations =
-      sub_sat(after.alpha_activations, before.alpha_activations);
-  d.match_cost_wu = sub_sat(after.match_cost_wu, before.match_cost_wu);
-  d.resolve_cost_wu = sub_sat(after.resolve_cost_wu, before.resolve_cost_wu);
-  d.rhs_cost_wu = sub_sat(after.rhs_cost_wu, before.rhs_cost_wu);
-  // Gauges are peaks, not monotonic counters: the delta keeps the later peak.
-  d.peak_conflict_set = after.peak_conflict_set;
-  d.peak_live_tokens = after.peak_live_tokens;
-  d.retries = sub_sat(after.retries, before.retries);
-  d.requeues = sub_sat(after.requeues, before.requeues);
-  d.quarantined = sub_sat(after.quarantined, before.quarantined);
-  d.abandoned = sub_sat(after.abandoned, before.abandoned);
-  d.dead_workers = sub_sat(after.dead_workers, before.dead_workers);
-  d.wall_ns = after.wall_ns > before.wall_ns ? after.wall_ns - before.wall_ns
-                                             : 0;
-  return d;
-}
-
 json::Value LatencySummary::to_json() const {
   json::Object o;
   o.emplace_back("count", json::Value(count));

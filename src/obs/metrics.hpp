@@ -6,7 +6,7 @@
 // It aggregates the engine's WorkCounters across all completed tasks and adds
 // the executor-level quantities the paper's tables need: wall time, retry /
 // requeue accounting, and the peak conflict-set and live-token gauges that
-// only the instrumented engine can observe. Per-node Rete activation gauges
+// psm::run samples from the live engines. Per-node Rete activation gauges
 // are not aggregated here: they stay on each engine's network, read live
 // through rete::Network::node_activations().
 
@@ -40,7 +40,7 @@ struct RunMetrics {
   std::uint64_t resolve_cost_wu = 0;
   std::uint64_t rhs_cost_wu = 0;
 
-  // --- gauges (require PSMSYS_OBS; 0 when compiled out) ---
+  // --- gauges ---
   std::uint64_t peak_conflict_set = 0;  ///< max conflict-set size seen
   std::uint64_t peak_live_tokens = 0;   ///< max simultaneously-live rete tokens
 
@@ -69,11 +69,6 @@ struct RunMetrics {
   /// match_fraction). Key order matches declaration order above.
   [[nodiscard]] json::Value to_json() const;
 };
-
-/// Difference of two aggregated counter snapshots (for before/after deltas in
-/// bench cases). Fields saturate at zero rather than wrapping.
-[[nodiscard]] RunMetrics metrics_delta(const RunMetrics& after,
-                                       const RunMetrics& before) noexcept;
 
 /// Order statistics of a latency sample in nanoseconds — the per-scene
 /// distribution a serve rollup reports (p50/p99 scene latency acceptance).

@@ -3,13 +3,10 @@
 // Span tracing for the PSM executor and OPS5 engine.
 //
 // Spans are complete events ("ph":"X") in the Chrome trace_event JSON format,
-// so a run's timeline loads directly into chrome://tracing or Perfetto. Two
-// knobs keep the hot path within noise:
-//
-//   - compile time: PSMSYS_OBS=0 removes every per-cycle hook from the engine
-//     and Rete (kEnabled lets code static_assert on the configuration);
-//   - run time: Tracer::sample_every records only every Nth cycle span, and a
-//     null tracer pointer short-circuits before any clock call.
+// so a run's timeline loads directly into chrome://tracing or Perfetto. The
+// engine's per-cycle hook is always compiled in and gated at run time:
+// Tracer::sample_every records only every Nth cycle span, and a null tracer
+// pointer short-circuits before any clock call.
 //
 // Timestamps are microseconds relative to the tracer's epoch (its moment of
 // construction or the last reset), which keeps traces from concurrent workers
@@ -22,7 +19,6 @@
 #include <vector>
 
 #include "obs/json.hpp"
-#include "obs/obs_config.hpp"
 
 namespace psmsys::obs {
 

@@ -176,9 +176,7 @@ std::vector<const Wme*> Engine::wmes_of_class(std::string_view class_name) const
 
 void Engine::on_activate(const Production& production, std::span<const Wme* const> wmes) {
   conflict_set_.add(production, wmes);
-#if PSMSYS_OBS
   peak_conflict_set_ = std::max(peak_conflict_set_, conflict_set_.size());
-#endif
 }
 
 void Engine::on_deactivate(const Production& production, std::span<const Wme* const> wmes) {
@@ -329,14 +327,12 @@ void Engine::fire(const Production& production) {
 bool Engine::step() {
   if (halted_) return false;
 
-#if PSMSYS_OBS
   // A detached tracer costs one pointer test; an attached one costs a clock
   // read only on sampled cycles (set_sample_every).
   const bool traced =
       tracer_ != nullptr && tracer_->should_sample(counters_.cycles);
   const auto span_begin =
       traced ? obs::Tracer::Clock::now() : obs::Tracer::Clock::time_point{};
-#endif
 
   // Match: the network processed WM deltas eagerly; collect this cycle's
   // chunks (the work the match-parallelism model distributes). They sum to
@@ -381,7 +377,6 @@ bool Engine::step() {
   fire(production);
   ++counters_.cycles;
 
-#if PSMSYS_OBS
   if (traced) {
     obs::json::Object args;
     args.emplace_back("cycle", obs::json::Value(counters_.cycles));
@@ -397,7 +392,6 @@ bool Engine::step() {
                          obs::Tracer::Clock::now(), tracer_tid_,
                          std::move(args));
   }
-#endif
 
   if (options_.record_cycles) {
     CycleRecord rec;

@@ -205,10 +205,9 @@ class Engine final : private rete::MatchListener {
 
   /// Attach a span tracer (nullptr detaches). Fired cycles emit sampled
   /// "cycle" spans on thread lane `tid` (the executor passes its task-process
-  /// index) with the cycle's match/resolve/RHS work-unit split in args. The
-  /// hooks compile away entirely under PSMSYS_OBS=0; with OBS on, a detached
-  /// engine never touches the clock. The tracer must outlive its attachment
-  /// and is not owned. Survives reset(), like the watch sink.
+  /// index) with the cycle's match/resolve/RHS work-unit split in args. A
+  /// detached engine never touches the clock. The tracer must outlive its
+  /// attachment and is not owned. Survives reset(), like the watch sink.
   void set_tracer(obs::Tracer* tracer, std::uint32_t tid = 0) noexcept {
     tracer_ = tracer;
     tracer_tid_ = tid;
@@ -217,7 +216,6 @@ class Engine final : private rete::MatchListener {
 
   /// Largest conflict set observed since construction or reset() — the
   /// contention gauge behind the paper's conflict-resolution discussion.
-  /// Always 0 when built with PSMSYS_OBS=0.
   [[nodiscard]] std::size_t peak_conflict_set() const noexcept {
     return peak_conflict_set_;
   }
@@ -331,8 +329,7 @@ class Engine final : private rete::MatchListener {
   int watch_level_ = 0;
   std::function<void(const std::string&)> watch_sink_;
 
-  // Observability (members always present to keep the class layout identical
-  // across PSMSYS_OBS settings; only the hot-path code is conditional).
+  // Observability: the tracer attachment and the conflict-set gauge.
   obs::Tracer* tracer_ = nullptr;
   std::uint32_t tracer_tid_ = 0;
   std::size_t peak_conflict_set_ = 0;

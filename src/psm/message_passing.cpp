@@ -10,6 +10,14 @@ namespace psmsys::psm {
 
 namespace {
 
+/// Sender-side retransmit timeout (wu) after a lost message.
+constexpr double kRetransmitTimeout = 400.0;
+/// The timeout multiplies by this per consecutive loss of one message.
+constexpr double kRetransmitBackoff = 2.0;
+/// A message lost this many times in a row is abandoned and charged one
+/// final timeout (the peer is declared unreachable; scheduling proceeds).
+constexpr std::size_t kMaxRetransmits = 16;
+
 /// Deterministic message-loss process: whether the `index`th one-way message
 /// of the run is lost is a pure function of (seed, index), so a loss
 /// schedule replays identically regardless of scheduling order.
@@ -31,15 +39,15 @@ class LossProcess {
   /// message index.
   [[nodiscard]] util::WorkUnits send(MessagePassingResult& result) {
     util::WorkUnits stall = 0;
-    double timeout = static_cast<double>(config_.retransmit_timeout);
+    double timeout = kRetransmitTimeout;
     std::size_t resends = 0;
     while (lost(next_index_++)) {
       ++result.lost_messages;
       stall += static_cast<util::WorkUnits>(timeout);
-      if (++resends > config_.max_retransmits) break;  // peer declared unreachable
+      if (++resends > kMaxRetransmits) break;  // peer declared unreachable
       ++result.retransmits;
       ++result.messages;
-      timeout *= std::max(config_.retransmit_backoff, 1.0);
+      timeout *= kRetransmitBackoff;
     }
     ++result.messages;
     result.retransmit_stall += stall;

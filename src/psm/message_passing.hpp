@@ -61,13 +61,6 @@ struct MessagePassingConfig {
   /// falls below this rate.
   double loss_rate = 0.0;
   std::uint64_t fault_seed = 0x5eed5eedULL;
-  /// Sender-side retransmit timeout (wu) after a lost message.
-  util::WorkUnits retransmit_timeout = 400;
-  /// The timeout multiplies by this per consecutive loss of one message.
-  double retransmit_backoff = 2.0;
-  /// A message lost this many times in a row is abandoned and charged one
-  /// final timeout (the peer is declared unreachable; scheduling proceeds).
-  std::size_t max_retransmits = 16;
 };
 
 struct MessagePassingResult {

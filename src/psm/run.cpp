@@ -47,12 +47,11 @@ const char* attempt_result_name(AttemptResult r) {
   return "unknown";
 }
 
-}  // namespace
-
-WorkerFailure::WorkerFailure(std::vector<std::exception_ptr> worker_errors)
-    : std::runtime_error(describe_errors(worker_errors)), errors(std::move(worker_errors)) {}
-
-obs::RunMetrics metrics_from(const RunReport& report, std::size_t task_processes) {
+/// Aggregate a report into a metrics snapshot (sums completed tasks'
+/// counters; executor accounting; no engine gauges — run() fills those from
+/// the live engines).
+[[nodiscard]] obs::RunMetrics metrics_from(const RunReport& report,
+                                           std::size_t task_processes) {
   obs::RunMetrics m;
   m.task_processes = task_processes;
   for (const auto id : report.completed_ids) {
@@ -67,6 +66,11 @@ obs::RunMetrics metrics_from(const RunReport& report, std::size_t task_processes
   m.wall_ns = report.wall.count();
   return m;
 }
+
+}  // namespace
+
+WorkerFailure::WorkerFailure(std::vector<std::exception_ptr> worker_errors)
+    : std::runtime_error(describe_errors(worker_errors)), errors(std::move(worker_errors)) {}
 
 RunResult run(const TaskProcessFactory& factory, std::vector<Task> tasks,
               const RunOptions& options) {
@@ -227,14 +231,12 @@ RunResult run(const TaskProcessFactory& factory, std::vector<Task> tasks,
                   "task", attempt_begin, obs::Tracer::Clock::now(),
                   static_cast<std::uint32_t>(p), std::move(args));
             }
-#if PSMSYS_OBS
             // Engine gauges reset per task (peak_conflict_set) or survive
             // (rete token peak); sampling after every attempt keeps the
             // run-wide maxima exact either way.
             fold_peak(peak_conflict_set, runner->engine().peak_conflict_set());
             fold_peak(peak_live_tokens,
                       runner->engine().network().peak_live_tokens());
-#endif
             if (ok) break;
 
             bool quarantined = false;

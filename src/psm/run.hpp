@@ -161,10 +161,4 @@ struct RunResult {
 [[nodiscard]] RunResult run(const TaskProcessFactory& factory, std::vector<Task> tasks,
                             const RunOptions& options = {});
 
-/// Aggregate a report into a metrics snapshot (sums completed tasks'
-/// counters; executor accounting; no OBS gauges — run() fills those from the
-/// live engines).
-[[nodiscard]] obs::RunMetrics metrics_from(const RunReport& report,
-                                           std::size_t task_processes);
-
 }  // namespace psmsys::psm

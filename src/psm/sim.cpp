@@ -66,6 +66,23 @@ util::WorkUnits lpt_makespan(std::span<const util::WorkUnits> chunks, std::size_
   return makespan;
 }
 
+namespace {
+
+/// ParaOPS5 "exploits parallelism at a fine granularity: subtasks execute
+/// only about 100 instructions" — recorded cascade chunks are split into
+/// pieces of at most this many work units before bin packing...
+constexpr util::WorkUnits kChunkGranularity = 64;
+/// ...each piece paying this much queueing overhead, so fine granularity is
+/// not free.
+constexpr util::WorkUnits kPerChunkOverhead = 1;
+/// Shared-bus contention: each additional *active* match process (one that
+/// actually receives work this cycle) inflates everyone's memory traffic by
+/// this fraction. This is what bends Figure 3's Rubik curve below linear on
+/// the Encore.
+constexpr double kBusFactor = 0.04;
+
+}  // namespace
+
 util::WorkUnits cycle_cost(const ops5::CycleRecord& cycle, const MatchModel& model) {
   const util::WorkUnits base = cycle.resolve_cost + cycle.rhs_cost;
   if (model.match_processes == 0) {
@@ -75,22 +92,21 @@ util::WorkUnits cycle_cost(const ops5::CycleRecord& cycle, const MatchModel& mod
   // the largest indivisible activation piece. Large cascades split into
   // ParaOPS5-sized subtasks (~"100 instructions"), so the floor is the
   // granularity cap; tiny activations coalesce into shared queue batches.
-  const util::WorkUnits gran = std::max<util::WorkUnits>(model.chunk_granularity, 1);
   util::WorkUnits total = 0;
   util::WorkUnits largest = 0;
   for (const util::WorkUnits c : cycle.match_chunks) {
     total += c;
     largest = std::max(largest, c);
   }
-  const util::WorkUnits floor_piece = std::min(largest, gran) + model.per_chunk_overhead;
+  const util::WorkUnits floor_piece = std::min(largest, kChunkGranularity) + kPerChunkOverhead;
   const util::WorkUnits ideal =
       (total + model.match_processes - 1) / model.match_processes;
   // Bus contention scales with the processes that actually get work.
   const std::size_t active = static_cast<std::size_t>(
-      std::min<util::WorkUnits>(model.match_processes, total / gran + 1));
+      std::min<util::WorkUnits>(model.match_processes, total / kChunkGranularity + 1));
   const auto inflated = static_cast<util::WorkUnits>(
       static_cast<double>(ideal) *
-      (1.0 + model.bus_factor * static_cast<double>(active - 1)));
+      (1.0 + kBusFactor * static_cast<double>(active - 1)));
   const util::WorkUnits parallel_match =
       std::max(floor_piece, inflated) + model.sync_per_cycle;
   const auto overlap = static_cast<util::WorkUnits>(

@@ -92,18 +92,6 @@ struct MatchModel {
   util::WorkUnits sync_per_cycle = 10;
   /// Fraction of the act phase that dedicated match processes overlap with.
   double act_overlap = 0.5;
-  /// ParaOPS5 "exploits parallelism at a fine granularity: subtasks execute
-  /// only about 100 instructions" — recorded cascade chunks are split into
-  /// pieces of at most this many work units before bin packing...
-  util::WorkUnits chunk_granularity = 64;
-  /// ...each piece paying this much queueing overhead, so fine granularity
-  /// is not free.
-  util::WorkUnits per_chunk_overhead = 1;
-  /// Shared-bus contention: each additional *active* match process (one that
-  /// actually receives work this cycle) inflates everyone's memory traffic
-  /// by this fraction. This is what bends Figure 3's Rubik curve below
-  /// linear on the Encore.
-  double bus_factor = 0.04;
 };
 
 /// Longest-processing-time bin packing: makespan of `chunks` on `bins`.

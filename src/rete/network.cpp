@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "obs/obs_config.hpp"
 #include "util/open_table.hpp"
 #include "util/pool.hpp"
 #include "util/small_vec.hpp"
@@ -745,15 +744,15 @@ struct Network::Impl {
   /// listener's span is valid only during the call.
   std::vector<const Wme*> matched;
 
-  // Live/peak token gauge (PSMSYS_OBS only): tokens_created/deleted count
-  // churn, this tracks the instantaneous working set.
+  // Live/peak token gauge: tokens_created/deleted count churn, this tracks
+  // the instantaneous working set.
   std::uint64_t live_tokens = 0;
   std::uint64_t peak_live_tokens = 0;
 
-  // Per-node activation counters (PSMSYS_OBS only), indexed by the topology
-  // ids. Lifetime gauges like the peak above: clear() retains them so they
-  // show a whole run's traffic per node. Activations skipped at unlinked
-  // nodes are not counted — quiescent productions legitimately read zero.
+  // Per-node activation counters, indexed by the topology ids. Lifetime
+  // gauges like the peak above: clear() retains them so they show a whole
+  // run's traffic per node. Activations skipped at unlinked nodes are not
+  // counted — quiescent productions legitimately read zero.
   std::vector<std::uint64_t> alpha_acts;
   std::vector<std::uint64_t> join_acts;
 
@@ -817,18 +816,14 @@ struct Network::Impl {
     members.push_back(t);
     ++counters.tokens_created;
     counters.match_cost += util::cost::kTokenOp;
-#if PSMSYS_OBS
     if (++live_tokens > peak_live_tokens) peak_live_tokens = live_tokens;
-#endif
     return t;
   }
 
   void charge_token_free() {
     ++counters.tokens_deleted;
     counters.match_cost += util::cost::kTokenOp;
-#if PSMSYS_OBS
     --live_tokens;
-#endif
   }
 
   void free_token(Token* t) {
@@ -1017,9 +1012,7 @@ struct Network::Impl {
         break;
       }
       case BetaKind::Negative: {
-#if PSMSYS_OBS
         ++join_acts[node.join];
-#endif
         const JoinNode& neg = c.joins[node.join];
         Token* t = new_token(parent, wme, wrec, s);
         if (store_tokens[s].size() == 1) set_right_links(node, true);
@@ -1066,9 +1059,7 @@ struct Network::Impl {
   }
 
   void join_left_activate(std::uint32_t id, Token* t) {
-#if PSMSYS_OBS
     ++join_acts[id];
-#endif
     const JoinNode& j = c.joins[id];
     if (j.index_test >= 0) {
       counters.match_cost += util::cost::kJoinTest;  // hash lookup
@@ -1090,9 +1081,7 @@ struct Network::Impl {
   }
 
   void join_right_activate(std::uint32_t id, WmeRecord& w) {
-#if PSMSYS_OBS
     ++join_acts[id];
-#endif
     const JoinNode& j = c.joins[id];
     const StoreNode& parent = c.stores[j.store];
     if (j.index_test >= 0) {
@@ -1117,9 +1106,7 @@ struct Network::Impl {
   }
 
   void negative_right_activate(std::uint32_t id, WmeRecord& w) {
-#if PSMSYS_OBS
     ++join_acts[id];
-#endif
     const JoinNode& neg = c.joins[id];
     if (neg.index_test >= 0) {
       counters.match_cost += util::cost::kJoinTest;
@@ -1246,9 +1233,7 @@ struct Network::Impl {
       const util::WorkUnits before = counters.match_cost;
       if (alpha_passes(am, *rec)) {
         ++counters.alpha_activations;
-#if PSMSYS_OBS
         ++alpha_acts[a];
-#endif
         counters.match_cost += util::cost::kAlphaMemInsert;
         std::vector<AmItem>& items = alpha_items[a];
         const auto am_slot = static_cast<std::uint32_t>(rec->alpha_mems.size());
@@ -1354,12 +1339,10 @@ struct Network::Impl {
     dummy_token->children.clear();
     chunks.clear();
     reset_links();
-#if PSMSYS_OBS
     // Back to the post-construction state: only the dummy token is alive and
     // it is not gauge-counted (it was allocated outside new_token). The peak
     // deliberately survives clear() — it is a lifetime high-water mark.
     live_tokens = 0;
-#endif
   }
 
   /// Link flags for the current (empty or post-clear) memory contents. The
@@ -1500,12 +1483,10 @@ struct Network::Impl {
       }
     }
 
-#if PSMSYS_OBS
     const bool dummy_alive = !store_tokens[0].empty() && store_tokens[0].front() == dummy_token;
     if (live_tokens != total_tokens - (dummy_alive ? 1 : 0)) {
       fail("live token gauge desync");
     }
-#endif
     return out;
   }
 };
@@ -1554,11 +1535,7 @@ std::uint64_t Network::peak_live_tokens() const noexcept {
 std::uint64_t Network::live_tokens() const noexcept { return impl_->live_tokens; }
 
 NodeActivations Network::node_activations() const {
-#if PSMSYS_OBS
   return {impl_->alpha_acts, impl_->join_acts};
-#else
-  return {};
-#endif
 }
 
 std::vector<std::string> Network::check_invariants() const {

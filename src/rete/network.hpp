@@ -173,15 +173,13 @@ class Network final : public Matcher {
 
   /// Peak number of simultaneously-live beta-memory tokens over the network's
   /// lifetime — the working-set gauge behind the paper's memory-contention
-  /// discussion. Always 0 when built with PSMSYS_OBS=0.
+  /// discussion.
   [[nodiscard]] std::uint64_t peak_live_tokens() const noexcept;
 
   /// Currently-live beta-memory tokens (instantaneous working-set reading).
-  /// Always 0 when built with PSMSYS_OBS=0.
   [[nodiscard]] std::uint64_t live_tokens() const noexcept;
 
   /// Lifetime per-node activation counts indexed by the topology() node ids.
-  /// Empty when built with PSMSYS_OBS=0.
   [[nodiscard]] NodeActivations node_activations() const;
 
   /// Structural self-check for the differential tests: every state array is

@@ -20,7 +20,7 @@ SvmSimResult simulate_svm(std::span<const psm::TaskMeasurement> tasks, std::size
   total_procs = std::min(total_procs, config.node0_procs + config.node1_procs);
 
   const util::WorkUnits fault_cost =
-      config.diff_shipping ? config.diff_fault_cost : config.full_page_fault_cost;
+      config.diff_shipping ? kDiffFaultCost : kFullPageFaultCost;
   const util::WorkUnits fail_time = config.node1_fails_at;
 
   SvmSimResult result;

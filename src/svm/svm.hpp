@@ -41,17 +41,20 @@
 
 namespace psmsys::svm {
 
+/// Cost of one remote page fault shipping a full 8K page (~50 ms network
+/// latency, Forin et al.).
+inline constexpr util::WorkUnits kFullPageFaultCost = 3200;
+/// Cost when the server ships only modified 64-byte segments.
+inline constexpr util::WorkUnits kDiffFaultCost = 900;
+
 struct SvmConfig {
   /// Usable task processors per node. The paper could use 13 on the first
   /// Encore and 9 on the second (MACH + netmemory server occupy the rest).
   std::size_t node0_procs = 13;
   std::size_t node1_procs = 9;
 
-  /// Cost of one remote page fault shipping a full 8K page (~50 ms network
-  /// latency, Forin et al.).
-  util::WorkUnits full_page_fault_cost = 3200;
-  /// Cost when the server ships only modified 64-byte segments.
-  util::WorkUnits diff_fault_cost = 900;
+  /// Ship modified segments (kDiffFaultCost) rather than full pages
+  /// (kFullPageFaultCost) on a remote fault.
   bool diff_shipping = true;
 
   /// Multiplier on the remote fault count from false contention — distinct

@@ -117,7 +117,7 @@ TEST(SimulateSvm, FaultAccountingConsistent) {
   const auto tasks = synthetic_tasks(100, 800, 64);
   SvmConfig c;
   const auto r = simulate_svm(tasks, 20, c);
-  EXPECT_EQ(r.remote_fault_cost, r.remote_faults * c.diff_fault_cost);
+  EXPECT_EQ(r.remote_fault_cost, r.remote_faults * kDiffFaultCost);
 }
 
 // ---------------------------------------------------------------------------
