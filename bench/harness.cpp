@@ -118,12 +118,6 @@ void plot_curve(std::ostream& os, const std::string& title,
   os << '\n';
 }
 
-void emit_csv(std::ostream& os, const std::string& name, const util::Table& table) {
-  os << "\n--- csv:" << name << " ---\n";
-  table.write_csv(os);
-  os << "--- end csv ---\n";
-}
-
 // ---------------------------------------------------------------------------
 // MeasureCache
 // ---------------------------------------------------------------------------
@@ -208,7 +202,6 @@ void CaseContext::table(const std::string& name, const util::Table& t) {
   entry.emplace_back("columns", json::Value(std::move(columns)));
   entry.emplace_back("rows", json::Value(std::move(rows)));
   result_.tables.emplace_back(std::move(entry));
-  emit_csv(out_, name, t);
 }
 
 void CaseContext::note(std::string text) { result_.notes.push_back(std::move(text)); }

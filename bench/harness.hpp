@@ -2,11 +2,23 @@
 
 // The benchmark harness: every reproduced table/figure from the paper is a
 // named *case* registered into one `harness` binary. Running a suite prints
-// the same narrative tables the old per-bench mains did AND emits a
-// schema-versioned BENCH_<suite>.json (see src/obs/bench_schema.hpp) with
-// the machine-readable rows, speedup curves, counters and environment
-// fingerprint. Every case runs at the paper's size: all three datasets and
-// the full processor sweeps.
+// each narrative table once AND emits a schema-versioned BENCH_<suite>.json
+// (see src/obs/bench_schema.hpp) with the same tables as machine-readable
+// rows, plus speedup curves, counters and the environment fingerprint. Every
+// case runs at the paper's size: all three datasets and the full processor
+// sweeps.
+//
+// Everything printed is deterministic except these four host-timed parts,
+// which vary from run to run (host-time benchmarking of the system is
+// perfbench/, see BENCHMARK.json):
+//   - `multiplicative`: Table 9's measured rows (`table9_measured`: the
+//     real executor's task speedups, their IQR, work units and tail);
+//   - `rete_vs_naive`: the wall column and the wall-time ratio, the paper's
+//     §6 speed claim;
+//   - `robust_executor`: the useful-work row, which depends on which task
+//     process ran which task;
+//   - `retract_heavy`: the host ns/op column and the flatness line, whose
+//     3x host gate is the only check of host-time O(1) retraction.
 //
 // Registering a case:
 //
@@ -91,9 +103,6 @@ struct TimedRun {
 void plot_curve(std::ostream& os, const std::string& title,
                 const std::vector<std::pair<std::size_t, double>>& points, double y_max = 0.0);
 
-/// CSV trailer, so every case's data can be scraped mechanically.
-void emit_csv(std::ostream& os, const std::string& name, const util::Table& table);
-
 // ---------------------------------------------------------------------------
 // Case registry
 // ---------------------------------------------------------------------------
@@ -157,7 +166,7 @@ class CaseContext {
   void metrics(const obs::RunMetrics& m, const std::string& prefix = {});
   /// Record a named speedup curve (schema: speedups[].points[]).
   void speedup_series(const std::string& name, std::vector<SpeedupPoint> points);
-  /// Record a table (schema: tables[].columns/rows) and print its CSV block.
+  /// Record a table (schema: tables[].columns/rows) in the BENCH document.
   void table(const std::string& name, const util::Table& t);
   /// Attach a free-form note to the JSON entry.
   void note(std::string text);

@@ -353,15 +353,16 @@ int main(int argc, char** argv) {
     swapper = std::thread([&] {
       const auto& progress = options.streams > 0 ? ticks_completed : completed;
       std::uint64_t at = 0;
+      bool activated = false;
       if (staged.accepted) {
         while ((at = progress.load()) < options.swap_at && !workload_done.load()) {
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
-        staged.activated = server.activate_pack(staged.pack);
+        activated = server.activate_pack(staged.pack);
       }
       std::cout << "hot swap: pack " << staged.pack << " verdict "
                 << analysis::admission_decision_name(staged.verdict.decision) << " -> ";
-      if (staged.activated) {
+      if (activated) {
         std::cout << "activated after " << at << (options.streams > 0 ? " ticks" : " scenes")
                   << " (old scenes finish on their pack)\n";
       } else {

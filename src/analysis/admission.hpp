@@ -37,7 +37,7 @@
 // "findings_truncated": true). `strict` (spam_lint --strict) also rejects
 // on warnings.
 //
-// src/serve wires this in as the hot-reload gate (Server::load_pack); the
+// src/serve wires this in as the hot-reload gate (Server::stage_pack); the
 // spam_lint --gate CLI and CI run the same pipeline offline.
 
 #include <memory>

@@ -730,15 +730,6 @@ bool Server::rollback_pack(std::string* error) {
   return activate_locked(rollback_pack_id_, /*is_rollback=*/true, error);
 }
 
-LoadResult Server::load_pack(const PackCandidate& candidate) {
-  LoadResult out = stage_pack(candidate);
-  if (out.accepted) {
-    std::string error;
-    out.activated = activate_pack(out.pack, &error);
-  }
-  return out;
-}
-
 std::vector<PackInfo> Server::packs() const {
   const util::MutexLock lock(mu_);
   std::vector<PackInfo> infos;

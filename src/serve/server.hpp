@@ -82,10 +82,10 @@ struct ServerOptions {
   /// tick runs unsliced.
   std::chrono::milliseconds watchdog_budget{0};
 
-  /// The live independence certificate that stage_pack()/load_pack()'s
-  /// admission gate (always the default, non-strict one) re-establishes
-  /// against every candidate (nullptr disables the interference section).
-  /// Must outlive the server.
+  /// The live independence certificate that stage_pack()'s admission gate
+  /// (always the default, non-strict one) re-establishes against every
+  /// candidate (nullptr disables the interference section). Must outlive the
+  /// server.
   const analysis::DecompositionSpec* admission_spec = nullptr;
   /// Seed / output class names for the gate's linter (see analysis::PackInput).
   std::optional<std::vector<std::string>> admission_seeds;
@@ -122,11 +122,11 @@ struct PackInfo {
   std::uint64_t workers_on = 0;  ///< contexts currently bound (drain gauge)
 };
 
-/// Outcome of stage_pack()/load_pack().
+/// Outcome of stage_pack(); activate_pack(pack) then switches new scenes to
+/// an accepted pack.
 struct LoadResult {
   std::uint64_t pack = 0;  ///< registry id (also of rejected packs)
   bool accepted = false;   ///< verdict was not a reject
-  bool activated = false;  ///< load_pack() switched new scenes to it
   analysis::AdmissionVerdict verdict;
 };
 
@@ -228,9 +228,6 @@ class Server {
 
   /// Re-activate the pack that was live before the last swap.
   bool rollback_pack(std::string* error = nullptr);
-
-  /// stage_pack() + activate_pack() when the verdict accepts.
-  [[nodiscard]] LoadResult load_pack(const PackCandidate& candidate);
 
   /// Registry snapshot, ordered by pack id.
   [[nodiscard]] std::vector<PackInfo> packs() const;

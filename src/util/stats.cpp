@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 namespace psmsys::util {
 
@@ -51,37 +52,6 @@ double percentile(std::span<const double> xs, double p) {
   const auto hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), bins_(bins, 0) {
-  if (bins == 0 || !(lo < hi)) throw std::invalid_argument("bad histogram bounds");
-}
-
-void Histogram::add(double x) noexcept {
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    const auto i = static_cast<std::size_t>((x - lo_) / (hi_ - lo_) *
-                                            static_cast<double>(bins_.size()));
-    ++bins_[std::min(i, bins_.size() - 1)];
-  }
-}
-
-double Histogram::bin_low(std::size_t i) const noexcept {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(bins_.size());
-}
-
-double Histogram::bin_high(std::size_t i) const noexcept {
-  return bin_low(i + 1);
-}
-
-std::size_t Histogram::total() const noexcept {
-  std::size_t t = underflow_ + overflow_;
-  for (auto b : bins_) t += b;
-  return t;
 }
 
 }  // namespace psmsys::util

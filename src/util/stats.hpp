@@ -8,7 +8,6 @@
 #include <cmath>
 #include <limits>
 #include <span>
-#include <vector>
 
 namespace psmsys::util {
 
@@ -66,27 +65,5 @@ struct Summary {
 
 /// Percentile of a sample (copies + sorts; fine for measurement-sized data).
 [[nodiscard]] double percentile(std::span<const double> xs, double p);
-
-/// Fixed-width histogram, used for task-granularity diagnostics.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count(std::size_t i) const { return bins_.at(i); }
-  [[nodiscard]] std::size_t bins() const noexcept { return bins_.size(); }
-  [[nodiscard]] std::size_t underflow() const noexcept { return underflow_; }
-  [[nodiscard]] std::size_t overflow() const noexcept { return overflow_; }
-  [[nodiscard]] double bin_low(std::size_t i) const noexcept;
-  [[nodiscard]] double bin_high(std::size_t i) const noexcept;
-  [[nodiscard]] std::size_t total() const noexcept;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> bins_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-};
 
 }  // namespace psmsys::util

@@ -60,26 +60,4 @@ void Table::print(std::ostream& os, const std::string& title) const {
   rule();
 }
 
-void Table::write_csv(std::ostream& os) const {
-  const auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c) os << ',';
-      const bool quote = cells[c].find_first_of(",\"\n") != std::string::npos;
-      if (quote) {
-        os << '"';
-        for (char ch : cells[c]) {
-          if (ch == '"') os << '"';
-          os << ch;
-        }
-        os << '"';
-      } else {
-        os << cells[c];
-      }
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-}
-
 }  // namespace psmsys::util

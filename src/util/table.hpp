@@ -1,8 +1,8 @@
 #pragma once
 
-// Console table / CSV emission for the benchmark harness. Every bench binary
-// prints rows in the shape of the paper's tables and figures so that the
-// measured output can be compared side by side with the published numbers.
+// Console tables for the benchmark harness. Every bench case prints rows in
+// the shape of the paper's tables and figures so that the measured output
+// can be compared side by side with the published numbers.
 
 #include <cstddef>
 #include <iosfwd>
@@ -24,7 +24,6 @@ class Table {
   [[nodiscard]] static std::string fmt(int v);
 
   void print(std::ostream& os, const std::string& title = {}) const;
-  void write_csv(std::ostream& os) const;
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
   [[nodiscard]] std::size_t columns() const noexcept { return headers_.size(); }

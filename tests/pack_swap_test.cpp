@@ -174,10 +174,11 @@ TEST(PackSwap, AcceptedPackActivatesAndNewScenesUseIt) {
     EXPECT_EQ(without_session_prefix(report.firing_log), v1_log);
   }
 
-  const LoadResult load = gs.server->load_pack(candidate(kV2));
+  const LoadResult load = gs.server->stage_pack(candidate(kV2));
   EXPECT_TRUE(load.accepted);
-  EXPECT_TRUE(load.activated);
   EXPECT_TRUE(load.verdict.accepted());
+  std::string error;
+  EXPECT_TRUE(gs.server->activate_pack(load.pack, &error)) << error;
   EXPECT_EQ(gs.server->active_pack(), load.pack);
 
   // Scenes submitted after activation: pure v2 logs, zero failures.
@@ -216,8 +217,9 @@ TEST(PackSwap, InFlightScenesFinishByteIdenticalAcrossSwap) {
   // dequeued — and therefore pack-bound — strictly before the activation
   // below, pinning at least 16 logs to v1.
   reports[15].wait();
-  const LoadResult load = gs.server->load_pack(candidate(kV2));
-  ASSERT_TRUE(load.activated);
+  const LoadResult load = gs.server->stage_pack(candidate(kV2));
+  std::string error;
+  ASSERT_TRUE(gs.server->activate_pack(load.pack, &error)) << error;
   for (int i = 0; i < 64; ++i) {
     auto r = gs.server->submit(job_scene(5));
     ASSERT_TRUE(r.admitted());
@@ -256,9 +258,8 @@ TEST(PackSwap, RejectedPackNeverActivates) {
   const std::string v1_log = reference_log(kV1, 4);
 
   GatedServer gs(2);
-  const LoadResult load = gs.server->load_pack(candidate(kRogue));
+  const LoadResult load = gs.server->stage_pack(candidate(kRogue));
   EXPECT_FALSE(load.accepted);
-  EXPECT_FALSE(load.activated);
   EXPECT_FALSE(load.verdict.accepted());
   EXPECT_EQ(gs.server->active_pack(), 1u);
 
@@ -297,8 +298,8 @@ TEST(PackSwap, RollbackRestoresThePreviousPack) {
   EXPECT_FALSE(gs.server->rollback_pack(&error));
   EXPECT_FALSE(error.empty());
 
-  const LoadResult load = gs.server->load_pack(candidate(kV2));
-  ASSERT_TRUE(load.activated);
+  const LoadResult load = gs.server->stage_pack(candidate(kV2));
+  ASSERT_TRUE(gs.server->activate_pack(load.pack, &error)) << error;
   {
     auto r = gs.server->submit(job_scene(6));
     EXPECT_EQ(without_session_prefix(r.report.get().firing_log), v2_log);
@@ -355,9 +356,9 @@ TEST(PackSwap, RepeatedSwapsUnderLoad) {
   }
 
   // Swap forward and roll back, repeatedly, while the pool is saturated.
-  const LoadResult load = gs.server->load_pack(candidate(kV2));
-  ASSERT_TRUE(load.activated);
+  const LoadResult load = gs.server->stage_pack(candidate(kV2));
   std::string error;
+  ASSERT_TRUE(gs.server->activate_pack(load.pack, &error)) << error;
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(gs.server->rollback_pack(&error)) << error;
     while (completed.load() < static_cast<std::uint64_t>(8 * (i + 1))) {

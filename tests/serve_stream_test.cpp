@@ -328,7 +328,11 @@ TEST(ServeStream, RecycledContextIsByteIdenticalToFresh) {
 // ---------------------------------------------------------------------------
 
 TEST(ServeStream, MidStreamPackSwapLeavesTheStreamOnItsPack) {
-  const auto schedule = spam::make_stream_schedule(small_schedule_config(16, 4));
+  // Retracting ticks too: the swap must not disturb the stream's journal.
+  const auto schedule = spam::make_stream_schedule(small_schedule_config(16, 4, 0.15));
+  std::size_t retractions = 0;
+  for (const auto& spec : schedule) retractions += spec.retractions.size();
+  ASSERT_GT(retractions, 0u);
   ServerOptions options;
   options.workers = 2;
   options.session.capture_firing_log = true;
@@ -367,9 +371,10 @@ TEST(ServeStream, MidStreamPackSwapLeavesTheStreamOnItsPack) {
       PackCandidate candidate;
       candidate.program = std::make_shared<const ops5::Program>(
           ops5::parse_program(std::string("(pack stream-pack 2)\n") + kStreamSrc));
-      const LoadResult swapped = server.load_pack(candidate);
-      ASSERT_TRUE(swapped.accepted);
-      ASSERT_TRUE(swapped.activated);
+      const LoadResult staged = server.stage_pack(candidate);
+      ASSERT_TRUE(staged.accepted);
+      std::string error;
+      ASSERT_TRUE(server.activate_pack(staged.pack, &error)) << error;
       ASSERT_NE(server.active_pack(), boot_pack);
       const std::vector<PackInfo> packs = server.packs();
       ASSERT_EQ(packs.size(), 2u);
@@ -386,6 +391,7 @@ TEST(ServeStream, MidStreamPackSwapLeavesTheStreamOnItsPack) {
   const ServerStats stats = server.drain();
   expect_accounting(stats);
   EXPECT_EQ(stats.pack_swaps, 1u);
+  EXPECT_TRUE(obs::validate_serve_rollup(stats.to_json()).empty());
 }
 
 // ---------------------------------------------------------------------------

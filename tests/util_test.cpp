@@ -198,30 +198,6 @@ TEST(Percentile, RejectsBadInput) {
   EXPECT_THROW((void)percentile(xs, 101.0), std::invalid_argument);
 }
 
-TEST(Histogram, BinsAndOverflow) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);
-  h.add(0.0);
-  h.add(1.9);
-  h.add(5.0);
-  h.add(9.99);
-  h.add(10.0);
-  h.add(42.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(2), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_EQ(h.total(), 7u);
-  EXPECT_DOUBLE_EQ(h.bin_low(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(1), 4.0);
-}
-
-TEST(Histogram, RejectsBadBounds) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 // ---------------------------------------------------------------------------
 // Table
 // ---------------------------------------------------------------------------
@@ -242,18 +218,6 @@ TEST(Table, RejectsMismatchedRow) {
   Table t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), std::invalid_argument);
   EXPECT_THROW(Table({}), std::invalid_argument);
-}
-
-TEST(Table, CsvEscapesQuotesAndCommas) {
-  Table t({"x"});
-  t.add_row({"plain"});
-  t.add_row({"has,comma"});
-  t.add_row({"has\"quote"});
-  std::ostringstream os;
-  t.write_csv(os);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("\"has,comma\""), std::string::npos);
-  EXPECT_NE(out.find("\"has\"\"quote\""), std::string::npos);
 }
 
 TEST(Table, FmtHelpers) {
