@@ -14,9 +14,9 @@
 // delta streams (DESIGN.md §16): each stream opens a long-lived session
 // whose working memory arrives as timed ticks — the dataset's LCC task
 // injections dealt over a spam::make_stream_schedule delta schedule — with
-// incremental match per tick and rollback only at close. The rollup then
-// carries the "streams" section (tick latency percentiles, deltas/sec,
-// peak resident WM).
+// incremental match per tick and a reload of the base working memory at
+// close. The rollup then carries the "streams" section (tick latency
+// percentiles, deltas/sec, peak resident WM).
 //
 // `--storm` injects a deterministic fault storm (transient failures, poisoned
 // scenes, deadline overruns) to demonstrate quarantine + graceful

@@ -113,8 +113,8 @@ std::vector<const Instantiation*> ConflictSet::snapshot() const {
 
 void ConflictSet::clear() {
   unfired_.clear();
-  table_.for_each([this](Record& rec) { pool_.release(&rec); });
   table_.clear();
+  pool_.release_all();
   next_seq_ = 0;
 }
 

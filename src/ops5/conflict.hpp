@@ -71,8 +71,8 @@ class ConflictSet {
   /// Pick the dominant unfired instantiation, or nullptr if none. Marks the
   /// winner as fired. The pointer is valid until that instantiation is
   /// removed (or clear()). Records are recycled, so a stale pointer reads
-  /// whatever instantiation reuses the record, never freed memory:
-  /// AddressSanitizer cannot catch it.
+  /// whatever instantiation reuses the record, never freed memory;
+  /// AddressSanitizer reports it only while the record is free.
   [[nodiscard]] const Instantiation* select();
 
   /// Undo select() for the instantiation of this exact (production, wmes)
@@ -94,8 +94,8 @@ class ConflictSet {
   /// All current instantiations (unspecified order); used by tests/oracle.
   [[nodiscard]] std::vector<const Instantiation*> snapshot() const;
 
-  /// Remove every instantiation (their records return to the pool) and
-  /// restart sequence numbers.
+  /// Remove every instantiation (the pool frees its records whole, to hand
+  /// them out again in construction order) and restart sequence numbers.
   void clear();
 
  private:

@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/trace.hpp"
 
@@ -548,14 +549,12 @@ void Engine::rollback_to_checkpoint(const UndoCheckpoint& cp) {
   match_mark_ = counters_.match_cost;
 }
 
-void Engine::reset() {
+void Engine::reset(const std::function<void(Engine&)>& reload) {
   network_.clear();
   conflict_set_.clear();
-  for (std::vector<WmSlot*>& members : class_wm_) {
-    for (WmSlot* slot : members) wm_pool_.release(slot);
-    members.clear();
-  }
+  for (std::vector<WmSlot*>& members : class_wm_) members.clear();
   wm_.clear();
+  wm_pool_.release_all();
   cycles_.clear();
   counters_ = util::WorkCounters{};
   match_mark_ = 0;
@@ -566,8 +565,19 @@ void Engine::reset() {
   undo_values_.clear();
   fired_log_.clear();
   fired_timetags_.clear();
+  journal_seq_ = 0;
   peak_conflict_set_ = 0;
   // tracer_/tracer_tid_ deliberately survive, like the watch sink.
+  if (!reload) return;
+  // Reloading, like a rollback's replay, is not WM churn to trace.
+  const int saved_watch = std::exchange(watch_level_, 0);
+  try {
+    reload(*this);
+  } catch (...) {
+    watch_level_ = saved_watch;
+    throw;
+  }
+  watch_level_ = saved_watch;
 }
 
 }  // namespace psmsys::ops5

@@ -86,7 +86,7 @@ class Engine final : private rete::MatchListener {
   /// Returns a reference valid until the WME is removed or reset() is
   /// called. Working memory is pooled: after that, the storage is reused,
   /// so a stale reference aliases a later WME instead of reading freed
-  /// memory, and AddressSanitizer cannot catch it.
+  /// memory; AddressSanitizer reports it only while the storage is free.
   const Wme& make_wme(ClassIndex cls, std::vector<std::pair<SlotIndex, Value>> sets);
 
   /// Convenience: class and attributes by name. Names must already be
@@ -118,10 +118,17 @@ class Engine final : private rete::MatchListener {
   /// Execute one cycle. Returns false if the conflict set offers nothing.
   bool step();
 
-  /// Clear working memory, conflict set, counters, cycle records, and
-  /// timetags. The compiled network is retained — this is what a PSM task
-  /// process does between tasks.
-  void reset();
+  /// Clear working memory, conflict set, counters, cycle records, the undo
+  /// log and the conflict-set gauge; timetags restart at 1 and
+  /// instantiation sequence numbers at 0. Then run `reload` (if set) to load
+  /// a base working memory again, with watch output silenced, as a
+  /// rollback's replay is. The compiled network, the watch sink, the tracer
+  /// and the network's lifetime gauges are retained. With the reload that
+  /// built the engine's base, the engine equals a freshly built one in
+  /// working memory, timetags, recency, conflict set and counters: this is
+  /// how a stream close returns a task process to its base
+  /// (psm::TaskRunner::end_stream).
+  void reset(const std::function<void(Engine&)>& reload = {});
 
   // ----------------------------- undo log ---------------------------------
   // Abort recovery for fault-tolerant task execution: journal every WM
@@ -151,10 +158,8 @@ class Engine final : private rete::MatchListener {
 
   /// A position in an ACTIVE undo log: everything journaled after the
   /// checkpoint can be undone alone (rollback_to_checkpoint), leaving the
-  /// log active and earlier entries intact. This is the per-tick recovery
-  /// unit of streaming sessions — a failed tick rolls back to its own
-  /// checkpoint while the stream's accumulated working memory survives;
-  /// whole-scene recovery stays rollback_undo_log(). Checkpoints are plain
+  /// log active and earlier entries intact. rollback_undo_log() rolls back
+  /// to the checkpoint begin_undo_log() takes. Checkpoints are plain
   /// positions, not resources: taking one costs nothing and none need to be
   /// "released".
   struct UndoCheckpoint {

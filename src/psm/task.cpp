@@ -32,10 +32,10 @@ util::WorkCounters counters_delta(const util::WorkCounters& before,
   return d;
 }
 
-TaskRunner::TaskRunner(const TaskProcessFactory& factory) {
+TaskRunner::TaskRunner(const TaskProcessFactory& factory) : base_init_(factory.base_init) {
   if (!factory.make_engine) throw std::invalid_argument("factory needs make_engine");
   engine_ = factory.make_engine();
-  if (factory.base_init) factory.base_init(*engine_);
+  if (base_init_) base_init_(*engine_);
   // Base-WM loading is initialization, not task work; its cycle records (none
   // should exist, the engine has not run) and counters are excluded by the
   // per-task delta measurement.
@@ -54,6 +54,7 @@ TaskMeasurement TaskRunner::measure_from(const Task& task, const util::WorkCount
 
 TaskMeasurement TaskRunner::run(const Task& task) {
   const util::WorkCounters before = engine_->counters();
+  kept_ = true;
   task.inject(*engine_);
   (void)engine_->run();
   return measure_from(task, before);
@@ -68,20 +69,9 @@ std::uint64_t grown_deadline(std::uint64_t first, std::uint32_t number) noexcept
   return first << doublings;
 }
 
-// An attempt's scope: its own undo log outside a stream, a checkpoint in the
-// stream's journal inside one.
-ops5::Engine::UndoCheckpoint TaskRunner::open_checkpoint() {
-  if (stream_active_) return engine_->undo_checkpoint();
-  engine_->begin_undo_log();
-  return {};
-}
-
-void TaskRunner::roll_back_to(const ops5::Engine::UndoCheckpoint& cp) {
-  if (stream_active_) {
-    engine_->rollback_to_checkpoint(cp);
-  } else {
-    engine_->rollback_undo_log();
-  }
+// Roll the attempt in flight back through its undo log.
+void TaskRunner::roll_back() {
+  engine_->rollback_undo_log();
   cycle_offset_ = engine_->cycle_records().size();
 }
 
@@ -123,51 +113,54 @@ TaskMeasurement TaskRunner::attempt(const Task& task, const AttemptOptions& opti
                                      ? 1
                                      : grown_deadline(options.cycle_deadline, options.number);
   const util::WorkCounters before = engine_->counters();
-  const ops5::Engine::UndoCheckpoint cp = open_checkpoint();
+  engine_->begin_undo_log();
   bool deadline_hit = false;
   try {
     task.inject(*engine_);
     deadline_hit = run_sliced(deadline, cancelled, options.cancel_check_every, task.id);
     if (!deadline_hit && collect) collect(*engine_);
   } catch (...) {
-    roll_back_to(cp);
+    roll_back();
     throw;
   }
   if (deadline_hit) {
-    roll_back_to(cp);
+    roll_back();
     throw TaskDeadlineExceeded(task.id, deadline);
   }
   TaskMeasurement m = measure_from(task, before);
   if (options.discard) {
-    roll_back_to(cp);
-  } else if (!stream_active_) {
+    roll_back();
+  } else {
     engine_->commit_undo_log();
+    kept_ = true;
   }
   return m;
 }
 
 void TaskRunner::abort_after(const Task& task, std::uint64_t cycles) {
-  const ops5::Engine::UndoCheckpoint cp = open_checkpoint();
+  engine_->begin_undo_log();
   try {
     task.inject(*engine_);
     (void)engine_->run(cycles == 0 ? 1 : cycles);
   } catch (...) {
-    roll_back_to(cp);
+    roll_back();
     throw;
   }
-  roll_back_to(cp);
+  roll_back();
 }
 
 void TaskRunner::begin_stream() {
   if (stream_active_) throw std::logic_error("stream already active");
-  engine_->begin_undo_log();
+  if (kept_) throw std::logic_error("stream opened on an engine that is not at its base");
   stream_active_ = true;
 }
 
 void TaskRunner::end_stream() {
   if (!stream_active_) throw std::logic_error("no active stream to end");
   stream_active_ = false;
-  engine_->rollback_undo_log();
+  if (!kept_) return;
+  engine_->reset(base_init_);
+  kept_ = false;
   cycle_offset_ = engine_->cycle_records().size();
 }
 

@@ -104,20 +104,20 @@ class TaskRunner {
   /// Inject the task, run to quiescence, and return the measured deltas.
   TaskMeasurement run(const Task& task);
 
-  /// One fault-tolerant attempt, journaled from a checkpoint: its own undo
-  /// log outside a stream, the stream's journal inside one. It injects the
-  /// task, runs it to quiescence under grown_deadline(cycle_deadline,
-  /// number), polling `cancelled` every `cancel_check_every` cycles when both
-  /// are set, then lets `collect` read working memory. A success keeps its
-  /// effects (committed outside a stream) unless `discard` rolls them back
-  /// after collect. A deadline cut (or the engine's max_cycles ceiling), a
-  /// cancellation, or a throw from inject, the rules or collect rolls the
-  /// engine back bit-identically to the checkpoint (working memory,
-  /// timetags, recency) and propagates: TaskDeadlineExceeded, TaskAborted, or
-  /// the original exception. The injector's failed attempts crash two
-  /// cycles in through abort_after() and throw InjectedTaskFault; its
-  /// overruns get a deadline of 1 cycle, as a livelock would. Slicing and
-  /// the checkpoint change neither firing order nor measurements.
+  /// One fault-tolerant attempt under its own undo log, inside a stream or
+  /// not. It injects the task, runs it to quiescence under
+  /// grown_deadline(cycle_deadline, number), polling `cancelled` every
+  /// `cancel_check_every` cycles when both are set, then lets `collect` read
+  /// working memory. A success commits its effects unless `discard` rolls
+  /// them back after collect. A deadline cut (or the engine's max_cycles
+  /// ceiling), a cancellation, or a throw from inject, the rules or collect
+  /// rolls the engine back bit-identically to where the attempt began
+  /// (working memory, timetags, recency) and propagates:
+  /// TaskDeadlineExceeded, TaskAborted, or the original exception. The
+  /// injector's failed attempts crash two cycles in through abort_after()
+  /// and throw InjectedTaskFault; its overruns get a deadline of 1 cycle, as
+  /// a livelock would. Slicing and the undo log change neither firing order
+  /// nor measurements.
   TaskMeasurement attempt(const Task& task, const AttemptOptions& options = {},
                           const std::function<bool()>& cancelled = {},
                           const std::function<void(ops5::Engine&)>& collect = {});
@@ -136,26 +136,33 @@ class TaskRunner {
                    cancelled, collect);
   }
 
-  /// Fault simulation: start the task for real, execute at most `cycles`
-  /// cycles, then roll back to the checkpoint an attempt would take — the
-  /// mid-task crash that proves recovery leaves no partial state.
+  /// Fault simulation: start the task for real under its own undo log,
+  /// execute at most `cycles` cycles, then roll it back — the mid-task crash
+  /// that proves recovery leaves no partial state.
   void abort_after(const Task& task, std::uint64_t cycles);
 
   // ------------------------------ streaming -------------------------------
   //
-  // A stream holds the undo log open across many ticks: begin_stream() opens
-  // the journal, each attempt() inside it checkpoints and keeps its WM
-  // effects on success (rolling back only its own tail on failure), and
-  // end_stream() rolls the whole journal back so the engine returns to its
-  // base state bit-identically — the same recovery contract an isolated
-  // attempt gives a single scene, stretched over a tick sequence.
+  // A stream keeps its ticks' working memory resident between them. Each
+  // attempt() inside it journals and commits only itself, as one outside a
+  // stream does: a failed tick rolls back its own undo log, and earlier
+  // ticks' effects survive. end_stream() returns the engine to its base by
+  // reloading it, Engine::reset() and then the factory's base_init, if any
+  // tick kept its effects; a stream of discarded attempts has nothing to
+  // reload. The close costs one base load however long the stream ran, and
+  // it is exact by construction: base_init is deterministic (every task
+  // process is built with it) and reset() restarts timetags and
+  // instantiation sequence numbers, so working memory, timetags, recency,
+  // the unfired base instantiations and the counters equal a freshly built
+  // task process's.
 
-  /// Open the stream journal. Throws if a stream (or any undo log) is
-  /// already active.
+  /// Open a stream. Throws if one is already open, or if effects kept
+  /// outside a stream (run(), a committed attempt) mean the engine is not at
+  /// its base, which the close would discard.
   void begin_stream();
 
-  /// Close the stream: roll back every tick's effects so the engine is
-  /// bit-identical to its pre-begin_stream() state.
+  /// Close the stream: reload the base working memory if some tick kept its
+  /// effects, so the engine equals a freshly built task process's.
   void end_stream();
 
   [[nodiscard]] ops5::Engine& engine() noexcept { return *engine_; }
@@ -165,12 +172,14 @@ class TaskRunner {
   TaskMeasurement measure_from(const Task& task, const util::WorkCounters& before);
   bool run_sliced(std::uint64_t cycle_deadline, const std::function<bool()>& cancelled,
                   std::uint64_t cancel_check_every, std::uint64_t task_id);
-  ops5::Engine::UndoCheckpoint open_checkpoint();
-  void roll_back_to(const ops5::Engine::UndoCheckpoint& cp);
+  void roll_back();
 
+  std::function<void(ops5::Engine&)> base_init_;
   std::unique_ptr<ops5::Engine> engine_;
   std::size_t cycle_offset_ = 0;
   bool stream_active_ = false;
+  /// The engine holds effects beyond its base working memory.
+  bool kept_ = false;
 };
 
 }  // namespace psmsys::psm

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -274,8 +275,39 @@ struct RightEntry {
   std::uint32_t pos_slot = 0;  ///< absolute index into rec->right_pos
 };
 
-using RightIndex = std::unordered_map<Value, std::vector<RightEntry>, ops5::ValueHash>;
-using LeftIndex = std::unordered_map<Value, std::vector<Token*>, ops5::ValueHash>;
+[[nodiscard]] inline bool is_nan(const Value& v) noexcept {
+  return v.is_number() && std::isnan(v.number());
+}
+
+/// Join-index keys. An index must find again every entry it files, but NaN
+/// equals nothing, not even itself: as a plain key each NaN would file a
+/// bucket that no lookup reaches, and removing its entry would throw. So in
+/// an index every NaN is one key, with one hash, equal to every other NaN.
+/// An activation still finds no candidates for a NaN key (candidates()),
+/// since no equality test passes on it.
+struct JoinKeyHash {
+  [[nodiscard]] std::size_t operator()(const Value& v) const noexcept {
+    return (is_nan(v) ? Value(std::numeric_limits<double>::quiet_NaN()) : v).hash();
+  }
+};
+
+struct JoinKeyEqual {
+  [[nodiscard]] bool operator()(const Value& a, const Value& b) const noexcept {
+    return a == b || (is_nan(a) && is_nan(b));
+  }
+};
+
+using RightIndex = std::unordered_map<Value, std::vector<RightEntry>, JoinKeyHash, JoinKeyEqual>;
+using LeftIndex = std::unordered_map<Value, std::vector<Token*>, JoinKeyHash, JoinKeyEqual>;
+
+/// The bucket of `index` an activation probes with `key`: null when no entry
+/// is filed under it, or when the key is NaN, which no entry's value equals.
+template <typename Index>
+[[nodiscard]] const typename Index::mapped_type* candidates(const Index& index, const Value& key) {
+  if (is_nan(key)) return nullptr;
+  const auto it = index.find(key);
+  return it == index.end() ? nullptr : &it->second;
+}
 
 /// Unlink flags of one two-input node: right mirrors its store's tokens
 /// non-emptiness, left (positive joins only) its alpha memory's items
@@ -702,6 +734,7 @@ struct Network::Impl {
 
   // Tokens, records and join results churn at match time and recycle
   // through their pools' free lists with their lists' capacity intact.
+  // clear() frees each pool whole, so the dummy token lives outside them.
   util::Pool<Token> tokens;
   util::Pool<NegJoinResult> join_results;
   util::Pool<WmeRecord> records;
@@ -729,7 +762,8 @@ struct Network::Impl {
     return wme_index.find_slot(wme_hash(w), [w](const WmeRecord& r) { return r.wme == w; });
   }
 
-  Token* dummy_token = nullptr;
+  /// The dummy top store's one token, the root of every token tree.
+  Token dummy_token;
 
   /// Deferred-mutation guard: activations iterate memories and index buckets
   /// by reference, which is sound because propagation never re-enters the WM
@@ -771,8 +805,7 @@ struct Network::Impl {
         alpha_acts(c.alphas.size(), 0),
         join_acts(c.joins.size(), 0) {
     // The dummy top store holds the dummy token for the network's whole life.
-    dummy_token = tokens.acquire();
-    store_tokens[0].push_back(dummy_token);
+    store_tokens[0].push_back(&dummy_token);
     reset_links();
   }
 
@@ -860,17 +893,11 @@ struct Network::Impl {
     WmeRecord* rec = records.acquire();
     rec->wme = &w;
     rec->vals = vals.data();
-    return rec;
-  }
-
-  void recycle_record(WmeRecord* rec) {
-    rec->wme = nullptr;
-    rec->vals = nullptr;
-    rec->alpha_mems.clear();
+    rec->alpha_mems.clear();  // clear, don't reassign: keep any spill
     rec->right_pos.clear();
     rec->tokens.clear();
     rec->neg_results.clear();
-    records.release(rec);
+    return rec;
   }
 
   // -------------------------- index bucket pooling ------------------------
@@ -1023,10 +1050,8 @@ struct Network::Impl {
         if (neg.index_test >= 0) {
           counters.match_cost += util::cost::kJoinTest;
           index_token(node, t);
-          const RightIndex& right = right_index(neg);
-          const auto it = right.find(token_key(neg, t));
-          if (it != right.end()) {
-            for (const RightEntry& e : it->second) {
+          if (const auto* bucket = candidates(right_index(neg), token_key(neg, t))) {
+            for (const RightEntry& e : *bucket) {
               if (join_passes(neg.tests, t, *e.rec)) new_jr(t, e.rec);
             }
           }
@@ -1063,10 +1088,9 @@ struct Network::Impl {
     const JoinNode& j = c.joins[id];
     if (j.index_test >= 0) {
       counters.match_cost += util::cost::kJoinTest;  // hash lookup
-      const RightIndex& right = right_index(j);
-      const auto it = right.find(token_key(j, t));
-      if (it == right.end()) return;
-      for (const RightEntry& e : it->second) {
+      const auto* bucket = candidates(right_index(j), token_key(j, t));
+      if (bucket == nullptr) return;
+      for (const RightEntry& e : *bucket) {
         if (join_passes(j.tests, t, *e.rec)) {
           for (const std::uint32_t child : j.children) left_activate(child, t, e.rec->wme, e.rec);
         }
@@ -1086,10 +1110,10 @@ struct Network::Impl {
     const StoreNode& parent = c.stores[j.store];
     if (j.index_test >= 0) {
       counters.match_cost += util::cost::kJoinTest;  // hash lookup
-      const LeftIndex& left = left_indexes[parent.first_left_index + j.left_ord];
-      const auto it = left.find(wme_key(j, w));
-      if (it == left.end()) return;
-      for (Token* t : it->second) {
+      const auto* bucket =
+          candidates(left_indexes[parent.first_left_index + j.left_ord], wme_key(j, w));
+      if (bucket == nullptr) return;
+      for (Token* t : *bucket) {
         if (join_passes(j.tests, t, w)) {
           for (const std::uint32_t child : j.children) left_activate(child, t, w.wme, &w);
         }
@@ -1110,10 +1134,10 @@ struct Network::Impl {
     const JoinNode& neg = c.joins[id];
     if (neg.index_test >= 0) {
       counters.match_cost += util::cost::kJoinTest;
-      const LeftIndex& left = left_indexes[c.stores[neg.store].first_left_index];
-      const auto it = left.find(wme_key(neg, w));
-      if (it == left.end()) return;
-      for (Token* t : it->second) negative_block(neg, t, w);
+      const auto* bucket =
+          candidates(left_indexes[c.stores[neg.store].first_left_index], wme_key(neg, w));
+      if (bucket == nullptr) return;
+      for (Token* t : *bucket) negative_block(neg, t, w);
       return;
     }
     for (Token* t : store_tokens[neg.store]) negative_block(neg, t, w);
@@ -1307,41 +1331,38 @@ struct Network::Impl {
     // Propagation never adds or removes a WME (the delta guard), so `at`
     // still names the record's slot.
     wme_index.erase(at);
-    recycle_record(rec);
+    records.release(rec);
     if (record_chunks) chunks.push_back(counters.match_cost - before);
   }
 
   void clear() {
     if (in_delta) throw std::logic_error("re-entrant WME mutation during match propagation");
     // Structural teardown of all match state; no listener callbacks (the
-    // engine resets its conflict set alongside). Buckets, tokens, records,
-    // and join results all return to their pools with capacity intact. The
-    // dummy token is charged like the others, as it always was, but stays.
+    // engine resets its conflict set alongside). Each live token is charged
+    // one free, the dummy token too, as it always was; the dummy stays.
+    // Tokens, records and join results go back to their pools whole, to be
+    // handed out again in construction order; buckets return to their pools
+    // with capacity intact, and the indexes drop every key.
     for (std::vector<Token*>& members : store_tokens) {
-      for (Token* t : members) {
-        for (NegJoinResult* jr : t->join_results) join_results.release(jr);
-        t->join_results.clear();
-        if (t == dummy_token) {
-          charge_token_free();
-        } else {
-          free_token(t);
-        }
-      }
+      const auto n = static_cast<std::uint64_t>(members.size());
+      counters.tokens_deleted += n;
+      counters.match_cost += util::cost::kTokenOp * n;
       members.clear();
     }
+    tokens.release_all();
+    join_results.release_all();
+    records.release_all();
     for (LeftIndex& index : left_indexes) release_index(index);
     for (std::vector<AmItem>& items : alpha_items) items.clear();
     for (RightIndex& index : right_indexes) release_index(index);
-    wme_index.for_each([this](WmeRecord& rec) { recycle_record(&rec); });
     wme_index.clear();
-    store_tokens[0].push_back(dummy_token);
-    dummy_token->pos_in_node = 0;
-    dummy_token->children.clear();
+    dummy_token.children.clear();
+    store_tokens[0].push_back(&dummy_token);
     chunks.clear();
     reset_links();
     // Back to the post-construction state: only the dummy token is alive and
-    // it is not gauge-counted (it was allocated outside new_token). The peak
-    // deliberately survives clear() — it is a lifetime high-water mark.
+    // it is not gauge-counted (it never went through new_token). The peak
+    // deliberately survives clear(): it is a lifetime high-water mark.
     live_tokens = 0;
   }
 
@@ -1437,7 +1458,7 @@ struct Network::Impl {
           for (std::uint32_t i = 0; i < bucket.size(); ++i) {
             ++entries;
             const RightEntry& e = bucket[i];
-            if (!(rec_slot(*e.rec, am.index_slots[ord]) == key)) {
+            if (!JoinKeyEqual{}(rec_slot(*e.rec, am.index_slots[ord]), key)) {
               fail(who + ": right entry under wrong key");
             }
             if (e.pos_slot >= e.rec->right_pos.size() || e.rec->right_pos[e.pos_slot] != i) {
@@ -1459,7 +1480,7 @@ struct Network::Impl {
             ++entries;
             Token* t = bucket[i];
             if (t->store != s) fail(who + ": left entry from foreign store");
-            if (!(rec_slot(*wme_up(t, spec.levels_up), spec.token_slot) == key)) {
+            if (!JoinKeyEqual{}(rec_slot(*wme_up(t, spec.levels_up), spec.token_slot), key)) {
               fail(who + ": left entry under wrong key");
             }
             if (ord >= t->left_pos.size() || t->left_pos[ord] != i) {
@@ -1483,7 +1504,7 @@ struct Network::Impl {
       }
     }
 
-    const bool dummy_alive = !store_tokens[0].empty() && store_tokens[0].front() == dummy_token;
+    const bool dummy_alive = !store_tokens[0].empty() && store_tokens[0].front() == &dummy_token;
     if (live_tokens != total_tokens - (dummy_alive ? 1 : 0)) {
       fail("live token gauge desync");
     }

@@ -410,7 +410,9 @@ void Server::run_stream(std::size_t index, const std::shared_ptr<StreamState>& s
         return std::chrono::steady_clock::now() > deadline;
       };
     }
-    SceneReport report = session.run_tick(tick.job, over_budget);
+    // A one-shot scene's tick is discarded once its results are collected,
+    // so its close has nothing to reload.
+    SceneReport report = session.run_tick(tick.job, over_budget, stream->oneshot);
     const auto tick_done = std::chrono::steady_clock::now();
     report.tick = tick.seq;
 
@@ -426,7 +428,7 @@ void Server::run_stream(std::size_t index, const std::shared_ptr<StreamState>& s
       tick_latencies.push_back(ns_between(tick.enqueued, tick_done));
     } else {
       // Terminal tick failure kills the stream: the failed tick is already
-      // rolled back to its checkpoint, and close-time rollback below returns
+      // rolled back through its own undo log, and the close below returns
       // the context to base. Isolation would otherwise be unprovable — a
       // quarantined tick's partial state must not feed later ticks.
       rollup.status = report.status;
@@ -462,8 +464,9 @@ void Server::run_stream(std::size_t index, const std::shared_ptr<StreamState>& s
                         std::move(args));
   }
 
-  // Close-time rollback: the recycled context is bit-identical to fresh
-  // (WMEs, timetags, recency) whatever the stream did or failed to do.
+  // The close reloads the base working memory if a tick kept its effects:
+  // the recycled context equals a fresh one (WMEs, timetags, recency)
+  // whatever the stream did or failed to do.
   session.finish();
 
   // Kill the stream and abandon whatever is still queued (terminal failure

@@ -12,9 +12,10 @@
 //    retry-then-quarantine) plus a wall-clock budget per tick, which the
 //    tick checks against its own start time between cycle slices (no
 //    watchdog thread); both paths roll the session's engine back.
-//  * Fault isolation — every scene executes under the undo log and is
-//    always rolled back after collection, so faulted/poisoned scenes cannot
-//    perturb healthy ones (their firing logs stay byte-identical).
+//  * Fault isolation — every tick executes under its own undo log, a
+//    one-shot scene is always rolled back after collection, and a stream's
+//    close reloads the base working memory, so faulted/poisoned scenes
+//    cannot perturb healthy ones (their firing logs stay byte-identical).
 //  * Graceful drain — drain() stops admission, finishes everything already
 //    admitted, force-closes open streams after their queued ticks, joins the
 //    pool, and rolls per-session metrics up into a schema-versioned
@@ -22,7 +23,7 @@
 //    exactly-once accounting, a "streams" section for tick metrics).
 //  * Streaming sessions (§16) — open_stream() admits a long-lived scene
 //    whose WM arrives as ticks; the worker holds the stream's working memory
-//    resident between ticks (incremental match per tick, rollback only at
+//    resident between ticks (incremental match per tick, a base reload at
 //    close) and one-shot submit() is a one-tick stream over the same path,
 //    with the same SubmitResult and the same SceneReport per tick.
 //  * Versioned hot-reload (§15) — stage_pack() compiles a candidate rule

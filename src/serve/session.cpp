@@ -64,7 +64,8 @@ void Session::begin() {
   context_.runner_.begin_stream();
 }
 
-SceneReport Session::run_tick(const SceneJob& job, const std::function<bool()>& aborted) {
+SceneReport Session::run_tick(const SceneJob& job, const std::function<bool()>& aborted,
+                              bool discard) {
   const SessionOptions& options = context_.options_;
   SceneReport out;
   out.scene = id_;
@@ -72,20 +73,25 @@ SceneReport Session::run_tick(const SceneJob& job, const std::function<bool()>& 
   const psm::Task task{id_, job.label, job.inject};
   psm::AttemptOptions attempt{.cycle_deadline = options.cycle_deadline,
                               .cancel_check_every = kAbortCheckEvery,
-                              .injector = options.injector};
+                              .injector = options.injector,
+                              .discard = discard};
+  // The gauges are read with the results, before a discarded tick rolls back.
+  const auto collect = [&job, &out](ops5::Engine& engine) {
+    if (job.collect) job.collect(engine);
+    out.wm_size = engine.wm_size();
+    out.live_tokens = engine.network().live_tokens();
+  };
   for (; attempt.number <= options.max_attempts; ++attempt.number) {
     context_.firing_log_.clear();
     out.attempts = attempt.number;
     try {
-      // Inside the stream journal: a failed attempt rolls back to the
-      // tick's checkpoint, and earlier ticks' resident WM survives.
-      psm::TaskMeasurement m = context_.runner_.attempt(task, attempt, aborted, job.collect);
+      // Under the tick's own undo log: a failed attempt rolls back to where
+      // the tick began, and earlier ticks' resident WM survives.
+      psm::TaskMeasurement m = context_.runner_.attempt(task, attempt, aborted, collect);
       out.status = SceneStatus::Completed;
       out.error.clear();  // the cause of a failure only; a retry just completed
       out.counters = m.counters;
       out.firing_log = std::move(context_.firing_log_);
-      out.wm_size = context_.engine().wm_size();
-      out.live_tokens = context_.engine().network().live_tokens();
       break;
     } catch (const psm::TaskAborted&) {
       // Wall-clock budget abort: terminal, no retry — the budget that
@@ -94,9 +100,9 @@ SceneReport Session::run_tick(const SceneJob& job, const std::function<bool()>& 
       out.error = "aborted by watchdog";
       break;
     } catch (const std::exception& e) {
-      // Transient fault or cycle-deadline overrun: rolled back to the tick
-      // checkpoint already; retry with a grown deadline until attempts run
-      // out.
+      // Transient fault or cycle-deadline overrun: rolled back to where
+      // the tick began already; retry with a grown deadline until attempts
+      // run out.
       out.error = e.what();
       out.status = SceneStatus::Quarantined;
     } catch (...) {
@@ -116,7 +122,7 @@ void Session::finish() {
 SceneReport Session::run(const SceneJob& job, const std::function<bool()>& aborted) {
   begin();
   const auto begin_ts = obs::Tracer::Clock::now();
-  SceneReport report = run_tick(job, aborted);
+  SceneReport report = run_tick(job, aborted, /*discard=*/true);
   const auto end_ts = obs::Tracer::Clock::now();
   finish();
 

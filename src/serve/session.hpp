@@ -4,13 +4,14 @@
 //
 // An EngineContext is a resident engine (program + base working memory) owned
 // by one server worker; a Session is the lightweight per-scene execution over
-// a context. Every scene runs under the engine's undo log and is ALWAYS
-// rolled back after its results are collected, so the context returns to the
-// base working memory bit-identically (WMEs, timetags, recency) between
-// scenes. That discipline is what makes sessions isolated: a scene's firing
-// log depends only on the rule base, the base WM, and its own injected WMEs —
-// never on which context ran it or what ran before it — and a quarantined or
-// aborted scene provably cannot leak state into later ones.
+// a context. Every scene and every stream ALWAYS ends with the context back
+// at its base working memory, exactly as a fresh context holds it (WMEs,
+// timetags, recency): a one-shot scene runs under the engine's undo log and
+// is rolled back after its results are collected, and a stream's close
+// reloads the base. That discipline is what makes sessions isolated: a
+// scene's firing log depends only on the rule base, the base WM, and its own
+// injected WMEs — never on which context ran it or what ran before it — and
+// a quarantined or aborted scene provably cannot leak state into later ones.
 //
 // A tick is the unit of reporting: Session::run_tick() fills one SceneReport
 // and the server completes it (tick number, timings), for a stream's tick
@@ -72,7 +73,7 @@ enum class RejectReason : std::uint8_t {
 /// which differ by flavour:
 ///  * a stream tick is timed from its submit to its start to its done;
 ///  * a one-shot scene is timed from admission to dequeue to its terminal
-///    state, the close-time rollback included.
+///    state, the rollback of its tick included.
 struct SceneReport {
   SceneId scene = 0;       ///< the scene's id (a tick's: its stream's)
   std::uint64_t tick = 0;  ///< sequence number within the stream (0-based)
@@ -133,38 +134,42 @@ class EngineContext {
 
 /// The per-scene/per-stream execution: binds a session id to a context for
 /// the duration of one scene or stream. The lifecycle is begin() →
-/// run_tick()* → finish(): begin() opens the engine's stream journal,
-/// each run_tick() executes one batch of injected WMEs to quiescence
-/// (attempt/retry per the context's options, per-tick checkpoint rollback on
-/// failure) and KEEPS its effects resident, and finish() rolls the whole
-/// journal back so the context returns to its base working memory
-/// bit-identically. run() is the one-shot wrapper: begin + one tick +
-/// finish, so batch scenes and streams share one execution code path.
+/// run_tick()* → finish(): begin() opens the stream, each run_tick()
+/// executes one batch of injected WMEs to quiescence under its own undo log
+/// (attempt/retry per the context's options, the failed attempt rolled back
+/// each time) and KEEPS its effects resident, and finish() reloads the base
+/// working memory, so the context equals a fresh one. run() is the one-shot
+/// wrapper: begin + one discarded tick + finish, so batch scenes and streams
+/// share one execution code path.
 class Session {
  public:
   Session(SceneId id, EngineContext& context) : id_(id), context_(context) {}
 
   [[nodiscard]] SceneId id() const noexcept { return id_; }
 
-  /// Execute the scene: one tick between begin() and finish(). The context
-  /// is back at its base working memory when this returns, whatever the
-  /// outcome. `aborted` (may be empty) is polled between cycle slices for
-  /// the wall-clock budget.
+  /// Execute the scene: one discarded tick between begin() and finish(). The
+  /// context is back at its base working memory when this returns, whatever
+  /// the outcome. `aborted` (may be empty) is polled between cycle slices
+  /// for the wall-clock budget.
   [[nodiscard]] SceneReport run(const SceneJob& job, const std::function<bool()>& aborted);
 
-  /// Bind the session to the context and open the stream journal.
+  /// Bind the session to the context and open the stream.
   void begin();
 
-  /// Execute one tick inside begin()/finish(). On Completed the tick's WM
-  /// effects stay resident and the report carries the resident gauges; on
-  /// Quarantined/Aborted the engine is back at the tick's checkpoint
-  /// (earlier ticks' effects survive) and the caller should treat the
-  /// stream as terminally failed. The report's tick number and timings are
-  /// left for the caller.
-  [[nodiscard]] SceneReport run_tick(const SceneJob& job, const std::function<bool()>& aborted);
+  /// Execute one tick inside begin()/finish(). On Completed the report
+  /// carries the resident gauges after the tick, and the tick's WM effects
+  /// stay resident unless `discard` rolls them back once its results are
+  /// collected (a one-shot scene's tick, which leaves the close nothing to
+  /// reload). On Quarantined/Aborted the engine is back where the tick began
+  /// (earlier ticks' effects survive) and the caller should treat the stream
+  /// as terminally failed. The report's tick number and timings are left
+  /// for the caller.
+  [[nodiscard]] SceneReport run_tick(const SceneJob& job, const std::function<bool()>& aborted,
+                                     bool discard = false);
 
-  /// Roll every tick's effects back and release the context: base working
-  /// memory, timetags, and recency are bit-identical to pre-begin().
+  /// Close the stream and release the context: if a tick kept its effects,
+  /// the base working memory is reloaded, so working memory, timetags and
+  /// recency equal a fresh context's.
   void finish();
 
  private:

@@ -6,9 +6,9 @@
 // A stream is a long-lived scene whose working memory arrives as *ticks* —
 // batches of WME adds/retracts submitted over time. The server holds the
 // stream's working memory resident on one engine context between ticks, runs
-// incremental match + firing to quiescence per tick, and rolls everything
-// back only when the stream closes, so a recycled context is bit-identical
-// to fresh. One-shot submission is the degenerate case: Server::submit() is
+// incremental match + firing to quiescence per tick, and reloads the base
+// working memory when the stream closes, so a recycled context equals a
+// fresh one. One-shot submission is the degenerate case: Server::submit() is
 // a thin wrapper over a one-tick, pre-closed stream, so admission, shedding,
 // deadlines, pack binding, and the wall-clock budget have exactly one code
 // path, and a tick and a one-shot scene share one report (SceneReport) and
@@ -81,8 +81,9 @@ class StreamHandle {
   /// draining.
   [[nodiscard]] SubmitResult tick(SceneJob job);
 
-  /// No more ticks: the worker finishes everything queued, rolls the
-  /// stream's working memory back, and resolves the report. Idempotent.
+  /// No more ticks: the worker finishes everything queued, returns the
+  /// context to its base working memory, and resolves the report.
+  /// Idempotent.
   [[nodiscard]] std::future<StreamReport> close();
 
  private:

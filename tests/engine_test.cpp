@@ -15,6 +15,7 @@
 
 #include "ops5/engine.hpp"
 #include "ops5/parser.hpp"
+#include "psm/task.hpp"
 #include "serve/rulebase.hpp"
 #include "spam/decomposition.hpp"
 #include "spam/phases.hpp"
@@ -323,6 +324,28 @@ TEST(Engine, UnknownExternalThrows) {
   EXPECT_THROW(engine.run(), std::logic_error);
 }
 
+// (compute) can make a NaN (inf - inf), and a NaN slot value is a join key
+// like any other: `drop` removes the WME whose token `pair`'s join indexed
+// under NaN, and the removal must find that index entry again.
+TEST(Engine, NanInAnIndexedJoinSlotIsRemovedCleanly) {
+  const auto program = parse_shared(R"(
+(literalize seed x)
+(literalize val n)
+(literalize probe n)
+(p make-nan (seed ^x <x>) --> (make val ^n (compute (compute <x> * <x>) - (compute <x> * <x>))))
+(p pair (val ^n <v>) (probe ^n <v>) --> (halt))
+(p drop (val ^n <v>) -(probe) --> (remove 1))
+)");
+  Engine engine(program, nullptr);
+  engine.make_wme("seed", {{"x", Value(1e300)}});
+  const RunResult result = engine.run();
+  EXPECT_EQ(result.firings, 2U);  // make-nan, then drop
+  EXPECT_FALSE(result.halted);
+  EXPECT_TRUE(engine.wmes_of_class("val").empty());
+  EXPECT_EQ(engine.wm_size(), 1U);
+  EXPECT_TRUE(engine.network().check_invariants().empty());
+}
+
 TEST(Engine, UserDataReachesExternals) {
   Program builder;
   parse_into(builder, R"(
@@ -402,7 +425,8 @@ TEST(Engine, ResetAllowsFreshRun) {
   EXPECT_EQ(engine.counters().firings, 0u);
   EXPECT_EQ(engine.conflict_set_size(), 0u);
 
-  // Identical rerun from scratch behaves identically (PSM reuses engines).
+  // Identical rerun from scratch behaves identically (a stream close resets
+  // its task process's engine).
   engine.make_wme("item", {{"n", Value(1.0)}});
   const RunResult result = engine.run();
   EXPECT_EQ(result.firings, 1u);
@@ -1081,6 +1105,61 @@ TEST(EngineAllocations, WholeLifetimeAllocatesInChunks) {
   EXPECT_EQ(firings, 19966U);
   EXPECT_LE(run_allocations, 164722U / 4);
   EXPECT_LE(t_frees, 112900U / 4);
+}
+
+// A task process that serves one stream after another: the close reloads the
+// base working memory, and the reload's Network::clear() drops every
+// join-index key, so streams whose join keys never recur leave nothing
+// behind. After a first stream has grown every pool, table, journal and
+// bucket pool, each stream frees exactly what it allocates. When the close
+// rolled the stream's journal back instead, each new key left a map node
+// behind in the index of `finish`'s negative node and of the result memory.
+TEST(EngineAllocations, StreamsWithFreshJoinKeysFreeWhatTheyAllocate) {
+  const auto program = parse_shared(R"(
+(literalize job n)
+(literalize result n)
+(p finish (job ^n <v>) -(result ^n <v>) --> (make result ^n <v>))
+)");
+  psm::TaskProcessFactory factory;
+  factory.make_engine = [program] { return std::make_unique<Engine>(program, nullptr); };
+  factory.base_init = [](Engine& engine) { engine.make_wme("job", {{"n", Value(-1.0)}}); };
+  psm::TaskRunner runner(factory);
+
+  constexpr int kStreams = 5;
+  constexpr int kTicks = 8;
+  constexpr int kJobsPerTick = 4;
+  std::vector<psm::Task> ticks;  // built before counting; each key used once
+  for (int s = 0; s < kStreams; ++s) {
+    for (int t = 0; t < kTicks; ++t) {
+      const double first = (s * kTicks + t) * kJobsPerTick;
+      ticks.push_back({static_cast<std::uint64_t>(t), "tick", [first](Engine& engine) {
+                         for (int j = 0; j < kJobsPerTick; ++j) {
+                           engine.make_wme("job", {{"n", Value(first + j)}});
+                         }
+                       }});
+    }
+  }
+  std::vector<std::uint64_t> firings;
+  firings.reserve(kStreams);
+  const auto stream = [&](int s) {
+    const std::uint64_t before = runner.engine().counters().firings;
+    runner.begin_stream();
+    for (int t = 0; t < kTicks; ++t) (void)runner.attempt(ticks[s * kTicks + t]);
+    firings.push_back(runner.engine().counters().firings - before);
+    runner.end_stream();
+  };
+  stream(0);
+
+  t_allocations = 0;
+  t_frees = 0;
+  t_count_allocations = true;
+  for (int s = 1; s < kStreams; ++s) stream(s);
+  t_count_allocations = false;
+  EXPECT_GT(t_allocations, 0U);  // each new key allocates a map node
+  EXPECT_EQ(t_allocations, t_frees);
+  // The base job fires in the first tick of every stream.
+  for (const std::uint64_t f : firings) EXPECT_EQ(f, kTicks * kJobsPerTick + 1U);
+  EXPECT_EQ(runner.engine().wm_size(), 1U);
 }
 
 // Building an engine over a rule base's compiled network allocates its match

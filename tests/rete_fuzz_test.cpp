@@ -10,6 +10,11 @@
 // add/retract/modify WME trace through the naive oracle and the Rete network
 // at once.
 //
+// Slot values are small integers, except that about one draw in sixteen is a
+// NaN (of either sign), -0.0 or +0.0: a NaN equals nothing, not even itself,
+// and the two zeros equal each other, in joins and negations as in alpha
+// tests.
+//
 // After every operation the Rete network's support set must agree with the
 // oracle's, and the network must pass its structural self-check (position
 // back-pointers, index mirrors, link flags, record value pointers). Full retraction
@@ -26,6 +31,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -195,6 +201,17 @@ TraceConfig config_for(int seed) {
   return cfg;
 }
 
+/// A slot value in [0, hi], or about one draw in sixteen a NaN of either
+/// sign, -0.0 or +0.0.
+Value draw_value(util::Rng& rng, int hi) {
+  if (rng.next_below(16) == 0) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double specials[] = {nan, -nan, -0.0, 0.0};
+    return Value(specials[rng.next_below(4)]);
+  }
+  return Value(static_cast<double>(rng.next_int(0, hi)));
+}
+
 /// A random add/retract/modify WME trace over classes `a` and `b`: the WMEs
 /// it made, and those still live.
 struct Trace {
@@ -203,9 +220,7 @@ struct Trace {
 
   const Wme& make_wme() {
     const auto cls = static_cast<ops5::ClassIndex>(rng.next_below(2));
-    std::vector<Value> slots{Value(static_cast<double>(rng.next_int(0, 2))),
-                             Value(static_cast<double>(rng.next_int(0, 4))),
-                             Value(static_cast<double>(rng.next_int(0, 2)))};
+    std::vector<Value> slots{draw_value(rng, 2), draw_value(rng, 4), draw_value(rng, 2)};
     const auto cls_sym = *program.symbols().find(cls == 0 ? "a" : "b");
     owned.push_back(std::make_unique<Wme>(cls, cls_sym, std::move(slots), tag++));
     live.push_back(owned.back().get());

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -730,6 +731,71 @@ TEST_P(OraclePropertyTest, ReteMatchesNaiveOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTraces, OraclePropertyTest, ::testing::Range(0, 25));
+
+// ---------------------------------------------------------------------------
+// Join-index keys: NaN equals nothing, yet its index entries must be found
+// ---------------------------------------------------------------------------
+
+// NaN-valued WMEs through an indexed positive join (pair) and an indexed
+// negative node (lonely), added and removed in both orders. Every NaN files
+// under one index key, so each removal finds its entry; a NaN key still
+// joins nothing, so the naive oracle agrees at every step.
+TEST(ReteIndexKeys, NanValuedWmesAddAndRemoveThroughIndexedJoins) {
+  const Program p = ops5::parse_program(R"(
+(literalize val n)
+(literalize probe n)
+(p pair (val ^n <v>) (probe ^n <v>) --> (halt))
+(p lonely (val ^n <v>) -(probe ^n <v>) --> (halt))
+)");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const bool vals_first : {true, false}) {
+    SCOPED_TRACE(vals_first ? "vals first" : "probes first");
+    SetListener rete_listener(p);
+    SetListener naive_listener(p);
+    util::WorkCounters rete_counters;
+    util::WorkCounters naive_counters;
+    Network rete(p, rete_listener, rete_counters);
+    NaiveMatcher naive(p, naive_listener, naive_counters);
+    WmeFactory wmes(p);
+    const auto batch = [&](std::string_view cls) {
+      return std::vector<const Wme*>{&wmes.make(cls, {Value(nan)}), &wmes.make(cls, {Value(-nan)}),
+                                     &wmes.make(cls, {Value(1.0)})};
+    };
+    const std::vector<const Wme*> first = batch(vals_first ? "val" : "probe");
+    const std::vector<const Wme*> second = batch(vals_first ? "probe" : "val");
+    int step = 0;
+    const auto check = [&] {
+      EXPECT_EQ(rete_listener.matches(), naive_listener.matches()) << "step " << step;
+      const auto violations = rete.check_invariants();
+      EXPECT_TRUE(violations.empty()) << "step " << step << ": " << violations.front();
+      ++step;
+    };
+    for (const auto* group : {&first, &second}) {
+      for (const Wme* w : *group) {
+        rete.add_wme(*w);
+        naive.add_wme(*w);
+        check();
+      }
+    }
+    // Only the 1.0s pair up, and they block each other's absence test.
+    const int val = vals_first ? 1 : 4;
+    const int probe = vals_first ? 4 : 1;
+    EXPECT_EQ(rete_listener.matches(),
+              (std::set<std::string>{"pair:" + std::to_string(val + 2) + ":" +
+                                         std::to_string(probe + 2),
+                                     "lonely:" + std::to_string(val),
+                                     "lonely:" + std::to_string(val + 1)}));
+    for (const auto* group : {&first, &second}) {
+      for (const Wme* w : *group) {
+        rete.remove_wme(*w);
+        naive.remove_wme(*w);
+        check();
+      }
+    }
+    EXPECT_TRUE(rete_listener.matches().empty());
+    EXPECT_EQ(rete.live_tokens(), 0U);
+  }
+}
 
 }  // namespace
 }  // namespace psmsys::rete

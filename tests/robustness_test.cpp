@@ -303,7 +303,8 @@ TEST(RunRobust, DeadlineGrowthDoublesAndSaturates) {
 // ---------------------------------------------------------------------------
 
 /// Working memory by timetag, the conflict-set size, and the timetag the next
-/// WME would get (read by a probe WME that a stream rolls back again).
+/// WME would get (read by a probe WME that the engine's undo log rolls back
+/// again).
 std::vector<std::string> engine_state(TaskRunner& runner) {
   ops5::Engine& engine = runner.engine();
   std::vector<std::string> state;
@@ -314,9 +315,9 @@ std::vector<std::string> engine_state(TaskRunner& runner) {
   }
   std::sort(state.begin(), state.end());
   state.push_back("cs " + std::to_string(engine.conflict_set_size()));
-  runner.begin_stream();
+  engine.begin_undo_log();
   state.push_back("next " + std::to_string(engine.make_wme("spin", {}).timetag()));
-  runner.end_stream();
+  engine.rollback_undo_log();
   return state;
 }
 
@@ -353,6 +354,92 @@ TEST(RunIsolated, ReturnsToBaseAfterCollectOnSuccessOverrunAndThrow) {
   const TaskMeasurement again = runner.run_isolated(TinyWorkload::good(1), 0, {}, 0, collect);
   EXPECT_EQ(again.counters.total_cost(), first.counters.total_cost());
   EXPECT_EQ(again.counters.firings, first.counters.firings);
+}
+
+// ---------------------------------------------------------------------------
+// Streams on a task process: per-tick undo logs and a reloading close
+// ---------------------------------------------------------------------------
+
+TEST(TaskRunnerStream, EachTickCommitsItsOwnUndoLog) {
+  TinyWorkload workload;
+  TaskRunner runner(workload.factory());
+  runner.begin_stream();
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    (void)runner.attempt(TinyWorkload::good(id));
+    EXPECT_FALSE(runner.engine().undo_log_active()) << "after tick " << id;
+  }
+  EXPECT_EQ(count_results(runner.engine()), 3u);  // resident between ticks
+  runner.end_stream();
+  EXPECT_EQ(count_results(runner.engine()), 0u);
+}
+
+// The close reloads the base, so a stream opens only on an engine at its
+// base: effects kept outside a stream would be lost silently.
+TEST(TaskRunnerStream, OpensOnlyOnTheBaseWorkingMemory) {
+  TinyWorkload workload;
+  TaskRunner runner(workload.factory());
+  EXPECT_THROW(runner.end_stream(), std::logic_error);
+  runner.begin_stream();
+  EXPECT_THROW(runner.begin_stream(), std::logic_error);
+  runner.end_stream();
+  (void)runner.attempt(TinyWorkload::good(1), {.discard = true});
+  runner.begin_stream();  // a discarded attempt kept nothing
+  runner.end_stream();
+  (void)runner.attempt(TinyWorkload::good(2));
+  EXPECT_THROW(runner.begin_stream(), std::logic_error);
+  EXPECT_EQ(count_results(runner.engine()), 1u);
+}
+
+std::vector<std::uint64_t> counter_fields(const util::WorkCounters& c) {
+  return {c.match_cost,    c.alpha_tests, c.alpha_activations, c.join_probes, c.tokens_created,
+          c.tokens_deleted, c.resolve_cost, c.rhs_cost,        c.firings,     c.rhs_actions,
+          c.wmes_added,    c.wmes_removed, c.cycles};
+}
+
+/// Working memory as "timetag class slot values" lines, in timetag order.
+std::vector<std::string> wm_lines(const ops5::Engine& engine) {
+  std::vector<std::pair<ops5::TimeTag, std::string>> wmes;
+  for (const char* cls : {"job", "result", "spin", "ctr"}) {
+    for (const ops5::Wme* w : engine.wmes_of_class(cls)) {
+      wmes.emplace_back(w->timetag(),
+                        w->to_string(engine.program().symbols(),
+                                     engine.program().wme_class(w->class_index())));
+    }
+  }
+  std::sort(wmes.begin(), wmes.end());
+  std::vector<std::string> out;
+  for (const auto& [tag, text] : wmes) out.push_back(std::to_string(tag) + " " + text);
+  return out;
+}
+
+TEST(TaskRunnerStream, CloseAfterARetriedTickEqualsAFreshRunner) {
+  TinyWorkload workload;
+  TaskProcessFactory factory = workload.factory();
+  // A base instantiation the stream fires, and a base WME a tick consumes
+  // (count-to-30 modifies it): both must come back as a fresh runner has
+  // them.
+  factory.base_init = [](ops5::Engine& engine) {
+    engine.make_wme("job", {{"n", ops5::Value(99.0)}});
+    engine.make_wme("ctr", {{"n", ops5::Value(20.0)}});
+  };
+  const FaultInjector injector(first_attempt_fails(2));
+  TaskRunner runner(factory);
+  runner.begin_stream();
+  (void)runner.attempt(TinyWorkload::good(1));
+  // Task 2's first attempt crashes mid-run and rolls back; the retry keeps.
+  EXPECT_THROW((void)runner.attempt(TinyWorkload::slow(2), {.number = 1, .injector = &injector}),
+               InjectedTaskFault);
+  (void)runner.attempt(TinyWorkload::slow(2), {.number = 2, .injector = &injector});
+  (void)runner.attempt(TinyWorkload::good(3));
+  ASSERT_EQ(count_results(runner.engine()), 3u);
+  runner.end_stream();
+
+  TaskRunner fresh(factory);
+  ops5::Engine& engine = runner.engine();
+  EXPECT_EQ(counter_fields(engine.counters()), counter_fields(fresh.engine().counters()));
+  EXPECT_EQ(wm_lines(engine), wm_lines(fresh.engine()));
+  EXPECT_EQ(engine.conflict_set_size(), fresh.engine().conflict_set_size());
+  EXPECT_EQ(engine.make_wme("spin", {}).timetag(), fresh.engine().make_wme("spin", {}).timetag());
 }
 
 // ---------------------------------------------------------------------------

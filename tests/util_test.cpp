@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <map>
+#include <new>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -17,6 +19,24 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/work_units.hpp"
+
+// Heap allocations made by this thread while t_count_allocations is set,
+// counted by the replaced global operator new below for the Pool tests.
+namespace {
+thread_local bool t_count_allocations = false;
+thread_local std::size_t t_allocations = 0;
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (t_count_allocations) ++t_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace psmsys::util {
 namespace {
@@ -575,6 +595,58 @@ TEST(Pool, AcquireAndReleaseMatchReference) {
     for (PoolItem* item : live_set) EXPECT_EQ(seen.count(item), 1U);
   }
 }
+
+/// release_all() frees every element, live or already released, at once;
+/// the pool then hands them out again in construction order, each in the
+/// state it was left in, before it constructs anything.
+///
+/// Kills: a release_all() that leaves an individually released element on
+/// the free list too (it would be handed out twice), or that hands elements
+/// out in free-list order.
+TEST(Pool, ReleaseAllHandsOutInConstructionOrderWithoutAllocating) {
+  Pool<PoolItem> pool;
+  const std::size_t n = 2 * Pool<PoolItem>::kChunkElements + 3;
+  std::vector<PoolItem*> order;
+  for (std::size_t i = 0; i < n; ++i) {
+    order.push_back(pool.acquire());
+    order.back()->stamp = i + 1;
+  }
+  for (std::size_t i = 0; i < n; i += 5) pool.release(order[i]);
+  pool.release_all();
+
+  std::vector<PoolItem*> again;
+  again.reserve(n);
+  t_allocations = 0;
+  t_count_allocations = true;
+  for (std::size_t i = 0; i < n; ++i) again.push_back(pool.acquire());
+  t_count_allocations = false;
+  EXPECT_EQ(t_allocations, 0U);
+  EXPECT_EQ(pool.constructed(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(again[i], order[i]) << "element " << i << " out of construction order";
+    EXPECT_EQ(again[i]->stamp, i + 1) << "element " << i << ": state lost";
+  }
+  // All of them live again: the next acquire constructs.
+  EXPECT_EQ(pool.acquire()->stamp, 0U);
+  EXPECT_EQ(pool.constructed(), n + 1);
+}
+
+#ifdef PSMSYS_ASAN
+// Under AddressSanitizer a free element is poisoned: a stale pointer into
+// the pool is reported instead of reading whatever recycles the element.
+TEST(PoolDeathTest, ReadingAFreeElementIsReported) {
+  Pool<PoolItem> pool;
+  PoolItem* released = pool.acquire();
+  PoolItem* live = pool.acquire();
+  pool.release(released);
+  EXPECT_DEATH((void)*static_cast<volatile std::uint64_t*>(&released->stamp),
+               "use-after-poison");
+  pool.release_all();
+  EXPECT_DEATH((void)*static_cast<volatile std::uint64_t*>(&live->stamp), "use-after-poison");
+  EXPECT_EQ(pool.acquire(), released);  // construction order, unpoisoned again
+  EXPECT_EQ(released->stamp, 0U);
+}
+#endif
 
 struct Counted {
   static inline std::map<const Counted*, int>* destroyed = nullptr;

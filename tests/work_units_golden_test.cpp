@@ -13,12 +13,14 @@
 //
 // The last line pins the streaming path: an SF Level-2 LCC stream on one
 // psm::TaskRunner, ticked over the SF stream schedule with its retractions,
-// one tick aborted mid-run and retried, then closed. It covers what the
-// pipeline lines do not: incremental add and remove match against a resident
-// working memory, checkpoint rollback, and the close-time rollback of the
-// whole journal. It was recorded before the conflict set moved to pooled
+// one tick aborted mid-run and retried, read just before the stream closes.
+// It covers what the pipeline lines do not: incremental add and remove match
+// against a resident working memory and the rollback of an aborted tick's
+// own undo log. It was recorded before the conflict set moved to pooled
 // records behind an open-addressed table, so a storage change that alters a
-// charge on the stream path fails here.
+// charge on the stream path fails here. The close reloads the base working
+// memory, so after it the engine must equal a freshly built task process:
+// every counter, working memory and the conflict set.
 //
 // The whole file is compared exactly. On a mismatch the actual text is
 // written to work_units_golden.actual in the working directory. Copying it
@@ -222,8 +224,24 @@ std::string dataset_lines(const spam::DatasetConfig& config) {
   return out;
 }
 
-/// The stream golden line; also checks that closing the stream restored the
-/// engine's working memory and conflict set.
+/// Working memory as "timetag class slot values" lines, in timetag order.
+std::vector<std::string> wm_lines(const ops5::Engine& engine) {
+  std::vector<std::pair<ops5::TimeTag, std::string>> wmes;
+  for (std::size_t cls = 0; cls < engine.program().class_count(); ++cls) {
+    for (const ops5::Wme* w : engine.wmes_of_class(static_cast<ops5::ClassIndex>(cls))) {
+      wmes.emplace_back(w->timetag(),
+                        w->to_string(engine.program().symbols(),
+                                     engine.program().wme_class(w->class_index())));
+    }
+  }
+  std::sort(wmes.begin(), wmes.end());
+  std::vector<std::string> out;
+  for (const auto& [tag, text] : wmes) out.push_back(std::to_string(tag) + " " + text);
+  return out;
+}
+
+/// The stream golden line, read before the close; also checks that the close
+/// left the engine equal to a freshly built task process's.
 std::string stream_line(const spam::DatasetConfig& config) {
   const spam::Scene scene = spam::generate_scene(config);
   const auto best = spam::best_fragments(spam::run_rtf(scene, kRtfGroupSize).fragments);
@@ -233,8 +251,6 @@ std::string stream_line(const spam::DatasetConfig& config) {
 
   psm::TaskRunner runner(d.factory);
   ops5::Engine& engine = runner.engine();
-  const std::size_t base_wm = engine.wm_size();
-  const std::size_t base_cs = engine.conflict_set_size();
 
   // A Level-2 task injects one lcc-task WME, the newest of its class; a
   // retraction removes it again, found by the timetag it arrived with.
@@ -267,14 +283,17 @@ std::string stream_line(const spam::DatasetConfig& config) {
     if (t == schedule.size() / 2) runner.abort_after(tick(t), 25);
     (void)runner.attempt(tick(t));
   }
-  runner.end_stream();
   EXPECT_GT(retractions, 0U);
-  EXPECT_EQ(engine.wm_size(), base_wm);
-  EXPECT_EQ(engine.conflict_set_size(), base_cs);
-
   Charges c;
   c.counters = engine.counters();
   c.add_records(engine.cycle_records());
+
+  runner.end_stream();
+  const psm::TaskRunner fresh(d.factory);
+  expect_same_counters(engine.counters(), fresh.engine().counters(),
+                       config.name + " stream after close");
+  EXPECT_EQ(wm_lines(engine), wm_lines(fresh.engine()));
+  EXPECT_EQ(engine.conflict_set_size(), fresh.engine().conflict_set_size());
   return line(config.name + " stream", c);
 }
 
